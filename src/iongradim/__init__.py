@@ -7,41 +7,16 @@ reproducible end-to-end sensing scenarios.
 
 __version__ = "0.1.0"
 
-from .constants import PhysicalConstants, Vec3, constants, dot, norm
-from .crystal import (CrystalGeometry, TrapConfig, equilibrium_positions,
-                      length_scale, spacing)
+from .constants import constants
+from .crystal import TrapConfig
 from .errors import (ConfigurationError, FieldSingularityError, InfeasibleError,
                      SolverError)
-from .estimation import (DiscriminationResult, EstimationResult, ExperimentPlan,
-                         NoiseModel, ShotOutcomes, analytic_snr, dephasing_contrast,
-                         parity_estimate, required_shots, simulate_shots,
-                         spin_discrimination_snr)
-from .magnetostatics import (DipoleSource, FieldSample, UniformGradient, axial_bz,
-                             compensation_gradient, differential_field, dipole_field,
-                             total_differential_field)
-from .protocol import (BELL, GHZ, ParityRecord, ProbeState, ZeemanConfig, evolve,
-                       outcome_probabilities, parity, phase_rate, prepare_probe)
-from .scenarios import (DOUBLE_WELL, GHZ_CHAIN, MOLECULAR_STATE_CHANGE,
-                        REFERENCE_DELTA_B_T, REFERENCE_DW_DELTA_B_T, THREE_ION_SPIN,
-                        FieldRow, ScenarioConfig, ScenarioReport, run_double_well,
-                        run_ghz_chain, run_molecular_state_change, run_scenario,
-                        run_three_ion_spin)
+from .estimation import ExperimentPlan, NoiseModel
+from .protocol import ZeemanConfig
+from .scenarios import ScenarioConfig, run_scenario
 
 __all__ = [
-    "PhysicalConstants", "Vec3", "constants", "dot", "norm",
-    "CrystalGeometry", "TrapConfig", "equilibrium_positions", "length_scale", "spacing",
+    "constants", "TrapConfig", "ZeemanConfig", "NoiseModel", "ExperimentPlan",
+    "ScenarioConfig", "run_scenario",
     "ConfigurationError", "FieldSingularityError", "InfeasibleError", "SolverError",
-    "DiscriminationResult", "EstimationResult", "ExperimentPlan", "NoiseModel",
-    "ShotOutcomes", "analytic_snr", "dephasing_contrast", "parity_estimate",
-    "required_shots", "simulate_shots", "spin_discrimination_snr",
-    "DipoleSource", "FieldSample", "UniformGradient", "axial_bz",
-    "compensation_gradient", "differential_field", "dipole_field",
-    "total_differential_field",
-    "BELL", "GHZ", "ParityRecord", "ProbeState", "ZeemanConfig", "evolve",
-    "outcome_probabilities", "parity", "phase_rate", "prepare_probe",
-    "DOUBLE_WELL", "GHZ_CHAIN", "MOLECULAR_STATE_CHANGE", "THREE_ION_SPIN",
-    "REFERENCE_DELTA_B_T", "REFERENCE_DW_DELTA_B_T",
-    "FieldRow", "ScenarioConfig", "ScenarioReport", "run_double_well",
-    "run_ghz_chain", "run_molecular_state_change", "run_scenario",
-    "run_three_ion_spin",
 ]

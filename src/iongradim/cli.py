@@ -11,8 +11,8 @@ Outputs are CSV tables (one file per table, scientific notation with 16
 significant digits, `#` provenance header line) plus a provenance file
 carrying the seed, the config hash, and the normalized config echo from
 which the hash can be recomputed. Identical config and seed produce
-byte-identical files. Exit codes: 0 success, 1 config error, 2 runtime or
-solver error.
+byte-identical files. Exit codes: 0 success, 1 config or usage error, 2
+runtime or solver error.
 """
 
 from __future__ import annotations
@@ -34,10 +34,11 @@ from .constants import Vec3, constants
 from .crystal import MAX_IONS, TrapConfig, equilibrium_positions, spacing
 from .errors import (ConfigurationError, FieldSingularityError, InfeasibleError,
                      SolverError)
-from .estimation import ExperimentPlan, NoiseModel, parity_estimate, simulate_shots
-from .magnetostatics import (DipoleSource, FieldSample, axial_bz,
-                             compensation_gradient, dipole_field)
-from .protocol import BELL, ZeemanConfig, phase_rate, prepare_probe
+from .estimation import (ExperimentPlan, NoiseModel, expected_parity, parity_estimate,
+                         simulate_shots)
+from .magnetostatics import DipoleSource, axial_bz, compensation_gradient, dipole_field
+from .protocol import (BELL, PAIR_WEIGHTS, ZeemanConfig, parity_trajectory, phase_rate,
+                       pi_time, prepare_probe)
 from .scenarios import SCENARIO_KINDS, ScenarioConfig, run_scenario
 
 log = logging.getLogger(__name__)
@@ -50,7 +51,6 @@ _KEY_RE = re.compile(r"^[a-z][a-z0-9_]*$")
 _INT_RE = re.compile(r"^[+-]?[0-9]+$")
 
 DEFAULT_ION_MASS_KG = 40.0 * constants().atomic_mass_unit   # Ca-40
-_PAIR_WEIGHTS = ((-0.5, 0.5), (0.5, -0.5))
 
 
 class ConfigFileError(ConfigurationError):
@@ -315,10 +315,7 @@ def _execute_field(params: dict) -> tuple[tuple[Table, ...], tuple[str, ...]]:
     source = DipoleSource(Vec3(0.0, 0.0, params["source_z_m"]),
                           Vec3(0.0, 0.0, params["source_moment_j_per_t"]))
     zs = np.linspace(params["z_start_m"], params["z_stop_m"], params["n_points"])
-    samples = [FieldSample(point=Vec3(0.0, 0.0, float(z)),
-                           b_field=dipole_field(source, Vec3(0.0, 0.0, float(z))))
-               for z in zs]
-    rows = tuple((s.point.z, s.b_field.z) for s in samples)
+    rows = tuple((float(z), dipole_field(source, Vec3(0.0, 0.0, float(z))).z) for z in zs)
     tables = [Table("axial_field", ("z_m", "Bz_T"), rows)]
     z1, z2 = params["pair_z1_m"], params["pair_z2_m"]
     if (z1 is None) != (z2 is None):
@@ -333,20 +330,14 @@ def _execute_field(params: dict) -> tuple[tuple[Table, ...], tuple[str, ...]]:
     return tuple(tables), ()
 
 
-def _protocol_pair(spacing_m: float, contrast: float):
-    positions = (Vec3(0.0, 0.0, 0.0), Vec3(0.0, 0.0, spacing_m))
-    return prepare_probe(BELL, positions, contrast, branch_weights=_PAIR_WEIGHTS)
-
-
 def _execute_protocol(params: dict) -> tuple[tuple[Table, ...], tuple[str, ...]]:
     zeeman = ZeemanConfig(g_factor=params["g_factor"])
-    probe = _protocol_pair(1e-6, params["contrast"])
-    fields = (0.0, params["delta_b_t"])
-    rate = phase_rate(probe, zeeman, fields)
-    times = np.linspace(0.0, params["duration_s"], params["n_steps"])
-    rows = tuple((float(t), rate * float(t),
-                  params["contrast"] * math.cos(rate * float(t))) for t in times)
-    t_pi = math.pi / abs(rate) if rate != 0.0 else math.inf
+    probe = prepare_probe(BELL, (Vec3(0.0, 0.0, 0.0), Vec3(0.0, 0.0, 1e-6)),
+                          params["contrast"], branch_weights=PAIR_WEIGHTS)
+    rate = phase_rate(probe, zeeman, (0.0, params["delta_b_t"]))
+    records = parity_trajectory(rate, probe.contrast, params["duration_s"], params["n_steps"])
+    rows = tuple((p.time, p.phase, p.parity) for p in records)
+    t_pi = pi_time(rate)
     tables = (Table("parity_trajectory", ("time_s", "phase_rad", "parity"), rows),
               Table("summary", ("phase_rate_rad_per_s", "t_pi_s"), ((rate, t_pi),)))
     return tables, (f"time to a pi phase rotation: {t_pi:.4f} s",)
@@ -354,7 +345,8 @@ def _execute_protocol(params: dict) -> tuple[tuple[Table, ...], tuple[str, ...]]
 
 def _execute_montecarlo(params: dict, seed: int) -> tuple[tuple[Table, ...], tuple[str, ...]]:
     zeeman = ZeemanConfig(g_factor=params["g_factor"])
-    probe = _protocol_pair(params["probe_spacing_m"], 1.0)
+    probe = prepare_probe(BELL, (Vec3(0.0, 0.0, 0.0), Vec3(0.0, 0.0, params["probe_spacing_m"])),
+                          1.0, branch_weights=PAIR_WEIGHTS)
     noise = NoiseModel(common_mode_rms=params["common_mode_rms_t"],
                        gradient_rms=params["gradient_rms_t_per_m"],
                        contrast=params["contrast"])
@@ -363,9 +355,7 @@ def _execute_montecarlo(params: dict, seed: int) -> tuple[tuple[Table, ...], tup
                           bias_phase=params["bias_phase_rad"], rng_seed=seed)
     fields = (0.0, params["delta_b_t"])
     outcomes = simulate_shots(plan, probe, zeeman, fields, noise)
-    rate = phase_rate(probe, zeeman, fields)
-    true_parity = params["contrast"] * math.cos(
-        rate * plan.interaction_time + plan.bias_phase)
+    true_parity = expected_parity(plan, probe, zeeman, fields, noise)
     result = parity_estimate(outcomes, true_parity=true_parity)
     estimate = Table("estimate",
                      ("parity_estimate", "std_error", "snr", "true_parity", "shots"),
@@ -470,6 +460,16 @@ def _header_line(provenance: dict) -> str:
             f"config_sha256={provenance['config_sha256']}")
 
 
+def _preamble(bundle: ResultBundle) -> list[str]:
+    """Header line and annotation block that open report.txt and provenance.txt."""
+    lines = [_header_line(bundle.provenance), ""]
+    if bundle.annotations:
+        lines.append("annotations:")
+        lines.extend(f"  - {note}" for note in bundle.annotations)
+        lines.append("")
+    return lines
+
+
 def emit(bundle: ResultBundle, output_format: str, out_dir: str | Path) -> list[Path]:
     """Write the bundle; returns the written paths. Byte-stable for fixed inputs."""
     out = Path(out_dir)
@@ -484,11 +484,7 @@ def emit(bundle: ResultBundle, output_format: str, out_dir: str | Path) -> list[
             written.append(path)
         written.append(_write_provenance(bundle, out))
     elif output_format == "text":
-        lines = [_header_line(bundle.provenance), ""]
-        if bundle.annotations:
-            lines.append("annotations:")
-            lines.extend(f"  - {note}" for note in bundle.annotations)
-            lines.append("")
+        lines = _preamble(bundle)
         for table in bundle.tables:
             lines.append(f"[{table.name}]")
             lines.append("  " + "  ".join(table.columns))
@@ -506,11 +502,7 @@ def emit(bundle: ResultBundle, output_format: str, out_dir: str | Path) -> list[
 
 
 def _write_provenance(bundle: ResultBundle, out: Path) -> Path:
-    lines = [_header_line(bundle.provenance), ""]
-    if bundle.annotations:
-        lines.append("annotations:")
-        lines.extend(f"  - {note}" for note in bundle.annotations)
-        lines.append("")
+    lines = _preamble(bundle)
     lines.append("config echo (sha256 of this block is the config hash):")
     lines.append(bundle.config_echo.rstrip("\n"))
     path = out / "provenance.txt"
@@ -547,7 +539,10 @@ def _configure_logging() -> None:
 
 def main(argv: list[str] | None = None) -> int:
     _configure_logging()
-    args = _build_parser().parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:   # argparse has printed the help or the usage error
+        return EXIT_OK if exc.code == 0 else EXIT_CONFIG
     try:
         text = Path(args.config).read_text(encoding="utf-8")
     except OSError as exc:

@@ -66,9 +66,6 @@ class Vec3:
         return Vec3(-self.x, -self.y, -self.z)
 
 
-ZERO3 = Vec3(0.0, 0.0, 0.0)
-
-
 def dot(a: Vec3, b: Vec3) -> float:
     """Euclidean inner product."""
     return a.x * b.x + a.y * b.y + a.z * b.z

@@ -1,12 +1,12 @@
 """Monte Carlo shot statistics under projection noise and field noise.
 
 Noise model: quasi-static Gaussian fluctuations, constant within a shot and
-independent between shots. The uniform (common-mode) component enters the
+independent between shots. A uniform (common-mode) component would enter the
 phase only through the sum of the +-1 branch weights, which is exactly zero,
-so toggling it cannot change any outcome at a fixed seed; the gradient
-component couples through the weighted ion coordinates and dephases the
-parity fringe. Each shot consumes fixed counter slots of the seeded
-counter-based stream (see rng), so results are a pure function of
+so it is accepted and validated but never drawn: it cannot change any
+outcome. The gradient component couples through the weighted ion coordinates
+and dephases the parity fringe. Each shot consumes fixed counter slots of the
+seeded counter-based stream (see rng), so results are a pure function of
 (plan, probe, fields, noise) and are independent of evaluation order.
 """
 
@@ -19,12 +19,13 @@ from typing import Sequence
 import numpy as np
 
 from . import rng
-from .constants import constants
 from .errors import ConfigurationError, InfeasibleError
 from .protocol import ProbeState, ZeemanConfig, outcome_parities, phase_rate
 
-# Counter slots per shot: 0,1 common-mode gaussian; 2,3 gradient gaussian;
-# 4 outcome draw; 5..7 reserved.
+# Counter slots per shot: 2,3 gradient gaussian; 4 outcome draw; 0,1 and
+# 5..7 reserved. Slots 0,1 are kept for the common-mode gaussian, which the
+# probe cancels exactly and so is never drawn; moving the other draws into
+# them would change the outcomes of every seed.
 _SLOTS_PER_SHOT = 8
 
 
@@ -32,7 +33,7 @@ _SLOTS_PER_SHOT = 8
 class NoiseModel:
     """Per-shot field noise amplitudes and readout contrast."""
 
-    common_mode_rms: float = 0.0   # T, uniform over the crystal
+    common_mode_rms: float = 0.0   # T, uniform over the crystal; cancelled, never drawn
     gradient_rms: float = 0.0     # T/m, differential
     contrast: float = 1.0          # readout contrast multiplier
 
@@ -92,22 +93,13 @@ class DiscriminationResult:
 def simulate_shots(plan: ExperimentPlan, probe: ProbeState, zeeman: ZeemanConfig,
                    field_at_ions: Sequence[float], noise: NoiseModel) -> ShotOutcomes:
     """Run plan.shots independent shots and draw one spin pattern per shot."""
-    c = constants()
-    coeff = zeeman.g_factor * c.bohr_magneton / c.reduced_planck
     base_rate = phase_rate(probe, zeeman, field_at_ions)
-    dm = probe.delta_m
-    dm_total = sum(dm)                                        # exactly 0.0 (DFS)
-    grad_coupling = sum(d * p.z for d, p in zip(dm, probe.ion_positions))
-
     shot = np.arange(plan.shots, dtype=np.uint64) * np.uint64(_SLOTS_PER_SHOT)
     seed = plan.rng_seed
-    common = noise.common_mode_rms * rng.gaussian(seed, shot, shot + np.uint64(1))
     gradient = noise.gradient_rms * rng.gaussian(seed, shot + np.uint64(2), shot + np.uint64(3))
     draw = rng.uniform(seed, shot + np.uint64(4))
 
-    # The common-mode term multiplies the exact zero weight sum: it is kept in
-    # the rate expression to mirror the physics but cannot move any phase.
-    shot_rate = base_rate + coeff * gradient * grad_coupling + coeff * common * dm_total
+    shot_rate = base_rate + zeeman.gyromagnetic_ratio * gradient * probe.gradient_coupling
     phases = probe.phase + shot_rate * plan.interaction_time
 
     contrast = probe.contrast * noise.contrast
@@ -152,7 +144,9 @@ def parity_estimate(outcomes, true_parity: float | None = None) -> EstimationRes
                             true_parity=true_parity)
 
 
-def _true_parity(plan, probe, zeeman, fields, noise) -> float:
+def expected_parity(plan: ExperimentPlan, probe: ProbeState, zeeman: ZeemanConfig,
+                    fields: Sequence[float], noise: NoiseModel) -> float:
+    """Noise-free parity expectation the Monte Carlo estimate converges to."""
     rate = phase_rate(probe, zeeman, fields)
     return probe.contrast * noise.contrast * math.cos(
         probe.phase + rate * plan.interaction_time + plan.bias_phase)
@@ -172,7 +166,7 @@ def spin_discrimination_snr(plan: ExperimentPlan, probe: ProbeState, zeeman: Zee
         arm_plan = replace(plan, rng_seed=rng.derive_seed(plan.rng_seed, arm))
         outcomes = simulate_shots(arm_plan, probe, zeeman, fields, noise)
         results.append(parity_estimate(
-            outcomes, true_parity=_true_parity(plan, probe, zeeman, fields, noise)))
+            outcomes, true_parity=expected_parity(plan, probe, zeeman, fields, noise)))
     up, down = results
     snr = abs(down.parity_estimate - up.parity_estimate) / math.sqrt(
         up.std_error ** 2 + down.std_error ** 2)
@@ -224,8 +218,6 @@ def dephasing_contrast(gradient_rms: float, probe: ProbeState, zeeman: ZeemanCon
     """
     if gradient_rms < 0 or duration < 0:
         raise ConfigurationError("gradient_rms and duration must be >= 0")
-    c = constants()
-    coeff = zeeman.g_factor * c.bohr_magneton / c.reduced_planck
-    coupling = sum(d * p.z for d, p in zip(probe.delta_m, probe.ion_positions))
-    sigma_phi = coeff * gradient_rms * abs(coupling) * duration
+    sigma_phi = (zeeman.gyromagnetic_ratio * gradient_rms * abs(probe.gradient_coupling)
+                 * duration)
     return math.exp(-0.5 * sigma_phi * sigma_phi)

@@ -49,14 +49,6 @@ class UniformGradient:
         return self.dbz_dz * (point.z - self.reference_point.z)
 
 
-@dataclass(frozen=True)
-class FieldSample:
-    """Field vector (T) evaluated at a point (m)."""
-
-    point: Vec3
-    b_field: Vec3
-
-
 def dipole_field(source: DipoleSource, point: Vec3) -> Vec3:
     """Dipole field vector (T) at a point; raises within 1 nm of the source."""
     r = point - source.position

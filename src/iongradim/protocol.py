@@ -43,6 +43,13 @@ GHZ = "ghz"
 _BELL_PATTERN = (0.5, -0.5)
 _GHZ4_PATTERN = (0.5, -0.5, -0.5, 0.5)   # up, down, (sensed ion), down, up
 
+# Bell-pair branch order with delta_m = (-1, +1): the phase rate is positive
+# when the second ion sees the larger field. Physically identical to the
+# default order, which only flips the sign of the phase.
+PAIR_WEIGHTS = ((-0.5, 0.5), (0.5, -0.5))
+
+_TRAJECTORY_POINTS = 101   # default sampling of a parity trajectory
+
 
 @dataclass(frozen=True)
 class ZeemanConfig:
@@ -54,6 +61,12 @@ class ZeemanConfig:
     def __post_init__(self):
         if not (self.g_factor > 0):
             raise ConfigurationError(f"g_factor must be > 0, got {self.g_factor}")
+
+    @property
+    def gyromagnetic_ratio(self) -> float:
+        """g mu_B / hbar in rad/(s T): phase rate per tesla of weighted field."""
+        c = constants()
+        return self.g_factor * c.bohr_magneton / c.reduced_planck
 
 
 @dataclass(frozen=True)
@@ -100,6 +113,11 @@ class ProbeState:
         b1, b2 = self.branch_weights
         return tuple(w1 - w2 for w1, w2 in zip(b1, b2))
 
+    @property
+    def gradient_coupling(self) -> float:
+        """sum_i dm_i z_i (m): weighted field per unit axial gradient dBz/dz."""
+        return sum(d * p.z for d, p in zip(self.delta_m, self.ion_positions))
+
 
 def prepare_probe(kind: str, ion_positions: Sequence[Vec3], fidelity: float,
                   branch_weights: tuple[tuple[float, ...], tuple[float, ...]] | None = None,
@@ -138,9 +156,13 @@ def phase_rate(probe: ProbeState, zeeman: ZeemanConfig,
     if len(field_at_ions) != probe.n_ions:
         raise ConfigurationError(
             f"expected {probe.n_ions} field values, got {len(field_at_ions)}")
-    c = constants()
     weighted = sum(dm * b for dm, b in zip(probe.delta_m, field_at_ions))
-    return zeeman.g_factor * c.bohr_magneton / c.reduced_planck * weighted
+    return zeeman.gyromagnetic_ratio * weighted
+
+
+def pi_time(rate: float) -> float:
+    """Time (s) to a pi phase rotation at the given rate; inf for a zero rate."""
+    return math.pi / abs(rate) if rate else math.inf
 
 
 def evolve(probe: ProbeState, zeeman: ZeemanConfig, field_at_ions: Sequence[float],
@@ -187,3 +209,11 @@ class ParityRecord:
     time: float     # s
     parity: float
     phase: float    # rad
+
+
+def parity_trajectory(rate: float, contrast: float, t_max: float,
+                      n_points: int = _TRAJECTORY_POINTS) -> tuple[ParityRecord, ...]:
+    """Parity contrast * cos(rate * t) at n_points even times from 0 to t_max."""
+    times = np.linspace(0.0, t_max, n_points)
+    return tuple(ParityRecord(time=float(t), parity=contrast * math.cos(rate * t),
+                              phase=rate * float(t)) for t in times)

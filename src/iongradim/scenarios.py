@@ -21,17 +21,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .constants import Vec3, constants
-from .crystal import CrystalGeometry, TrapConfig, equilibrium_positions, spacing
+from .crystal import TrapConfig, equilibrium_positions, spacing
 from .errors import ConfigurationError, InfeasibleError
 from .estimation import (ExperimentPlan, NoiseModel, required_shots,
                          spin_discrimination_snr)
 from .magnetostatics import (DipoleSource, axial_bz, compensation_gradient,
                              differential_field, total_differential_field)
-from .protocol import (BELL, GHZ, ParityRecord, ProbeState, ZeemanConfig,
-                       phase_rate, prepare_probe)
+from .protocol import (BELL, GHZ, PAIR_WEIGHTS, ParityRecord, ZeemanConfig,
+                       parity_trajectory, phase_rate, pi_time, prepare_probe)
 
 THREE_ION_SPIN = "three_ion_spin"
 MOLECULAR_STATE_CHANGE = "molecular_state_change"
@@ -50,12 +48,7 @@ REFERENCE_DW_DELTA_B_T = 1.3e-11       # double-well single-atom imbalance
 REFERENCE_T_PI_S = 26.0                # quoted +1 -> -1 parity rotation time
 REFERENCE_TOTAL_TIME_S = 60.0          # quoted total measurement time bound
 
-_TRAJECTORY_POINTS = 101
 _MAX_SCAN_DELTA_N = 10_000
-
-# Probe branch order chosen so the reported phase rate is positive when the
-# near ion sees the larger field; physically identical to the swapped order.
-_PAIR_WEIGHTS = ((-0.5, 0.5), (0.5, -0.5))
 
 
 @dataclass(frozen=True)
@@ -149,36 +142,6 @@ class ScenarioReport:
     estimation: dict[str, float]
     annotations: tuple[str, ...] = field(default_factory=tuple)
 
-    def payload(self) -> dict:
-        """Plain-type nested dict; serializing it is byte-stable for a fixed config."""
-        return {
-            "scenario": self.scenario,
-            "mode": self.mode,
-            "seed": self.seed,
-            "geometry": dict(self.geometry),
-            "field_table": [
-                {"ion_index": r.ion_index, "z_m": r.z_m, "bz_t": r.bz_t}
-                for r in self.field_table],
-            "delta_b_t": self.delta_b,
-            "trajectories": {
-                label: [{"time_s": p.time, "phase_rad": p.phase, "parity": p.parity}
-                        for p in records]
-                for label, records in self.trajectories},
-            "estimation": dict(self.estimation),
-            "annotations": list(self.annotations),
-        }
-
-
-def _trajectory(rate: float, contrast: float, t_max: float,
-                n_points: int = _TRAJECTORY_POINTS) -> tuple[ParityRecord, ...]:
-    times = np.linspace(0.0, t_max, n_points)
-    return tuple(ParityRecord(time=float(t), parity=contrast * math.cos(rate * t),
-                              phase=rate * float(t)) for t in times)
-
-
-def _pair_probe(positions: tuple[Vec3, Vec3], fidelity: float) -> ProbeState:
-    return prepare_probe(BELL, positions, fidelity, branch_weights=_PAIR_WEIGHTS)
-
 
 def _three_ion_layout(config: ScenarioConfig):
     """Solve the 3-ion chain; the sensed spin sits at the positive end."""
@@ -188,11 +151,6 @@ def _three_ion_layout(config: ScenarioConfig):
     source = DipoleSource(Vec3(0.0, 0.0, z_x),
                           Vec3(0.0, 0.0, config.moment_magnitude()))
     return geometry, probes, source
-
-
-def spacing_of_near_pair(geometry: CrystalGeometry) -> float:
-    """Adjacent spacing d12 of the solved chain (uniform for 3 ions)."""
-    return spacing(geometry, 0, 1)
 
 
 def run_three_ion_spin(config: ScenarioConfig) -> ScenarioReport:
@@ -206,7 +164,7 @@ def run_three_ion_spin(config: ScenarioConfig) -> ScenarioReport:
     if config.kind != THREE_ION_SPIN:
         raise ConfigurationError(f"expected kind {THREE_ION_SPIN!r}, got {config.kind!r}")
     geometry, probes, source = _three_ion_layout(config)
-    d12 = spacing_of_near_pair(geometry)
+    d12 = spacing(geometry, 0, 1)
     b_far = axial_bz(source, probes[0].z)
     b_near = axial_bz(source, probes[1].z)
     delta_computed = differential_field(source, probes[0], probes[1])
@@ -224,11 +182,12 @@ def run_three_ion_spin(config: ScenarioConfig) -> ScenarioReport:
         fields_down = (0.0, total_differential_field(source.flipped(), probes[0],
                                                      probes[1], gradient))
 
-    probe = _pair_probe(probes, config.preparation_fidelity)
+    probe = prepare_probe(BELL, probes, config.preparation_fidelity,
+                          branch_weights=PAIR_WEIGHTS)
     rate = phase_rate(probe, config.zeeman, fields_used)
     rate_up = phase_rate(probe, config.zeeman, fields_up)
     rate_down = phase_rate(probe, config.zeeman, fields_down)
-    t_pi = math.pi / abs(rate) if rate != 0.0 else math.inf
+    t_pi = pi_time(rate)
     t_max = 1.25 * t_pi if math.isfinite(t_pi) else config.plan.interaction_time
     contrast = config.preparation_fidelity * config.noise.contrast
 
@@ -264,9 +223,9 @@ def run_three_ion_spin(config: ScenarioConfig) -> ScenarioReport:
                      FieldRow(1, probes[1].z, fields_used[1])),
         delta_b=delta_used,
         trajectories=(
-            ("free_evolution", _trajectory(rate, contrast, t_max)),
-            ("compensated_spin_up", _trajectory(rate_up, contrast, t_max)),
-            ("compensated_spin_down", _trajectory(rate_down, contrast, t_max)),
+            ("free_evolution", parity_trajectory(rate, contrast, t_max)),
+            ("compensated_spin_up", parity_trajectory(rate_up, contrast, t_max)),
+            ("compensated_spin_down", parity_trajectory(rate_down, contrast, t_max)),
         ),
         estimation={
             "phase_rate_rad_per_s": rate,
@@ -304,7 +263,8 @@ def run_molecular_state_change(config: ScenarioConfig) -> ScenarioReport:
         src = DipoleSource(Vec3(0.0, 0.0, geometry.positions[2]), Vec3(0.0, 0.0, moment))
         return differential_field(src, probes[0], probes[1])
 
-    probe = _pair_probe(probes, config.preparation_fidelity)
+    probe = prepare_probe(BELL, probes, config.preparation_fidelity,
+                          branch_weights=PAIR_WEIGHTS)
     contrast = config.preparation_fidelity * config.noise.contrast
     t = config.plan.interaction_time
     deltas = {"before": delta_b_for(config.moment_before),
@@ -332,15 +292,15 @@ def run_molecular_state_change(config: ScenarioConfig) -> ScenarioReport:
         scenario=MOLECULAR_STATE_CHANGE, mode=config.mode, seed=config.plan.rng_seed,
         geometry={
             "length_scale_m": geometry.length_scale,
-            "d12_m": spacing_of_near_pair(geometry),
+            "d12_m": spacing(geometry, 0, 1),
             "z_far_m": probes[0].z, "z_near_m": probes[1].z,
         },
         field_table=(FieldRow(0, probes[0].z, 0.0),
                      FieldRow(1, probes[1].z, deltas["before"])),
         delta_b=deltas["before"],
         trajectories=(
-            ("moment_before", _trajectory(rates["before"], contrast, t)),
-            ("moment_after", _trajectory(rates["after"], contrast, t)),
+            ("moment_before", parity_trajectory(rates["before"], contrast, t)),
+            ("moment_after", parity_trajectory(rates["after"], contrast, t)),
         ),
         estimation={
             "delta_b_before_t": deltas["before"],
@@ -381,7 +341,8 @@ def run_double_well(config: ScenarioConfig) -> ScenarioReport:
                               Vec3(0.0, 0.0, imbalance * atom_moment))
         return differential_field(source, probes[0], probes[1])
 
-    probe = _pair_probe(probes, config.preparation_fidelity)
+    probe = prepare_probe(BELL, probes, config.preparation_fidelity,
+                          branch_weights=PAIR_WEIGHTS)
     contrast = config.preparation_fidelity * config.noise.contrast
     t = config.plan.interaction_time
     delta_used = delta_b_for(config.delta_n)
@@ -424,7 +385,7 @@ def run_double_well(config: ScenarioConfig) -> ScenarioReport:
         field_table=(FieldRow(0, probes[0].z, 0.0),
                      FieldRow(1, probes[1].z, delta_used)),
         delta_b=delta_used,
-        trajectories=(("imbalance_evolution", _trajectory(rate, contrast, t)),),
+        trajectories=(("imbalance_evolution", parity_trajectory(rate, contrast, t)),),
         estimation={
             "delta_n": float(config.delta_n),
             "phase_rate_rad_per_s": rate,
@@ -488,15 +449,15 @@ def run_ghz_chain(config: ScenarioConfig) -> ScenarioReport:
                           for k, i in enumerate(probe_idx)),
         delta_b=fields[1] - fields[0],
         trajectories=(
-            ("ghz", _trajectory(rate_ghz, contrast, t)),
-            ("bell_side_pair", _trajectory(rate_bell, contrast, t)),
+            ("ghz", parity_trajectory(rate_ghz, contrast, t)),
+            ("bell_side_pair", parity_trajectory(rate_bell, contrast, t)),
         ),
         estimation={
             "phase_rate_ghz_rad_per_s": rate_ghz,
             "phase_rate_bell_rad_per_s": rate_bell,
             "rate_ratio": ratio,
-            "t_pi_ghz_s": math.pi / abs(rate_ghz) if rate_ghz else math.inf,
-            "t_pi_bell_s": math.pi / abs(rate_bell) if rate_bell else math.inf,
+            "t_pi_ghz_s": pi_time(rate_ghz),
+            "t_pi_bell_s": pi_time(rate_bell),
         },
         annotations=annotations,
     )

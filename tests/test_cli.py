@@ -200,6 +200,22 @@ def test_exit_codes(tmp_path):
     assert main(["--config", str(bad), "--out", str(tmp_path / "x")]) == 1
 
 
+@pytest.mark.parametrize("args, code", [
+    (["--config", "{cfg}", "--help"], 0),
+    (["--config", "{cfg}", "--format", "xml"], 1),
+    (["--config", "{cfg}", "--seed", "abc"], 1),
+    ([], 1),   # no --config
+])
+def test_usage_exit_codes(tmp_path, capsys, args, code):
+    cfg = _write_cfg(tmp_path, CRYSTAL_CFG)
+    out = tmp_path / "out"
+    argv = [arg.format(cfg=cfg) for arg in args] + ["--out", str(out)]
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    assert "usage:" in captured.out + captured.err
+    assert not out.exists()
+
+
 def test_seed_flag_overrides_config(tmp_path):
     out1, out2 = tmp_path / "s1", tmp_path / "s2"
     cfg = _write_cfg(tmp_path, SCENARIO_CFG)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -228,8 +229,8 @@ ALL_CONFIGS = [
 
 @pytest.mark.parametrize("make", ALL_CONFIGS)
 def test_reports_are_reproducible(make):
-    a = run_scenario(make()).payload()
-    b = run_scenario(make()).payload()
+    a = dataclasses.asdict(run_scenario(make()))
+    b = dataclasses.asdict(run_scenario(make()))
     assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
 
