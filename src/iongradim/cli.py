@@ -356,7 +356,7 @@ def _execute_montecarlo(params: dict, seed: int) -> tuple[tuple[Table, ...], tup
     fields = (0.0, params["delta_b_t"])
     outcomes = simulate_shots(plan, probe, zeeman, fields, noise)
     true_parity = expected_parity(plan, probe, zeeman, fields, noise)
-    result = parity_estimate(outcomes, true_parity=true_parity)
+    result = parity_estimate(outcomes.parities)
     estimate = Table("estimate",
                      ("parity_estimate", "std_error", "snr", "true_parity", "shots"),
                      ((result.parity_estimate, result.std_error, result.snr,

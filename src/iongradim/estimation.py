@@ -27,6 +27,7 @@ from .protocol import ProbeState, ZeemanConfig, outcome_parities, phase_rate
 # probe cancels exactly and so is never drawn; moving the other draws into
 # them would change the outcomes of every seed.
 _SLOTS_PER_SHOT = 8
+_MAX_SHOTS = int(np.finfo(float).max)   # largest shot count that converts to a float
 
 
 @dataclass(frozen=True)
@@ -38,8 +39,8 @@ class NoiseModel:
     contrast: float = 1.0          # readout contrast multiplier
 
     def __post_init__(self):
-        if self.common_mode_rms < 0 or self.gradient_rms < 0:
-            raise ConfigurationError("noise rms values must be >= 0")
+        if not all(0 <= v < math.inf for v in (self.common_mode_rms, self.gradient_rms)):
+            raise ConfigurationError("noise rms values must be finite and >= 0")
         if not (0.0 <= self.contrast <= 1.0):
             raise ConfigurationError(f"contrast must be in [0, 1], got {self.contrast}")
 
@@ -56,8 +57,10 @@ class ExperimentPlan:
     def __post_init__(self):
         if not isinstance(self.shots, int) or self.shots < 1:
             raise ConfigurationError(f"shots must be an integer >= 1, got {self.shots!r}")
-        if self.interaction_time < 0:
-            raise ConfigurationError("interaction_time must be >= 0")
+        if not (0 <= self.interaction_time < math.inf):
+            raise ConfigurationError("interaction_time must be finite and >= 0")
+        if not math.isfinite(self.bias_phase):
+            raise ConfigurationError("bias_phase must be finite")
         if not (0 <= self.rng_seed < 2 ** 64):
             raise ConfigurationError("rng_seed must fit in 64 bits")
 
@@ -70,9 +73,6 @@ class ShotOutcomes:
     outcome_indices: np.ndarray
     phases: np.ndarray
 
-    def __len__(self) -> int:
-        return len(self.parities)
-
 
 @dataclass(frozen=True)
 class EstimationResult:
@@ -80,7 +80,6 @@ class EstimationResult:
     std_error: float
     snr: float
     shots_used: int
-    true_parity: float | None = None
 
 
 @dataclass(frozen=True)
@@ -106,31 +105,28 @@ def simulate_shots(plan: ExperimentPlan, probe: ProbeState, zeeman: ZeemanConfig
     p_even = 0.5 * (1.0 + contrast * np.cos(phases + plan.bias_phase))
     parities = np.where(draw < p_even, 1, -1).astype(np.int64)
 
-    # Map the same uniform onto a concrete spin pattern: even patterns share
-    # p_even uniformly, odd patterns share 1 - p_even.
+    # Map the same uniform onto a concrete spin pattern: the 2^(N-1) even patterns
+    # share [0, p_even), the 2^(N-1) odd ones [p_even, 1]; a zero-width class
+    # (p_even = 1, draw = 1.0) takes its first pattern.
     pattern_parity = outcome_parities(probe.n_ions)
     even_patterns = np.flatnonzero(pattern_parity > 0)
     odd_patterns = np.flatnonzero(pattern_parity < 0)
+    even = parities > 0
+    lower = np.where(even, 0.0, p_even)
+    width = np.where(even, p_even, 1.0 - p_even)
     with np.errstate(divide="ignore", invalid="ignore"):
-        frac_even = np.where(p_even > 0, draw / p_even, 0.0)
-        frac_odd = np.where(p_even < 1, (draw - p_even) / (1.0 - p_even), 0.0)
-    k_even = np.minimum((frac_even * len(even_patterns)).astype(np.int64),
-                        len(even_patterns) - 1)
-    k_odd = np.minimum((frac_odd * len(odd_patterns)).astype(np.int64),
-                       len(odd_patterns) - 1)
-    k_even = np.maximum(k_even, 0)
-    k_odd = np.maximum(k_odd, 0)
-    indices = np.where(parities > 0, even_patterns[k_even], odd_patterns[k_odd])
+        frac = np.where(width > 0, (draw - lower) / width, 0.0)
+    k = np.minimum((frac * len(even_patterns)).astype(np.int64), len(even_patterns) - 1)
+    indices = np.where(even, even_patterns[k], odd_patterns[k])
     return ShotOutcomes(parities=parities, outcome_indices=indices, phases=phases)
 
 
-def parity_estimate(outcomes, true_parity: float | None = None) -> EstimationResult:
-    """Parity estimate with projection-noise standard error.
+def parity_estimate(parities: np.ndarray) -> EstimationResult:
+    """Parity estimate with projection-noise standard error from per-shot parities (+-1).
 
     std_error = sqrt((1 - P^2)/N); a saturated estimate (P = +-1) substitutes
     the rule-of-three bound 3/N so downstream SNRs stay finite.
     """
-    parities = outcomes.parities if isinstance(outcomes, ShotOutcomes) else np.asarray(outcomes)
     n = len(parities)
     if n < 1:
         raise ConfigurationError("parity_estimate needs at least one outcome")
@@ -140,8 +136,7 @@ def parity_estimate(outcomes, true_parity: float | None = None) -> EstimationRes
     else:
         std_error = math.sqrt((1.0 - p_hat * p_hat) / n)
     return EstimationResult(parity_estimate=p_hat, std_error=std_error,
-                            snr=abs(p_hat) / std_error, shots_used=n,
-                            true_parity=true_parity)
+                            snr=abs(p_hat) / std_error, shots_used=n)
 
 
 def expected_parity(plan: ExperimentPlan, probe: ProbeState, zeeman: ZeemanConfig,
@@ -161,13 +156,10 @@ def spin_discrimination_snr(plan: ExperimentPlan, probe: ProbeState, zeeman: Zee
     Monte Carlo estimates. Each arm runs on an independent sub-seed derived
     from plan.rng_seed.
     """
-    results = []
-    for arm, fields in enumerate((fields_up, fields_down)):
-        arm_plan = replace(plan, rng_seed=rng.derive_seed(plan.rng_seed, arm))
-        outcomes = simulate_shots(arm_plan, probe, zeeman, fields, noise)
-        results.append(parity_estimate(
-            outcomes, true_parity=expected_parity(plan, probe, zeeman, fields, noise)))
-    up, down = results
+    up, down = (parity_estimate(simulate_shots(
+                    replace(plan, rng_seed=rng.derive_seed(plan.rng_seed, arm)),
+                    probe, zeeman, fields, noise).parities)
+                for arm, fields in enumerate((fields_up, fields_down)))
     snr = abs(down.parity_estimate - up.parity_estimate) / math.sqrt(
         up.std_error ** 2 + down.std_error ** 2)
     return DiscriminationResult(snr=snr, up=up, down=down)
@@ -178,35 +170,42 @@ def analytic_snr(shots: int, parity_swing: float) -> float:
 
     Uses per-arm variance (1 - P^2)/N; a full-contrast flip (swing = 2) has
     zero binomial variance, so the rule-of-three guard 3/N stands in, which
-    keeps this model consistent with the Monte Carlo estimator.
+    keeps this model consistent with the Monte Carlo estimator. Non-decreasing
+    in shots; a variance that underflows to zero gives an infinite SNR.
     """
     p = parity_swing / 2.0
     if p >= 1.0:
         variance = (3.0 / shots) ** 2
     else:
         variance = (1.0 - p * p) / shots
-    return parity_swing / math.sqrt(2.0 * variance)
+    return parity_swing / math.sqrt(2.0 * variance) if variance != 0 else math.inf
 
 
 def required_shots(target_snr: float, parity_swing: float) -> int:
-    """Smallest per-hypothesis shot count whose analytic SNR meets the target."""
-    if not (target_snr > 0):
-        raise ConfigurationError(f"target_snr must be > 0, got {target_snr}")
+    """Smallest per-hypothesis shot count whose analytic SNR meets the target.
+
+    Doubling brackets the count and bisection finds it, since analytic_snr is
+    non-decreasing in shots; infeasible when no count that fits a float does.
+    """
+    if not (0 < target_snr < math.inf):
+        raise ConfigurationError(f"target_snr must be finite and > 0, got {target_snr}")
     if parity_swing <= 0:
         raise InfeasibleError("parity swing is zero: no shot count reaches the target SNR")
-    if parity_swing > 2:
-        raise ConfigurationError(f"parity swing cannot exceed 2, got {parity_swing}")
-    p = parity_swing / 2.0
-    if p >= 1.0:
-        n = math.ceil(3.0 * math.sqrt(2.0) * target_snr / parity_swing)
-    else:
-        n = math.ceil(2.0 * target_snr ** 2 * (1.0 - p * p) / parity_swing ** 2)
-    n = max(n, 1)
-    while analytic_snr(n, parity_swing) < target_snr:
-        n += 1
-    while n > 1 and analytic_snr(n - 1, parity_swing) >= target_snr:
-        n -= 1
-    return n
+    if not parity_swing <= 2:
+        raise ConfigurationError(f"parity swing must be a number <= 2, got {parity_swing}")
+    low, high = 0, 1   # the count lies in (low, high] once high reaches the target
+    while analytic_snr(high, parity_swing) < target_snr and high < _MAX_SHOTS:
+        low, high = high, min(2 * high, _MAX_SHOTS)
+    while high - low > 1:
+        mid = (low + high) // 2
+        if analytic_snr(mid, parity_swing) >= target_snr:
+            high = mid
+        else:
+            low = mid
+    if not target_snr <= analytic_snr(high, parity_swing) < math.inf:
+        raise InfeasibleError(f"no shot count that fits a float reaches SNR {target_snr} "
+                              f"at parity swing {parity_swing}")
+    return high
 
 
 def dephasing_contrast(gradient_rms: float, probe: ProbeState, zeeman: ZeemanConfig,

@@ -53,10 +53,9 @@ _TRAJECTORY_POINTS = 101   # default sampling of a parity trajectory
 
 @dataclass(frozen=True)
 class ZeemanConfig:
-    """Linear Zeeman coupling: Lande g-factor and the sublevels in use."""
+    """Linear Zeeman coupling: the Lande g-factor of the probe transition."""
 
     g_factor: float
-    magnetic_quantum_numbers: tuple[float, float] = (0.5, -0.5)
 
     def __post_init__(self):
         if not (self.g_factor > 0):

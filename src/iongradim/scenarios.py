@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from .constants import Vec3, constants
 from .crystal import TrapConfig, equilibrium_positions, spacing
 from .errors import ConfigurationError, InfeasibleError
-from .estimation import (ExperimentPlan, NoiseModel, required_shots,
+from .estimation import (ExperimentPlan, NoiseModel, analytic_snr, required_shots,
                          spin_discrimination_snr)
 from .magnetostatics import (DipoleSource, axial_bz, compensation_gradient,
                              differential_field, total_differential_field)
@@ -248,8 +248,8 @@ def run_molecular_state_change(config: ScenarioConfig) -> ScenarioReport:
 
     Runs the three-ion geometry with the moment before and after the
     candidate excitation and reports how many shots distinguish the two
-    parity signals at the target SNR. Identical moments are reported as
-    infeasible rather than raised.
+    parity signals at the target SNR. A pair no shot count that fits a float
+    tells apart (identical moments among them) is reported as infeasible.
     """
     if config.kind != MOLECULAR_STATE_CHANGE:
         raise ConfigurationError(f"expected kind {MOLECULAR_STATE_CHANGE!r}, got {config.kind!r}")
@@ -283,10 +283,11 @@ def run_molecular_state_change(config: ScenarioConfig) -> ScenarioReport:
         f"mode={config.mode}: differential fields before/after "
         f"{deltas['before']:.6e} / {deltas['after']:.6e} T",
         "differential field and phase rate scale linearly with the molecular moment",
-        ("discrimination infeasible: the two moments produce identical parity signals"
-         if not math.isfinite(shots_needed) else
-         f"{shots_needed:.0f} shots per hypothesis reach SNR "
-         f"{config.target_snr:.1f} at the symmetric operating point"),
+        (f"{shots_needed:.0f} shots per hypothesis reach SNR "
+         f"{config.target_snr:.1f} at the symmetric operating point"
+         if math.isfinite(shots_needed) else "discrimination infeasible: "
+         + ("the two moments produce identical parity signals" if swing == 0 else
+            "no shot count that fits a float reaches the target SNR")),
     )
     return ScenarioReport(
         scenario=MOLECULAR_STATE_CHANGE, mode=config.mode, seed=config.plan.rng_seed,
@@ -354,7 +355,7 @@ def run_double_well(config: ScenarioConfig) -> ScenarioReport:
     min_detectable = math.inf
     for k in range(1, _MAX_SCAN_DELTA_N + 1):
         swing_k = 2.0 * contrast * abs(math.sin(0.5 * k * rate_unit * t))
-        if swing_k > 0 and required_shots(config.target_snr, swing_k) <= config.plan.shots:
+        if analytic_snr(config.plan.shots, swing_k) >= config.target_snr:
             min_detectable = float(k)
             break
 

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from iongradim.cli import (ConfigFileError, config_hash, emit, execute, main,
@@ -235,3 +237,34 @@ def test_paper_values_flag_overrides(tmp_path):
     provenance = (out / "provenance.txt").read_text()
     assert "paper_values = on" in provenance
     assert "mode=paper-values" in provenance
+
+
+# ---------------------------------------------------------------------------
+# extreme molecular moments: each run must end within seconds, in a fresh
+# interpreter, with exit 0 and a shot count (inf when no count that fits a
+# float suffices). A search that steps by one shot takes several seconds on
+# the first case and divides by zero on the second.
+
+# Runs `iongradim.cli.main` on the command-line arguments after the code.
+CLI_MAIN = "import sys; from iongradim.cli import main; sys.exit(main(sys.argv[1:]))"
+
+
+@pytest.mark.parametrize("before, after, finite", [
+    ("9.274e-24", "9.2740000001e-24", True),
+    ("0.0", "1e-300", False),
+])
+def test_molecular_extreme_moments_exit_cleanly(tmp_path, fresh_python, before, after, finite):
+    config = tmp_path / "m.cfg"
+    config.write_text("command = scenario\nscenario = molecular_state_change\n"
+                      f"moment_before_j_per_t = {before}\nmoment_after_j_per_t = {after}\n",
+                      encoding="utf-8")
+    out = tmp_path / "out"
+    result = fresh_python(CLI_MAIN, "--config", str(config), "--out", str(out), timeout=5.0)
+    assert result.returncode == 0, result.stderr
+    rows = [line.split(",") for line in (out / "estimation.csv").read_text().splitlines()
+            if not line.startswith("#")]
+    values = {name: float(value) for name, value in rows[1:]}
+    assert values["parity_swing"] > 0
+    assert math.isfinite(values["shots_required"]) == finite
+    if finite:
+        assert values["shots_required"] > 2 ** 53

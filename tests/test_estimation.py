@@ -9,7 +9,7 @@ from iongradim.estimation import (ExperimentPlan, NoiseModel, analytic_snr,
                                   dephasing_contrast, parity_estimate,
                                   required_shots, simulate_shots,
                                   spin_discrimination_snr)
-from iongradim.protocol import BELL, ZeemanConfig, prepare_probe
+from iongradim.protocol import BELL, GHZ, ZeemanConfig, outcome_parities, prepare_probe
 
 C = constants()
 ZEE = ZeemanConfig(g_factor=2.002)
@@ -53,6 +53,29 @@ def test_all_even_at_zero_total_phase():
     values = set(np.unique(out.outcome_indices))
     assert values <= {0, 3}
     assert len(values) == 2
+
+
+@pytest.mark.parametrize("kind, n_ions", [(BELL, 2), (GHZ, 4)])
+@pytest.mark.parametrize("bias, t, gradient_rms", [
+    pytest.param(0.0, 0.0, 0.0, id="p_even=1"),
+    pytest.param(math.pi, 0.0, 0.0, id="p_even=0"),
+    pytest.param(0.9, 0.01, 5e-4, id="mixed-with-gradient-noise"),
+])
+def test_outcome_index_has_the_shot_parity(kind, n_ions, bias, t, gradient_rms):
+    positions = tuple(Vec3(0, 0, k * SPACING) for k in range(n_ions))
+    probe = prepare_probe(kind, positions, 1.0)
+    out = simulate_shots(plan(shots=4000, t=t, bias=bias, seed=3), probe, ZEE,
+                         (0.0,) * n_ions, NoiseModel(gradient_rms=gradient_rms))
+    pattern_parity = outcome_parities(n_ions)
+    assert np.array_equal(pattern_parity[out.outcome_indices], out.parities)
+    if bias == 0.0:
+        assert np.all(out.parities == 1)
+    if bias == math.pi:
+        assert np.all(out.parities == -1)
+    # every pattern of each parity class that occurs is reachable
+    for sign in np.unique(out.parities):
+        assert set(out.outcome_indices[out.parities == sign]) == set(
+            np.flatnonzero(pattern_parity == sign))
 
 
 def test_common_mode_noise_changes_nothing_exactly():
@@ -145,7 +168,7 @@ def estimates_at_zero_parity():
     values = np.empty((10000, 2))
     for k in range(10000):
         out = simulate_shots(plan(shots=100, seed=k), p, ZEE, fields, noise)
-        est = parity_estimate(out)
+        est = parity_estimate(out.parities)
         values[k] = (est.parity_estimate, est.std_error)
     return values
 
@@ -267,6 +290,55 @@ def test_required_shots_errors():
         required_shots(2.0, 2.5)
     with pytest.raises(ConfigurationError):
         required_shots(0.0, 1.0)
+
+
+def test_required_shots_is_the_threshold_of_analytic_snr():
+    # required_shots(t, s) <= N exactly when analytic_snr(N, s) >= t
+    r = np.random.default_rng(20240601)
+    targets = 10.0 ** r.uniform(-1.0, 2.0, 40)
+    swings = np.append(10.0 ** r.uniform(-6.0, math.log10(2.0), 39), 2.0)
+    for target, swing in zip(targets, swings):
+        n = required_shots(float(target), float(swing))
+        counts = {1, n - 1, n, n + 1, *(int(c) for c in 10.0 ** r.uniform(0.0, 16.0, 8))}
+        for count in counts - {0}:
+            assert (n <= count) == (analytic_snr(count, float(swing)) >= target)
+
+
+def test_required_shots_tiny_swing_is_infeasible():
+    with pytest.raises(InfeasibleError):
+        required_shots(2.0, 1e-300)
+
+
+def test_required_shots_past_two_to_the_53_is_minimal(fresh_python):
+    # Above 2^53 shots, n and n - 1 convert to the same float; a search that
+    # steps by one shot never returns here, so run it in a fresh interpreter.
+    target, swing = 1.2621154369592524, 1.0133569090740886e-12
+    result = fresh_python(
+        "from iongradim.estimation import required_shots; "
+        f"print(required_shots({target!r}, {swing!r}))", timeout=20.0)
+    assert result.returncode == 0, result.stderr
+    n = int(result.stdout)
+    assert n > 2 ** 53
+    assert n == required_shots(target, swing)
+    assert analytic_snr(n, swing) >= target > analytic_snr(n - 1, swing)
+
+
+@pytest.mark.parametrize("make", [
+    pytest.param(lambda: NoiseModel(gradient_rms=math.inf), id="noise-gradient-inf"),
+    pytest.param(lambda: NoiseModel(gradient_rms=math.nan), id="noise-gradient-nan"),
+    pytest.param(lambda: NoiseModel(common_mode_rms=math.inf), id="noise-common-inf"),
+    pytest.param(lambda: NoiseModel(common_mode_rms=math.nan), id="noise-common-nan"),
+    pytest.param(lambda: plan(t=math.inf), id="plan-time-inf"),
+    pytest.param(lambda: plan(t=math.nan), id="plan-time-nan"),
+    pytest.param(lambda: plan(bias=math.nan), id="plan-bias-nan"),
+    pytest.param(lambda: plan(bias=-math.inf), id="plan-bias-inf"),
+    pytest.param(lambda: required_shots(math.inf, 1.0), id="target-inf"),
+    pytest.param(lambda: required_shots(math.nan, 1.0), id="target-nan"),
+    pytest.param(lambda: required_shots(2.0, math.nan), id="swing-nan"),
+])
+def test_non_finite_inputs_rejected(make):
+    with pytest.raises(ConfigurationError):
+        make()
 
 
 # ---------------------------------------------------------------------------

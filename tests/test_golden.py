@@ -4,8 +4,10 @@ Each case runs the CLI in both output formats and compares the sha256 of
 every written file with the digest recorded here. The cases are every file
 in `configs/` plus configs for the commands and modes those files do not
 reach: a `field` run with the pair table, a `protocol` run, a `montecarlo`
-run with gradient and common-mode noise on, and computed-mode scenarios
-with noise.
+run with gradient and common-mode noise on, `montecarlo` runs at full
+contrast whose every shot is even or every shot is odd, a double-well scan
+that walks to `_MAX_SCAN_DELTA_N` without a detectable imbalance, and
+computed-mode scenarios with noise.
 
 The digests were recorded with numpy 2.4.6 and its bundled LAPACK on x86-64.
 The crystal solve goes through LAPACK, so another numpy or LAPACK build may
@@ -70,6 +72,35 @@ moment_before_j_per_t = 9.2847647043e-24
 moment_after_j_per_t = 4.6e-24
 seed = 3
 """,
+    "double_well_scan_to_cap": """\
+command = scenario
+scenario = double_well
+well_separation_m = 4.4e-6
+probe_spacing_m = 3.5e-6
+atom_moment_j_per_t = 9.274e-24
+delta_n = 3
+interaction_time_s = 3e-8
+shots = 50
+g_factor = 2.002
+seed = 13
+""",
+    "montecarlo_full_contrast_even": """\
+command = montecarlo
+shots = 300
+interaction_time_s = 0.5
+delta_b_t = 0
+contrast = 1
+seed = 4
+""",
+    "montecarlo_full_contrast_odd": """\
+command = montecarlo
+shots = 300
+interaction_time_s = 0.5
+delta_b_t = 0
+bias_phase_rad = 3.141592653589793
+contrast = 1
+seed = 4
+""",
 }
 
 
@@ -119,6 +150,22 @@ GOLDEN: dict[tuple[str, str], dict[str, str]] = {
         "report.txt":
             "7abbd8c1aec90b2e70a3403adc3edab3bdbc90ff2ac6da21ec71327ba911b3e6",
     },
+    ("double_well_scan_to_cap", "csv"): {
+        "estimation.csv":
+            "dfac7e76848c7af2c1981af78d4b0aa297921d6b3578b2505fbbe89d794aee63",
+        "field_table.csv":
+            "46e8c53f98e7229db9774c30660c4587f1ebcdf6b6948acb19c167855a2743ae",
+        "geometry.csv":
+            "5749a5b8c272f921c9460029c28879f22ea369675ccb8063b26879b844189a0d",
+        "parity_trajectory_imbalance_evolution.csv":
+            "b612807b035e2471e383448071460b3c6b8a87b42f8d4e0dc8ea690fade0d626",
+        "provenance.txt":
+            "ac4008561f06985e2ffe07fd0459c7f11efeaf89ce9895e2ffee447e29c01b28",
+    },
+    ("double_well_scan_to_cap", "text"): {
+        "report.txt":
+            "d107134e9441263d61fdb4e8b28873318706732d552b8174b9dfa416d8fef1a1",
+    },
     ("field_pair", "csv"): {
         "axial_field.csv":
             "e30b6d12ca61f0b5d8e26b287337b9b5a02f14d212b51352e0ece3ed69e1644e",
@@ -166,6 +213,30 @@ GOLDEN: dict[tuple[str, str], dict[str, str]] = {
     ("molecular_state_change", "text"): {
         "report.txt":
             "29a3b818c8adeb6875ff7f324628f38267a08f7a66c8cbf29e455884872e6586",
+    },
+    ("montecarlo_full_contrast_even", "csv"): {
+        "estimate.csv":
+            "836d5c32f7a86cfa4a2784f543369fa36278ba8148d3d07804fe7ae951476593",
+        "outcome_counts.csv":
+            "ba41b2c36372e7c9498d299cc1d8fcf0cec95fa0e62aa7125eb5085c8d777612",
+        "provenance.txt":
+            "2913d868d27a989bb11b9d150208065d8ebe20cf4b001f0c592c39bfe47270a1",
+    },
+    ("montecarlo_full_contrast_even", "text"): {
+        "report.txt":
+            "9dd2907abb70028c09816c8f61e71377124993498d02e8671605fd6dc3f9ce13",
+    },
+    ("montecarlo_full_contrast_odd", "csv"): {
+        "estimate.csv":
+            "115cc75817d435c82844b4103bade151e7df86369c48a0d6fbd5c3b80b4f24a4",
+        "outcome_counts.csv":
+            "d699592e780c90cdf1aa954318ad7649559f7fbeaef59d7af802ce35d19abb76",
+        "provenance.txt":
+            "b553836c9c45c2dbc4c31096e69f28ee540c6c3bf44f331503fd2b64b596d8b4",
+    },
+    ("montecarlo_full_contrast_odd", "text"): {
+        "report.txt":
+            "a350ddd8e6949639cb3f8c20748af3592f5cfc68ff9c9d8655c27c67a5bf7a22",
     },
     ("montecarlo_noise", "csv"): {
         "estimate.csv":

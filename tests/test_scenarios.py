@@ -7,11 +7,12 @@ import pytest
 from iongradim.constants import Vec3, constants
 from iongradim.crystal import TrapConfig
 from iongradim.errors import ConfigurationError
-from iongradim.estimation import ExperimentPlan, NoiseModel
+from iongradim.estimation import ExperimentPlan, NoiseModel, required_shots
 from iongradim.protocol import ZeemanConfig, phase_rate, prepare_probe, BELL, GHZ
-from iongradim.scenarios import (DOUBLE_WELL, GHZ_CHAIN, MOLECULAR_STATE_CHANGE,
-                                 REFERENCE_DELTA_B_T, REFERENCE_DW_DELTA_B_T,
-                                 THREE_ION_SPIN, ScenarioConfig, run_double_well,
+from iongradim.scenarios import (_MAX_SCAN_DELTA_N, DOUBLE_WELL, GHZ_CHAIN,
+                                 MOLECULAR_STATE_CHANGE, REFERENCE_DELTA_B_T,
+                                 REFERENCE_DW_DELTA_B_T, THREE_ION_SPIN,
+                                 ScenarioConfig, run_double_well,
                                  run_ghz_chain, run_molecular_state_change,
                                  run_scenario, run_three_ion_spin)
 
@@ -116,6 +117,15 @@ def test_molecular_zero_change_is_infeasible_not_error():
     assert any("infeasible" in note for note in report.annotations)
 
 
+def test_molecular_unreachable_change_is_infeasible_and_says_why():
+    # a nonzero swing so small that no shot count that fits a float suffices
+    cfg = base_config(MOLECULAR_STATE_CHANGE, moment_before=0.0, moment_after=1e-300)
+    report = run_molecular_state_change(cfg)
+    assert report.estimation["parity_swing"] > 0
+    assert math.isinf(report.estimation["shots_required"])
+    assert any("no shot count that fits a float" in note for note in report.annotations)
+
+
 def test_molecular_moment_halving_halves_field_and_rate():
     cfg = base_config(MOLECULAR_STATE_CHANGE, moment_before=MU_E, moment_after=MU_E / 2)
     report = run_molecular_state_change(cfg)
@@ -188,6 +198,38 @@ def test_double_well_computed_field_value():
     near, far = 0.45e-6, 3.95e-6
     expected = 2e-7 * C.bohr_magneton * (1.0 / near ** 3 - 1.0 / far ** 3)
     assert report.delta_b == pytest.approx(expected, rel=1e-12)
+
+
+def scan_by_shot_inversion(config, rate_unit):
+    """Reference scan: the first imbalance whose parity swing is nonzero and
+    needs no more shots per hypothesis than the budget."""
+    contrast = config.preparation_fidelity * config.noise.contrast
+    t = config.plan.interaction_time
+    for k in range(1, _MAX_SCAN_DELTA_N + 1):
+        swing = 2.0 * contrast * abs(math.sin(0.5 * k * rate_unit * t))
+        if swing > 0 and required_shots(config.target_snr, swing) <= config.plan.shots:
+            return float(k)
+    return math.inf
+
+
+@pytest.mark.parametrize("paper_values, t, atom_moment, runs_to_cap", [
+    (True, 2.5, None, False),
+    (False, 1e-3, None, False),
+    (False, 1e-8, None, True),
+    (False, 2.5, math.inf, True),   # NaN phase rate: no imbalance is detectable
+])
+def test_double_well_min_detectable_matches_reference_scan(paper_values, t, atom_moment,
+                                                           runs_to_cap):
+    config = dw_config(delta_n=1, paper_values=paper_values, t=t, atom_moment=atom_moment)
+    report = run_double_well(config)
+    # with delta_n = 1 the reported rate is the single-atom rate the scan steps by
+    reference = scan_by_shot_inversion(config, report.estimation["phase_rate_rad_per_s"])
+    found = report.estimation["min_detectable_delta_n"]
+    assert found == reference
+    if runs_to_cap:
+        assert found == math.inf
+    else:
+        assert 1.0 < found < _MAX_SCAN_DELTA_N
 
 
 # ---------------------------------------------------------------------------
