@@ -162,7 +162,7 @@ class Table:
 
 @dataclass(frozen=True)
 class ResultBundle:
-    provenance: dict
+    header: str                     # "# iongradim ..." line opening every output file
     config_echo: str
     tables: tuple[Table, ...]
     annotations: tuple[str, ...] = field(default_factory=tuple)
@@ -295,14 +295,13 @@ def config_hash(echo: str) -> str:
 # ---------------------------------------------------------------------------
 # command execution
 
-def _execute_crystal(params: dict) -> tuple[tuple[Table, ...], tuple[str, ...]]:
+def _execute_crystal(params: dict, seed: int) -> tuple[tuple[Table, ...], tuple[str, ...]]:
     trap = TrapConfig(axial_frequency=2.0 * math.pi * params["axial_frequency_hz"],
                       ion_mass=params["ion_mass_kg"],
                       ion_charge=params["ion_charge_c"])
     geometry = equilibrium_positions(params["n_ions"], trap)
     n = geometry.n_ions
-    positions = Table("positions", ("ion_index", "z_m"),
-                      tuple((i, z) for i, z in enumerate(geometry.positions)))
+    positions = Table("positions", ("ion_index", "z_m"), tuple(enumerate(geometry.positions)))
     spacings = Table("spacings", ("i", "j", "distance_m"),
                      tuple((i, i + 1, spacing(geometry, i, i + 1)) for i in range(n - 1)))
     d12 = spacing(geometry, 0, 1) if n >= 2 else math.nan
@@ -311,7 +310,7 @@ def _execute_crystal(params: dict) -> tuple[tuple[Table, ...], tuple[str, ...]]:
     return (positions, spacings, summary), ()
 
 
-def _execute_field(params: dict) -> tuple[tuple[Table, ...], tuple[str, ...]]:
+def _execute_field(params: dict, seed: int) -> tuple[tuple[Table, ...], tuple[str, ...]]:
     source = DipoleSource(Vec3(0.0, 0.0, params["source_z_m"]),
                           Vec3(0.0, 0.0, params["source_moment_j_per_t"]))
     zs = np.linspace(params["z_start_m"], params["z_stop_m"], params["n_points"])
@@ -326,19 +325,18 @@ def _execute_field(params: dict) -> tuple[tuple[Table, ...], tuple[str, ...]]:
         grad = compensation_gradient(source, p1, p2)
         tables.append(Table("pair_differential",
                             ("z1_m", "z2_m", "delta_b_t", "compensation_gradient_t_per_m"),
-                            ((z1, z2, delta, grad.dbz_dz),)))
+                            ((z1, z2, delta, grad),)))
     return tuple(tables), ()
 
 
-def _execute_protocol(params: dict) -> tuple[tuple[Table, ...], tuple[str, ...]]:
+def _execute_protocol(params: dict, seed: int) -> tuple[tuple[Table, ...], tuple[str, ...]]:
     zeeman = ZeemanConfig(g_factor=params["g_factor"])
     probe = prepare_probe(BELL, (Vec3(0.0, 0.0, 0.0), Vec3(0.0, 0.0, 1e-6)),
                           params["contrast"], branch_weights=PAIR_WEIGHTS)
     rate = phase_rate(probe, zeeman, (0.0, params["delta_b_t"]))
     records = parity_trajectory(rate, probe.contrast, params["duration_s"], params["n_steps"])
-    rows = tuple((p.time, p.phase, p.parity) for p in records)
     t_pi = pi_time(rate)
-    tables = (Table("parity_trajectory", ("time_s", "phase_rad", "parity"), rows),
+    tables = (Table("parity_trajectory", ("time_s", "phase_rad", "parity"), records),
               Table("summary", ("phase_rate_rad_per_s", "t_pi_s"), ((rate, t_pi),)))
     return tables, (f"time to a pi phase rotation: {t_pi:.4f} s",)
 
@@ -394,44 +392,36 @@ def _execute_scenario(params: dict, seed: int) -> tuple[tuple[Table, ...], tuple
     )
     report = run_scenario(config)
     tables = [
-        Table("geometry", ("quantity", "value"),
-              tuple((k, v) for k, v in report.geometry.items())),
-        Table("field_table", ("ion_index", "z_m", "Bz_T"),
-              tuple((r.ion_index, r.z_m, r.bz_t) for r in report.field_table)),
-        Table("estimation", ("quantity", "value"),
-              tuple((k, v) for k, v in report.estimation.items())),
+        Table("geometry", ("quantity", "value"), tuple(report.geometry.items())),
+        Table("field_table", ("ion_index", "z_m", "Bz_T"), report.field_table),
+        Table("estimation", ("quantity", "value"), tuple(report.estimation.items())),
     ]
     for label, records in report.trajectories:
         tables.append(Table(f"parity_trajectory_{label}", ("time_s", "phase_rad", "parity"),
-                            tuple((p.time, p.phase, p.parity) for p in records)))
+                            records))
     return tuple(tables), report.annotations
+
+
+# Every executor takes (params, seed); only montecarlo and scenario runs draw shots.
+_EXECUTORS = {
+    "crystal": _execute_crystal,
+    "field": _execute_field,
+    "protocol": _execute_protocol,
+    "montecarlo": _execute_montecarlo,
+    "scenario": _execute_scenario,
+}
 
 
 def execute(run: RunConfig) -> ResultBundle:
     """Dispatch the parsed config and bundle the outputs with provenance."""
+    if run.command not in _EXECUTORS:
+        raise ConfigurationError(f"unknown command {run.command!r}")
     echo = normalized_config(run)
     log.info("executing command %r (seed %d)", run.command, run.seed)
-    if run.command == "crystal":
-        tables, annotations = _execute_crystal(run.parameters)
-    elif run.command == "field":
-        tables, annotations = _execute_field(run.parameters)
-    elif run.command == "protocol":
-        tables, annotations = _execute_protocol(run.parameters)
-    elif run.command == "montecarlo":
-        tables, annotations = _execute_montecarlo(run.parameters, run.seed)
-    elif run.command == "scenario":
-        tables, annotations = _execute_scenario(run.parameters, run.seed)
-    else:
-        raise ConfigurationError(f"unknown command {run.command!r}")
-    provenance = {
-        "artifact": "iongradim",
-        "version": __version__,
-        "command": run.command,
-        "seed": run.seed,
-        "config_sha256": config_hash(echo),
-    }
-    return ResultBundle(provenance=provenance, config_echo=echo,
-                        tables=tables, annotations=tuple(annotations))
+    tables, annotations = _EXECUTORS[run.command](run.parameters, run.seed)
+    header = (f"# iongradim {__version__} command={run.command} seed={run.seed} "
+              f"config_sha256={config_hash(echo)}")
+    return ResultBundle(header=header, config_echo=echo, tables=tables, annotations=annotations)
 
 
 # ---------------------------------------------------------------------------
@@ -454,15 +444,9 @@ def _csv_cell(value) -> str:
     return format_number(value)
 
 
-def _header_line(provenance: dict) -> str:
-    return (f"# {provenance['artifact']} {provenance['version']} "
-            f"command={provenance['command']} seed={provenance['seed']} "
-            f"config_sha256={provenance['config_sha256']}")
-
-
 def _preamble(bundle: ResultBundle) -> list[str]:
     """Header line and annotation block that open report.txt and provenance.txt."""
-    lines = [_header_line(bundle.provenance), ""]
+    lines = [bundle.header, ""]
     if bundle.annotations:
         lines.append("annotations:")
         lines.extend(f"  - {note}" for note in bundle.annotations)
@@ -478,7 +462,7 @@ def emit(bundle: ResultBundle, output_format: str, out_dir: str | Path) -> list[
     if output_format == "csv":
         for table in bundle.tables:
             path = out / f"{table.name}.csv"
-            lines = [_header_line(bundle.provenance), ",".join(table.columns)]
+            lines = [bundle.header, ",".join(table.columns)]
             lines.extend(",".join(_csv_cell(cell) for cell in row) for row in table.rows)
             path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
             written.append(path)

@@ -17,6 +17,7 @@ which sets the frequently quoted adjacent spacing d12 = 1.077 * l.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,10 +67,18 @@ class CrystalGeometry:
 
 
 def length_scale(trap: TrapConfig) -> float:
-    """Characteristic Coulomb/trap length l = (q^2/(4 pi eps0 m w^2))^(1/3) in meters."""
+    """Characteristic Coulomb/trap length l = (q^2/(4 pi eps0 m w^2))^(1/3) in meters.
+
+    Raises ConfigurationError when l under- or overflows a float.
+    """
     c = constants()
     q, m, w = trap.ion_charge, trap.ion_mass, trap.axial_frequency
-    return (q * q / (4.0 * np.pi * c.vacuum_permittivity * m * w * w)) ** (1.0 / 3.0)
+    denominator = 4.0 * np.pi * c.vacuum_permittivity * m * w * w
+    ell = (q * q / denominator) ** (1.0 / 3.0) if denominator else math.inf
+    if not 0 < ell < math.inf:
+        raise ConfigurationError(f"trap length scale {ell} m: the trap frequency, mass "
+                                 "or charge overflow a float")
+    return ell
 
 
 def _net_forces(u: np.ndarray) -> np.ndarray:

@@ -91,15 +91,23 @@ class DiscriminationResult:
 
 def simulate_shots(plan: ExperimentPlan, probe: ProbeState, zeeman: ZeemanConfig,
                    field_at_ions: Sequence[float], noise: NoiseModel) -> ShotOutcomes:
-    """Run plan.shots independent shots and draw one spin pattern per shot."""
+    """Run plan.shots independent shots and draw one spin pattern per shot.
+
+    A per-shot phase that is not finite is a ConfigurationError.
+    """
     base_rate = phase_rate(probe, zeeman, field_at_ions)
     shot = np.arange(plan.shots, dtype=np.uint64) * np.uint64(_SLOTS_PER_SHOT)
     seed = plan.rng_seed
-    gradient = noise.gradient_rms * rng.gaussian(seed, shot + np.uint64(2), shot + np.uint64(3))
+    gradient = rng.gaussian(seed, shot + np.uint64(2), shot + np.uint64(3))
     draw = rng.uniform(seed, shot + np.uint64(4))
 
-    shot_rate = base_rate + zeeman.gyromagnetic_ratio * gradient * probe.gradient_coupling
-    phases = probe.phase + shot_rate * plan.interaction_time
+    with np.errstate(over="ignore", invalid="ignore"):   # checked just below
+        gradient *= noise.gradient_rms   # T/m; in place, so no second per-shot array
+        shot_rate = base_rate + zeeman.gyromagnetic_ratio * gradient * probe.gradient_coupling
+        phases = probe.phase + shot_rate * plan.interaction_time
+    if not np.isfinite(phases).all():
+        raise ConfigurationError("a per-shot phase overflows a float: the field, gradient "
+                                 "noise or interaction time is too large")
 
     contrast = probe.contrast * noise.contrast
     p_even = 0.5 * (1.0 + contrast * np.cos(phases + plan.bias_phase))

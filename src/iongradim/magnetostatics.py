@@ -38,17 +38,6 @@ class DipoleSource:
         return DipoleSource(self.position, -self.moment)
 
 
-@dataclass(frozen=True)
-class UniformGradient:
-    """Uniform axial field gradient dBz/dz (T/m) anchored at a reference point."""
-
-    dbz_dz: float
-    reference_point: Vec3
-
-    def bz_at(self, point: Vec3) -> float:
-        return self.dbz_dz * (point.z - self.reference_point.z)
-
-
 def dipole_field(source: DipoleSource, point: Vec3) -> Vec3:
     """Dipole field vector (T) at a point; raises within 1 nm of the source."""
     r = point - source.position
@@ -79,8 +68,8 @@ def differential_field(source: DipoleSource, p1: Vec3, p2: Vec3) -> float:
     return dipole_field(source, p2).z - dipole_field(source, p1).z
 
 
-def compensation_gradient(source: DipoleSource, p1: Vec3, p2: Vec3) -> UniformGradient:
-    """External gradient cancelling the source's differential field over (p1, p2).
+def compensation_gradient(source: DipoleSource, p1: Vec3, p2: Vec3) -> float:
+    """External gradient dBz/dz (T/m) cancelling the source's differential field over (p1, p2).
 
     With the source spin up, the combined differential field is zero and the
     probe parity stays constant; flipping the spin reverses the dipole term,
@@ -89,12 +78,14 @@ def compensation_gradient(source: DipoleSource, p1: Vec3, p2: Vec3) -> UniformGr
     dz = p2.z - p1.z
     if abs(dz) < MIN_SOURCE_DISTANCE:
         raise ConfigurationError("degenerate probe pair: p1 and p2 coincide on the axis")
-    delta_b = differential_field(source, p1, p2)
-    midpoint = (p1 + p2) * 0.5
-    return UniformGradient(dbz_dz=-delta_b / dz, reference_point=midpoint)
+    return -differential_field(source, p1, p2) / dz
 
 
 def total_differential_field(source: DipoleSource, p1: Vec3, p2: Vec3,
-                             gradient: UniformGradient) -> float:
-    """Dipole plus external-gradient differential field across (p1, p2) in teslas."""
-    return differential_field(source, p1, p2) + gradient.bz_at(p2) - gradient.bz_at(p1)
+                             dbz_dz: float) -> float:
+    """Dipole plus external-gradient differential field across (p1, p2) in teslas.
+
+    The gradient field dbz_dz * (z - mid) is taken as zero at the pair midpoint.
+    """
+    mid = (p1.z + p2.z) * 0.5
+    return differential_field(source, p1, p2) + dbz_dz * (p2.z - mid) - dbz_dz * (p1.z - mid)

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -150,13 +150,17 @@ def phase_rate(probe: ProbeState, zeeman: ZeemanConfig,
 
     Reduces to (g mu_B / hbar) * (B_1 - B_2) for the standard Bell pair. A
     uniform field contributes exactly zero because the +-1 weights cancel
-    term by term.
+    term by term. A rate that is not finite is a ConfigurationError.
     """
     if len(field_at_ions) != probe.n_ions:
         raise ConfigurationError(
             f"expected {probe.n_ions} field values, got {len(field_at_ions)}")
     weighted = sum(dm * b for dm, b in zip(probe.delta_m, field_at_ions))
-    return zeeman.gyromagnetic_ratio * weighted
+    rate = zeeman.gyromagnetic_ratio * weighted
+    if not math.isfinite(rate):
+        raise ConfigurationError(
+            f"phase rate {rate} rad/s is not finite: the fields at the ions overflow a float")
+    return rate
 
 
 def pi_time(rate: float) -> float:
@@ -201,18 +205,17 @@ def outcome_probabilities(probe: ProbeState, bias_phase: float = 0.0) -> np.ndar
     return (1.0 + signs * fringe) / float(2 ** probe.n_ions)
 
 
-@dataclass(frozen=True)
-class ParityRecord:
-    """One point of a parity trajectory."""
+class ParityRecord(NamedTuple):
+    """One point of a parity trajectory, in the column order of its table."""
 
     time: float     # s
-    parity: float
     phase: float    # rad
+    parity: float
 
 
 def parity_trajectory(rate: float, contrast: float, t_max: float,
                       n_points: int = _TRAJECTORY_POINTS) -> tuple[ParityRecord, ...]:
     """Parity contrast * cos(rate * t) at n_points even times from 0 to t_max."""
     times = np.linspace(0.0, t_max, n_points)
-    return tuple(ParityRecord(time=float(t), parity=contrast * math.cos(rate * t),
-                              phase=rate * float(t)) for t in times)
+    return tuple(ParityRecord(time=float(t), phase=rate * float(t),
+                              parity=contrast * math.cos(rate * t)) for t in times)

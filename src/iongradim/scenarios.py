@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .constants import Vec3, constants
 from .crystal import TrapConfig, equilibrium_positions, spacing
@@ -81,16 +82,21 @@ class ScenarioConfig:
             raise ConfigurationError(f"unknown scenario kind {self.kind!r}")
         if not (0.0 <= self.preparation_fidelity <= 1.0):
             raise ConfigurationError("preparation_fidelity must be in [0, 1]")
-        if not (self.target_snr > 0):
-            raise ConfigurationError("target_snr must be > 0")
-        if self.overhead_per_shot < 0:
-            raise ConfigurationError("overhead_per_shot must be >= 0")
+        if not (0 < self.target_snr < math.inf):
+            raise ConfigurationError("target_snr must be finite and > 0")
+        if not (0 <= self.overhead_per_shot < math.inf):
+            raise ConfigurationError("overhead_per_shot must be finite and >= 0")
+        for name in ("source_moment", "moment_before", "moment_after",
+                     "well_separation", "probe_spacing", "atom_moment"):
+            value = getattr(self, name)
+            if value is not None and not (0 <= value < math.inf):
+                raise ConfigurationError(f"{name} must be finite and >= 0, got {value}")
+        if self.atom_moment == 0:
+            raise ConfigurationError("atom_moment must be > 0")
         if self.kind == MOLECULAR_STATE_CHANGE:
             if self.moment_before is None or self.moment_after is None:
                 raise ConfigurationError(
                     "molecular_state_change needs moment_before and moment_after")
-            if self.moment_before < 0 or self.moment_after < 0:
-                raise ConfigurationError("moment magnitudes must be >= 0")
         if self.kind == DOUBLE_WELL:
             if self.well_separation is None or self.probe_spacing is None:
                 raise ConfigurationError(
@@ -115,15 +121,12 @@ class ScenarioConfig:
 
     def moment_magnitude(self) -> float:
         if self.source_moment is not None:
-            if self.source_moment < 0:
-                raise ConfigurationError("source_moment must be >= 0")
             return self.source_moment
         return abs(constants().electron_magnetic_moment)
 
 
-@dataclass(frozen=True)
-class FieldRow:
-    """One field-table row; column names match the CSV schema."""
+class FieldRow(NamedTuple):
+    """One row of the field table: ion index, axial position (m), Bz (T)."""
 
     ion_index: int
     z_m: float
@@ -132,9 +135,7 @@ class FieldRow:
 
 @dataclass(frozen=True)
 class ScenarioReport:
-    scenario: str
     mode: str
-    seed: int
     geometry: dict[str, float]
     field_table: tuple[FieldRow, ...]
     delta_b: float
@@ -212,7 +213,7 @@ def run_three_ion_spin(config: ScenarioConfig) -> ScenarioReport:
         f"published bound {REFERENCE_TOTAL_TIME_S:.0f} s)",
     )
     return ScenarioReport(
-        scenario=THREE_ION_SPIN, mode=config.mode, seed=config.plan.rng_seed,
+        mode=config.mode,
         geometry={
             "length_scale_m": geometry.length_scale,
             "d12_m": d12,
@@ -290,7 +291,7 @@ def run_molecular_state_change(config: ScenarioConfig) -> ScenarioReport:
             "no shot count that fits a float reaches the target SNR")),
     )
     return ScenarioReport(
-        scenario=MOLECULAR_STATE_CHANGE, mode=config.mode, seed=config.plan.rng_seed,
+        mode=config.mode,
         geometry={
             "length_scale_m": geometry.length_scale,
             "d12_m": spacing(geometry, 0, 1),
@@ -332,8 +333,6 @@ def run_double_well(config: ScenarioConfig) -> ScenarioReport:
     probes = (Vec3(0.0, 0.0, -half_probe), Vec3(0.0, 0.0, half_probe))
     atom_moment = config.atom_moment if config.atom_moment is not None \
         else constants().bohr_magneton
-    if atom_moment <= 0:
-        raise ConfigurationError("atom_moment must be > 0")
 
     def delta_b_for(imbalance: int) -> float:
         if config.paper_values:
@@ -376,7 +375,7 @@ def run_double_well(config: ScenarioConfig) -> ScenarioReport:
         annotations.append("balanced wells: zero differential field, flat parity")
 
     return ScenarioReport(
-        scenario=DOUBLE_WELL, mode=config.mode, seed=config.plan.rng_seed,
+        mode=config.mode,
         geometry={
             "well_separation_m": config.well_separation,
             "probe_spacing_m": config.probe_spacing,
@@ -439,7 +438,7 @@ def run_ghz_chain(config: ScenarioConfig) -> ScenarioReport:
         f"spacing {spacing(geometry, 0, 1):.4e} m",
     )
     return ScenarioReport(
-        scenario=GHZ_CHAIN, mode=config.mode, seed=config.plan.rng_seed,
+        mode=config.mode,
         geometry={
             "length_scale_m": geometry.length_scale,
             "inner_spacing_m": spacing(geometry, 1, 2),

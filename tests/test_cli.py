@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from iongradim.cli import (ConfigFileError, config_hash, emit, execute, main,
+from iongradim.cli import (ConfigFileError, RunConfig, config_hash, emit, execute, main,
                            normalized_config, parse_config)
 from iongradim.errors import ConfigurationError
 
@@ -70,6 +70,8 @@ def test_missing_command():
 def test_unknown_command():
     with pytest.raises(ConfigFileError, match="unknown command"):
         parse_config("command = warp\n")
+    with pytest.raises(ConfigurationError, match="unknown command"):
+        execute(RunConfig("warp", {}, 0, "csv"))
 
 
 def test_int_field_rejects_float():
@@ -116,12 +118,17 @@ def test_field_table_schema():
     bundle = execute(parse_config(SCENARIO_CFG))
     table = next(t for t in bundle.tables if t.name == "field_table")
     assert table.columns == ("ion_index", "z_m", "Bz_T")
+    for row in table.rows:   # the scenario's field rows are the table rows
+        ion_index, z_m, bz_t = row
+        assert (ion_index, z_m, bz_t) == (row.ion_index, row.z_m, row.bz_t)
 
 
 def test_trajectory_schema():
     bundle = execute(parse_config(SCENARIO_CFG))
     trajectory = next(t for t in bundle.tables if t.name.startswith("parity_trajectory"))
     assert trajectory.columns == ("time_s", "phase_rad", "parity")
+    for record in trajectory.rows:   # parity records are the table rows
+        assert tuple(record) == (record.time, record.phase, record.parity)
 
 
 def test_field_command_pair_requires_both():
@@ -200,6 +207,41 @@ def test_exit_codes(tmp_path):
                                "axial_frequency_hz = 1e6\nion_mass_kg = 1e-26\n",
                      name="bad.cfg")
     assert main(["--config", str(bad), "--out", str(tmp_path / "x")]) == 1
+
+
+# Finite config values whose fields, phase rate or trap length overflow a float.
+OVERFLOWING_CONFIGS = {
+    "protocol_delta_b": "command = protocol\ndelta_b_t = 1e300\nduration_s = 1.0\n",
+    "montecarlo_delta_b": ("command = montecarlo\nshots = 100\ninteraction_time_s = 0.01\n"
+                           "delta_b_t = 1e300\n"),
+    "montecarlo_gradient_noise": ("command = montecarlo\nshots = 100\n"
+                                  "interaction_time_s = 0.01\ndelta_b_t = 1e-12\n"
+                                  "gradient_rms_t_per_m = 1e300\n"),
+    "ghz_chain_moment": ("command = scenario\nscenario = ghz_chain\n"
+                         "source_moment_j_per_t = 1e290\n"),
+    "three_ion_spin_moment": ("command = scenario\nscenario = three_ion_spin\n"
+                              "source_moment_j_per_t = 1e300\n"),
+    "double_well_moment_1e290": ("command = scenario\nscenario = double_well\n"
+                                 "atom_moment_j_per_t = 1e290\n"),
+    "double_well_moment_1e300": ("command = scenario\nscenario = double_well\n"
+                                 "atom_moment_j_per_t = 1e300\n"),
+    "molecular_moments": ("command = scenario\nscenario = molecular_state_change\n"
+                          "moment_before_j_per_t = 1e290\nmoment_after_j_per_t = 2e290\n"),
+    "crystal_low_frequency": ("command = crystal\nn_ions = 3\naxial_frequency_hz = 1e-200\n"
+                              "ion_mass_kg = 6.6421562664e-26\n"),
+    "crystal_high_frequency": ("command = crystal\nn_ions = 3\naxial_frequency_hz = 1e300\n"
+                               "ion_mass_kg = 6.6421562664e-26\n"),
+}
+
+
+@pytest.mark.parametrize("text", OVERFLOWING_CONFIGS.values(), ids=OVERFLOWING_CONFIGS.keys())
+def test_overflowing_config_is_a_config_error(tmp_path, capsys, text):
+    out = tmp_path / "out"
+    assert main(["--config", str(_write_cfg(tmp_path, text)), "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: "), err
+    assert "overflow" in err[0]
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("args, code", [

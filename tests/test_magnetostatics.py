@@ -3,9 +3,9 @@ import pytest
 
 from iongradim.constants import Vec3, constants, norm
 from iongradim.errors import ConfigurationError, FieldSingularityError
-from iongradim.magnetostatics import (DipoleSource, UniformGradient, axial_bz,
-                                      compensation_gradient, differential_field,
-                                      dipole_field, total_differential_field)
+from iongradim.magnetostatics import (DipoleSource, axial_bz, compensation_gradient,
+                                      differential_field, dipole_field,
+                                      total_differential_field)
 
 MU_B = constants().bohr_magneton
 MU_E = abs(constants().electron_magnetic_moment)
@@ -150,19 +150,22 @@ def test_compensation_cancels_spin_up_and_doubles_spin_down():
     assert abs(total_down) == pytest.approx(2.0 * abs(delta), rel=1e-12)
 
 
+@pytest.mark.parametrize("moment, z0", [(MU_E, 0.0), (-MU_B, 0.5e-6), (3.0 * MU_B, -7e-6)])
+def test_compensation_gradient_is_the_slope(moment, z0):
+    far, near = probe_pair()
+    src = z_dipole(moment, z0)
+    gradient = compensation_gradient(src, far, near)
+    assert gradient * (near.z - far.z) == pytest.approx(-differential_field(src, far, near),
+                                                        rel=1e-12)
+
+
 def test_compensation_null_source():
     far, near = probe_pair()
     gradient = compensation_gradient(z_dipole(moment=0.0), far, near)
-    assert gradient.dbz_dz == 0.0
+    assert gradient == 0.0
 
 
 def test_compensation_degenerate_pair():
     p = Vec3(0.0, 0.0, -1e-6)
     with pytest.raises(ConfigurationError):
         compensation_gradient(z_dipole(), p, p)
-
-
-def test_uniform_gradient_field():
-    g = UniformGradient(dbz_dz=2.0e-7, reference_point=Vec3(0.0, 0.0, 1e-6))
-    assert g.bz_at(Vec3(0.0, 0.0, 3e-6)) == pytest.approx(2.0e-7 * 2e-6, rel=1e-15)
-    assert g.bz_at(g.reference_point) == 0.0

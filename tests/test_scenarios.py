@@ -216,7 +216,6 @@ def scan_by_shot_inversion(config, rate_unit):
     (True, 2.5, None, False),
     (False, 1e-3, None, False),
     (False, 1e-8, None, True),
-    (False, 2.5, math.inf, True),   # NaN phase rate: no imbalance is detectable
 ])
 def test_double_well_min_detectable_matches_reference_scan(paper_values, t, atom_moment,
                                                            runs_to_cap):
@@ -230,6 +229,13 @@ def test_double_well_min_detectable_matches_reference_scan(paper_values, t, atom
         assert found == math.inf
     else:
         assert 1.0 < found < _MAX_SCAN_DELTA_N
+
+
+@pytest.mark.parametrize("atom_moment", [math.inf, 1e300])
+def test_double_well_overflowing_atom_moment_rejected(atom_moment):
+    # inf fails the config check; 1e300 is finite, but its dipole field overflows
+    with pytest.raises(ConfigurationError):
+        run_double_well(dw_config(delta_n=1, paper_values=False, atom_moment=atom_moment))
 
 
 # ---------------------------------------------------------------------------
@@ -300,6 +306,19 @@ def test_mode_is_labeled(make):
     report = run_scenario(make())
     assert report.mode in ("computed", "paper-values")
     assert any(f"mode={report.mode}" in note for note in report.annotations)
+
+
+@pytest.mark.parametrize("name, value", [
+    ("source_moment", math.inf), ("source_moment", math.nan), ("source_moment", -1e-24),
+    ("moment_before", math.nan), ("moment_after", math.inf), ("moment_after", -1e-24),
+    ("well_separation", math.inf), ("probe_spacing", math.nan),
+    ("atom_moment", math.nan), ("atom_moment", 0.0), ("atom_moment", -1e-24),
+    ("overhead_per_shot", math.nan), ("overhead_per_shot", math.inf),
+    ("target_snr", math.inf),
+])
+def test_config_rejects_non_finite_or_negative_inputs(name, value):
+    with pytest.raises(ConfigurationError, match=name):
+        dataclasses.replace(dw_config(), **{name: value})
 
 
 def test_scenario_kind_mismatch_rejected():
