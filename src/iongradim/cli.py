@@ -359,8 +359,8 @@ def _execute_montecarlo(params: dict, seed: int) -> tuple[tuple[Table, ...], tup
                      ("parity_estimate", "std_error", "snr", "true_parity", "shots"),
                      ((result.parity_estimate, result.std_error, result.snr,
                        true_parity, result.shots_used),))
-    values, counts = np.unique(outcomes.outcome_indices, return_counts=True)
-    count_rows = tuple((int(v), int(c)) for v, c in zip(values, counts))
+    counts = np.bincount(outcomes.outcome_indices, minlength=2 ** probe.n_ions)
+    count_rows = tuple((int(v), int(counts[v])) for v in np.flatnonzero(counts))
     counts_table = Table("outcome_counts", ("outcome_index", "count"), count_rows)
     return (estimate, counts_table), ()
 

@@ -5,9 +5,14 @@ independent between shots. A uniform (common-mode) component would enter the
 phase only through the sum of the +-1 branch weights, which is exactly zero,
 so it is accepted and validated but never drawn: it cannot change any
 outcome. The gradient component couples through the weighted ion coordinates
-and dephases the parity fringe. Each shot consumes fixed counter slots of the
-seeded counter-based stream (see rng), so results are a pure function of
-(plan, probe, fields, noise) and are independent of evaluation order.
+and dephases the parity fringe; it is drawn only when its rms is above zero,
+since a zero rms multiplies the draw by an exact zero. Each shot consumes
+fixed counter slots of the seeded counter-based stream (see rng), so results
+are a pure function of (plan, probe, fields, noise) and are independent of
+evaluation order. Shots run in fixed blocks of _BLOCK: only the three
+per-shot outputs span the whole run, and every other per-shot array lives
+for one block, which the counter slots make bit-identical to one pass over
+all shots.
 """
 
 from __future__ import annotations
@@ -20,13 +25,17 @@ import numpy as np
 
 from . import rng
 from .errors import ConfigurationError, InfeasibleError
-from .protocol import ProbeState, ZeemanConfig, outcome_parities, phase_rate
+from .protocol import (ProbeState, ZeemanConfig, accumulated_phase, outcome_parities,
+                       phase_rate)
 
-# Counter slots per shot: 2,3 gradient gaussian; 4 outcome draw; 0,1 and
-# 5..7 reserved. Slots 0,1 are kept for the common-mode gaussian, which the
-# probe cancels exactly and so is never drawn; moving the other draws into
-# them would change the outcomes of every seed.
+# Counter slots per shot: 2,3 gradient gaussian (drawn only when
+# gradient_rms > 0); 4 outcome draw; 0,1 and 5..7 reserved. Slots 0,1 are
+# kept for the common-mode gaussian, which the probe cancels exactly and so
+# is never drawn; moving the other draws into them would change the outcomes
+# of every seed.
 _SLOTS_PER_SHOT = 8
+_BLOCK = 2 ** 15   # shots per block: a float64 per-shot temporary is 256 KB
+_OUTPUT_BYTES_PER_SHOT = 24   # parity, outcome index and phase, 8 bytes each
 _MAX_SHOTS = int(np.finfo(float).max)   # largest shot count that converts to a float
 
 
@@ -93,40 +102,71 @@ def simulate_shots(plan: ExperimentPlan, probe: ProbeState, zeeman: ZeemanConfig
                    field_at_ions: Sequence[float], noise: NoiseModel) -> ShotOutcomes:
     """Run plan.shots independent shots and draw one spin pattern per shot.
 
-    A per-shot phase that is not finite is a ConfigurationError.
+    A per-shot phase that is not finite is a ConfigurationError, and so is a
+    shot count whose outputs cannot be allocated.
     """
     base_rate = phase_rate(probe, zeeman, field_at_ions)
-    shot = np.arange(plan.shots, dtype=np.uint64) * np.uint64(_SLOTS_PER_SHOT)
-    seed = plan.rng_seed
-    gradient = rng.gaussian(seed, shot + np.uint64(2), shot + np.uint64(3))
-    draw = rng.uniform(seed, shot + np.uint64(4))
+    n = plan.shots
+    try:
+        parities = np.empty(n, dtype=np.int64)
+        indices = np.empty(n, dtype=np.int64)
+        phases = np.empty(n, dtype=np.float64)
+    except (MemoryError, ValueError):   # ValueError: numpy refuses the size outright
+        raise ConfigurationError(
+            f"{n} shots need {n * _OUTPUT_BYTES_PER_SHOT} bytes of per-shot outputs, "
+            "which cannot be allocated") from None
 
-    with np.errstate(over="ignore", invalid="ignore"):   # checked just below
-        gradient *= noise.gradient_rms   # T/m; in place, so no second per-shot array
-        shot_rate = base_rate + zeeman.gyromagnetic_ratio * gradient * probe.gradient_coupling
-        phases = probe.phase + shot_rate * plan.interaction_time
+    seed = plan.rng_seed
+    contrast = probe.contrast * noise.contrast
+    noisy = noise.gradient_rms > 0
+    if not noisy:   # every shot accumulates the same phase
+        phase = probe.phase + base_rate * plan.interaction_time
+        _check_phases(phase)
+        phases.fill(phase)
+        p_even = 0.5 * (1.0 + contrast * np.cos(phase + plan.bias_phase))
+
+    # Map a shot's outcome uniform onto a concrete spin pattern: the 2^(N-1)
+    # even patterns share [0, p_even), the 2^(N-1) odd ones [p_even, 1]; a
+    # zero-width class (p_even = 1, draw = 1.0) takes its first pattern.
+    pattern_parity = outcome_parities(probe.n_ions)
+    n_class = 2 ** (probe.n_ions - 1)   # patterns per parity class
+    patterns = np.concatenate((np.flatnonzero(pattern_parity < 0),    # odd, then even
+                               np.flatnonzero(pattern_parity > 0)))
+
+    for lo in range(0, n, _BLOCK):
+        hi = min(lo + _BLOCK, n)
+        shot = np.arange(lo, hi, dtype=np.uint64) * np.uint64(_SLOTS_PER_SHOT)
+        if noisy:
+            gradient = rng.gaussian(seed, shot + np.uint64(2), shot + np.uint64(3))
+            block_phases = phases[lo:hi]
+            with np.errstate(over="ignore", invalid="ignore"):   # checked just below
+                # phase + (base + gyro * (rms * g) * coupling) * t, one step at a
+                # time in place, in the order that keeps every bit
+                gradient *= noise.gradient_rms
+                gradient *= zeeman.gyromagnetic_ratio
+                gradient *= probe.gradient_coupling
+                gradient += base_rate
+                np.multiply(gradient, plan.interaction_time, out=block_phases)
+                block_phases += probe.phase
+            _check_phases(block_phases)
+            p_even = 0.5 * (1.0 + contrast * np.cos(block_phases + plan.bias_phase))
+        draw = rng.uniform(seed, shot + np.uint64(4))
+
+        even = draw < p_even
+        parities[lo:hi] = np.where(even, 1, -1)
+        lower = np.where(even, 0.0, p_even)
+        width = np.where(even, p_even, 1.0 - p_even)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            frac = np.where(width > 0, (draw - lower) / width, 0.0)
+        k = np.minimum((frac * n_class).astype(np.int64), n_class - 1)
+        indices[lo:hi] = patterns[k + n_class * even]
+    return ShotOutcomes(parities=parities, outcome_indices=indices, phases=phases)
+
+
+def _check_phases(phases) -> None:
     if not np.isfinite(phases).all():
         raise ConfigurationError("a per-shot phase overflows a float: the field, gradient "
                                  "noise or interaction time is too large")
-
-    contrast = probe.contrast * noise.contrast
-    p_even = 0.5 * (1.0 + contrast * np.cos(phases + plan.bias_phase))
-    parities = np.where(draw < p_even, 1, -1).astype(np.int64)
-
-    # Map the same uniform onto a concrete spin pattern: the 2^(N-1) even patterns
-    # share [0, p_even), the 2^(N-1) odd ones [p_even, 1]; a zero-width class
-    # (p_even = 1, draw = 1.0) takes its first pattern.
-    pattern_parity = outcome_parities(probe.n_ions)
-    even_patterns = np.flatnonzero(pattern_parity > 0)
-    odd_patterns = np.flatnonzero(pattern_parity < 0)
-    even = parities > 0
-    lower = np.where(even, 0.0, p_even)
-    width = np.where(even, p_even, 1.0 - p_even)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        frac = np.where(width > 0, (draw - lower) / width, 0.0)
-    k = np.minimum((frac * len(even_patterns)).astype(np.int64), len(even_patterns) - 1)
-    indices = np.where(even, even_patterns[k], odd_patterns[k])
-    return ShotOutcomes(parities=parities, outcome_indices=indices, phases=phases)
 
 
 def parity_estimate(parities: np.ndarray) -> EstimationResult:
@@ -152,7 +192,7 @@ def expected_parity(plan: ExperimentPlan, probe: ProbeState, zeeman: ZeemanConfi
     """Noise-free parity expectation the Monte Carlo estimate converges to."""
     rate = phase_rate(probe, zeeman, fields)
     return probe.contrast * noise.contrast * math.cos(
-        probe.phase + rate * plan.interaction_time + plan.bias_phase)
+        probe.phase + accumulated_phase(rate, plan.interaction_time) + plan.bias_phase)
 
 
 def spin_discrimination_snr(plan: ExperimentPlan, probe: ProbeState, zeeman: ZeemanConfig,

@@ -13,6 +13,7 @@ pair for one spin orientation and doubles it for the other.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .constants import Vec3, dot, norm
@@ -47,7 +48,9 @@ def dipole_field(source: DipoleSource, point: Vec3) -> Vec3:
             f"field requested {dist:.3e} m from the source (guard {MIN_SOURCE_DISTANCE:.0e} m)")
     rhat = r * (1.0 / dist)
     m_dot_rhat = dot(source.moment, rhat)
-    return (3.0 * m_dot_rhat * rhat - source.moment) * (MU0_OVER_4PI / dist ** 3)
+    field = (3.0 * m_dot_rhat * rhat - source.moment) * (MU0_OVER_4PI / dist ** 3)
+    _require_finite(dist, field.x, field.y, field.z)
+    return field
 
 
 def axial_bz(source: DipoleSource, z: float) -> float:
@@ -60,7 +63,16 @@ def axial_bz(source: DipoleSource, z: float) -> float:
     if abs(dz) < MIN_SOURCE_DISTANCE:
         raise FieldSingularityError(
             f"axial field requested {abs(dz):.3e} m from the source")
-    return 2.0 * MU0_OVER_4PI * source.moment.z / abs(dz) ** 3
+    bz = 2.0 * MU0_OVER_4PI * source.moment.z / abs(dz) ** 3
+    _require_finite(abs(dz), bz)
+    return bz
+
+
+def _require_finite(dist: float, *components: float) -> None:
+    """ConfigurationError unless every field component computed at dist fits a float."""
+    if not all(map(math.isfinite, components)):
+        raise ConfigurationError(f"dipole field at {dist:.3e} m from the source overflows "
+                                 "a float: the source moment is too large")
 
 
 def differential_field(source: DipoleSource, p1: Vec3, p2: Vec3) -> float:
@@ -78,7 +90,11 @@ def compensation_gradient(source: DipoleSource, p1: Vec3, p2: Vec3) -> float:
     dz = p2.z - p1.z
     if abs(dz) < MIN_SOURCE_DISTANCE:
         raise ConfigurationError("degenerate probe pair: p1 and p2 coincide on the axis")
-    return -differential_field(source, p1, p2) / dz
+    gradient = -differential_field(source, p1, p2) / dz
+    if not math.isfinite(gradient):
+        raise ConfigurationError(f"compensation gradient {gradient} T/m overflows a float: "
+                                 "the source moment is too large")
+    return gradient
 
 
 def total_differential_field(source: DipoleSource, p1: Vec3, p2: Vec3,

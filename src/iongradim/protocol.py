@@ -163,6 +163,20 @@ def phase_rate(probe: ProbeState, zeeman: ZeemanConfig,
     return rate
 
 
+def accumulated_phase(rate: float, duration: float) -> float:
+    """Phase rate * duration (rad) at a constant rate; a ConfigurationError if not finite.
+
+    The one owner of the accumulated phase, so an overflow ends in a config
+    error rather than in math.cos(inf).
+    """
+    phase = rate * duration
+    if not math.isfinite(phase):
+        raise ConfigurationError(
+            f"accumulated phase of {rate} rad/s over {duration} s overflows a float: "
+            "the phase rate or the interaction time is too large")
+    return phase
+
+
 def pi_time(rate: float) -> float:
     """Time (s) to a pi phase rotation at the given rate; inf for a zero rate."""
     return math.pi / abs(rate) if rate else math.inf
@@ -173,7 +187,8 @@ def evolve(probe: ProbeState, zeeman: ZeemanConfig, field_at_ions: Sequence[floa
     """Free evolution for duration >= 0 seconds; contrast is left unchanged."""
     if duration < 0:
         raise ConfigurationError(f"duration must be >= 0, got {duration}")
-    return replace(probe, phase=probe.phase + phase_rate(probe, zeeman, field_at_ions) * duration)
+    rate = phase_rate(probe, zeeman, field_at_ions)
+    return replace(probe, phase=probe.phase + accumulated_phase(rate, duration))
 
 
 def parity(probe: ProbeState) -> float:
@@ -216,6 +231,8 @@ class ParityRecord(NamedTuple):
 def parity_trajectory(rate: float, contrast: float, t_max: float,
                       n_points: int = _TRAJECTORY_POINTS) -> tuple[ParityRecord, ...]:
     """Parity contrast * cos(rate * t) at n_points even times from 0 to t_max."""
-    times = np.linspace(0.0, t_max, n_points)
-    return tuple(ParityRecord(time=float(t), phase=rate * float(t),
-                              parity=contrast * math.cos(rate * t)) for t in times)
+    records = []
+    for t in np.linspace(0.0, t_max, n_points).tolist():
+        phase = accumulated_phase(rate, t)
+        records.append(ParityRecord(time=t, phase=phase, parity=contrast * math.cos(phase)))
+    return tuple(records)

@@ -30,7 +30,8 @@ from .estimation import (ExperimentPlan, NoiseModel, analytic_snr, required_shot
 from .magnetostatics import (DipoleSource, axial_bz, compensation_gradient,
                              differential_field, total_differential_field)
 from .protocol import (BELL, GHZ, PAIR_WEIGHTS, ParityRecord, ZeemanConfig,
-                       parity_trajectory, phase_rate, pi_time, prepare_probe)
+                       accumulated_phase, parity_trajectory, phase_rate, pi_time,
+                       prepare_probe)
 
 THREE_ION_SPIN = "three_ion_spin"
 MOLECULAR_STATE_CHANGE = "molecular_state_change"
@@ -271,7 +272,8 @@ def run_molecular_state_change(config: ScenarioConfig) -> ScenarioReport:
     deltas = {"before": delta_b_for(config.moment_before),
               "after": delta_b_for(config.moment_after)}
     rates = {k: phase_rate(probe, config.zeeman, (0.0, d)) for k, d in deltas.items()}
-    swing = 2.0 * contrast * abs(math.sin(0.5 * (rates["after"] - rates["before"]) * t))
+    swing = 2.0 * contrast * abs(math.sin(
+        accumulated_phase(0.5 * (rates["after"] - rates["before"]), t)))
 
     try:
         shots_needed = float(required_shots(config.target_snr, swing))
@@ -347,10 +349,12 @@ def run_double_well(config: ScenarioConfig) -> ScenarioReport:
     t = config.plan.interaction_time
     delta_used = delta_b_for(config.delta_n)
     rate = phase_rate(probe, config.zeeman, (0.0, delta_used))
-    phase_at_t = rate * t
+    phase_at_t = accumulated_phase(rate, t)
     modulation = contrast * abs(math.sin(phase_at_t))
 
     rate_unit = phase_rate(probe, config.zeeman, (0.0, delta_b_for(1)))
+    # The scan's phase grows with k: its last step must fit a float, so no step overflows.
+    accumulated_phase(0.5 * _MAX_SCAN_DELTA_N * rate_unit, t)
     min_detectable = math.inf
     for k in range(1, _MAX_SCAN_DELTA_N + 1):
         swing_k = 2.0 * contrast * abs(math.sin(0.5 * k * rate_unit * t))

@@ -209,7 +209,8 @@ def test_exit_codes(tmp_path):
     assert main(["--config", str(bad), "--out", str(tmp_path / "x")]) == 1
 
 
-# Finite config values whose fields, phase rate or trap length overflow a float.
+# Finite config values whose fields, phase rate, accumulated phase or trap
+# length overflow a float.
 OVERFLOWING_CONFIGS = {
     "protocol_delta_b": "command = protocol\ndelta_b_t = 1e300\nduration_s = 1.0\n",
     "montecarlo_delta_b": ("command = montecarlo\nshots = 100\ninteraction_time_s = 0.01\n"
@@ -231,6 +232,25 @@ OVERFLOWING_CONFIGS = {
                               "ion_mass_kg = 6.6421562664e-26\n"),
     "crystal_high_frequency": ("command = crystal\nn_ions = 3\naxial_frequency_hz = 1e300\n"
                                "ion_mass_kg = 6.6421562664e-26\n"),
+    "field_moment": ("command = field\nsource_moment_j_per_t = 1e300\nz_start_m = 1e-6\n"
+                     "z_stop_m = 2e-6\npair_z1_m = 1e-6\npair_z2_m = 2e-6\n"),
+    # every field fits a float, but the slope across the 1 um pair does not
+    "field_compensation_gradient": ("command = field\nsource_moment_j_per_t = 1e295\n"
+                                    "z_start_m = 1e-6\nz_stop_m = 2e-6\n"
+                                    "pair_z1_m = 1e-6\npair_z2_m = 2e-6\n"),
+    # finite phase rates that overflow over a long interaction time
+    "protocol_long_duration": "command = protocol\ndelta_b_t = 1e290\nduration_s = 1e30\n",
+    "montecarlo_long_time": ("command = montecarlo\nshots = 100\ninteraction_time_s = 1e30\n"
+                             "delta_b_t = 1e290\n"),
+    "double_well_long_time": ("command = scenario\nscenario = double_well\n"
+                              "atom_moment_j_per_t = 1e270\ninteraction_time_s = 1e30\n"),
+    "double_well_balanced_scan": ("command = scenario\nscenario = double_well\ndelta_n = 0\n"
+                                  "atom_moment_j_per_t = 1e270\ninteraction_time_s = 1e30\n"),
+    "molecular_long_time": ("command = scenario\nscenario = molecular_state_change\n"
+                            "moment_before_j_per_t = 1e270\nmoment_after_j_per_t = 2e270\n"
+                            "interaction_time_s = 1e30\n"),
+    "ghz_chain_long_time": ("command = scenario\nscenario = ghz_chain\n"
+                            "source_moment_j_per_t = 1e270\ninteraction_time_s = 1e30\n"),
 }
 
 
@@ -241,6 +261,19 @@ def test_overflowing_config_is_a_config_error(tmp_path, capsys, text):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("config error: "), err
     assert "overflow" in err[0]
+    assert not out.exists()
+
+
+def test_unallocatable_shot_count_is_a_config_error(tmp_path, capsys):
+    # numpy refuses 2^62 shots before allocating, whatever the host's memory
+    shots = 2 ** 62
+    cfg = _write_cfg(tmp_path, f"command = montecarlo\nshots = {shots}\n"
+                               "interaction_time_s = 0.01\ndelta_b_t = 1e-12\n")
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: "), err
+    assert str(shots) in err[0] and f"{24 * shots} bytes" in err[0]
     assert not out.exists()
 
 

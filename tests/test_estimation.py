@@ -1,15 +1,18 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from iongradim import rng
 from iongradim.constants import Vec3, constants
 from iongradim.errors import ConfigurationError, InfeasibleError
-from iongradim.estimation import (ExperimentPlan, NoiseModel, analytic_snr,
+from iongradim.estimation import (_BLOCK, ExperimentPlan, NoiseModel, analytic_snr,
                                   dephasing_contrast, parity_estimate,
                                   required_shots, simulate_shots,
                                   spin_discrimination_snr)
-from iongradim.protocol import BELL, GHZ, ZeemanConfig, outcome_parities, prepare_probe
+from iongradim.protocol import (BELL, GHZ, ZeemanConfig, outcome_parities, phase_rate,
+                                prepare_probe)
 
 C = constants()
 ZEE = ZeemanConfig(g_factor=2.002)
@@ -121,6 +124,78 @@ def test_shots_depend_only_on_seed_and_index():
     assert np.array_equal(long.parities[:150], short.parities)
     assert np.array_equal(long.phases[:150], short.phases)
     assert np.array_equal(long.outcome_indices[:150], short.outcome_indices)
+
+
+def _unblocked_reference(plan, probe, zeeman, fields, noise):
+    """All shots in one pass; counter slots 2 and 3 feed the gradient, slot 4 the outcome."""
+    slot = np.arange(plan.shots, dtype=np.uint64) * np.uint64(8)
+    gradient = rng.gaussian(plan.rng_seed, slot + np.uint64(2), slot + np.uint64(3))
+    draw = rng.uniform(plan.rng_seed, slot + np.uint64(4))
+    gradient = gradient * noise.gradient_rms
+    shot_rate = (phase_rate(probe, zeeman, fields)
+                 + zeeman.gyromagnetic_ratio * gradient * probe.gradient_coupling)
+    phases = probe.phase + shot_rate * plan.interaction_time
+    p_even = 0.5 * (1.0 + probe.contrast * noise.contrast * np.cos(phases + plan.bias_phase))
+    parities = np.where(draw < p_even, 1, -1).astype(np.int64)
+    pattern_parity = outcome_parities(probe.n_ions)
+    even_patterns = np.flatnonzero(pattern_parity > 0)
+    odd_patterns = np.flatnonzero(pattern_parity < 0)
+    even = parities > 0
+    lower = np.where(even, 0.0, p_even)
+    width = np.where(even, p_even, 1.0 - p_even)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        frac = np.where(width > 0, (draw - lower) / width, 0.0)
+    k = np.minimum((frac * len(even_patterns)).astype(np.int64), len(even_patterns) - 1)
+    indices = np.where(even, even_patterns[k], odd_patterns[k])
+    return parities, indices, phases
+
+
+@pytest.mark.parametrize("kind, n_ions", [(BELL, 2), (GHZ, 4)])
+@pytest.mark.parametrize("gradient_rms", [0.0, 5e-4])
+def test_blocked_run_equals_unblocked_reference(kind, n_ions, gradient_rms):
+    # two full blocks and a partial one, against one pass over all shots
+    positions = tuple(Vec3(0, 0, k * SPACING) for k in range(n_ions))
+    probe = prepare_probe(kind, positions, 0.97)
+    fields = tuple(1e-12 * (k + 1) for k in range(n_ions))
+    shots_plan = plan(shots=2 * _BLOCK + 3, t=0.01, bias=0.9, seed=2024)
+    noise = NoiseModel(gradient_rms=gradient_rms, contrast=0.95)
+    out = simulate_shots(shots_plan, probe, ZEE, fields, noise)
+    parities, indices, phases = _unblocked_reference(shots_plan, probe, ZEE, fields, noise)
+    for got, want in ((out.parities, parities), (out.outcome_indices, indices),
+                      (out.phases, phases)):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert len(np.unique(out.outcome_indices)) == 2 ** n_ions   # both classes are drawn
+
+
+def test_noise_free_run_draws_no_gaussian(monkeypatch):
+    def no_gaussian(*args):
+        raise AssertionError("rng.gaussian called with gradient_rms = 0")
+
+    monkeypatch.setattr(rng, "gaussian", no_gaussian)
+    out = simulate_shots(plan(shots=_BLOCK + 5, t=5.0, seed=4), pair_probe(), ZEE,
+                         (0.0, 6.8e-13), NoiseModel(common_mode_rms=1e-6))
+    assert len(out.parities) == _BLOCK + 5
+    with pytest.raises(AssertionError, match="gradient_rms = 0"):   # the patch is live
+        simulate_shots(plan(shots=10, t=5.0), pair_probe(), ZEE, (0.0, 6.8e-13),
+                       NoiseModel(gradient_rms=1e-7))
+
+
+@pytest.mark.parametrize("gradient_rms", [0.0, 5e-4])
+def test_simulate_shots_memory_is_the_outputs_plus_one_block(gradient_rms):
+    # three 8-byte outputs per shot, and per-shot temporaries for one block only
+    shots = 400_000
+    args = (plan(shots=shots, t=0.01, seed=6), pair_probe(), ZEE, (0.0, 6.8e-13),
+            NoiseModel(gradient_rms=gradient_rms))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        out = simulate_shots(*args)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert len(out.phases) == shots
+    assert peak <= 24 * shots + 8 * 2 ** 20, peak
 
 
 def test_field_count_mismatch():

@@ -169,3 +169,20 @@ def test_compensation_degenerate_pair():
     p = Vec3(0.0, 0.0, -1e-6)
     with pytest.raises(ConfigurationError):
         compensation_gradient(z_dipole(), p, p)
+
+
+@pytest.mark.parametrize("evaluate", [
+    lambda src: dipole_field(src, Vec3(0.0, 0.0, 1e-6)),
+    lambda src: axial_bz(src, 1e-6),
+], ids=["dipole_field", "axial_bz"])
+def test_overflowing_field_is_a_config_error(evaluate):
+    with pytest.raises(ConfigurationError, match="overflows a float"):
+        evaluate(z_dipole(moment=1e300))
+
+
+def test_overflowing_compensation_gradient_is_a_config_error():
+    # both fields and their difference fit a float; the slope over 1 um does not
+    src, p1, p2 = z_dipole(moment=1e295), Vec3(0.0, 0.0, 1e-6), Vec3(0.0, 0.0, 2e-6)
+    assert np.isfinite(differential_field(src, p1, p2))
+    with pytest.raises(ConfigurationError, match="overflows a float"):
+        compensation_gradient(src, p1, p2)

@@ -7,9 +7,9 @@ import pytest
 from iongradim.constants import Vec3, constants
 from iongradim.errors import ConfigurationError
 from iongradim.magnetostatics import axial_bz, DipoleSource
-from iongradim.protocol import (BELL, GHZ, ProbeState, ZeemanConfig, evolve,
-                                outcome_probabilities, parity, phase_rate,
-                                prepare_probe)
+from iongradim.protocol import (BELL, GHZ, ProbeState, ZeemanConfig, accumulated_phase,
+                                evolve, outcome_probabilities, parity, parity_trajectory,
+                                phase_rate, prepare_probe)
 
 C = constants()
 ZEE = ZeemanConfig(g_factor=2.002)
@@ -166,6 +166,16 @@ def test_evolve_examples():
 def test_evolve_rejects_negative_duration():
     with pytest.raises(ConfigurationError):
         evolve(bell_probe(), ZEE, (0.0, 1e-13), -1.0)
+
+
+def test_accumulated_phase_overflow_is_a_config_error():
+    assert accumulated_phase(2.5, 4.0) == 10.0
+    with pytest.raises(ConfigurationError, match="overflows a float"):
+        accumulated_phase(1.8e301, 1e30)
+    with pytest.raises(ConfigurationError, match="overflows a float"):
+        parity_trajectory(1.8e301, 1.0, 1e30)   # every point past the first overflows
+    with pytest.raises(ConfigurationError, match="overflows a float"):
+        evolve(bell_probe(), ZEE, (0.0, 1e-9), 1e307)
 
 
 def test_phase_reversal():
