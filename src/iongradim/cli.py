@@ -354,12 +354,12 @@ def _execute_montecarlo(params: dict, seed: int) -> tuple[tuple[Table, ...], tup
     fields = (0.0, params["delta_b_t"])
     outcomes = simulate_shots(plan, probe, zeeman, fields, noise)
     true_parity = expected_parity(plan, probe, zeeman, fields, noise)
-    result = parity_estimate(outcomes.parities)
+    result = parity_estimate(outcomes.parity_sum, outcomes.shots)
     estimate = Table("estimate",
                      ("parity_estimate", "std_error", "snr", "true_parity", "shots"),
                      ((result.parity_estimate, result.std_error, result.snr,
                        true_parity, result.shots_used),))
-    counts = np.bincount(outcomes.outcome_indices, minlength=2 ** probe.n_ions)
+    counts = outcomes.pattern_counts
     count_rows = tuple((int(v), int(counts[v])) for v in np.flatnonzero(counts))
     counts_table = Table("outcome_counts", ("outcome_index", "count"), count_rows)
     return (estimate, counts_table), ()

@@ -9,17 +9,19 @@ and dephases the parity fringe; it is drawn only when its rms is above zero,
 since a zero rms multiplies the draw by an exact zero. Each shot consumes
 fixed counter slots of the seeded counter-based stream (see rng), so results
 are a pure function of (plan, probe, fields, noise) and are independent of
-evaluation order. Shots run in fixed blocks of _BLOCK: only the three
-per-shot outputs span the whole run, and every other per-shot array lives
-for one block, which the counter slots make bit-identical to one pass over
-all shots.
+evaluation order. Shots run in fixed blocks of _BLOCK, and a run keeps only
+a tally (parity sum and counts per spin pattern), so its memory is one block
+whatever the shot count. The per-shot parities, outcome indices and phases
+exist only when a caller reads them: the counter slots let every block be
+regenerated bit for bit.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import Sequence
+from dataclasses import dataclass, field, replace
+from functools import cached_property
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -34,6 +36,7 @@ from .protocol import (ProbeState, ZeemanConfig, accumulated_phase, outcome_pari
 # is never drawn; moving the other draws into them would change the outcomes
 # of every seed.
 _SLOTS_PER_SHOT = 8
+_SHOT_LIMIT = 2 ** 64 // _SLOTS_PER_SHOT   # beyond it the 64-bit counters wrap and repeat
 _BLOCK = 2 ** 15   # shots per block: a float64 per-shot temporary is 256 KB
 _OUTPUT_BYTES_PER_SHOT = 24   # parity, outcome index and phase, 8 bytes each
 _MAX_SHOTS = int(np.finfo(float).max)   # largest shot count that converts to a float
@@ -64,8 +67,10 @@ class ExperimentPlan:
     rng_seed: int = 0
 
     def __post_init__(self):
-        if not isinstance(self.shots, int) or self.shots < 1:
-            raise ConfigurationError(f"shots must be an integer >= 1, got {self.shots!r}")
+        if not isinstance(self.shots, int) or not 1 <= self.shots <= _SHOT_LIMIT:
+            raise ConfigurationError(
+                f"shots must be an integer from 1 to 2**61 = {_SHOT_LIMIT}, got {self.shots!r}: "
+                f"each shot takes {_SLOTS_PER_SHOT} slots of a 64-bit RNG counter")
         if not (0 <= self.interaction_time < math.inf):
             raise ConfigurationError("interaction_time must be finite and >= 0")
         if not math.isfinite(self.bias_phase):
@@ -75,12 +80,109 @@ class ExperimentPlan:
 
 
 @dataclass(frozen=True)
-class ShotOutcomes:
-    """Per-shot results: parity (+-1), drawn spin pattern index, accumulated phase."""
+class _Run:
+    """The inputs of a run; the counter slots make each block of shots a pure function of them."""
 
-    parities: np.ndarray
-    outcome_indices: np.ndarray
-    phases: np.ndarray
+    plan: ExperimentPlan
+    probe: ProbeState
+    zeeman: ZeemanConfig
+    base_rate: float              # rad/s, noise-free phase rate
+    noise: NoiseModel
+    patterns: np.ndarray          # spin pattern per class slot: the odd patterns, then the even
+
+    def blocks(self) -> Iterator[tuple[int, int, float | np.ndarray, np.ndarray, np.ndarray]]:
+        """Yield (lo, hi, phase, even, slot) for each block of shots [lo, hi).
+
+        phase is one float for every shot of a noise-free run and an array
+        otherwise; slot indexes self.patterns. A per-shot phase that is not
+        finite is a ConfigurationError.
+        """
+        plan = self.plan
+        phase = None   # drawn per shot when there is gradient noise
+        if not self.noise.gradient_rms > 0:   # every shot accumulates the same phase
+            phase = self.probe.phase + self.base_rate * plan.interaction_time
+            _check_phases(phase)
+        for lo in range(0, plan.shots, _BLOCK):
+            hi = min(lo + _BLOCK, plan.shots)
+            # one call per block, so no block's temporaries outlive it
+            yield (lo, hi, *self._block(lo, hi, phase))
+
+    def _block(self, lo: int, hi: int, phase: float | None,
+               ) -> tuple[float | np.ndarray, np.ndarray, np.ndarray]:
+        plan, probe, noise = self.plan, self.probe, self.noise
+        shot = np.arange(lo, hi, dtype=np.uint64) * np.uint64(_SLOTS_PER_SHOT)
+        if phase is None:
+            phase = rng.gaussian(plan.rng_seed, shot + np.uint64(2), shot + np.uint64(3))
+            with np.errstate(over="ignore", invalid="ignore"):   # checked just below
+                # phase + (base + gyro * (rms * g) * coupling) * t, one step at a
+                # time in place, in the order that keeps every bit
+                phase *= noise.gradient_rms
+                phase *= self.zeeman.gyromagnetic_ratio
+                phase *= probe.gradient_coupling
+                phase += self.base_rate
+                phase *= plan.interaction_time
+                phase += probe.phase
+            _check_phases(phase)
+        p_even = 0.5 * (1.0 + probe.contrast * noise.contrast
+                        * np.cos(phase + plan.bias_phase))
+        draw = rng.uniform(plan.rng_seed, shot + np.uint64(4))
+
+        # Map a shot's outcome uniform onto a concrete spin pattern: the 2^(N-1)
+        # even patterns share [0, p_even), the 2^(N-1) odd ones [p_even, 1]; a
+        # zero-width class (p_even = 1, draw = 1.0) takes its first pattern.
+        n_class = len(self.patterns) // 2   # patterns per parity class
+        even = draw < p_even
+        lower = np.where(even, 0.0, p_even)
+        width = np.where(even, p_even, 1.0 - p_even)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            frac = np.where(width > 0, (draw - lower) / width, 0.0)
+        k = np.minimum((frac * n_class).astype(np.int64), n_class - 1)
+        return phase, even, k + n_class * even
+
+
+@dataclass(frozen=True)
+class ShotOutcomes:
+    """Tally of a run: shot count, sum of the +-1 parities and counts per spin pattern.
+
+    pattern_counts is indexed like protocol.outcome_parities. The per-shot
+    parities, outcome indices and phases (24 bytes per shot) are regenerated
+    from the same counters on first read, so they are bit-identical to the
+    shots that made the tally.
+    """
+
+    shots: int
+    parity_sum: int
+    pattern_counts: np.ndarray
+    _run: _Run = field(repr=False, compare=False)
+
+    @cached_property
+    def _arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        n = self.shots
+        try:
+            parities = np.empty(n, dtype=np.int64)
+            indices = np.empty(n, dtype=np.int64)
+            phases = np.empty(n, dtype=np.float64)
+        except (MemoryError, ValueError):   # ValueError: numpy refuses the size outright
+            raise ConfigurationError(
+                f"{n} shots need {n * _OUTPUT_BYTES_PER_SHOT} bytes of per-shot outputs, "
+                "which cannot be allocated") from None
+        for lo, hi, phase, even, slot in self._run.blocks():
+            parities[lo:hi] = np.where(even, 1, -1)
+            indices[lo:hi] = self._run.patterns[slot]
+            phases[lo:hi] = phase
+        return parities, indices, phases
+
+    @property
+    def parities(self) -> np.ndarray:
+        return self._arrays[0]
+
+    @property
+    def outcome_indices(self) -> np.ndarray:
+        return self._arrays[1]
+
+    @property
+    def phases(self) -> np.ndarray:
+        return self._arrays[2]
 
 
 @dataclass(frozen=True)
@@ -100,67 +202,21 @@ class DiscriminationResult:
 
 def simulate_shots(plan: ExperimentPlan, probe: ProbeState, zeeman: ZeemanConfig,
                    field_at_ions: Sequence[float], noise: NoiseModel) -> ShotOutcomes:
-    """Run plan.shots independent shots and draw one spin pattern per shot.
+    """Run plan.shots independent shots, draw one spin pattern per shot and tally them.
 
-    A per-shot phase that is not finite is a ConfigurationError, and so is a
-    shot count whose outputs cannot be allocated.
+    A per-shot phase that is not finite is a ConfigurationError.
     """
-    base_rate = phase_rate(probe, zeeman, field_at_ions)
-    n = plan.shots
-    try:
-        parities = np.empty(n, dtype=np.int64)
-        indices = np.empty(n, dtype=np.int64)
-        phases = np.empty(n, dtype=np.float64)
-    except (MemoryError, ValueError):   # ValueError: numpy refuses the size outright
-        raise ConfigurationError(
-            f"{n} shots need {n * _OUTPUT_BYTES_PER_SHOT} bytes of per-shot outputs, "
-            "which cannot be allocated") from None
-
-    seed = plan.rng_seed
-    contrast = probe.contrast * noise.contrast
-    noisy = noise.gradient_rms > 0
-    if not noisy:   # every shot accumulates the same phase
-        phase = probe.phase + base_rate * plan.interaction_time
-        _check_phases(phase)
-        phases.fill(phase)
-        p_even = 0.5 * (1.0 + contrast * np.cos(phase + plan.bias_phase))
-
-    # Map a shot's outcome uniform onto a concrete spin pattern: the 2^(N-1)
-    # even patterns share [0, p_even), the 2^(N-1) odd ones [p_even, 1]; a
-    # zero-width class (p_even = 1, draw = 1.0) takes its first pattern.
     pattern_parity = outcome_parities(probe.n_ions)
-    n_class = 2 ** (probe.n_ions - 1)   # patterns per parity class
-    patterns = np.concatenate((np.flatnonzero(pattern_parity < 0),    # odd, then even
-                               np.flatnonzero(pattern_parity > 0)))
-
-    for lo in range(0, n, _BLOCK):
-        hi = min(lo + _BLOCK, n)
-        shot = np.arange(lo, hi, dtype=np.uint64) * np.uint64(_SLOTS_PER_SHOT)
-        if noisy:
-            gradient = rng.gaussian(seed, shot + np.uint64(2), shot + np.uint64(3))
-            block_phases = phases[lo:hi]
-            with np.errstate(over="ignore", invalid="ignore"):   # checked just below
-                # phase + (base + gyro * (rms * g) * coupling) * t, one step at a
-                # time in place, in the order that keeps every bit
-                gradient *= noise.gradient_rms
-                gradient *= zeeman.gyromagnetic_ratio
-                gradient *= probe.gradient_coupling
-                gradient += base_rate
-                np.multiply(gradient, plan.interaction_time, out=block_phases)
-                block_phases += probe.phase
-            _check_phases(block_phases)
-            p_even = 0.5 * (1.0 + contrast * np.cos(block_phases + plan.bias_phase))
-        draw = rng.uniform(seed, shot + np.uint64(4))
-
-        even = draw < p_even
-        parities[lo:hi] = np.where(even, 1, -1)
-        lower = np.where(even, 0.0, p_even)
-        width = np.where(even, p_even, 1.0 - p_even)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            frac = np.where(width > 0, (draw - lower) / width, 0.0)
-        k = np.minimum((frac * n_class).astype(np.int64), n_class - 1)
-        indices[lo:hi] = patterns[k + n_class * even]
-    return ShotOutcomes(parities=parities, outcome_indices=indices, phases=phases)
+    run = _Run(plan, probe, zeeman, phase_rate(probe, zeeman, field_at_ions), noise,
+               np.concatenate((np.flatnonzero(pattern_parity < 0),
+                               np.flatnonzero(pattern_parity > 0))))
+    slot_counts = np.zeros(len(run.patterns), dtype=np.int64)
+    for _, _, _, _, slot in run.blocks():
+        slot_counts += np.bincount(slot, minlength=len(slot_counts))
+    pattern_counts = np.empty_like(slot_counts)
+    pattern_counts[run.patterns] = slot_counts
+    n_odd = int(slot_counts[:len(slot_counts) // 2].sum())   # the odd slots come first
+    return ShotOutcomes(plan.shots, plan.shots - 2 * n_odd, pattern_counts, run)
 
 
 def _check_phases(phases) -> None:
@@ -169,22 +225,21 @@ def _check_phases(phases) -> None:
                                  "noise or interaction time is too large")
 
 
-def parity_estimate(parities: np.ndarray) -> EstimationResult:
-    """Parity estimate with projection-noise standard error from per-shot parities (+-1).
+def parity_estimate(parity_sum: int, shots: int) -> EstimationResult:
+    """Parity estimate with projection-noise standard error from the sum of shots +-1 parities.
 
     std_error = sqrt((1 - P^2)/N); a saturated estimate (P = +-1) substitutes
     the rule-of-three bound 3/N so downstream SNRs stay finite.
     """
-    n = len(parities)
-    if n < 1:
+    if shots < 1:
         raise ConfigurationError("parity_estimate needs at least one outcome")
-    p_hat = float(np.sum(parities)) / n
+    p_hat = float(parity_sum) / shots
     if abs(p_hat) >= 1.0:
-        std_error = 3.0 / n
+        std_error = 3.0 / shots
     else:
-        std_error = math.sqrt((1.0 - p_hat * p_hat) / n)
+        std_error = math.sqrt((1.0 - p_hat * p_hat) / shots)
     return EstimationResult(parity_estimate=p_hat, std_error=std_error,
-                            snr=abs(p_hat) / std_error, shots_used=n)
+                            snr=abs(p_hat) / std_error, shots_used=shots)
 
 
 def expected_parity(plan: ExperimentPlan, probe: ProbeState, zeeman: ZeemanConfig,
@@ -204,10 +259,10 @@ def spin_discrimination_snr(plan: ExperimentPlan, probe: ProbeState, zeeman: Zee
     Monte Carlo estimates. Each arm runs on an independent sub-seed derived
     from plan.rng_seed.
     """
-    up, down = (parity_estimate(simulate_shots(
-                    replace(plan, rng_seed=rng.derive_seed(plan.rng_seed, arm)),
-                    probe, zeeman, fields, noise).parities)
-                for arm, fields in enumerate((fields_up, fields_down)))
+    tallies = (simulate_shots(replace(plan, rng_seed=rng.derive_seed(plan.rng_seed, arm)),
+                              probe, zeeman, fields, noise)
+               for arm, fields in enumerate((fields_up, fields_down)))
+    up, down = (parity_estimate(t.parity_sum, t.shots) for t in tallies)
     snr = abs(down.parity_estimate - up.parity_estimate) / math.sqrt(
         up.std_error ** 2 + down.std_error ** 2)
     return DiscriminationResult(snr=snr, up=up, down=down)

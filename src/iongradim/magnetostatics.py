@@ -48,7 +48,12 @@ def dipole_field(source: DipoleSource, point: Vec3) -> Vec3:
             f"field requested {dist:.3e} m from the source (guard {MIN_SOURCE_DISTANCE:.0e} m)")
     rhat = r * (1.0 / dist)
     m_dot_rhat = dot(source.moment, rhat)
-    field = (3.0 * m_dot_rhat * rhat - source.moment) * (MU0_OVER_4PI / dist ** 3)
+    direction = 3.0 * m_dot_rhat * rhat - source.moment
+    try:
+        field = direction * (MU0_OVER_4PI / dist ** 3)
+    except OverflowError:   # the cube passes the float range, beyond ~5.6e102 m
+        field = Vec3(*(MU0_OVER_4PI * c / dist / dist / dist
+                       for c in (direction.x, direction.y, direction.z)))
     _require_finite(dist, field.x, field.y, field.z)
     return field
 
@@ -63,7 +68,10 @@ def axial_bz(source: DipoleSource, z: float) -> float:
     if abs(dz) < MIN_SOURCE_DISTANCE:
         raise FieldSingularityError(
             f"axial field requested {abs(dz):.3e} m from the source")
-    bz = 2.0 * MU0_OVER_4PI * source.moment.z / abs(dz) ** 3
+    try:
+        bz = 2.0 * MU0_OVER_4PI * source.moment.z / abs(dz) ** 3
+    except OverflowError:   # the cube passes the float range, beyond ~5.6e102 m
+        bz = 2.0 * MU0_OVER_4PI * source.moment.z / abs(dz) / abs(dz) / abs(dz)
     _require_finite(abs(dz), bz)
     return bz
 

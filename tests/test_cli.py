@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import pytest
 
@@ -265,7 +266,7 @@ def test_overflowing_config_is_a_config_error(tmp_path, capsys, text):
 
 
 def test_unallocatable_shot_count_is_a_config_error(tmp_path, capsys):
-    # numpy refuses 2^62 shots before allocating, whatever the host's memory
+    # past 2^61 shots the 64-bit RNG counters wrap: rejected before any shot runs
     shots = 2 ** 62
     cfg = _write_cfg(tmp_path, f"command = montecarlo\nshots = {shots}\n"
                                "interaction_time_s = 0.01\ndelta_b_t = 1e-12\n")
@@ -273,8 +274,38 @@ def test_unallocatable_shot_count_is_a_config_error(tmp_path, capsys):
     assert main(["--config", str(cfg), "--out", str(out)]) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("config error: "), err
-    assert str(shots) in err[0] and f"{24 * shots} bytes" in err[0]
+    assert str(shots) in err[0] and str(2 ** 61) in err[0]
     assert not out.exists()
+
+
+def test_far_pair_field_is_finite(tmp_path, capsys):
+    # the cube of 1e200 m overflows a float; the field there is finite (0)
+    cfg = _write_cfg(tmp_path, "command = field\nsource_moment_j_per_t = 9.285e-24\n"
+                               "z_start_m = 1e-6\nz_stop_m = 1e120\nn_points = 2\n"
+                               "pair_z1_m = 1e-6\npair_z2_m = 1e200\n")
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg), "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    for name in ("axial_field.csv", "pair_differential.csv"):
+        rows = (out / name).read_text().splitlines()[2:]
+        cells = [float(cell) for row in rows for cell in row.split(",")]
+        assert rows and all(map(math.isfinite, cells)), rows
+
+
+def test_montecarlo_memory_is_one_block(tmp_path):
+    # the command reads the tally only: no per-shot array spans the run
+    cfg = _write_cfg(tmp_path, "command = montecarlo\nshots = 1000000\n"
+                               "interaction_time_s = 0.01\ndelta_b_t = 1e-12\n"
+                               "gradient_rms_t_per_m = 5e-4\n")
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        assert main(["--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 2 ** 20, peak
 
 
 @pytest.mark.parametrize("args, code", [

@@ -8,11 +8,11 @@ from iongradim import rng
 from iongradim.constants import Vec3, constants
 from iongradim.errors import ConfigurationError, InfeasibleError
 from iongradim.estimation import (_BLOCK, ExperimentPlan, NoiseModel, analytic_snr,
-                                  dephasing_contrast, parity_estimate,
+                                  dephasing_contrast, expected_parity, parity_estimate,
                                   required_shots, simulate_shots,
                                   spin_discrimination_snr)
-from iongradim.protocol import (BELL, GHZ, ZeemanConfig, outcome_parities, phase_rate,
-                                prepare_probe)
+from iongradim.protocol import (BELL, GHZ, ZeemanConfig, outcome_parities,
+                                outcome_probabilities, phase_rate, prepare_probe)
 
 C = constants()
 ZEE = ZeemanConfig(g_factor=2.002)
@@ -161,10 +161,16 @@ def test_blocked_run_equals_unblocked_reference(kind, n_ions, gradient_rms):
     noise = NoiseModel(gradient_rms=gradient_rms, contrast=0.95)
     out = simulate_shots(shots_plan, probe, ZEE, fields, noise)
     parities, indices, phases = _unblocked_reference(shots_plan, probe, ZEE, fields, noise)
-    for got, want in ((out.parities, parities), (out.outcome_indices, indices),
-                      (out.phases, phases)):
+    # the tally, then the per-shot arrays regenerated from it on first read
+    assert out.shots == shots_plan.shots
+    assert out.parity_sum == int(parities.sum())
+    assert np.array_equal(out.pattern_counts, np.bincount(indices, minlength=2 ** n_ions))
+    first = (out.parities, out.outcome_indices, out.phases)
+    for got, want in zip(first, (parities, indices, phases)):
         assert got.dtype == want.dtype and np.array_equal(got, want)
-    assert len(np.unique(out.outcome_indices)) == 2 ** n_ions   # both classes are drawn
+    for again, got in zip((out.parities, out.outcome_indices, out.phases), first):
+        assert again is got   # a second read returns the same arrays
+    assert np.all(out.pattern_counts > 0)   # every pattern of both classes is drawn
 
 
 def test_noise_free_run_draws_no_gaussian(monkeypatch):
@@ -180,22 +186,57 @@ def test_noise_free_run_draws_no_gaussian(monkeypatch):
                        NoiseModel(gradient_rms=1e-7))
 
 
-@pytest.mark.parametrize("gradient_rms", [0.0, 5e-4])
-def test_simulate_shots_memory_is_the_outputs_plus_one_block(gradient_rms):
-    # three 8-byte outputs per shot, and per-shot temporaries for one block only
-    shots = 400_000
-    args = (plan(shots=shots, t=0.01, seed=6), pair_probe(), ZEE, (0.0, 6.8e-13),
-            NoiseModel(gradient_rms=gradient_rms))
+def _peak_bytes(call):
+    """tracemalloc peak of call() above the level at entry; numpy reports its buffers."""
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        out = simulate_shots(*args)
-        peak = tracemalloc.get_traced_memory()[1] - base
+        result = call()
+        return tracemalloc.get_traced_memory()[1] - base, result
     finally:
         tracemalloc.stop()
-    assert len(out.phases) == shots
+
+
+def _memory_args(shots, gradient_rms):
+    return (plan(shots=shots, t=0.01, seed=6), pair_probe(), ZEE, (0.0, 6.8e-13),
+            NoiseModel(gradient_rms=gradient_rms))
+
+
+@pytest.mark.parametrize("shots", [400_000, 4_000_000])
+@pytest.mark.parametrize("gradient_rms", [0.0, 5e-4])
+def test_simulate_shots_memory_is_one_block(gradient_rms, shots):
+    # a run keeps a tally: per-shot temporaries live for one block, whatever the count
+    peak, out = _peak_bytes(lambda: simulate_shots(*_memory_args(shots, gradient_rms)))
+    assert peak <= 8 * 2 ** 20, peak
+    assert int(out.pattern_counts.sum()) == out.shots == shots
+
+
+@pytest.mark.parametrize("gradient_rms", [0.0, 5e-4])
+def test_simulate_shots_memory_is_the_outputs_plus_one_block(gradient_rms):
+    # reading the per-shot arrays costs three 8-byte outputs per shot, plus one block
+    shots = 400_000
+    peak, phases = _peak_bytes(lambda: simulate_shots(*_memory_args(shots, gradient_rms)).phases)
+    assert len(phases) == shots
     assert peak <= 24 * shots + 8 * 2 ** 20, peak
+
+
+def test_unallocatable_outputs_are_a_config_error(monkeypatch):
+    out = simulate_shots(plan(shots=1000), pair_probe(), ZEE, (0.0, 0.0), NoiseModel())
+
+    def refuse(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(np, "empty", refuse)
+    with pytest.raises(ConfigurationError, match="1000 shots need 24000 bytes"):
+        out.parities
+
+
+def test_shot_count_bound_is_the_counter_range():
+    # 8 counter slots per shot in a 64-bit counter: 2^61 shots fit, one more wraps
+    assert ExperimentPlan(shots=2 ** 61, interaction_time=1.0).shots == 2 ** 61
+    with pytest.raises(ConfigurationError, match=str(2 ** 61 + 1)):
+        ExperimentPlan(shots=2 ** 61 + 1, interaction_time=1.0)
 
 
 def test_field_count_mismatch():
@@ -217,13 +258,56 @@ def test_plan_and_noise_validation():
 
 
 # ---------------------------------------------------------------------------
+# the tally against the model (seeds and bounds fixed before the run)
+
+# Bell, and a 4-ion GHZ whose branches (+ + - -) couple to a uniform gradient,
+# so that gradient noise dephases both
+GHZ_GRADIENT_WEIGHTS = ((0.5, 0.5, -0.5, -0.5), (-0.5, -0.5, 0.5, 0.5))
+PROBES = {
+    "bell": lambda: pair_probe(contrast=0.97),
+    "ghz": lambda: prepare_probe(GHZ, tuple(Vec3(0, 0, k * SPACING) for k in range(4)), 0.97,
+                                 branch_weights=GHZ_GRADIENT_WEIGHTS),
+}
+
+
+@pytest.mark.parametrize("kind", PROBES)
+def test_pattern_counts_follow_outcome_probabilities(kind):
+    # chi-square of 2e5 seeded shots; bound: the 1 - 1e-4 quantile for 2^N - 1 dof
+    probe = PROBES[kind]()
+    shots, bias = 200_000, 0.7
+    out = simulate_shots(plan(shots=shots, bias=bias, seed=8), probe, ZEE,
+                         (0.0,) * probe.n_ions, NoiseModel())
+    expected = shots * outcome_probabilities(probe, bias_phase=bias)
+    chi2 = float(np.sum((out.pattern_counts - expected) ** 2 / expected))
+    bound = {2: 21.11, 4: 44.26}[probe.n_ions]   # chi-square quantiles, 3 and 15 dof
+    assert chi2 <= bound, chi2
+
+
+@pytest.mark.parametrize("bias", [0.0, 0.7, math.pi / 2])
+@pytest.mark.parametrize("gradient_rms", [0.0, 2e-4, 5e-4, 1e-3])
+@pytest.mark.parametrize("kind", PROBES)
+def test_mean_parity_is_expected_parity_times_dephasing(kind, gradient_rms, bias):
+    # |z| <= 4 for the mean of 2e5 seeded shots against the dephased fringe
+    probe = PROBES[kind]()
+    shots, t = 200_000, 0.01
+    fields = tuple(1e-10 * k for k in range(probe.n_ions))
+    shot_plan = plan(shots=shots, t=t, bias=bias, seed=5)
+    noise = NoiseModel(gradient_rms=gradient_rms, contrast=0.95)
+    out = simulate_shots(shot_plan, probe, ZEE, fields, noise)
+    model = (expected_parity(shot_plan, probe, ZEE, fields, noise)
+             * dephasing_contrast(gradient_rms, probe, ZEE, t))
+    z = (out.parity_sum / shots - model) / math.sqrt((1.0 - model * model) / shots)
+    assert abs(z) <= 4.0, z
+
+
+# ---------------------------------------------------------------------------
 # parity_estimate
 
 def test_parity_estimate_examples():
-    all_even = parity_estimate(np.ones(50, dtype=int))
+    all_even = parity_estimate(50, 50)
     assert all_even.parity_estimate == 1.0
     assert all_even.std_error == pytest.approx(3.0 / 50)   # rule-of-three guard
-    balanced = parity_estimate(np.array([1] * 50 + [-1] * 50))
+    balanced = parity_estimate(0, 100)
     assert balanced.parity_estimate == 0.0
     assert balanced.std_error == pytest.approx(0.1)
     assert balanced.shots_used == 100
@@ -231,7 +315,7 @@ def test_parity_estimate_examples():
 
 def test_parity_estimate_empty_rejected():
     with pytest.raises(ConfigurationError):
-        parity_estimate(np.array([], dtype=int))
+        parity_estimate(0, 0)
 
 
 @pytest.fixture(scope="module")
@@ -243,7 +327,7 @@ def estimates_at_zero_parity():
     values = np.empty((10000, 2))
     for k in range(10000):
         out = simulate_shots(plan(shots=100, seed=k), p, ZEE, fields, noise)
-        est = parity_estimate(out.parities)
+        est = parity_estimate(out.parity_sum, out.shots)
         values[k] = (est.parity_estimate, est.std_error)
     return values
 

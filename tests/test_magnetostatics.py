@@ -186,3 +186,29 @@ def test_overflowing_compensation_gradient_is_a_config_error():
     assert np.isfinite(differential_field(src, p1, p2))
     with pytest.raises(ConfigurationError, match="overflows a float"):
         compensation_gradient(src, p1, p2)
+
+
+# The cube of a distance overflows a float beyond (max float)^(1/3) ~ 5.64e102 m;
+# past that point the field is divided by the distance three times instead.
+CUBE_LIMIT = float(np.finfo(float).max) ** (1.0 / 3.0)
+
+
+@pytest.mark.parametrize("dist", [5.6e102, 5.7e102, 1e103, 1e150])
+@pytest.mark.parametrize("evaluate", [
+    lambda src, d: dipole_field(src, Vec3(0.0, 0.0, d)).z,
+    lambda src, d: axial_bz(src, d),
+], ids=["dipole_field", "axial_bz"])
+def test_field_beyond_the_cube_limit_is_finite_and_follows_r3(evaluate, dist):
+    moment = 1e300
+    bz = evaluate(z_dipole(moment=moment), dist)
+    assert bz == pytest.approx(2e-7 * moment / dist / dist / dist, rel=1e-14)
+    assert (dist < CUBE_LIMIT) == (dist == 5.6e102)   # both sides of the overflow point
+
+
+def test_field_beyond_the_cube_limit_hand_value_and_underflow():
+    # 2e-7 * 1e300 / (1e103)^3 = 2e-16 T, not 0; a Bohr magneton that far gives 0
+    assert axial_bz(z_dipole(moment=1e300), 1e103) == pytest.approx(2e-16, rel=1e-14)
+    assert dipole_field(z_dipole(moment=1e300), Vec3(0.0, 0.0, -1e103)).z == pytest.approx(
+        2e-16, rel=1e-14)
+    assert axial_bz(z_dipole(), 1e200) == 0.0
+    assert dipole_field(z_dipole(), Vec3(0.0, 1e200, 0.0)) == Vec3(0.0, 0.0, 0.0)
