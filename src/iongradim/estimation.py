@@ -226,7 +226,7 @@ def _check_phases(phases) -> None:
 
 
 def parity_estimate(parity_sum: int, shots: int) -> EstimationResult:
-    """Parity estimate with projection-noise standard error from the sum of shots +-1 parities.
+    """Parity estimate with projection-noise standard error from a tally of +-1 parities.
 
     std_error = sqrt((1 - P^2)/N); a saturated estimate (P = +-1) substitutes
     the rule-of-three bound 3/N so downstream SNRs stay finite.

@@ -199,16 +199,17 @@ CUBE_LIMIT = float(np.finfo(float).max) ** (1.0 / 3.0)
     lambda src, d: axial_bz(src, d),
 ], ids=["dipole_field", "axial_bz"])
 def test_field_beyond_the_cube_limit_is_finite_and_follows_r3(evaluate, dist):
+    # rel 1e-8: below the limit dipole_field's factor mu0/4pi / dist^3 is subnormal
     moment = 1e300
     bz = evaluate(z_dipole(moment=moment), dist)
-    assert bz == pytest.approx(2e-7 * moment / dist / dist / dist, rel=1e-14)
+    assert bz == pytest.approx(2e-7 * moment / dist / dist / dist, rel=1e-8, abs=0.0)
     assert (dist < CUBE_LIMIT) == (dist == 5.6e102)   # both sides of the overflow point
 
 
 def test_field_beyond_the_cube_limit_hand_value_and_underflow():
     # 2e-7 * 1e300 / (1e103)^3 = 2e-16 T, not 0; a Bohr magneton that far gives 0
-    assert axial_bz(z_dipole(moment=1e300), 1e103) == pytest.approx(2e-16, rel=1e-14)
+    assert axial_bz(z_dipole(moment=1e300), 1e103) == pytest.approx(2e-16, rel=1e-14, abs=0.0)
     assert dipole_field(z_dipole(moment=1e300), Vec3(0.0, 0.0, -1e103)).z == pytest.approx(
-        2e-16, rel=1e-14)
+        2e-16, rel=1e-14, abs=0.0)
     assert axial_bz(z_dipole(), 1e200) == 0.0
     assert dipole_field(z_dipole(), Vec3(0.0, 1e200, 0.0)) == Vec3(0.0, 0.0, 0.0)
