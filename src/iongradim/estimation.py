@@ -14,13 +14,21 @@ a tally (parity sum and counts per spin pattern), so its memory is one block
 whatever the shot count. The per-shot parities, outcome indices and phases
 exist only when a caller reads them: the counter slots let every block be
 regenerated bit for bit.
+
+The tally takes one of two routes, and both give the counts of the per-shot
+mapping bit for bit. Without gradient noise every shot has the same even
+probability, so a shot's pattern follows from its 53-bit outcome integer
+alone, through a mapping that never falls as the integer grows: the run
+finds the exact integer at which each pattern begins once, then counts
+integers against those thresholds. With gradient noise each shot is mapped
+in buffers that the run reuses from block to block.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -40,6 +48,7 @@ _SHOT_LIMIT = 2 ** 64 // _SLOTS_PER_SHOT   # beyond it the 64-bit counters wrap 
 _BLOCK = 2 ** 15   # shots per block: a float64 per-shot temporary is 256 KB
 _OUTPUT_BYTES_PER_SHOT = 24   # parity, outcome index and phase, 8 bytes each
 _MAX_SHOTS = int(np.finfo(float).max)   # largest shot count that converts to a float
+_MAX_THRESHOLD_CLASS = 8   # largest parity class (4 ions) tallied by thresholds, 15 of them
 
 
 @dataclass(frozen=True)
@@ -90,6 +99,28 @@ class _Run:
     noise: NoiseModel
     patterns: np.ndarray          # spin pattern per class slot: the odd patterns, then the even
 
+    @property
+    def n_class(self) -> int:
+        """Spin patterns per parity class."""
+        return len(self.patterns) // 2
+
+    def slot_counts(self) -> np.ndarray:
+        """Shots per class slot.
+
+        A noise-free run counts its outcome bits against exact thresholds; a
+        noisy one maps its shots block by block in buffers it reuses. Both
+        give the counts of the per-shot mapping that blocks() regenerates.
+        """
+        phase = self._common_phase()
+        if phase is None:
+            return self._mapped_counts()
+        if self.n_class <= _MAX_THRESHOLD_CLASS:
+            return self._threshold_counts(self._p_even(phase))
+        counts = np.zeros(2 * self.n_class, dtype=np.int64)
+        for _, _, _, _, slot in self.blocks():   # more thresholds than a count is worth
+            counts += np.bincount(slot, minlength=len(counts))
+        return counts
+
     def blocks(self) -> Iterator[tuple[int, int, float | np.ndarray, np.ndarray, np.ndarray]]:
         """Yield (lo, hi, phase, even, slot) for each block of shots [lo, hi).
 
@@ -97,47 +128,192 @@ class _Run:
         otherwise; slot indexes self.patterns. A per-shot phase that is not
         finite is a ConfigurationError.
         """
-        plan = self.plan
-        phase = None   # drawn per shot when there is gradient noise
-        if not self.noise.gradient_rms > 0:   # every shot accumulates the same phase
-            phase = self.probe.phase + self.base_rate * plan.interaction_time
-            _check_phases(phase)
-        for lo in range(0, plan.shots, _BLOCK):
-            hi = min(lo + _BLOCK, plan.shots)
+        phase = self._common_phase()
+        for lo in range(0, self.plan.shots, _BLOCK):
+            hi = min(lo + _BLOCK, self.plan.shots)
             # one call per block, so no block's temporaries outlive it
             yield (lo, hi, *self._block(lo, hi, phase))
 
     def _block(self, lo: int, hi: int, phase: float | None,
                ) -> tuple[float | np.ndarray, np.ndarray, np.ndarray]:
-        plan, probe, noise = self.plan, self.probe, self.noise
         shot = np.arange(lo, hi, dtype=np.uint64) * np.uint64(_SLOTS_PER_SHOT)
         if phase is None:
-            phase = rng.gaussian(plan.rng_seed, shot + np.uint64(2), shot + np.uint64(3))
-            with np.errstate(over="ignore", invalid="ignore"):   # checked just below
-                # phase + (base + gyro * (rms * g) * coupling) * t, one step at a
-                # time in place, in the order that keeps every bit
-                phase *= noise.gradient_rms
-                phase *= self.zeeman.gyromagnetic_ratio
-                phase *= probe.gradient_coupling
-                phase += self.base_rate
-                phase *= plan.interaction_time
-                phase += probe.phase
-            _check_phases(phase)
-        p_even = 0.5 * (1.0 + probe.contrast * noise.contrast
-                        * np.cos(phase + plan.bias_phase))
-        draw = rng.uniform(plan.rng_seed, shot + np.uint64(4))
+            phase = self._noisy_phases(shot + np.uint64(2), shot + np.uint64(3))
+        p_even = self._p_even(phase)
+        draw = rng.uniform(self.plan.rng_seed, shot + np.uint64(4))
+        return phase, draw < p_even, _slots(draw, p_even, self.n_class)
 
-        # Map a shot's outcome uniform onto a concrete spin pattern: the 2^(N-1)
-        # even patterns share [0, p_even), the 2^(N-1) odd ones [p_even, 1]; a
-        # zero-width class (p_even = 1, draw = 1.0) takes its first pattern.
-        n_class = len(self.patterns) // 2   # patterns per parity class
-        even = draw < p_even
-        lower = np.where(even, 0.0, p_even)
-        width = np.where(even, p_even, 1.0 - p_even)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            frac = np.where(width > 0, (draw - lower) / width, 0.0)
-        k = np.minimum((frac * n_class).astype(np.int64), n_class - 1)
-        return phase, even, k + n_class * even
+    def _common_phase(self) -> float | None:
+        """The phase of every shot of a noise-free run; None when gradient noise draws it per shot."""
+        if self.noise.gradient_rms > 0:
+            return None
+        phase = self.probe.phase + self.base_rate * self.plan.interaction_time
+        _check_phases(phase)
+        return phase
+
+    def _noisy_phases(self, counter_a: np.ndarray, counter_b: np.ndarray,
+                      out: np.ndarray | None = None, work: np.ndarray | None = None,
+                      ) -> np.ndarray:
+        """Per-shot phases from the gradient Gaussian on two counter slots (see rng.gaussian)."""
+        plan, probe = self.plan, self.probe
+        phase = rng.gaussian(plan.rng_seed, counter_a, counter_b, out, work)
+        with np.errstate(over="ignore", invalid="ignore"):   # checked just below
+            # phase + (base + gyro * (rms * g) * coupling) * t, one step at a
+            # time in place, in the order that keeps every bit
+            phase *= self.noise.gradient_rms
+            phase *= self.zeeman.gyromagnetic_ratio
+            phase *= probe.gradient_coupling
+            phase += self.base_rate
+            phase *= plan.interaction_time
+            phase += probe.phase
+        _check_phases(phase)
+        return phase
+
+    def _p_even(self, phase, out: np.ndarray | None = None):
+        """Even-parity probability 0.5 (1 + C cos(phase + bias)); in place in out when given."""
+        p = np.cos(np.add(phase, self.plan.bias_phase, out=out), out=out)
+        p *= self.probe.contrast * self.noise.contrast
+        p += 1.0
+        p *= 0.5
+        return p
+
+    def _threshold_counts(self, p_even: float) -> np.ndarray:
+        """Slot counts of a noise-free run, from its outcome integers and exact thresholds."""
+        plan, n = self.plan, self.n_class
+        thresholds = np.array(_thresholds(p_even, n), dtype=np.uint64)
+        m = min(plan.shots, _BLOCK)
+        counter = np.arange(4, _SLOTS_PER_SHOT * m, _SLOTS_PER_SHOT, dtype=np.uint64)
+        bits = np.empty(m, dtype=np.uint64)
+        below = np.zeros(len(thresholds), dtype=np.int64)   # shots of rank < r, r = 1 .. 2n - 1
+        for lo in range(0, plan.shots, _BLOCK):
+            k = min(_BLOCK, plan.shots - lo)
+            below += _count_below(rng.uniform_bits(plan.rng_seed, counter[:k], bits[:k]),
+                                  thresholds)
+            counter += np.uint64(_SLOTS_PER_SHOT * _BLOCK)
+        edges = [0, *below.tolist(), plan.shots]
+        ranks = [hi - lo for lo, hi in zip(edges, edges[1:])]
+        return np.array(ranks[n:] + ranks[:n], dtype=np.int64)   # the odd slots come first
+
+    def _mapped_counts(self) -> np.ndarray:
+        """Slot counts of a noisy run, mapped per shot in buffers reused from block to block."""
+        plan, n_class = self.plan, self.n_class
+        m = min(plan.shots, _BLOCK)
+        first = np.arange(m, dtype=np.uint64) * np.uint64(_SLOTS_PER_SHOT)
+        buffers = (np.empty(m), np.empty(m), np.empty(m), np.empty(m, dtype=bool),
+                   np.empty(m, dtype=bool))
+        counts = np.zeros(2 * n_class, dtype=np.int64)
+        for lo in range(0, plan.shots, _BLOCK):
+            k = min(_BLOCK, plan.shots - lo)
+            p, draw, *work = (b[:k] for b in buffers)
+            shot = first[:k]
+            # each counter is written where its draw will land
+            np.add(shot, np.uint64(2), out=p.view(np.uint64))
+            np.add(shot, np.uint64(3), out=draw.view(np.uint64))
+            self._p_even(self._noisy_phases(p.view(np.uint64), draw.view(np.uint64), p, draw),
+                         out=p)
+            np.add(shot, np.uint64(4), out=draw.view(np.uint64))
+            rng.uniform(plan.rng_seed, draw.view(np.uint64), draw)
+            counts += np.bincount(_slots_in_place(draw, p, n_class, *work),
+                                  minlength=len(counts))
+            first += np.uint64(_SLOTS_PER_SHOT * _BLOCK)
+        return counts
+
+
+def _slots(draw: np.ndarray, p_even, n_class: int) -> np.ndarray:
+    """Class slot of each outcome uniform: k in its parity class, plus n_class if even.
+
+    The 2^(N-1) even patterns share [0, p_even), the 2^(N-1) odd ones
+    [p_even, 1]; a zero-width class (p_even = 1, draw = 1.0) takes its first
+    pattern. Every float step is monotone, so the rank of a slot (even k is
+    rank k, odd k rank n_class + k) never falls as the draw grows.
+    """
+    even = draw < p_even
+    lower = np.where(even, 0.0, p_even)
+    width = np.where(even, p_even, 1.0 - p_even)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        frac = np.where(width > 0, (draw - lower) / width, 0.0)
+    k = np.minimum((frac * n_class).astype(np.int64), n_class - 1)
+    return k + n_class * even
+
+
+def _slots_in_place(draw: np.ndarray, p_even: np.ndarray, n_class: int, tmp: np.ndarray,
+                    even: np.ndarray, odd: np.ndarray) -> np.ndarray:
+    """_slots without selects, in the caller's float64 and bool buffers; draw and p_even are spent.
+
+    A 0/1 class mask stands in for each select, and that is exact for the
+    finite p_even >= 0 here: p * 0.0 = 0.0, d - 0.0 = d and x + 0.0 = x.
+    Returns the slots as an int64 view of tmp.
+    """
+    np.less(draw, p_even, out=even)
+    np.logical_not(even, out=odd)
+    lower = np.multiply(p_even, odd, out=tmp)   # 0.0 or p
+    draw -= lower
+    width = p_even
+    width *= even
+    width += odd                                # upper end: p or 1.0
+    width -= lower                              # p or 1.0 - p
+    # a zero width (p_even = 1, draw = 1.0) has a zero numerator, and every
+    # other width is at least the draw spacing 2^-53, which it leaves as is
+    np.maximum(width, 2.0 ** -53, out=width)
+    draw /= width
+    draw *= n_class
+    slot = tmp.view(np.int64)
+    np.copyto(slot, draw, casting="unsafe")     # truncates, as astype does
+    np.minimum(slot, n_class - 1, out=slot)
+    class_base = width.view(np.int64)
+    np.multiply(even, n_class, out=class_base)
+    slot += class_base
+    return slot
+
+
+def _count_below(bits: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
+    """Number of outcome integers below each of the sorted thresholds."""
+    if len(bits) < 128 * len(thresholds):   # few: one sort costs less than a pass per threshold
+        return np.searchsorted(np.sort(bits), thresholds)
+    return np.array([np.count_nonzero(bits < t) for t in thresholds.tolist()])
+
+
+def _thresholds(p_even: float, n_class: int) -> list[int]:
+    """T_r = min{b : rank(b) >= r} for r = 1 .. 2 n_class - 1 at one p_even.
+
+    b is a draw's 53-bit integer (see rng.bits_to_uniform) and rank(b) is
+    _rank; T_r = 2^53 when no draw reaches rank r. The ranks never fall as b
+    grows, so a search that keeps rank(lo) < r <= rank(hi) is exact: it
+    starts from the real-arithmetic boundary, gallops out until the pair
+    brackets T_r, then bisects.
+    """
+    p, top = float(p_even), 2 ** 53
+    thresholds = []
+    for r in range(1, 2 * n_class):
+        hi, step = _guess(r, p, n_class), 1
+        lo = hi - 1
+        while hi < top and _rank(hi, p, n_class) < r:   # rank(top) is taken as infinite
+            lo, hi, step = hi, min(hi + step, top), 2 * step
+        while lo >= 0 and _rank(lo, p, n_class) >= r:   # and rank(-1) as below every r
+            lo, hi, step = max(lo - step, -1), lo, 2 * step
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (lo, mid) if _rank(mid, p, n_class) >= r else (mid, hi)
+        thresholds.append(hi)
+    return thresholds
+
+
+def _guess(r: int, p: float, n_class: int) -> int:
+    """The b in [0, 2^53] whose draw is the first to reach rank r in real arithmetic."""
+    edge = (p * min(r, n_class) + (1.0 - p) * max(r - n_class, 0)) / n_class
+    return min(max(math.ceil(edge * 2.0 ** 53) - 1, 0), 2 ** 53)
+
+
+def _rank(b: int, p: float, n_class: int) -> int:
+    """_slots for the single draw (b + 1) 2^-53 in Python floats, as a rank: even slots first.
+
+    Python floats are the same IEEE doubles, and every step is the one _slots takes.
+    """
+    draw = (b + 1) * 2.0 ** -53
+    if draw < p:
+        return min(int(draw / p * n_class), n_class - 1)
+    width = 1.0 - p
+    return n_class + (min(int((draw - p) / width * n_class), n_class - 1) if width > 0 else 0)
 
 
 @dataclass(frozen=True)
@@ -206,17 +382,22 @@ def simulate_shots(plan: ExperimentPlan, probe: ProbeState, zeeman: ZeemanConfig
 
     A per-shot phase that is not finite is a ConfigurationError.
     """
-    pattern_parity = outcome_parities(probe.n_ions)
     run = _Run(plan, probe, zeeman, phase_rate(probe, zeeman, field_at_ions), noise,
-               np.concatenate((np.flatnonzero(pattern_parity < 0),
-                               np.flatnonzero(pattern_parity > 0))))
-    slot_counts = np.zeros(len(run.patterns), dtype=np.int64)
-    for _, _, _, _, slot in run.blocks():
-        slot_counts += np.bincount(slot, minlength=len(slot_counts))
+               _slot_patterns(probe.n_ions))
+    slot_counts = run.slot_counts()
     pattern_counts = np.empty_like(slot_counts)
     pattern_counts[run.patterns] = slot_counts
     n_odd = int(slot_counts[:len(slot_counts) // 2].sum())   # the odd slots come first
     return ShotOutcomes(plan.shots, plan.shots - 2 * n_odd, pattern_counts, run)
+
+
+@lru_cache(maxsize=8)
+def _slot_patterns(n_ions: int) -> np.ndarray:
+    """Spin pattern per class slot, the odd patterns then the even; read-only, shared by runs."""
+    parity = outcome_parities(n_ions)
+    patterns = np.concatenate((np.flatnonzero(parity < 0), np.flatnonzero(parity > 0)))
+    patterns.flags.writeable = False
+    return patterns
 
 
 def _check_phases(phases) -> None:

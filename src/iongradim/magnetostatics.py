@@ -14,6 +14,7 @@ pair for one spin orientation and doubles it for the other.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .constants import Vec3, dot, norm
@@ -50,8 +51,12 @@ def dipole_field(source: DipoleSource, point: Vec3) -> Vec3:
     m_dot_rhat = dot(source.moment, rhat)
     direction = 3.0 * m_dot_rhat * rhat - source.moment
     try:
-        field = direction * (MU0_OVER_4PI / dist ** 3)
+        scale = MU0_OVER_4PI / dist ** 3
     except OverflowError:   # the cube passes the float range, beyond ~5.6e102 m
+        scale = 0.0
+    if scale >= sys.float_info.min:
+        field = direction * scale
+    else:   # a subnormal scale (beyond ~1.7e100 m) would drop bits: divide step by step
         field = Vec3(*(MU0_OVER_4PI * c / dist / dist / dist
                        for c in (direction.x, direction.y, direction.z)))
     _require_finite(dist, field.x, field.y, field.z)

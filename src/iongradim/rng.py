@@ -15,8 +15,11 @@ where mix is the standard SplitMix64 finalizer
 
 Counter 0 with seed 0 therefore reproduces the first output of the
 canonical sequentially-seeded SplitMix64 stream, 0xE220A8397B1DCDAF, which
-the test suite pins. Uniforms map the top 53 bits into (0, 1]; Gaussians
-use the Box-Muller transform on two counters.
+the test suite pins. Uniforms map the top 53 bits b to (b + 1) * 2^-53 in
+(0, 1], a map that is exact and strictly increasing in b; Gaussians use the
+Box-Muller transform on two counters. Every draw can be written into a
+caller's buffer (out=), so a caller that reuses its buffers allocates
+nothing per draw; the bits are the same either way.
 """
 
 from __future__ import annotations
@@ -27,36 +30,75 @@ GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 _U64_MASK = (1 << 64) - 1
+_UNIFORM_SHIFT = np.uint64(64 - 53)   # a uniform keeps the top 53 bits
 
 
-def _as_u64(x) -> np.ndarray:
-    return np.asarray(x, dtype=np.uint64)
+def splitmix64(seed: int, counter, out: np.ndarray | None = None) -> np.ndarray:
+    """Raw 64-bit output for the given counter(s). Vectorized over counter.
 
-
-def splitmix64(seed: int, counter) -> np.ndarray:
-    """Raw 64-bit output for the given counter(s). Vectorized over counter."""
-    n = _as_u64(counter)
-    with np.errstate(over="ignore"):   # mod-2^64 wraparound is the algorithm
-        z = np.uint64(seed & _U64_MASK) + (n + np.uint64(1)) * GOLDEN
-        z = z ^ (z >> np.uint64(30))
-        z = z * _MIX1
-        z = z ^ (z >> np.uint64(27))
-        z = z * _MIX2
-        z = z ^ (z >> np.uint64(31))
+    out, a uint64 array of the counter's shape, receives the outputs; it may
+    be the counter array itself. The mod-2^64 wraparound is the algorithm,
+    and numpy does not warn on it for arrays.
+    """
+    n = np.asarray(counter, dtype=np.uint64)
+    # state(n) = n * golden + (seed + golden), the same sum mod 2^64
+    z = np.multiply(n, GOLDEN, out=np.empty_like(n) if out is None else out)
+    z += np.uint64((seed + int(GOLDEN)) & _U64_MASK)
+    z ^= z >> np.uint64(30)
+    z *= _MIX1
+    z ^= z >> np.uint64(27)
+    z *= _MIX2
+    z ^= z >> np.uint64(31)
     return z
 
 
-def uniform(seed: int, counter) -> np.ndarray:
-    """Uniform draw(s) in (0, 1]: top 53 bits, offset to exclude exact zero."""
-    bits = splitmix64(seed, counter) >> np.uint64(11)
-    return (bits.astype(np.float64) + 1.0) * 2.0 ** -53
+def uniform_bits(seed: int, counter, out: np.ndarray | None = None) -> np.ndarray:
+    """The 53-bit integer(s) b behind uniform(seed, counter) = (b + 1) * 2^-53."""
+    bits = splitmix64(seed, counter, out)
+    bits >>= _UNIFORM_SHIFT
+    return bits
 
 
-def gaussian(seed: int, counter_a, counter_b) -> np.ndarray:
-    """Standard normal draw(s) via Box-Muller from two counter streams."""
-    u1 = uniform(seed, counter_a)
-    u2 = uniform(seed, counter_b)
-    return np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
+def bits_to_uniform(bits: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """(b + 1) * 2^-53 for 53-bit integer(s) b: exact, and strictly increasing in b.
+
+    out, a float64 array of the shape of bits, may share their memory.
+    """
+    u = np.add(bits, 1.0, out=out)
+    u *= 2.0 ** -53
+    return u
+
+
+def uniform(seed: int, counter, out: np.ndarray | None = None) -> np.ndarray:
+    """Uniform draw(s) in (0, 1]: top 53 bits, offset to exclude exact zero.
+
+    out, a float64 array of the counter's shape, receives the draws; it may
+    share the counter's memory.
+    """
+    if out is None:
+        bits = uniform_bits(seed, counter)
+        return bits_to_uniform(bits, bits.view(np.float64))
+    return bits_to_uniform(uniform_bits(seed, counter, out.view(np.uint64)), out)
+
+
+def gaussian(seed: int, counter_a, counter_b, out: np.ndarray | None = None,
+             work: np.ndarray | None = None) -> np.ndarray:
+    """Standard normal draw(s) via Box-Muller from two counter streams.
+
+    out receives the draws and work holds the second stream's uniforms:
+    float64 arrays of the counters' shape, each of which may share the
+    memory of its own counter.
+    """
+    u1 = uniform(seed, counter_a, out)
+    u2 = uniform(seed, counter_b, work)
+    # sqrt(-2 log u1) * cos(2 pi u2), in place
+    np.log(u1, out=u1)
+    u1 *= -2.0
+    np.sqrt(u1, out=u1)
+    u2 *= 2.0 * np.pi
+    np.cos(u2, out=u2)
+    u1 *= u2
+    return u1
 
 
 def derive_seed(seed: int, index: int) -> int:

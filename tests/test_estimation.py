@@ -4,10 +4,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from iongradim import rng
+from iongradim import estimation, rng
 from iongradim.constants import Vec3, constants
 from iongradim.errors import ConfigurationError, InfeasibleError
-from iongradim.estimation import (_BLOCK, ExperimentPlan, NoiseModel, analytic_snr,
+from iongradim.estimation import (_BLOCK, ExperimentPlan, NoiseModel, _count_below, _slots,
+                                  _slots_in_place, _thresholds, analytic_snr,
                                   dephasing_contrast, expected_parity, parity_estimate,
                                   required_shots, simulate_shots,
                                   spin_discrimination_snr)
@@ -237,6 +238,96 @@ def test_shot_count_bound_is_the_counter_range():
     assert ExperimentPlan(shots=2 ** 61, interaction_time=1.0).shots == 2 ** 61
     with pytest.raises(ConfigurationError, match=str(2 ** 61 + 1)):
         ExperimentPlan(shots=2 ** 61 + 1, interaction_time=1.0)
+
+
+@pytest.mark.parametrize("gradient_rms", [0.0, 5e-4])
+def test_small_run_memory_is_small(gradient_rms):
+    # a 10-shot run sizes its buffers to its shots, not to a block
+    peak, out = _peak_bytes(lambda: simulate_shots(*_memory_args(10, gradient_rms)))
+    assert peak <= 64 * 2 ** 10, peak
+    assert int(out.pattern_counts.sum()) == 10
+
+
+# ---------------------------------------------------------------------------
+# the two tally routes against the per-shot mapping
+
+TOP = 2 ** 53   # outcome integers b run over [0, 2^53); the draw is (b + 1) 2^-53
+P_EVEN_GRID = ([0.0, 2.0 ** -53, 0.5, 1.0 - 2.0 ** -53, 1.0]
+               + np.random.default_rng(71).random(20).tolist())
+
+
+def _mapped_ranks(bits, p_even, n_class):
+    """Rank of each outcome integer under the per-shot mapping: even slots first."""
+    return _slots(rng.bits_to_uniform(bits), np.float64(p_even), n_class) ^ n_class
+
+
+@pytest.mark.parametrize("n_ions", [2, 4])
+@pytest.mark.parametrize("p_even", P_EVEN_GRID)
+def test_threshold_counts_equal_the_per_shot_mapping(p_even, n_ions):
+    n_class = 2 ** (n_ions - 1)
+    thresholds = _thresholds(np.float64(p_even), n_class)
+    assert thresholds == sorted(thresholds) and 0 <= thresholds[0] and thresholds[-1] <= TOP
+    near = [t + d for t in thresholds for d in (-1, 0, 1) if 0 <= t + d < TOP]
+    seeded = np.random.default_rng(72).integers(0, TOP, 10_000, dtype=np.uint64)
+    bits = np.concatenate((np.array([0, TOP - 1, *near], dtype=np.uint64), seeded))
+    as_array = np.array(thresholds, dtype=np.uint64)
+    for sample in (bits, bits[:2 + len(near)]):   # a pass per threshold, and one sort
+        below = np.cumsum(np.bincount(_mapped_ranks(sample, p_even, n_class),
+                                      minlength=2 * n_class))[:-1]
+        assert np.array_equal(_count_below(sample, as_array), below)
+    # and each threshold is the first integer of its rank
+    for r, t in enumerate(thresholds, 1):
+        if t > 0:
+            assert _mapped_ranks(np.array([t - 1], dtype=np.uint64), p_even, n_class)[0] < r
+        if t < TOP:
+            assert _mapped_ranks(np.array([t], dtype=np.uint64), p_even, n_class)[0] >= r
+
+
+@pytest.mark.parametrize("miss", [lambda guess: 0, lambda guess: TOP,
+                                  lambda guess: guess + 12_345, lambda guess: guess - 3])
+def test_threshold_search_is_exact_from_a_missed_guess(monkeypatch, miss):
+    # a start that does not bracket the threshold gallops out and bisects to the same one
+    cases = [(np.float64(p), n_class) for p in P_EVEN_GRID for n_class in (2, 8)]
+    want = [_thresholds(p, n_class) for p, n_class in cases]
+    guess = estimation._guess
+    monkeypatch.setattr(estimation, "_guess", lambda r, p, n: min(max(miss(guess(r, p, n)), 0),
+                                                                  TOP))
+    assert [_thresholds(p, n_class) for p, n_class in cases] == want
+
+
+def test_select_free_mapping_equals_the_per_shot_mapping():
+    # every p_even edge against draws at, just below and just above it, and at 1.0
+    gen = np.random.default_rng(73)
+    p_values = np.array(P_EVEN_GRID + [2.0 ** -1074, 0.25])
+    p = np.repeat(p_values, 6)
+    draw = np.clip(np.stack([np.nextafter(p_values, 0.0), p_values, np.nextafter(p_values, 2.0),
+                             np.full_like(p_values, 2.0 ** -53), np.ones_like(p_values),
+                             gen.random(len(p_values))], axis=1).ravel(), 2.0 ** -53, 1.0)
+    draw = np.concatenate((draw, gen.random(10_000)))
+    p = np.concatenate((p, gen.random(10_000)))
+    for n_class in (2, 8):
+        want = _slots(draw, p, n_class)
+        work = (np.empty(len(p)), np.empty(len(p), dtype=bool), np.empty(len(p), dtype=bool))
+        got = _slots_in_place(draw.copy(), p.copy(), n_class, *work)
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("kind, n_ions", [(BELL, 2), (GHZ, 4)])
+@pytest.mark.parametrize("bias, t, gradient_rms", [
+    pytest.param(0.0, 0.0, 0.0, id="p_even=1"),
+    pytest.param(math.pi, 0.0, 0.0, id="p_even=0"),
+    pytest.param(0.9, 0.01, 0.0, id="noise-free"),
+    pytest.param(0.9, 0.01, 5e-4, id="gradient-noise"),
+])
+def test_tally_equals_the_regenerated_shots(kind, n_ions, bias, t, gradient_rms):
+    # a full block and a short last one, tallied, against the shots read back
+    probe = prepare_probe(kind, tuple(Vec3(0, 0, k * SPACING) for k in range(n_ions)), 1.0)
+    out = simulate_shots(plan(shots=_BLOCK + 17, t=t, bias=bias, seed=9), probe, ZEE,
+                         tuple(1e-12 * k for k in range(n_ions)),
+                         NoiseModel(gradient_rms=gradient_rms))
+    assert out.parity_sum == int(out.parities.sum())
+    assert np.array_equal(out.pattern_counts, np.bincount(out.outcome_indices,
+                                                          minlength=2 ** n_ions))
 
 
 def test_field_count_mismatch():

@@ -1,11 +1,13 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from iongradim.constants import Vec3, constants, norm
 from iongradim.errors import ConfigurationError, FieldSingularityError
-from iongradim.magnetostatics import (DipoleSource, axial_bz, compensation_gradient,
-                                      differential_field, dipole_field,
-                                      total_differential_field)
+from iongradim.magnetostatics import (MU0_OVER_4PI, DipoleSource, axial_bz,
+                                      compensation_gradient, differential_field,
+                                      dipole_field, total_differential_field)
 
 MU_B = constants().bohr_magneton
 MU_E = abs(constants().electron_magnetic_moment)
@@ -199,10 +201,9 @@ CUBE_LIMIT = float(np.finfo(float).max) ** (1.0 / 3.0)
     lambda src, d: axial_bz(src, d),
 ], ids=["dipole_field", "axial_bz"])
 def test_field_beyond_the_cube_limit_is_finite_and_follows_r3(evaluate, dist):
-    # rel 1e-8: below the limit dipole_field's factor mu0/4pi / dist^3 is subnormal
     moment = 1e300
     bz = evaluate(z_dipole(moment=moment), dist)
-    assert bz == pytest.approx(2e-7 * moment / dist / dist / dist, rel=1e-8, abs=0.0)
+    assert bz == pytest.approx(2e-7 * moment / dist / dist / dist, rel=1e-15, abs=0.0)
     assert (dist < CUBE_LIMIT) == (dist == 5.6e102)   # both sides of the overflow point
 
 
@@ -213,3 +214,18 @@ def test_field_beyond_the_cube_limit_hand_value_and_underflow():
         2e-16, rel=1e-14, abs=0.0)
     assert axial_bz(z_dipole(), 1e200) == 0.0
     assert dipole_field(z_dipole(), Vec3(0.0, 1e200, 0.0)) == Vec3(0.0, 0.0, 0.0)
+
+
+@pytest.mark.parametrize("dist", [1e101, 5.6e102])
+@pytest.mark.parametrize("evaluate", [
+    lambda src, d: dipole_field(src, Vec3(0.0, 0.0, d)).z,
+    lambda src, d: axial_bz(src, d),
+], ids=["dipole_field", "axial_bz"])
+def test_field_where_the_scale_is_subnormal_keeps_full_precision(evaluate, dist):
+    # from ~1.7e100 m to the cube limit mu0/4pi / dist^3 is subnormal; a field
+    # scaled by it kept only 27-44 bits, so the distance is divided out step by step
+    moment = 1e300
+    exact = 2 * Fraction(MU0_OVER_4PI) * Fraction(moment) / Fraction(dist) ** 3
+    assert MU0_OVER_4PI / dist ** 3 < np.finfo(float).tiny
+    bz = evaluate(z_dipole(moment=moment), dist)
+    assert abs(Fraction(bz) - exact) <= Fraction(1e-15) * exact
