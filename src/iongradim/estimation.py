@@ -48,7 +48,6 @@ _SHOT_LIMIT = 2 ** 64 // _SLOTS_PER_SHOT   # beyond it the 64-bit counters wrap 
 _BLOCK = 2 ** 15   # shots per block: a float64 per-shot temporary is 256 KB
 _OUTPUT_BYTES_PER_SHOT = 24   # parity, outcome index and phase, 8 bytes each
 _MAX_SHOTS = int(np.finfo(float).max)   # largest shot count that converts to a float
-_MAX_THRESHOLD_CLASS = 8   # largest parity class (4 ions) tallied by thresholds, 15 of them
 
 
 @dataclass(frozen=True)
@@ -114,12 +113,7 @@ class _Run:
         phase = self._common_phase()
         if phase is None:
             return self._mapped_counts()
-        if self.n_class <= _MAX_THRESHOLD_CLASS:
-            return self._threshold_counts(self._p_even(phase))
-        counts = np.zeros(2 * self.n_class, dtype=np.int64)
-        for _, _, _, _, slot in self.blocks():   # more thresholds than a count is worth
-            counts += np.bincount(slot, minlength=len(counts))
-        return counts
+        return self._threshold_counts(self._p_even(phase))
 
     def blocks(self) -> Iterator[tuple[int, int, float | np.ndarray, np.ndarray, np.ndarray]]:
         """Yield (lo, hi, phase, even, slot) for each block of shots [lo, hi).

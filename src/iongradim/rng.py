@@ -36,9 +36,10 @@ _UNIFORM_SHIFT = np.uint64(64 - 53)   # a uniform keeps the top 53 bits
 def splitmix64(seed: int, counter, out: np.ndarray | None = None) -> np.ndarray:
     """Raw 64-bit output for the given counter(s). Vectorized over counter.
 
-    out, a uint64 array of the counter's shape, receives the outputs; it may
-    be the counter array itself. The mod-2^64 wraparound is the algorithm,
-    and numpy does not warn on it for arrays.
+    out, a uint64 array of the counter's shape, receives the outputs and is
+    returned; it may be the counter array itself. Without out, a scalar
+    counter gives a scalar. The mod-2^64 wraparound is the algorithm, and
+    numpy does not warn on it for arrays.
     """
     n = np.asarray(counter, dtype=np.uint64)
     # state(n) = n * golden + (seed + golden), the same sum mod 2^64
@@ -49,7 +50,7 @@ def splitmix64(seed: int, counter, out: np.ndarray | None = None) -> np.ndarray:
     z ^= z >> np.uint64(27)
     z *= _MIX2
     z ^= z >> np.uint64(31)
-    return z
+    return _returned(z, out)
 
 
 def uniform_bits(seed: int, counter, out: np.ndarray | None = None) -> np.ndarray:
@@ -75,10 +76,10 @@ def uniform(seed: int, counter, out: np.ndarray | None = None) -> np.ndarray:
     out, a float64 array of the counter's shape, receives the draws; it may
     share the counter's memory.
     """
-    if out is None:
-        bits = uniform_bits(seed, counter)
-        return bits_to_uniform(bits, bits.view(np.float64))
-    return bits_to_uniform(uniform_bits(seed, counter, out.view(np.uint64)), out)
+    n = np.asarray(counter, dtype=np.uint64)
+    u = np.empty(n.shape) if out is None else out
+    bits_to_uniform(uniform_bits(seed, n, u.view(np.uint64)), u)
+    return _returned(u, out)
 
 
 def gaussian(seed: int, counter_a, counter_b, out: np.ndarray | None = None,
@@ -89,8 +90,9 @@ def gaussian(seed: int, counter_a, counter_b, out: np.ndarray | None = None,
     float64 arrays of the counters' shape, each of which may share the
     memory of its own counter.
     """
-    u1 = uniform(seed, counter_a, out)
-    u2 = uniform(seed, counter_b, work)
+    shape = np.shape(counter_a)
+    u1 = uniform(seed, counter_a, np.empty(shape) if out is None else out)
+    u2 = uniform(seed, counter_b, np.empty(shape) if work is None else work)
     # sqrt(-2 log u1) * cos(2 pi u2), in place
     np.log(u1, out=u1)
     u1 *= -2.0
@@ -98,7 +100,12 @@ def gaussian(seed: int, counter_a, counter_b, out: np.ndarray | None = None,
     u2 *= 2.0 * np.pi
     np.cos(u2, out=u2)
     u1 *= u2
-    return u1
+    return _returned(u1, out)
+
+
+def _returned(draws: np.ndarray, out: np.ndarray | None) -> np.ndarray:
+    """out itself when the caller gave it; otherwise the draws, a scalar for a scalar counter."""
+    return draws if out is not None else draws[()]
 
 
 def derive_seed(seed: int, index: int) -> int:

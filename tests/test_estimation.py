@@ -312,7 +312,7 @@ def test_select_free_mapping_equals_the_per_shot_mapping():
         assert np.array_equal(got, want)
 
 
-@pytest.mark.parametrize("kind, n_ions", [(BELL, 2), (GHZ, 4)])
+@pytest.mark.parametrize("kind, n_ions", [(BELL, 2), (GHZ, 4), (GHZ, 6)])
 @pytest.mark.parametrize("bias, t, gradient_rms", [
     pytest.param(0.0, 0.0, 0.0, id="p_even=1"),
     pytest.param(math.pi, 0.0, 0.0, id="p_even=0"),
@@ -321,7 +321,9 @@ def test_select_free_mapping_equals_the_per_shot_mapping():
 ])
 def test_tally_equals_the_regenerated_shots(kind, n_ions, bias, t, gradient_rms):
     # a full block and a short last one, tallied, against the shots read back
-    probe = prepare_probe(kind, tuple(Vec3(0, 0, k * SPACING) for k in range(n_ions)), 1.0)
+    pattern = (0.5, -0.5) * (n_ions // 2)   # explicit for 6 ions, which have no default
+    probe = prepare_probe(kind, tuple(Vec3(0, 0, k * SPACING) for k in range(n_ions)), 1.0,
+                          (pattern, tuple(-w for w in pattern)) if n_ions == 6 else None)
     out = simulate_shots(plan(shots=_BLOCK + 17, t=t, bias=bias, seed=9), probe, ZEE,
                          tuple(1e-12 * k for k in range(n_ions)),
                          NoiseModel(gradient_rms=gradient_rms))

@@ -116,3 +116,13 @@ def test_uniform_is_its_bits_mapped_exactly_and_increasingly():
     counters = np.arange(50, dtype=np.uint64)
     assert np.array_equal(rng.uniform(8, counters),
                           rng.bits_to_uniform(rng.uniform_bits(8, counters)))
+
+
+def test_scalar_counters_give_scalars():
+    assert type(rng.splitmix64(0, 0)) is np.uint64
+    assert type(rng.uniform_bits(0, 0)) is np.uint64
+    assert type(rng.uniform(3, 5)) is np.float64
+    assert type(rng.gaussian(3, 5, 6)) is np.float64
+    assert rng.uniform(3, 5) == rng.uniform(3, np.arange(6, dtype=np.uint64))[5]
+    assert rng.gaussian(3, 5, 6) == rng.gaussian(3, np.array([5], dtype=np.uint64),
+                                                 np.array([6], dtype=np.uint64))[0]
