@@ -428,7 +428,11 @@ def execute(run: RunConfig) -> ResultBundle:
 # output formatting
 
 def format_number(value) -> str:
-    """Numbers formatted to re-parse within 1 ulp of the 16th significant digit."""
+    """A number in 16 significant digits, off by at most half a unit in the 16th.
+
+    Parsed back, it is within a relative 6e-16 of the value but not always
+    the same float: some doubles need 17 digits (0.1 + 0.2 reads back as 0.3).
+    """
     if isinstance(value, bool):
         return "on" if value else "off"
     if isinstance(value, (int, np.integer)):
@@ -442,6 +446,27 @@ def _csv_cell(value) -> str:
             return '"' + value.replace('"', '""') + '"'
         return value
     return format_number(value)
+
+
+# The str.format field that writes a cell of this exact type as format_number does;
+# any other type (str, bool, other numpy scalars) goes through _csv_cell.
+_CELL_FIELDS = {float: "{:.15e}", np.float64: "{:.15e}", int: "{:d}", np.int64: "{:d}"}
+
+
+def _row_lines(rows, sep: str):
+    """Each row as sep.join(map(_csv_cell, row)) would write it.
+
+    Rows are formatted by one str.format template per run of rows that share
+    their cell types, so the common all-number row skips the per-cell checks.
+    """
+    types = template = None
+    for row in rows:
+        row_types = tuple(map(type, row))
+        if row_types != types:
+            types = row_types
+            fields = [_CELL_FIELDS.get(t) for t in types]
+            template = None if None in fields else sep.join(fields).format
+        yield template(*row) if template else sep.join(map(_csv_cell, row))
 
 
 def _preamble(bundle: ResultBundle) -> list[str]:
@@ -463,7 +488,7 @@ def emit(bundle: ResultBundle, output_format: str, out_dir: str | Path) -> list[
         for table in bundle.tables:
             path = out / f"{table.name}.csv"
             lines = [bundle.header, ",".join(table.columns)]
-            lines.extend(",".join(_csv_cell(cell) for cell in row) for row in table.rows)
+            lines.extend(_row_lines(table.rows, ","))
             path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
             written.append(path)
         written.append(_write_provenance(bundle, out))
@@ -472,8 +497,7 @@ def emit(bundle: ResultBundle, output_format: str, out_dir: str | Path) -> list[
         for table in bundle.tables:
             lines.append(f"[{table.name}]")
             lines.append("  " + "  ".join(table.columns))
-            for row in table.rows:
-                lines.append("  " + "  ".join(_csv_cell(cell) for cell in row))
+            lines.extend("  " + line for line in _row_lines(table.rows, "  "))
             lines.append("")
         lines.append("config echo:")
         lines.extend("  " + line for line in bundle.config_echo.splitlines())
@@ -513,6 +537,9 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = _build_parser()   # argparse keeps no state between parse_args calls
+
+
 def _configure_logging() -> None:
     level_name = os.environ.get("IONGRADIM_LOG", "WARNING").upper()
     level = getattr(logging, level_name, None)
@@ -524,7 +551,7 @@ def _configure_logging() -> None:
 def main(argv: list[str] | None = None) -> int:
     _configure_logging()
     try:
-        args = _build_parser().parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:   # argparse has printed the help or the usage error
         return EXIT_OK if exc.code == 0 else EXIT_CONFIG
     try:

@@ -114,21 +114,25 @@ def equilibrium_positions(n_ions: int, trap: TrapConfig) -> CrystalGeometry:
     # Uniform symmetric guess; the 2/n^(1/3) pitch tracks the true inner
     # spacing well enough for Newton to converge in a handful of steps.
     u = (np.arange(n_ions) - (n_ions - 1) / 2.0) * (2.0 / n_ions ** (1.0 / 3.0))
-    residual = float(np.max(np.abs(_net_forces(u))))
+    forces = _net_forces(u)
+    residual = float(np.max(np.abs(forces)))
     for iteration in range(_NEWTON_CAP):
         if residual < _RESIDUAL_TOL:
             break
-        step = np.linalg.solve(_jacobian(u), _net_forces(u))
+        step = np.linalg.solve(_jacobian(u), forces)
         scale = 1.0
         for _ in range(60):
             trial = u - scale * step
             if np.all(np.diff(trial) > 0):
-                trial_residual = float(np.max(np.abs(_net_forces(trial))))
-                if trial_residual < residual:
+                trial_forces = _net_forces(trial)
+                if float(np.max(np.abs(trial_forces))) < residual:
                     break
             scale *= 0.5
-        u = u - scale * step
-        residual = float(np.max(np.abs(_net_forces(u))))
+        else:   # no halving lowered the residual: take the smallest step regardless
+            trial = u - scale * step
+            trial_forces = _net_forces(trial)
+        u, forces = trial, trial_forces
+        residual = float(np.max(np.abs(forces)))
     else:
         raise SolverError(f"equilibrium solve for {n_ions} ions did not converge", residual)
     log.debug("equilibrium n=%d converged: residual %.2e after %d iterations",

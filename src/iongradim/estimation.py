@@ -27,6 +27,7 @@ in buffers that the run reuses from block to block.
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache
 from typing import Iterator, Sequence
@@ -48,6 +49,7 @@ _SHOT_LIMIT = 2 ** 64 // _SLOTS_PER_SHOT   # beyond it the 64-bit counters wrap 
 _BLOCK = 2 ** 15   # shots per block: a float64 per-shot temporary is 256 KB
 _OUTPUT_BYTES_PER_SHOT = 24   # parity, outcome index and phase, 8 bytes each
 _MAX_SHOTS = int(np.finfo(float).max)   # largest shot count that converts to a float
+_TWO_BITS = struct.unpack("<q", struct.pack("<d", 2.0))[0]   # bit pattern of a swing of 2
 
 
 @dataclass(frozen=True)
@@ -457,6 +459,29 @@ def analytic_snr(shots: int, parity_swing: float) -> float:
     else:
         variance = (1.0 - p * p) / shots
     return parity_swing / math.sqrt(2.0 * variance) if variance != 0 else math.inf
+
+
+def swing_threshold(shots: int, target_snr: float) -> float:
+    """Smallest parity swing below 2 whose analytic SNR meets target_snr > 0; inf if none.
+
+    Below a swing of 2, analytic_snr is non-decreasing in the swing, since
+    every float step in it is monotone; so for any swing s < 2,
+    analytic_snr(shots, s) >= target_snr exactly when s >= the threshold.
+    Nonnegative floats order like their bit patterns, so bisecting the
+    patterns below 2.0 finds the threshold in 62 calls of analytic_snr.
+    """
+    low, high = 0, _TWO_BITS   # a swing of 0 reaches no target > 0; 2.0 is not searched
+    while high - low > 1:
+        mid = (low + high) // 2
+        if analytic_snr(shots, _float_from_bits(mid)) >= target_snr:
+            high = mid
+        else:
+            low = mid
+    return _float_from_bits(high) if high < _TWO_BITS else math.inf
+
+
+def _float_from_bits(bits: int) -> float:
+    return struct.unpack("<d", struct.pack("<q", bits))[0]
 
 
 def required_shots(target_snr: float, parity_swing: float) -> int:

@@ -230,9 +230,12 @@ class ParityRecord(NamedTuple):
 
 def parity_trajectory(rate: float, contrast: float, t_max: float,
                       n_points: int = _TRAJECTORY_POINTS) -> tuple[ParityRecord, ...]:
-    """Parity contrast * cos(rate * t) at n_points even times from 0 to t_max."""
-    records = []
-    for t in np.linspace(0.0, t_max, n_points).tolist():
-        phase = accumulated_phase(rate, t)
-        records.append(ParityRecord(time=t, phase=phase, parity=contrast * math.cos(phase)))
-    return tuple(records)
+    """Parity contrast * cos(rate * t) at n_points even times from 0 to t_max.
+
+    The times grow in magnitude and end exactly at t_max, and a float product
+    rounds monotonically, so the last phase is the largest: one guard on it
+    covers every point.
+    """
+    times = np.linspace(0.0, t_max, n_points).tolist()
+    accumulated_phase(rate, times[-1] if times else 0.0)
+    return tuple([ParityRecord(t, rate * t, contrast * math.cos(rate * t)) for t in times])

@@ -26,7 +26,7 @@ from .constants import Vec3, constants
 from .crystal import TrapConfig, equilibrium_positions, spacing
 from .errors import ConfigurationError, InfeasibleError
 from .estimation import (ExperimentPlan, NoiseModel, analytic_snr, required_shots,
-                         spin_discrimination_snr)
+                         spin_discrimination_snr, swing_threshold)
 from .magnetostatics import (DipoleSource, axial_bz, compensation_gradient,
                              differential_field, total_differential_field)
 from .protocol import (BELL, GHZ, PAIR_WEIGHTS, ParityRecord, ZeemanConfig,
@@ -355,10 +355,13 @@ def run_double_well(config: ScenarioConfig) -> ScenarioReport:
     rate_unit = phase_rate(probe, config.zeeman, (0.0, delta_b_for(1)))
     # The scan's phase grows with k: its last step must fit a float, so no step overflows.
     accumulated_phase(0.5 * _MAX_SCAN_DELTA_N * rate_unit, t)
+    # Below a swing of 2 the SNR test is a comparison with one exact threshold.
+    threshold = swing_threshold(config.plan.shots, config.target_snr)
     min_detectable = math.inf
     for k in range(1, _MAX_SCAN_DELTA_N + 1):
         swing_k = 2.0 * contrast * abs(math.sin(0.5 * k * rate_unit * t))
-        if analytic_snr(config.plan.shots, swing_k) >= config.target_snr:
+        if (swing_k >= threshold if swing_k < 2.0
+                else analytic_snr(config.plan.shots, swing_k) >= config.target_snr):
             min_detectable = float(k)
             break
 

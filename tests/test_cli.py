@@ -1,9 +1,12 @@
 import math
+import random
 import tracemalloc
 
+import numpy as np
 import pytest
 
-from iongradim.cli import (ConfigFileError, RunConfig, config_hash, emit, execute, main,
+from iongradim.cli import (ConfigFileError, ResultBundle, RunConfig, Table, _csv_cell,
+                           _preamble, config_hash, emit, execute, format_number, main,
                            normalized_config, parse_config)
 from iongradim.errors import ConfigurationError
 
@@ -174,6 +177,76 @@ def test_emitted_files_byte_identical_between_runs(tmp_path):
     assert files_a == files_b and files_a
     for name in files_a:
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+
+
+def test_printed_numbers_reparse_within_half_a_unit_in_the_16th_digit():
+    bits = np.random.default_rng(11).integers(0, 2 ** 63, size=100_000, dtype=np.int64)
+    values = bits.view(np.float64)
+    values = values[np.isfinite(values) & (values != 0)].tolist()
+    worst = max(abs(float(format_number(v)) - v) / v for v in values)
+    assert worst <= 6e-16
+    # 16 digits are not always enough to give back the same float
+    assert float(format_number(0.1 + 0.2)) != 0.1 + 0.2
+
+
+def _reference_emit(bundle, output_format):
+    """File name -> bytes of each table file, every cell formatted by _csv_cell."""
+    def row_text(row, sep):
+        return sep.join(_csv_cell(cell) for cell in row)
+    if output_format == "csv":
+        return {f"{t.name}.csv": "\n".join([bundle.header, ",".join(t.columns)]
+                                           + [row_text(r, ",") for r in t.rows]).encode() + b"\n"
+                for t in bundle.tables}
+    lines = _preamble(bundle)
+    for t in bundle.tables:
+        lines += [f"[{t.name}]", "  " + "  ".join(t.columns)]
+        lines += ["  " + row_text(r, "  ") for r in t.rows]
+        lines.append("")
+    lines.append("config echo:")
+    lines.extend("  " + line for line in bundle.config_echo.splitlines())
+    return {"report.txt": ("\n".join(lines) + "\n").encode()}
+
+
+_SPECIAL_FLOATS = (math.inf, -math.inf, math.nan, -0.0, 0.0, 5e-324, 1.7976931348623157e308)
+_CELL_MAKERS = (
+    lambda r: r.uniform(-1e3, 1e3) * 10.0 ** r.randint(-300, 300),
+    lambda r: np.float64(r.choice(_SPECIAL_FLOATS)),
+    lambda r: r.choice(_SPECIAL_FLOATS),
+    lambda r: np.float64(r.gauss(0.0, 1.0)),
+    lambda r: r.randint(-2 ** 70, 2 ** 70),
+    lambda r: np.int64(r.randint(-2 ** 63, 2 ** 63 - 1)),
+    lambda r: r.random() < 0.5,
+    lambda r: r.choice(("plain", "a,b", 'say "hi"', "two\nlines", "", "x,\"y\"\nz")),
+    lambda r: np.float32(r.random()),
+    lambda r: np.int32(r.randint(-100, 100)),
+)
+
+
+def test_emit_matches_per_cell_formatting(tmp_path):
+    r = random.Random(8)
+    # runs of same-typed rows (the template route) broken by rows of other types
+    trajectory = tuple((float(t), 0.3 * t, 0.97 * math.cos(0.3 * t)) for t in range(40))
+    mixed = []
+    for _ in range(300):
+        if r.random() < 0.5 and mixed:
+            mixed.append(tuple(type(c)(_CELL_MAKERS[0](r)) if type(c) in (float, np.float64)
+                               else c for c in mixed[-1]))
+        else:
+            mixed.append(tuple(r.choice(_CELL_MAKERS)(r) for _ in range(4)))
+    changing_column = tuple((i, (1.5, np.float64(-0.0), 7, np.int64(-7), True, "s,t")[i % 6])
+                            for i in range(30))
+    bundle = ResultBundle(
+        header="# iongradim test seed=8", config_echo="command = crystal\nseed = 8\n",
+        tables=(Table("trajectory", ("time_s", "phase_rad", "parity"), trajectory),
+                Table("mixed", ("a", "b", "c", "d"), tuple(mixed)),
+                Table("changing_column", ("i", "value"), changing_column),
+                Table("empty", ("x",), ())),
+        annotations=("a note",))
+    for output_format in ("csv", "text"):
+        out = tmp_path / output_format
+        written = {p.name: p.read_bytes() for p in emit(bundle, output_format, out)}
+        expected = _reference_emit(bundle, output_format)
+        assert {name: written[name] for name in expected} == expected
 
 
 def _write_cfg(tmp_path, text, name="run.cfg"):

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from iongradim.constants import constants
-from iongradim.crystal import (CrystalGeometry, TrapConfig, equilibrium_positions,
-                               length_scale, spacing)
+from iongradim.crystal import (CrystalGeometry, TrapConfig, _jacobian, _net_forces,
+                               equilibrium_positions, length_scale, spacing)
 from iongradim.errors import ConfigurationError
 
 CA40_MASS = 40.0 * constants().atomic_mass_unit
@@ -159,6 +159,30 @@ def test_residual_force_bound(n):
         residual[i] = f
     # COM re-pinning shifts the solver residual by at most ~1e-15
     assert np.max(np.abs(residual)) < 1e-12
+
+
+def _newton_recomputing_each_step(n):
+    """Reference damped Newton that re-evaluates the forces at every accepted point."""
+    u = (np.arange(n) - (n - 1) / 2.0) * (2.0 / n ** (1.0 / 3.0))
+    residual = float(np.max(np.abs(_net_forces(u))))
+    while residual >= 1e-12:
+        step = np.linalg.solve(_jacobian(u), _net_forces(u))
+        scale = 1.0
+        for _ in range(60):
+            trial = u - scale * step
+            if np.all(np.diff(trial) > 0) and float(np.max(np.abs(_net_forces(trial)))) < residual:
+                break
+            scale *= 0.5
+        u = u - scale * step
+        residual = float(np.max(np.abs(_net_forces(u))))
+    return u - u.mean()
+
+
+@pytest.mark.parametrize("n", range(2, 31))
+def test_newton_keeps_the_accepted_trial_bit_for_bit(n):
+    geometry = equilibrium_positions(n, trap_10mhz())
+    expected = _newton_recomputing_each_step(n) * geometry.length_scale
+    assert np.array_equal(np.array(geometry.positions), expected)
 
 
 def test_positions_scale_with_length_scale():

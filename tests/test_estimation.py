@@ -11,7 +11,7 @@ from iongradim.estimation import (_BLOCK, ExperimentPlan, NoiseModel, _count_bel
                                   _slots_in_place, _thresholds, analytic_snr,
                                   dephasing_contrast, expected_parity, parity_estimate,
                                   required_shots, simulate_shots,
-                                  spin_discrimination_snr)
+                                  spin_discrimination_snr, swing_threshold)
 from iongradim.protocol import (BELL, GHZ, ZeemanConfig, outcome_parities,
                                 outcome_probabilities, phase_rate, prepare_probe)
 
@@ -554,6 +554,48 @@ def test_required_shots_is_the_threshold_of_analytic_snr():
         counts = {1, n - 1, n, n + 1, *(int(c) for c in 10.0 ** r.uniform(0.0, 16.0, 8))}
         for count in counts - {0}:
             assert (n <= count) == (analytic_snr(count, float(swing)) >= target)
+
+
+# ---------------------------------------------------------------------------
+# swing_threshold
+
+def _meets(shots, swing, target):
+    return analytic_snr(shots, swing) >= target
+
+
+def test_swing_threshold_is_exact_at_and_beside_it():
+    r = np.random.default_rng(31)
+    shots = np.unique(np.round(10.0 ** r.uniform(0.0, 7.0, 40)).astype(int)).tolist()
+    targets = (10.0 ** r.uniform(-1.0, math.log10(30.0), 40)).tolist()
+    for n in shots:
+        for target in targets:
+            s = swing_threshold(n, target)
+            assert 0.0 < s < 2.0
+            assert _meets(n, s, target)
+            assert not _meets(n, math.nextafter(s, 0.0), target)
+            above = math.nextafter(s, 2.0)
+            assert above == 2.0 or _meets(n, above, target)
+
+
+def test_swing_threshold_splits_seeded_swings():
+    # analytic_snr(N, s) >= target exactly when s >= the threshold, for every s < 2
+    r = np.random.default_rng(32)
+    for n, target in zip(np.round(10.0 ** r.uniform(0.0, 7.0, 5)).astype(int).tolist(),
+                         (10.0 ** r.uniform(-1.0, math.log10(30.0), 5)).tolist()):
+        s = swing_threshold(n, target)
+        near = s * (1.0 + r.uniform(-1e-13, 1e-13, 1000))
+        swings = np.concatenate([r.uniform(0.0, 2.0, 9000), near[near < 2.0]])
+        for swing in swings.tolist():
+            assert _meets(n, swing, target) == (swing >= s)
+
+
+def test_swing_threshold_is_inf_when_no_swing_below_two_reaches_the_target():
+    below_two = math.nextafter(2.0, 0.0)
+    for n, target in ((1, 1e9), (100, 1e10), (10 ** 7, 1e12)):
+        assert not _meets(n, below_two, target)
+        assert swing_threshold(n, target) == math.inf
+    # a full-contrast swing of exactly 2 takes the rule-of-three branch instead
+    assert _meets(10 ** 17, 2.0, 4e16) and swing_threshold(10 ** 17, 4e16) == math.inf
 
 
 def test_required_shots_tiny_swing_is_infeasible():

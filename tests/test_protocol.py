@@ -178,6 +178,30 @@ def test_accumulated_phase_overflow_is_a_config_error():
         evolve(bell_probe(), ZEE, (0.0, 1e-9), 1e307)
 
 
+def _trajectory_by_point(rate, contrast, t_max, n_points):
+    """Reference: guard every point's phase on its own."""
+    records = []
+    for t in np.linspace(0.0, t_max, n_points).tolist():
+        phase = accumulated_phase(rate, t)
+        records.append((t, phase, contrast * math.cos(phase)))
+    return records
+
+
+def test_trajectory_equals_the_per_point_reference():
+    r = np.random.default_rng(41)
+    cases = [(float(rate), float(contrast), float(t_max), int(n))
+             for rate, contrast, t_max, n in zip(
+                 r.choice([-1.0, 1.0], 300) * 10.0 ** r.uniform(-8.0, 8.0, 300),
+                 r.uniform(0.0, 1.0, 300), 10.0 ** r.uniform(-6.0, 6.0, 300),
+                 r.integers(0, 400, 300))]
+    cases += [(0.0, 1.0, 5.0, 101), (3.0, 0.5, 0.0, 101), (-2.5, 1.0, 7.0, 1),
+              (1.0, 1.0, 3.0, 2), (1.79e301, 1.0, 1e7, 101)]   # the last peaks at 1.79e308
+    for rate, contrast, t_max, n in cases:
+        got = [tuple(record) for record in parity_trajectory(rate, contrast, t_max, n)]
+        expected = _trajectory_by_point(rate, contrast, t_max, n)
+        assert np.array_equal(np.array(got).view(np.int64), np.array(expected).view(np.int64))
+
+
 def test_phase_reversal():
     probe = bell_probe()
     fields = (1.3e-13, -0.2e-13)

@@ -7,8 +7,9 @@ import pytest
 from iongradim.constants import Vec3, constants
 from iongradim.crystal import TrapConfig
 from iongradim.errors import ConfigurationError
-from iongradim.estimation import ExperimentPlan, NoiseModel, required_shots
-from iongradim.protocol import ZeemanConfig, phase_rate, prepare_probe, BELL, GHZ
+from iongradim.estimation import ExperimentPlan, NoiseModel, analytic_snr, required_shots
+from iongradim.protocol import (BELL, GHZ, PAIR_WEIGHTS, ZeemanConfig, phase_rate,
+                                prepare_probe)
 from iongradim.scenarios import (_MAX_SCAN_DELTA_N, DOUBLE_WELL, GHZ_CHAIN,
                                  MOLECULAR_STATE_CHANGE, REFERENCE_DELTA_B_T,
                                  REFERENCE_DW_DELTA_B_T, THREE_ION_SPIN,
@@ -229,6 +230,37 @@ def test_double_well_min_detectable_matches_reference_scan(paper_values, t, atom
         assert found == math.inf
     else:
         assert 1.0 < found < _MAX_SCAN_DELTA_N
+
+
+def scan_by_snr(config, rate_unit):
+    """Reference scan: the first imbalance whose analytic SNR meets the target."""
+    contrast = config.preparation_fidelity * config.noise.contrast
+    t = config.plan.interaction_time
+    for k in range(1, _MAX_SCAN_DELTA_N + 1):
+        swing = 2.0 * contrast * abs(math.sin(0.5 * k * rate_unit * t))
+        if analytic_snr(config.plan.shots, swing) >= config.target_snr:
+            return float(k)
+    return math.inf
+
+
+@pytest.mark.parametrize("shots, target, expected", [
+    (10 ** 17, 4e16, 1.0),         # only the full swing of 2 reaches the target
+    (10 ** 17, 5e16, math.inf),    # not even that one does
+    (10, 2.0, 1.0),
+    (1, 5.0, math.inf),
+])
+def test_double_well_scan_at_a_full_swing_of_two(shots, target, expected):
+    rate_unit = phase_rate(prepare_probe(BELL, (Vec3(0, 0, 0), Vec3(0, 0, 1e-6)), 1.0,
+                                         branch_weights=PAIR_WEIGHTS),
+                           ZeemanConfig(g_factor=2.002), (0.0, REFERENCE_DW_DELTA_B_T))
+    t = math.pi / rate_unit
+    assert math.sin(0.5 * 1 * rate_unit * t) == 1.0   # delta_n = 1 gives a swing of exactly 2
+    config = dw_config(delta_n=1, shots=shots, t=t, preparation_fidelity=1.0,
+                       target_snr=target)
+    report = run_double_well(config)
+    assert report.estimation["phase_rate_rad_per_s"] == rate_unit
+    found = report.estimation["min_detectable_delta_n"]
+    assert found == expected == scan_by_snr(config, rate_unit)
 
 
 @pytest.mark.parametrize("atom_moment", [math.inf, 1e300])
