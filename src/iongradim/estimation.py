@@ -16,12 +16,26 @@ exist only when a caller reads them: the counter slots let every block be
 regenerated bit for bit.
 
 The tally takes one of two routes, and both give the counts of the per-shot
-mapping bit for bit. Without gradient noise every shot has the same even
-probability, so a shot's pattern follows from its 53-bit outcome integer
-alone, through a mapping that never falls as the integer grows: the run
-finds the exact integer at which each pattern begins once, then counts
-integers against those thresholds. With gradient noise each shot is mapped
-in buffers that the run reuses from block to block.
+mapping bit for bit. The threshold route counts each shot's 53-bit outcome
+integer against the exact integers at which the spin patterns begin at the
+noise-free even probability p0 (the mapping never falls as the integer
+grows, so the run finds each threshold once). Without gradient noise every
+shot has p0, so the counts are final. With gradient noise the route relies
+on a proven bound: every shot's even probability p lies within
+
+    |p - p0| <= K/2 (R s + e_phi) + e_p,
+
+K the probe and readout contrast, s = rms * gamma * |coupling| * t the
+phase spread, R = sqrt(-2 ln 2^-53) the largest |Gaussian| a draw can give
+(its first uniform is at least 2^-53), e_phi a bound on the rounding of the
+phase steps and e_p a margin for the rounding of cos, of p and of the
+mapping (see _window). No threshold moves further than p does, so only the
+shots whose integer lies that close to a threshold can take another
+pattern: the run draws the Gaussian for those alone and moves each to its
+own pattern. The mapped route needs no bound: it maps every shot, in
+buffers it reuses from block to block, and checks every per-shot phase. A
+run takes it when the bound is not finite or when the screen would cost
+more than mapping every shot.
 """
 
 from __future__ import annotations
@@ -50,6 +64,24 @@ _BLOCK = 2 ** 15   # shots per block: a float64 per-shot temporary is 256 KB
 _OUTPUT_BYTES_PER_SHOT = 24   # parity, outcome index and phase, 8 bytes each
 _MAX_SHOTS = int(np.finfo(float).max)   # largest shot count that converts to a float
 _TWO_BITS = struct.unpack("<q", struct.pack("<d", 2.0))[0]   # bit pattern of a swing of 2
+# R: sqrt(-2 ln 2^-53) bounds |rng.gaussian|, since its first uniform is at
+# least 2^-53 and |cos| <= 1; the factor covers the rounding of log and sqrt
+_GAUSSIAN_MAX = math.sqrt(-2.0 * math.log(2.0 ** -53)) * (1.0 + 2.0 ** -40)
+# e_phi = _PHASE_ROUNDING * size: the per-shot and noise-free phases, bias
+# added, take 11 rounded steps between them, each off by at most 2^-53 times
+# size, which bounds every step (see _window)
+_PHASE_ROUNDING = 2.0 ** -49
+_P_MARGIN = 2.0 ** -40   # e_p: cos, the steps of p and of _slots each round by a few 2^-53
+# What the screen costs, in units of mapping one shot: _SCREEN_SETUP per
+# run; per shot, _SCREEN_BASE for its outcome draw and _PASS_COST for the
+# count and window passes of each rank boundary; and 1 per flagged shot. A
+# run screens only when that costs less than mapping every shot. Fitted on
+# a 2-vCPU Xeon: the measured break-even flagged share is 0.78 with the 3
+# boundaries of a Bell pair, 0.40 with the 15 of 4 ions and none with the
+# 63 of 6; the setup puts it between 1,600 and 2,700 shots for a Bell pair.
+_SCREEN_SETUP = 2048
+_SCREEN_BASE = 1 / 8
+_PASS_COST = 1 / 32
 
 
 @dataclass(frozen=True)
@@ -108,14 +140,20 @@ class _Run:
     def slot_counts(self) -> np.ndarray:
         """Shots per class slot.
 
-        A noise-free run counts its outcome bits against exact thresholds; a
-        noisy one maps its shots block by block in buffers it reuses. Both
-        give the counts of the per-shot mapping that blocks() regenerates.
+        The run counts its outcome bits against the exact thresholds of the
+        noise-free even probability and maps per shot only the shots that
+        _window flags; when the screen would cost more than mapping every
+        shot, or the window is not finite, it maps every shot in buffers it
+        reuses. Both give the counts of the per-shot mapping that blocks()
+        regenerates.
         """
-        phase = self._common_phase()
-        if phase is None:
-            return self._mapped_counts()
-        return self._threshold_counts(self._p_even(phase))
+        window = self._window()   # 0 for a noise-free run: nothing to flag, no window pass
+        boundaries = 2 * self.n_class - 1   # they flag at most a share boundaries * 2 window
+        saved = 1 - _SCREEN_BASE - boundaries * (_PASS_COST + 2 * window)   # per shot
+        if window == 0 or saved * self.plan.shots > _SCREEN_SETUP:   # false when nan
+            return self._threshold_counts(self._p_even(self._noise_free_phase()),
+                                          math.ceil(window * 2.0 ** 53))
+        return self._mapped_counts()
 
     def blocks(self) -> Iterator[tuple[int, int, float | np.ndarray, np.ndarray, np.ndarray]]:
         """Yield (lo, hi, phase, even, slot) for each block of shots [lo, hi).
@@ -124,7 +162,7 @@ class _Run:
         otherwise; slot indexes self.patterns. A per-shot phase that is not
         finite is a ConfigurationError.
         """
-        phase = self._common_phase()
+        phase = None if self.noise.gradient_rms > 0 else self._noise_free_phase()
         for lo in range(0, self.plan.shots, _BLOCK):
             hi = min(lo + _BLOCK, self.plan.shots)
             # one call per block, so no block's temporaries outlive it
@@ -139,13 +177,35 @@ class _Run:
         draw = rng.uniform(self.plan.rng_seed, shot + np.uint64(4))
         return phase, draw < p_even, _slots(draw, p_even, self.n_class)
 
-    def _common_phase(self) -> float | None:
-        """The phase of every shot of a noise-free run; None when gradient noise draws it per shot."""
-        if self.noise.gradient_rms > 0:
-            return None
+    def _noise_free_phase(self) -> float:
+        """The phase of every shot without gradient noise.
+
+        With gradient noise a finite _window bounds it, so only a noise-free
+        run can fail its check here.
+        """
         phase = self.probe.phase + self.base_rate * self.plan.interaction_time
         _check_phases(phase)
         return phase
+
+    def _window(self) -> float:
+        """Bound, in draw units, on |p_even of any shot - p_even at the noise-free phase|.
+
+        0 without gradient noise, where every shot has the noise-free phase;
+        not finite when a step of a per-shot phase might overflow. rate takes
+        the steps of _noisy_phases with R for the Gaussian, so each step of a
+        per-shot phase is at most the matching step here (rounding is
+        monotone), and size bounds every step of both phases.
+        """
+        if self.noise.gradient_rms == 0:
+            return 0.0
+        plan, probe = self.plan, self.probe
+        rate = (_GAUSSIAN_MAX * self.noise.gradient_rms * self.zeeman.gyromagnetic_ratio
+                * abs(probe.gradient_coupling))
+        spread = rate * plan.interaction_time
+        size = ((rate + abs(self.base_rate)) * plan.interaction_time + abs(probe.phase)
+                + abs(plan.bias_phase))
+        contrast = probe.contrast * self.noise.contrast
+        return 0.5 * contrast * (spread + _PHASE_ROUNDING * size) + _P_MARGIN
 
     def _noisy_phases(self, counter_a: np.ndarray, counter_b: np.ndarray,
                       out: np.ndarray | None = None, work: np.ndarray | None = None,
@@ -173,22 +233,54 @@ class _Run:
         p *= 0.5
         return p
 
-    def _threshold_counts(self, p_even: float) -> np.ndarray:
-        """Slot counts of a noise-free run, from its outcome integers and exact thresholds."""
+    def _threshold_counts(self, p_even: float, half: int) -> np.ndarray:
+        """Slot counts from the outcome integers against the exact thresholds of p_even.
+
+        A shot whose integer lies in [t - half, t + half) for a threshold t
+        is flagged: its own phase is drawn and it moves from its rank at
+        p_even to its slot at its own even probability. With half the window
+        of _window in integers, no other shot can change rank.
+        """
         plan, n = self.plan, self.n_class
-        thresholds = np.array(_thresholds(p_even, n), dtype=np.uint64)
+        thresholds = _thresholds(p_even, n)
+        windows = _windows(thresholds, half)
+        thresholds = np.array(thresholds, dtype=np.uint64)
         m = min(plan.shots, _BLOCK)
         counter = np.arange(4, _SLOTS_PER_SHOT * m, _SLOTS_PER_SHOT, dtype=np.uint64)
         bits = np.empty(m, dtype=np.uint64)
+        masks = np.empty((3, m), dtype=bool) if windows else None
         below = np.zeros(len(thresholds), dtype=np.int64)   # shots of rank < r, r = 1 .. 2n - 1
+        moved = 0   # per slot: flagged shots in less flagged shots out
         for lo in range(0, plan.shots, _BLOCK):
             k = min(_BLOCK, plan.shots - lo)
-            below += _count_below(rng.uniform_bits(plan.rng_seed, counter[:k], bits[:k]),
-                                  thresholds)
+            b = rng.uniform_bits(plan.rng_seed, counter[:k], bits[:k])
+            below += _count_below(b, thresholds)
+            if windows:
+                idx = _in_windows(b, windows, *masks[:, :k])
+                if len(idx):
+                    flagged = b[idx]
+                    start = np.bincount(np.searchsorted(thresholds, flagged, side="right"),
+                                        minlength=2 * n)
+                    moved = (moved + self._own_slots(flagged, counter[idx], *masks[:2, :len(idx)])
+                             - np.roll(start, n))   # rank k is slot n + k, rank n + k slot k
             counter += np.uint64(_SLOTS_PER_SHOT * _BLOCK)
         edges = [0, *below.tolist(), plan.shots]
         ranks = [hi - lo for lo, hi in zip(edges, edges[1:])]
-        return np.array(ranks[n:] + ranks[:n], dtype=np.int64)   # the odd slots come first
+        return np.array(ranks[n:] + ranks[:n], dtype=np.int64) + moved   # odd slots first
+
+    def _own_slots(self, bits: np.ndarray, counter: np.ndarray, even: np.ndarray,
+                   odd: np.ndarray) -> np.ndarray:
+        """Shots per slot at their own phase, for the flagged shots' outcome integers and
+        slot-4 counters: copies, which it spends. even and odd are bool buffers of their length.
+        """
+        counter -= np.uint64(2)   # the gradient Gaussian's slots are 2 and 3
+        second = counter + np.uint64(1)
+        phase = self._noisy_phases(counter, second, counter.view(np.float64),
+                                   second.view(np.float64))
+        slot = _slots_in_place(rng.bits_to_uniform(bits, bits.view(np.float64)),
+                               self._p_even(phase, out=phase), self.n_class,
+                               second.view(np.float64), even, odd)
+        return np.bincount(slot, minlength=2 * self.n_class)
 
     def _mapped_counts(self) -> np.ndarray:
         """Slot counts of a noisy run, mapped per shot in buffers reused from block to block."""
@@ -260,6 +352,33 @@ def _slots_in_place(draw: np.ndarray, p_even: np.ndarray, n_class: int, tmp: np.
     np.multiply(even, n_class, out=class_base)
     slot += class_base
     return slot
+
+
+def _windows(thresholds: list[int], half: int) -> list[tuple[np.uint64, np.uint64]]:
+    """(lo, hi) of [t - half, t + half) around each threshold t, clipped to [0, 2^53) and merged
+    where they meet; none when half is 0."""
+    if not half:
+        return []
+    merged: list[list[int]] = []
+    for t in thresholds:
+        lo, hi = max(t - half, 0), min(t + half, 2 ** 53)
+        if merged and lo <= merged[-1][1]:
+            merged[-1][1] = max(merged[-1][1], hi)
+        else:
+            merged.append([lo, hi])
+    return [(np.uint64(lo), np.uint64(hi)) for lo, hi in merged]
+
+
+def _in_windows(bits: np.ndarray, windows: list[tuple[np.uint64, np.uint64]],
+                above: np.ndarray, below: np.ndarray, flagged: np.ndarray) -> np.ndarray:
+    """Indices of the integers that lie in any window, found in the caller's bool buffers."""
+    flagged.fill(False)
+    for lo, hi in windows:
+        np.greater_equal(bits, lo, out=above)
+        np.less(bits, hi, out=below)
+        above &= below
+        flagged |= above
+    return np.flatnonzero(flagged)
 
 
 def _count_below(bits: np.ndarray, thresholds: np.ndarray) -> np.ndarray:

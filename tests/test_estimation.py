@@ -7,10 +7,10 @@ import pytest
 from iongradim import estimation, rng
 from iongradim.constants import Vec3, constants
 from iongradim.errors import ConfigurationError, InfeasibleError
-from iongradim.estimation import (_BLOCK, ExperimentPlan, NoiseModel, _count_below, _slots,
-                                  _slots_in_place, _thresholds, analytic_snr,
-                                  dephasing_contrast, expected_parity, parity_estimate,
-                                  required_shots, simulate_shots,
+from iongradim.estimation import (_BLOCK, _GAUSSIAN_MAX, ExperimentPlan, NoiseModel,
+                                  _count_below, _slots, _slots_in_place, _thresholds,
+                                  analytic_snr, dephasing_contrast, expected_parity,
+                                  parity_estimate, required_shots, simulate_shots,
                                   spin_discrimination_snr, swing_threshold)
 from iongradim.protocol import (BELL, GHZ, ZeemanConfig, outcome_parities,
                                 outcome_probabilities, phase_rate, prepare_probe)
@@ -152,7 +152,7 @@ def _unblocked_reference(plan, probe, zeeman, fields, noise):
 
 
 @pytest.mark.parametrize("kind, n_ions", [(BELL, 2), (GHZ, 4)])
-@pytest.mark.parametrize("gradient_rms", [0.0, 5e-4])
+@pytest.mark.parametrize("gradient_rms", [0.0, 1e-9, 2e-6, 5e-4])
 def test_blocked_run_equals_unblocked_reference(kind, n_ions, gradient_rms):
     # two full blocks and a partial one, against one pass over all shots
     positions = tuple(Vec3(0, 0, k * SPACING) for k in range(n_ions))
@@ -317,6 +317,8 @@ def test_select_free_mapping_equals_the_per_shot_mapping():
     pytest.param(0.0, 0.0, 0.0, id="p_even=1"),
     pytest.param(math.pi, 0.0, 0.0, id="p_even=0"),
     pytest.param(0.9, 0.01, 0.0, id="noise-free"),
+    pytest.param(0.9, 0.01, 1e-9, id="small-gradient-noise"),
+    pytest.param(0.9, 0.01, 2e-6, id="screened-gradient-noise"),
     pytest.param(0.9, 0.01, 5e-4, id="gradient-noise"),
 ])
 def test_tally_equals_the_regenerated_shots(kind, n_ions, bias, t, gradient_rms):
@@ -330,6 +332,94 @@ def test_tally_equals_the_regenerated_shots(kind, n_ions, bias, t, gradient_rms)
     assert out.parity_sum == int(out.parities.sum())
     assert np.array_equal(out.pattern_counts, np.bincount(out.outcome_indices,
                                                           minlength=2 ** n_ions))
+
+
+# ---------------------------------------------------------------------------
+# the screened tally: flagged shots only, against the per-shot mapping
+
+def _gradient_probe(n_ions):
+    """Bell, or a GHZ state whose branches (+ .. + - .. -) couple to a uniform gradient."""
+    positions = tuple(Vec3(0, 0, k * SPACING) for k in range(n_ions))
+    if n_ions == 2:
+        return prepare_probe(BELL, positions, 1.0)
+    branch = (0.5,) * (n_ions // 2) + (-0.5,) * (n_ions // 2)
+    return prepare_probe(GHZ, positions, 1.0, (branch, tuple(-w for w in branch)))
+
+
+# phase at the fringe, phase + bias: p0 = 1, 0, just below 1, just above 0, and inside
+FRINGE_PHASES = [0.0, math.pi, 1e-7, math.pi - 1e-7, 0.9]
+SCREEN_TIME = 0.01
+
+
+def _screen_case(n_ions, spread, fringe, base_phase, shots):
+    """A run with phase spread s = spread, noise-free phase base_phase and contrast 1."""
+    probe = _gradient_probe(n_ions)
+    unit = (1.0,) + (0.0,) * (n_ions - 1)
+    fields = tuple(b * base_phase / (phase_rate(probe, ZEE, unit) * SCREEN_TIME) for b in unit)
+    rms = spread / (ZEE.gyromagnetic_ratio * abs(probe.gradient_coupling) * SCREEN_TIME)
+    shot_plan = plan(shots=shots, t=SCREEN_TIME, seed=31,
+                     bias=fringe - phase_rate(probe, ZEE, fields) * SCREEN_TIME)
+    return shot_plan, probe, ZEE, fields, NoiseModel(gradient_rms=rms)
+
+
+SCREEN_GRID = [(n_ions, spread, fringe, base_phase, shots)
+               for n_ions in (2, 4, 6) for spread in (1e-6, 1e-3, 1e-2, 0.3)
+               for fringe in FRINGE_PHASES for base_phase in (0.0, 1e6)
+               for shots in (1, _BLOCK, _BLOCK + 17)]
+
+
+def _tally_and_reference(case):
+    out = simulate_shots(*_screen_case(*case))
+    return out, out.pattern_counts[out._run.patterns], out._run._mapped_counts()
+
+
+@pytest.mark.parametrize("case", SCREEN_GRID, ids=str)
+def test_screened_tally_equals_the_mapped_shots(case):
+    out, got, want = _tally_and_reference(case)
+    assert np.array_equal(got, want)
+    odd = int(want[:len(want) // 2].sum())   # the odd slots come first
+    assert out.parity_sum == out.shots - 2 * odd == int(out.parities.sum())
+    assert np.array_equal(out.pattern_counts,
+                          np.bincount(out.outcome_indices, minlength=len(out.pattern_counts)))
+    # the screen itself, also where the run maps every shot instead
+    run = out._run
+    half = math.ceil(run._window() * 2.0 ** 53)
+    screened = run._threshold_counts(run._p_even(run._noise_free_phase()), half)
+    assert np.array_equal(screened, want)
+
+
+def test_screen_grid_moves_flagged_shots(monkeypatch):
+    # with a zero window no shot is flagged, and some grid case then misses
+    # the shots that its own phase moves to another pattern
+    windows = estimation._windows
+    monkeypatch.setattr(estimation, "_windows", lambda thresholds, half: windows(thresholds, 0))
+    missed = [case for case in SCREEN_GRID
+              if not np.array_equal(*_tally_and_reference(case)[1:])]
+    assert missed
+
+
+def test_gaussian_bound_covers_the_smallest_uniform():
+    smallest = rng.bits_to_uniform(np.zeros(1, dtype=np.uint64))
+    assert np.sqrt(-2.0 * np.log(smallest))[0] <= _GAUSSIAN_MAX
+
+
+def test_screened_run_draws_few_gaussians(monkeypatch):
+    # a Bell run at sigma_phi = 1e-3 draws the Gaussian only near a pattern boundary
+    drawn = []
+    gaussian = rng.gaussian
+
+    def counted(seed, counter_a, *args):
+        drawn.append(np.size(counter_a))
+        return gaussian(seed, counter_a, *args)
+
+    monkeypatch.setattr(rng, "gaussian", counted)
+    shot_plan, probe, zeeman, fields, noise = _screen_case(2, 1e-3, 0.9, 0.0, 2 * _BLOCK + 5)
+    out = simulate_shots(shot_plan, probe, zeeman, fields, noise)
+    assert 0 < sum(drawn) <= 0.05 * out.shots
+    # a per-shot phase that overflows is still a config error
+    for rms, t in ((1e300, 1.0), (1.0, 1e305)):
+        with pytest.raises(ConfigurationError, match="per-shot phase overflows"):
+            simulate_shots(plan(shots=10, t=t), probe, ZEE, fields, NoiseModel(gradient_rms=rms))
 
 
 def test_field_count_mismatch():
@@ -477,6 +567,22 @@ def test_monte_carlo_matches_analytic_at_large_n():
             for s in range(201)]
     expected = analytic_snr(100, 2.0 * math.sin(phi))
     assert float(np.median(snrs)) == pytest.approx(expected, rel=0.15)
+
+
+@pytest.mark.parametrize("gradient_rms", [0.0, 2e-8, 9e-7])
+def test_monte_carlo_snr_is_analytic_within_k_sigma(gradient_rms):
+    # 200 seeded runs of 1000 shots per arm: each run's SNR is the analytic
+    # SNR of the dephased swing plus a near-unit Gaussian, so their mean lies
+    # within 4 standard errors of it
+    phi, runs, shots = math.asin(0.3), 200, 1000
+    up, down, t = symmetric_arms(phi)
+    p = pair_probe()
+    snrs = np.array([spin_discrimination_snr(plan(shots=shots, t=t, seed=s), p, ZEE, up, down,
+                                             NoiseModel(gradient_rms=gradient_rms)).snr
+                     for s in range(runs)])
+    swing = 2.0 * math.sin(phi) * dephasing_contrast(gradient_rms, p, ZEE, t)
+    z = (snrs.mean() - analytic_snr(shots, swing)) / (snrs.std(ddof=1) / math.sqrt(runs))
+    assert abs(z) <= 4.0, z
 
 
 def test_identical_hypotheses_have_no_detectable_difference():
