@@ -15,13 +15,19 @@ whatever the shot count. The per-shot parities, outcome indices and phases
 exist only when a caller reads them: the counter slots let every block be
 regenerated bit for bit.
 
-The tally takes one of two routes, and both give the counts of the per-shot
-mapping bit for bit. The threshold route counts each shot's 53-bit outcome
-integer against the exact integers at which the spin patterns begin at the
-noise-free even probability p0 (the mapping never falls as the integer
-grows, so the run finds each threshold once). Without gradient noise every
-shot has p0, so the counts are final. With gradient noise the route relies
-on a proven bound: every shot's even probability p lies within
+The tally is one loop over blocks. Each block draws its shots' 53-bit
+outcome integers, and then the run does one of two things; both give the
+counts of the per-shot mapping bit for bit. A spin pattern's slot is its
+rank, its place in the order in which the mapping hands out the patterns as
+the integer grows: the even patterns first, then the odd. A run that maps
+sends every shot to one kernel, which draws the shot's gradient Gaussian
+and maps it to its slot in buffers reused from block to block; it needs no
+bound and checks every per-shot phase. A run that screens counts the
+integers against the exact integers at which the ranks begin at the
+noise-free even probability p0 (the rank never falls as the integer grows,
+so the run finds each threshold once). Without gradient noise every shot
+has p0, so the counts are final. With gradient noise the screen relies on
+a proven bound: every shot's even probability p lies within
 
     |p - p0| <= K/2 (R s + e_phi) + e_p,
 
@@ -31,11 +37,9 @@ phase spread, R = sqrt(-2 ln 2^-53) the largest |Gaussian| a draw can give
 phase steps and e_p a margin for the rounding of cos, of p and of the
 mapping (see _window). No threshold moves further than p does, so only the
 shots whose integer lies that close to a threshold can take another
-pattern: the run draws the Gaussian for those alone and moves each to its
-own pattern. The mapped route needs no bound: it maps every shot, in
-buffers it reuses from block to block, and checks every per-shot phase. A
-run takes it when the bound is not finite or when the screen would cost
-more than mapping every shot.
+pattern: the same kernel maps those alone, and each moves from its rank at
+p0 to its own slot. A run maps when the bound is not finite or when the
+screen would cost more than mapping every shot.
 """
 
 from __future__ import annotations
@@ -68,7 +72,7 @@ _TWO_BITS = struct.unpack("<q", struct.pack("<d", 2.0))[0]   # bit pattern of a 
 # least 2^-53 and |cos| <= 1; the factor covers the rounding of log and sqrt
 _GAUSSIAN_MAX = math.sqrt(-2.0 * math.log(2.0 ** -53)) * (1.0 + 2.0 ** -40)
 # e_phi = _PHASE_ROUNDING * size: the per-shot and noise-free phases, bias
-# added, take 11 rounded steps between them, each off by at most 2^-53 times
+# added, take 9 rounded steps between them, each off by at most 2^-53 times
 # size, which bounds every step (see _window)
 _PHASE_ROUNDING = 2.0 ** -49
 _P_MARGIN = 2.0 ** -40   # e_p: cos, the steps of p and of _slots each round by a few 2^-53
@@ -130,7 +134,7 @@ class _Run:
     zeeman: ZeemanConfig
     base_rate: float              # rad/s, noise-free phase rate
     noise: NoiseModel
-    patterns: np.ndarray          # spin pattern per class slot: the odd patterns, then the even
+    patterns: np.ndarray          # spin pattern per slot, which is its rank: even patterns first
 
     @property
     def n_class(self) -> int:
@@ -138,22 +142,50 @@ class _Run:
         return len(self.patterns) // 2
 
     def slot_counts(self) -> np.ndarray:
-        """Shots per class slot.
+        """Shots per slot, in one loop over blocks of their slot-4 outcome integers.
 
-        The run counts its outcome bits against the exact thresholds of the
-        noise-free even probability and maps per shot only the shots that
-        _window flags; when the screen would cost more than mapping every
-        shot, or the window is not finite, it maps every shot in buffers it
-        reuses. Both give the counts of the per-shot mapping that blocks()
-        regenerates.
+        A run that maps sends every shot to _own_slots. A run that screens
+        counts the integers against the exact thresholds of the noise-free
+        even probability and sends to _own_slots only the shots that
+        _window flags, each moved from its rank there to its own slot. It
+        maps when the screen would cost more than mapping every shot, or
+        when the window is not finite. Both give the counts of the
+        per-shot mapping that blocks() regenerates.
         """
+        plan, n = self.plan, self.n_class
         window = self._window()   # 0 for a noise-free run: nothing to flag, no window pass
-        boundaries = 2 * self.n_class - 1   # they flag at most a share boundaries * 2 window
+        boundaries = 2 * n - 1   # they flag at most a share boundaries * 2 window
         saved = 1 - _SCREEN_BASE - boundaries * (_PASS_COST + 2 * window)   # per shot
-        if window == 0 or saved * self.plan.shots > _SCREEN_SETUP:   # false when nan
-            return self._threshold_counts(self._p_even(self._noise_free_phase()),
-                                          math.ceil(window * 2.0 ** 53))
-        return self._mapped_counts()
+        screen = window == 0 or saved * plan.shots > _SCREEN_SETUP   # false when nan
+        if screen:
+            thresholds = _thresholds(self._p_even(self._noise_free_phase()), n)
+            windows = _windows(thresholds, math.ceil(window * 2.0 ** 53))
+            thresholds = np.array(thresholds, dtype=np.uint64)
+            below = np.zeros(boundaries, dtype=np.int64)   # shots of rank < r, r = 1 .. 2n - 1
+        m = min(plan.shots, _BLOCK)
+        counter = np.arange(4, _SLOTS_PER_SHOT * m, _SLOTS_PER_SHOT, dtype=np.uint64)
+        bits = np.empty(m, dtype=np.uint64)
+        if window != 0:   # nan too, which maps; a noise-free run maps no shot
+            floats, masks = np.empty((2, m)), np.empty((3, m), dtype=bool)
+        counts = np.zeros(2 * n, dtype=np.int64)
+        for lo in range(0, plan.shots, _BLOCK):
+            k = min(_BLOCK, plan.shots - lo)
+            b = rng.uniform_bits(plan.rng_seed, counter[:k], bits[:k])
+            if not screen:
+                counts += self._own_slots(b, counter[:k], *floats[:, :k], *masks[:2, :k])
+            else:
+                below += _count_below(b, thresholds)
+                idx = _in_windows(b, windows, *masks[:, :k]) if windows else ()
+                if len(idx):   # flagged shots leave their rank at p0 for their own slot
+                    flagged, j = b[idx], len(idx)
+                    counts -= np.bincount(np.searchsorted(thresholds, flagged, side="right"),
+                                          minlength=2 * n)
+                    counts += self._own_slots(flagged, counter[idx], *floats[:, :j],
+                                              *masks[:2, :j])
+            counter += np.uint64(_SLOTS_PER_SHOT * _BLOCK)
+        if screen:
+            counts += np.diff([0, *below.tolist(), plan.shots])
+        return counts
 
     def blocks(self) -> Iterator[tuple[int, int, float | np.ndarray, np.ndarray, np.ndarray]]:
         """Yield (lo, hi, phase, even, slot) for each block of shots [lo, hi).
@@ -183,7 +215,7 @@ class _Run:
         With gradient noise a finite _window bounds it, so only a noise-free
         run can fail its check here.
         """
-        phase = self.probe.phase + self.base_rate * self.plan.interaction_time
+        phase = self.base_rate * self.plan.interaction_time
         _check_phases(phase)
         return phase
 
@@ -202,8 +234,7 @@ class _Run:
         rate = (_GAUSSIAN_MAX * self.noise.gradient_rms * self.zeeman.gyromagnetic_ratio
                 * abs(probe.gradient_coupling))
         spread = rate * plan.interaction_time
-        size = ((rate + abs(self.base_rate)) * plan.interaction_time + abs(probe.phase)
-                + abs(plan.bias_phase))
+        size = (rate + abs(self.base_rate)) * plan.interaction_time + abs(plan.bias_phase)
         contrast = probe.contrast * self.noise.contrast
         return 0.5 * contrast * (spread + _PHASE_ROUNDING * size) + _P_MARGIN
 
@@ -214,14 +245,13 @@ class _Run:
         plan, probe = self.plan, self.probe
         phase = rng.gaussian(plan.rng_seed, counter_a, counter_b, out, work)
         with np.errstate(over="ignore", invalid="ignore"):   # checked just below
-            # phase + (base + gyro * (rms * g) * coupling) * t, one step at a
-            # time in place, in the order that keeps every bit
+            # (base + gyro * (rms * g) * coupling) * t, one step at a time in
+            # place, in the order that keeps every bit
             phase *= self.noise.gradient_rms
             phase *= self.zeeman.gyromagnetic_ratio
             phase *= probe.gradient_coupling
             phase += self.base_rate
             phase *= plan.interaction_time
-            phase += probe.phase
         _check_phases(phase)
         return phase
 
@@ -233,87 +263,28 @@ class _Run:
         p *= 0.5
         return p
 
-    def _threshold_counts(self, p_even: float, half: int) -> np.ndarray:
-        """Slot counts from the outcome integers against the exact thresholds of p_even.
+    def _own_slots(self, bits: np.ndarray, counter: np.ndarray, p: np.ndarray,
+                   work: np.ndarray, even: np.ndarray, odd: np.ndarray) -> np.ndarray:
+        """Shots per slot at their own phase, for outcome integers and their slot-4 counters.
 
-        A shot whose integer lies in [t - half, t + half) for a threshold t
-        is flagged: its own phase is drawn and it moves from its rank at
-        p_even to its slot at its own even probability. With half the window
-        of _window in integers, no other shot can change rank.
+        bits is spent; p and work are float64 and even and odd bool buffers of its length.
         """
-        plan, n = self.plan, self.n_class
-        thresholds = _thresholds(p_even, n)
-        windows = _windows(thresholds, half)
-        thresholds = np.array(thresholds, dtype=np.uint64)
-        m = min(plan.shots, _BLOCK)
-        counter = np.arange(4, _SLOTS_PER_SHOT * m, _SLOTS_PER_SHOT, dtype=np.uint64)
-        bits = np.empty(m, dtype=np.uint64)
-        masks = np.empty((3, m), dtype=bool) if windows else None
-        below = np.zeros(len(thresholds), dtype=np.int64)   # shots of rank < r, r = 1 .. 2n - 1
-        moved = 0   # per slot: flagged shots in less flagged shots out
-        for lo in range(0, plan.shots, _BLOCK):
-            k = min(_BLOCK, plan.shots - lo)
-            b = rng.uniform_bits(plan.rng_seed, counter[:k], bits[:k])
-            below += _count_below(b, thresholds)
-            if windows:
-                idx = _in_windows(b, windows, *masks[:, :k])
-                if len(idx):
-                    flagged = b[idx]
-                    start = np.bincount(np.searchsorted(thresholds, flagged, side="right"),
-                                        minlength=2 * n)
-                    moved = (moved + self._own_slots(flagged, counter[idx], *masks[:2, :len(idx)])
-                             - np.roll(start, n))   # rank k is slot n + k, rank n + k slot k
-            counter += np.uint64(_SLOTS_PER_SHOT * _BLOCK)
-        edges = [0, *below.tolist(), plan.shots]
-        ranks = [hi - lo for lo, hi in zip(edges, edges[1:])]
-        return np.array(ranks[n:] + ranks[:n], dtype=np.int64) + moved   # odd slots first
-
-    def _own_slots(self, bits: np.ndarray, counter: np.ndarray, even: np.ndarray,
-                   odd: np.ndarray) -> np.ndarray:
-        """Shots per slot at their own phase, for the flagged shots' outcome integers and
-        slot-4 counters: copies, which it spends. even and odd are bool buffers of their length.
-        """
-        counter -= np.uint64(2)   # the gradient Gaussian's slots are 2 and 3
-        second = counter + np.uint64(1)
-        phase = self._noisy_phases(counter, second, counter.view(np.float64),
-                                   second.view(np.float64))
-        slot = _slots_in_place(rng.bits_to_uniform(bits, bits.view(np.float64)),
-                               self._p_even(phase, out=phase), self.n_class,
-                               second.view(np.float64), even, odd)
+        # each counter of the gradient Gaussian (slots 2 and 3) is written where its draw lands
+        np.subtract(counter, np.uint64(2), out=p.view(np.uint64))
+        np.subtract(counter, np.uint64(1), out=work.view(np.uint64))
+        self._p_even(self._noisy_phases(p.view(np.uint64), work.view(np.uint64), p, work), out=p)
+        slot = _slots_in_place(rng.bits_to_uniform(bits, bits.view(np.float64)), p, self.n_class,
+                               work, even, odd)
         return np.bincount(slot, minlength=2 * self.n_class)
-
-    def _mapped_counts(self) -> np.ndarray:
-        """Slot counts of a noisy run, mapped per shot in buffers reused from block to block."""
-        plan, n_class = self.plan, self.n_class
-        m = min(plan.shots, _BLOCK)
-        first = np.arange(m, dtype=np.uint64) * np.uint64(_SLOTS_PER_SHOT)
-        buffers = (np.empty(m), np.empty(m), np.empty(m), np.empty(m, dtype=bool),
-                   np.empty(m, dtype=bool))
-        counts = np.zeros(2 * n_class, dtype=np.int64)
-        for lo in range(0, plan.shots, _BLOCK):
-            k = min(_BLOCK, plan.shots - lo)
-            p, draw, *work = (b[:k] for b in buffers)
-            shot = first[:k]
-            # each counter is written where its draw will land
-            np.add(shot, np.uint64(2), out=p.view(np.uint64))
-            np.add(shot, np.uint64(3), out=draw.view(np.uint64))
-            self._p_even(self._noisy_phases(p.view(np.uint64), draw.view(np.uint64), p, draw),
-                         out=p)
-            np.add(shot, np.uint64(4), out=draw.view(np.uint64))
-            rng.uniform(plan.rng_seed, draw.view(np.uint64), draw)
-            counts += np.bincount(_slots_in_place(draw, p, n_class, *work),
-                                  minlength=len(counts))
-            first += np.uint64(_SLOTS_PER_SHOT * _BLOCK)
-        return counts
 
 
 def _slots(draw: np.ndarray, p_even, n_class: int) -> np.ndarray:
-    """Class slot of each outcome uniform: k in its parity class, plus n_class if even.
+    """Slot of each outcome uniform: k in its parity class, plus n_class if odd.
 
     The 2^(N-1) even patterns share [0, p_even), the 2^(N-1) odd ones
     [p_even, 1]; a zero-width class (p_even = 1, draw = 1.0) takes its first
-    pattern. Every float step is monotone, so the rank of a slot (even k is
-    rank k, odd k rank n_class + k) never falls as the draw grows.
+    pattern. Every float step is monotone, so the slot, which is the rank of
+    the draw, never falls as the draw grows.
     """
     even = draw < p_even
     lower = np.where(even, 0.0, p_even)
@@ -321,7 +292,7 @@ def _slots(draw: np.ndarray, p_even, n_class: int) -> np.ndarray:
     with np.errstate(divide="ignore", invalid="ignore"):
         frac = np.where(width > 0, (draw - lower) / width, 0.0)
     k = np.minimum((frac * n_class).astype(np.int64), n_class - 1)
-    return k + n_class * even
+    return k + n_class * ~even
 
 
 def _slots_in_place(draw: np.ndarray, p_even: np.ndarray, n_class: int, tmp: np.ndarray,
@@ -349,7 +320,7 @@ def _slots_in_place(draw: np.ndarray, p_even: np.ndarray, n_class: int, tmp: np.
     np.copyto(slot, draw, casting="unsafe")     # truncates, as astype does
     np.minimum(slot, n_class - 1, out=slot)
     class_base = width.view(np.int64)
-    np.multiply(even, n_class, out=class_base)
+    np.multiply(odd, n_class, out=class_base)
     slot += class_base
     return slot
 
@@ -420,7 +391,7 @@ def _guess(r: int, p: float, n_class: int) -> int:
 
 
 def _rank(b: int, p: float, n_class: int) -> int:
-    """_slots for the single draw (b + 1) 2^-53 in Python floats, as a rank: even slots first.
+    """_slots for the single draw (b + 1) 2^-53, in Python floats.
 
     Python floats are the same IEEE doubles, and every step is the one _slots takes.
     """
@@ -502,15 +473,15 @@ def simulate_shots(plan: ExperimentPlan, probe: ProbeState, zeeman: ZeemanConfig
     slot_counts = run.slot_counts()
     pattern_counts = np.empty_like(slot_counts)
     pattern_counts[run.patterns] = slot_counts
-    n_odd = int(slot_counts[:len(slot_counts) // 2].sum())   # the odd slots come first
+    n_odd = int(slot_counts[len(slot_counts) // 2:].sum())   # the odd slots are the top half
     return ShotOutcomes(plan.shots, plan.shots - 2 * n_odd, pattern_counts, run)
 
 
 @lru_cache(maxsize=8)
 def _slot_patterns(n_ions: int) -> np.ndarray:
-    """Spin pattern per class slot, the odd patterns then the even; read-only, shared by runs."""
+    """Spin pattern per slot, the even patterns then the odd; read-only, shared by runs."""
     parity = outcome_parities(n_ions)
-    patterns = np.concatenate((np.flatnonzero(parity < 0), np.flatnonzero(parity > 0)))
+    patterns = np.concatenate((np.flatnonzero(parity > 0), np.flatnonzero(parity < 0)))
     patterns.flags.writeable = False
     return patterns
 
@@ -543,7 +514,7 @@ def expected_parity(plan: ExperimentPlan, probe: ProbeState, zeeman: ZeemanConfi
     """Noise-free parity expectation the Monte Carlo estimate converges to."""
     rate = phase_rate(probe, zeeman, fields)
     return probe.contrast * noise.contrast * math.cos(
-        probe.phase + accumulated_phase(rate, plan.interaction_time) + plan.bias_phase)
+        accumulated_phase(rate, plan.interaction_time) + plan.bias_phase)
 
 
 def spin_discrimination_snr(plan: ExperimentPlan, probe: ProbeState, zeeman: ZeemanConfig,

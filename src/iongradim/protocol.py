@@ -12,8 +12,8 @@ relative phase. Only field differences across the ions drive the phase,
 with dm_i the branch-1 minus branch-2 magnetic quantum number of ion i
 (+-1 for complementary patterns). All observables used here depend only on
 phi and a contrast factor, so the state is represented by (branch patterns,
-phi, contrast) rather than a density matrix; for the noise model in use
-this is exact.
+contrast) rather than a density matrix, and phi is computed from the fields
+(phase_rate, accumulated_phase); for the noise model in use this is exact.
 
 Parity convention: P(phi) = contrast * cos(phi), so P falls from +1 through
 the zero crossing at phi = pi/2 to -1 at phi = pi. After the analysis pulse
@@ -28,7 +28,7 @@ with parity(s) the product of the single-ion outcomes (+1 up, -1 down).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -70,12 +70,11 @@ class ZeemanConfig:
 
 @dataclass(frozen=True)
 class ProbeState:
-    """Immutable probe state; evolve() returns a new instance."""
+    """Immutable probe state: ion positions, branch patterns and contrast."""
 
     kind: str                                   # BELL or GHZ
     ion_positions: tuple[Vec3, ...]             # probe ions only, excluding the sensed spin
     branch_weights: tuple[tuple[float, ...], tuple[float, ...]]  # m values per branch, per ion
-    phase: float = 0.0                          # rad
     contrast: float = 1.0
 
     def __post_init__(self):
@@ -99,8 +98,6 @@ class ProbeState:
             raise ConfigurationError("branches must be spin complements of each other")
         if not (0.0 <= self.contrast <= 1.0):
             raise ConfigurationError(f"contrast must be in [0, 1], got {self.contrast}")
-        if not math.isfinite(self.phase):
-            raise ConfigurationError("phase must be finite")
 
     @property
     def n_ions(self) -> int:
@@ -123,10 +120,10 @@ def prepare_probe(kind: str, ion_positions: Sequence[Vec3], fidelity: float,
                   ) -> ProbeState:
     """Entanglement transfer and preparation, idealized to a contrast factor.
 
-    Returns a probe with phase 0 and contrast equal to the preparation
-    fidelity. Default branch patterns exist for 2 ions (up-down) and 4 ions
-    (up-down-down-up around a central sensed spin); other even counts need
-    explicit branch_weights.
+    Returns a probe with contrast equal to the preparation fidelity. Default
+    branch patterns exist for 2 ions (up-down) and 4 ions (up-down-down-up
+    around a central sensed spin); other even counts need explicit
+    branch_weights.
     """
     if not (0.0 <= fidelity <= 1.0):
         raise ConfigurationError(f"fidelity must be in [0, 1], got {fidelity}")
@@ -141,7 +138,7 @@ def prepare_probe(kind: str, ion_positions: Sequence[Vec3], fidelity: float,
                 f"no default branch pattern for kind={kind!r} with {n} ions; pass branch_weights")
         branch_weights = (pattern, tuple(-w for w in pattern))
     return ProbeState(kind=kind, ion_positions=tuple(ion_positions),
-                      branch_weights=branch_weights, phase=0.0, contrast=fidelity)
+                      branch_weights=branch_weights, contrast=fidelity)
 
 
 def phase_rate(probe: ProbeState, zeeman: ZeemanConfig,
@@ -182,20 +179,6 @@ def pi_time(rate: float) -> float:
     return math.pi / abs(rate) if rate else math.inf
 
 
-def evolve(probe: ProbeState, zeeman: ZeemanConfig, field_at_ions: Sequence[float],
-           duration: float) -> ProbeState:
-    """Free evolution for duration >= 0 seconds; contrast is left unchanged."""
-    if duration < 0:
-        raise ConfigurationError(f"duration must be >= 0, got {duration}")
-    rate = phase_rate(probe, zeeman, field_at_ions)
-    return replace(probe, phase=probe.phase + accumulated_phase(rate, duration))
-
-
-def parity(probe: ProbeState) -> float:
-    """Parity expectation P = contrast * cos(phase)."""
-    return probe.contrast * math.cos(probe.phase)
-
-
 def outcome_parities(n_ions: int) -> np.ndarray:
     """Parity (+-1) of each of the 2^N measurement patterns, indexed by bitmask.
 
@@ -212,11 +195,12 @@ def outcome_parities(n_ions: int) -> np.ndarray:
 def outcome_probabilities(probe: ProbeState, bias_phase: float = 0.0) -> np.ndarray:
     """Measurement distribution over the 2^N spin patterns after the analysis pulse.
 
-    The pulse is ideal; its adjustable phase enters as bias_phase added to
-    the accumulated probe phase. Probabilities are nonnegative and sum to 1.
+    The pulse is ideal; bias_phase is the total phase phi + beta, the
+    accumulated probe phase plus the pulse's adjustable phase. Probabilities
+    are nonnegative and sum to 1.
     """
     signs = outcome_parities(probe.n_ions)
-    fringe = probe.contrast * math.cos(probe.phase + bias_phase)
+    fringe = probe.contrast * math.cos(bias_phase)
     return (1.0 + signs * fringe) / float(2 ** probe.n_ions)
 
 

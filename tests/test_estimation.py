@@ -135,7 +135,7 @@ def _unblocked_reference(plan, probe, zeeman, fields, noise):
     gradient = gradient * noise.gradient_rms
     shot_rate = (phase_rate(probe, zeeman, fields)
                  + zeeman.gyromagnetic_ratio * gradient * probe.gradient_coupling)
-    phases = probe.phase + shot_rate * plan.interaction_time
+    phases = shot_rate * plan.interaction_time
     p_even = 0.5 * (1.0 + probe.contrast * noise.contrast * np.cos(phases + plan.bias_phase))
     parities = np.where(draw < p_even, 1, -1).astype(np.int64)
     pattern_parity = outcome_parities(probe.n_ions)
@@ -240,6 +240,14 @@ def test_shot_count_bound_is_the_counter_range():
         ExperimentPlan(shots=2 ** 61 + 1, interaction_time=1.0)
 
 
+def test_noise_free_run_allocates_no_mapping_buffers():
+    # the outcome integers and their counters take 512 KiB per block; the
+    # mapping buffers would add 608 KiB more, and no noise-free shot is mapped
+    peak, out = _peak_bytes(lambda: simulate_shots(*_memory_args(100_000, 0.0)))
+    assert peak <= 2 ** 20, peak
+    assert int(out.pattern_counts.sum()) == 100_000
+
+
 @pytest.mark.parametrize("gradient_rms", [0.0, 5e-4])
 def test_small_run_memory_is_small(gradient_rms):
     # a 10-shot run sizes its buffers to its shots, not to a block
@@ -257,8 +265,8 @@ P_EVEN_GRID = ([0.0, 2.0 ** -53, 0.5, 1.0 - 2.0 ** -53, 1.0]
 
 
 def _mapped_ranks(bits, p_even, n_class):
-    """Rank of each outcome integer under the per-shot mapping: even slots first."""
-    return _slots(rng.bits_to_uniform(bits), np.float64(p_even), n_class) ^ n_class
+    """Rank of each outcome integer under the per-shot mapping: its slot."""
+    return _slots(rng.bits_to_uniform(bits), np.float64(p_even), n_class)
 
 
 @pytest.mark.parametrize("n_ions", [2, 4])
@@ -368,30 +376,32 @@ SCREEN_GRID = [(n_ions, spread, fringe, base_phase, shots)
                for shots in (1, _BLOCK, _BLOCK + 17)]
 
 
+# a run setup cost that makes every run screen, or every noisy run map
+SCREEN, MAP = -math.inf, math.inf
+
+
 def _tally_and_reference(case):
+    """A run's slot counts, and the slot counts of its regenerated per-shot outcomes."""
     out = simulate_shots(*_screen_case(*case))
-    return out, out.pattern_counts[out._run.patterns], out._run._mapped_counts()
+    regenerated = np.bincount(out.outcome_indices, minlength=len(out.pattern_counts))
+    return out, out.pattern_counts[out._run.patterns], regenerated[out._run.patterns]
 
 
+@pytest.mark.parametrize("route", [SCREEN, MAP], ids=["screen", "map"])
 @pytest.mark.parametrize("case", SCREEN_GRID, ids=str)
-def test_screened_tally_equals_the_mapped_shots(case):
+def test_both_routes_equal_the_regenerated_shots(monkeypatch, case, route):
+    monkeypatch.setattr(estimation, "_SCREEN_SETUP", route)
     out, got, want = _tally_and_reference(case)
     assert np.array_equal(got, want)
-    odd = int(want[:len(want) // 2].sum())   # the odd slots come first
+    odd = int(want[len(want) // 2:].sum())   # the odd slots are the top half
     assert out.parity_sum == out.shots - 2 * odd == int(out.parities.sum())
-    assert np.array_equal(out.pattern_counts,
-                          np.bincount(out.outcome_indices, minlength=len(out.pattern_counts)))
-    # the screen itself, also where the run maps every shot instead
-    run = out._run
-    half = math.ceil(run._window() * 2.0 ** 53)
-    screened = run._threshold_counts(run._p_even(run._noise_free_phase()), half)
-    assert np.array_equal(screened, want)
 
 
 def test_screen_grid_moves_flagged_shots(monkeypatch):
     # with a zero window no shot is flagged, and some grid case then misses
     # the shots that its own phase moves to another pattern
     windows = estimation._windows
+    monkeypatch.setattr(estimation, "_SCREEN_SETUP", SCREEN)
     monkeypatch.setattr(estimation, "_windows", lambda thresholds, half: windows(thresholds, 0))
     missed = [case for case in SCREEN_GRID
               if not np.array_equal(*_tally_and_reference(case)[1:])]
@@ -416,8 +426,9 @@ def test_screened_run_draws_few_gaussians(monkeypatch):
     shot_plan, probe, zeeman, fields, noise = _screen_case(2, 1e-3, 0.9, 0.0, 2 * _BLOCK + 5)
     out = simulate_shots(shot_plan, probe, zeeman, fields, noise)
     assert 0 < sum(drawn) <= 0.05 * out.shots
-    # a per-shot phase that overflows is still a config error
-    for rms, t in ((1e300, 1.0), (1.0, 1e305)):
+    # a per-shot phase that overflows is still a config error, also where
+    # the window is nan (an infinite rate times a zero time)
+    for rms, t in ((1e300, 1.0), (1.0, 1e305), (1e300, 0.0)):
         with pytest.raises(ConfigurationError, match="per-shot phase overflows"):
             simulate_shots(plan(shots=10, t=t), probe, ZEE, fields, NoiseModel(gradient_rms=rms))
 

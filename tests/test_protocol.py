@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,20 +7,19 @@ from iongradim.constants import Vec3, constants
 from iongradim.errors import ConfigurationError
 from iongradim.magnetostatics import axial_bz, DipoleSource
 from iongradim.protocol import (BELL, GHZ, ProbeState, ZeemanConfig, accumulated_phase,
-                                evolve, outcome_probabilities, parity, parity_trajectory,
+                                outcome_parities, outcome_probabilities, parity_trajectory,
                                 phase_rate, prepare_probe)
 
 C = constants()
 ZEE = ZeemanConfig(g_factor=2.002)
 
 
-def bell_probe(contrast=1.0, phase=0.0, spacing=1.03e-6) -> ProbeState:
-    probe = prepare_probe(BELL, (Vec3(0, 0, 0.0), Vec3(0, 0, spacing)), contrast)
-    return replace(probe, phase=phase)
+def bell_probe(contrast=1.0, spacing=1.03e-6) -> ProbeState:
+    return prepare_probe(BELL, (Vec3(0, 0, 0.0), Vec3(0, 0, spacing)), contrast)
 
 
-def ghz4_probe(positions, contrast=1.0, phase=0.0) -> ProbeState:
-    return replace(prepare_probe(GHZ, positions, contrast), phase=phase)
+def ghz4_probe(positions, contrast=1.0) -> ProbeState:
+    return prepare_probe(GHZ, positions, contrast)
 
 
 # ---------------------------------------------------------------------------
@@ -56,8 +54,7 @@ def born_probabilities(pattern, phi, bias, contrast):
 @pytest.mark.parametrize("bias", [0.0, math.pi / 2, -0.7])
 @pytest.mark.parametrize("contrast", [1.0, 0.99, 0.4, 0.0])
 def test_bell_outcome_probabilities_against_born_oracle(phi, bias, contrast):
-    probe = bell_probe(contrast=contrast, phase=phi)
-    computed = outcome_probabilities(probe, bias_phase=bias)
+    computed = outcome_probabilities(bell_probe(contrast=contrast), bias_phase=phi + bias)
     oracle = born_probabilities((0.5, -0.5), phi, bias, contrast)
     assert np.allclose(computed, oracle, atol=1e-14)
 
@@ -66,22 +63,23 @@ def test_bell_outcome_probabilities_against_born_oracle(phi, bias, contrast):
 @pytest.mark.parametrize("contrast", [1.0, 0.8])
 def test_ghz4_outcome_probabilities_against_born_oracle(phi, contrast):
     positions = tuple(Vec3(0, 0, z) for z in (-2e-6, -1e-6, 1e-6, 2e-6))
-    probe = ghz4_probe(positions, contrast=contrast, phase=phi)
-    computed = outcome_probabilities(probe, bias_phase=0.35)
+    computed = outcome_probabilities(ghz4_probe(positions, contrast=contrast),
+                                     bias_phase=phi + 0.35)
     oracle = born_probabilities((0.5, -0.5, -0.5, 0.5), phi, 0.35, contrast)
     assert np.allclose(computed, oracle, atol=1e-14)
 
 
 def test_parity_equals_outcome_expectation():
-    # brute force over the 2-qubit Born-rule state for random phases
+    # brute force over the 2-qubit Born-rule state for random phases: P = contrast cos(phi)
     rng = np.random.default_rng(3)
     for _ in range(30):
         phi = rng.uniform(-2 * math.pi, 2 * math.pi)
         contrast = rng.uniform(0.0, 1.0)
-        probe = bell_probe(contrast=contrast, phase=phi)
         probabilities = born_probabilities((0.5, -0.5), phi, 0.0, contrast)
         signs = np.array([1, -1, -1, 1])
-        assert float(signs @ probabilities) == pytest.approx(parity(probe), abs=1e-13)
+        assert float(signs @ probabilities) == pytest.approx(contrast * math.cos(phi), abs=1e-13)
+        computed = outcome_probabilities(bell_probe(contrast=contrast), bias_phase=phi)
+        assert float(signs @ computed) == pytest.approx(contrast * math.cos(phi), abs=1e-13)
 
 
 def test_probabilities_are_distribution():
@@ -91,28 +89,10 @@ def test_probabilities_are_distribution():
         phi = rng.uniform(-10, 10)
         bias = rng.uniform(-10, 10)
         contrast = rng.uniform(0, 1)
-        for probe in (bell_probe(contrast=contrast, phase=phi),
-                      ghz4_probe(positions4, contrast=contrast, phase=phi)):
-            p = outcome_probabilities(probe, bias_phase=bias)
+        for probe in (bell_probe(contrast=contrast), ghz4_probe(positions4, contrast=contrast)):
+            p = outcome_probabilities(probe, bias_phase=phi + bias)
             assert np.all(p >= 0)
             assert float(p.sum()) == pytest.approx(1.0, abs=1e-12)
-
-
-# ---------------------------------------------------------------------------
-# parity
-
-def test_parity_examples():
-    assert parity(bell_probe(contrast=1.0, phase=0.0)) == 1.0
-    assert parity(bell_probe(contrast=1.0, phase=math.pi)) == pytest.approx(-1.0, abs=1e-15)
-    assert parity(bell_probe(contrast=1.0, phase=math.pi / 2)) == pytest.approx(0.0, abs=1e-15)
-
-
-def test_parity_bounded_by_contrast():
-    rng = np.random.default_rng(21)
-    for _ in range(100):
-        contrast = rng.uniform(0, 1)
-        probe = bell_probe(contrast=contrast, phase=rng.uniform(-10, 10))
-        assert abs(parity(probe)) <= contrast <= 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -144,28 +124,22 @@ def test_uniform_field_rate_exactly_zero():
 def test_uniform_time_dependent_sequence_accumulates_zero_phase():
     probe = bell_probe()
     rng = np.random.default_rng(4)
+    phase = 0.0
     for _ in range(200):
         b = rng.uniform(-1e-5, 1e-5)
-        probe = evolve(probe, ZEE, (b, b), rng.uniform(0, 10))
-    assert probe.phase == 0.0
+        phase += accumulated_phase(phase_rate(probe, ZEE, (b, b)), rng.uniform(0, 10))
+    assert phase == 0.0
 
 
-def test_evolve_examples():
-    probe = bell_probe()
-    fields = (6.8e-13, 0.0)
-    assert evolve(probe, ZEE, fields, 0.0) == probe
-    one_step = evolve(probe, ZEE, fields, 5.0)
-    two_steps = evolve(evolve(probe, ZEE, fields, 2.5), ZEE, fields, 2.5)
-    assert two_steps.phase == pytest.approx(one_step.phase, abs=1e-12)
+def test_accumulated_phase_examples():
+    rate = phase_rate(bell_probe(), ZEE, (6.8e-13, 0.0))
+    assert accumulated_phase(rate, 0.0) == 0.0
+    one_step = accumulated_phase(rate, 5.0)
+    two_steps = accumulated_phase(rate, 2.5) + accumulated_phase(rate, 2.5)
+    assert two_steps == pytest.approx(one_step, abs=1e-12)
     # 5 s at the published differential field: phi near 0.60 rad, swing near 0.56
-    assert one_step.phase == pytest.approx(0.598597, abs=1e-5)
-    assert math.sin(one_step.phase) == pytest.approx(0.563484, abs=1e-5)
-    assert one_step.contrast == probe.contrast
-
-
-def test_evolve_rejects_negative_duration():
-    with pytest.raises(ConfigurationError):
-        evolve(bell_probe(), ZEE, (0.0, 1e-13), -1.0)
+    assert one_step == pytest.approx(0.598597, abs=1e-5)
+    assert math.sin(one_step) == pytest.approx(0.563484, abs=1e-5)
 
 
 def test_accumulated_phase_overflow_is_a_config_error():
@@ -175,7 +149,7 @@ def test_accumulated_phase_overflow_is_a_config_error():
     with pytest.raises(ConfigurationError, match="overflows a float"):
         parity_trajectory(1.8e301, 1.0, 1e30)   # every point past the first overflows
     with pytest.raises(ConfigurationError, match="overflows a float"):
-        evolve(bell_probe(), ZEE, (0.0, 1e-9), 1e307)
+        accumulated_phase(phase_rate(bell_probe(), ZEE, (0.0, 1e-9)), 1e307)
 
 
 def _trajectory_by_point(rate, contrast, t_max, n_points):
@@ -205,9 +179,9 @@ def test_trajectory_equals_the_per_point_reference():
 def test_phase_reversal():
     probe = bell_probe()
     fields = (1.3e-13, -0.2e-13)
-    forward = evolve(probe, ZEE, fields, 7.3)
-    back = evolve(forward, ZEE, tuple(-b for b in fields), 7.3)
-    assert back.phase == pytest.approx(probe.phase, abs=1e-12)
+    forward = accumulated_phase(phase_rate(probe, ZEE, fields), 7.3)
+    back = accumulated_phase(phase_rate(probe, ZEE, tuple(-b for b in fields)), 7.3)
+    assert forward + back == pytest.approx(0.0, abs=1e-12)
 
 
 def test_phase_rate_field_count_mismatch():
@@ -247,11 +221,15 @@ def test_ghz_rate_doubles_side_pair_bell_rate():
 
 def test_prepare_probe_examples():
     positions = (Vec3(0, 0, 0.0), Vec3(0, 0, 1e-6))
-    assert parity(prepare_probe(BELL, positions, 1.0)) == 1.0
-    assert parity(prepare_probe(BELL, positions, 0.99)) == pytest.approx(0.99)
+    signs = outcome_parities(2)
+    assert float(signs @ outcome_probabilities(prepare_probe(BELL, positions, 1.0))) == 1.0
+    assert float(signs @ outcome_probabilities(prepare_probe(BELL, positions, 0.99))) == (
+        pytest.approx(0.99))
     dead = prepare_probe(BELL, positions, 0.0)
+    rate = phase_rate(dead, ZEE, (0.0, 6.8e-13))
     for t in (0.0, 1.0, 26.0):
-        assert parity(evolve(dead, ZEE, (0.0, 6.8e-13), t)) == 0.0
+        probabilities = outcome_probabilities(dead, bias_phase=accumulated_phase(rate, t))
+        assert float(signs @ probabilities) == 0.0
 
 
 @pytest.mark.parametrize("fidelity", [-0.01, 1.01, 2.0])
