@@ -479,8 +479,32 @@ def _preamble(bundle: ResultBundle) -> list[str]:
     return lines
 
 
+def _write(path: Path, lines: list[str]) -> None:
+    """Write the lines, each ending in "\\n", to path as UTF-8.
+
+    The file is written over in place and then cut to the new length, so it
+    holds the same bytes as after `Path.write_text`. It is not opened with
+    O_TRUNC: on ext4, truncating an existing file to zero before the write
+    costs several times the write itself, and a rerun rewrites every file.
+    """
+    data = ("\n".join(lines) + "\n").encode("utf-8")
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        view = memoryview(data)
+        while view:
+            view = view[os.write(fd, view):]
+        os.ftruncate(fd, len(data))
+    finally:
+        os.close(fd)
+
+
 def emit(bundle: ResultBundle, output_format: str, out_dir: str | Path) -> list[Path]:
-    """Write the bundle; returns the written paths. Byte-stable for fixed inputs."""
+    """Write the bundle; returns the written paths. Byte-stable for fixed inputs.
+
+    A file that already exists is overwritten in place and left holding
+    exactly the new bytes. No write is atomic: an interrupted one can leave
+    new bytes followed by the file's old ones.
+    """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
@@ -489,7 +513,7 @@ def emit(bundle: ResultBundle, output_format: str, out_dir: str | Path) -> list[
             path = out / f"{table.name}.csv"
             lines = [bundle.header, ",".join(table.columns)]
             lines.extend(_row_lines(table.rows, ","))
-            path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+            _write(path, lines)
             written.append(path)
         written.append(_write_provenance(bundle, out))
     elif output_format == "text":
@@ -502,7 +526,7 @@ def emit(bundle: ResultBundle, output_format: str, out_dir: str | Path) -> list[
         lines.append("config echo:")
         lines.extend("  " + line for line in bundle.config_echo.splitlines())
         path = out / "report.txt"
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+        _write(path, lines)
         written.append(path)
     else:
         raise ConfigurationError(f"unknown output format {output_format!r}")
@@ -514,7 +538,7 @@ def _write_provenance(bundle: ResultBundle, out: Path) -> Path:
     lines.append("config echo (sha256 of this block is the config hash):")
     lines.append(bundle.config_echo.rstrip("\n"))
     path = out / "provenance.txt"
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    _write(path, lines)
     return path
 
 

@@ -1,10 +1,14 @@
+import errno
 import math
+import os
 import random
+import stat
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from iongradim import cli
 from iongradim.cli import (ConfigFileError, ResultBundle, RunConfig, Table, _csv_cell,
                            _preamble, config_hash, emit, execute, format_number, main,
                            normalized_config, parse_config)
@@ -416,6 +420,105 @@ def test_paper_values_flag_overrides(tmp_path):
     provenance = (out / "provenance.txt").read_text()
     assert "paper_values = on" in provenance
     assert "mode=paper-values" in provenance
+
+
+# ---------------------------------------------------------------------------
+# writing the output files
+
+needs_proc_fd = pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                                   reason="lists open file descriptors through /proc")
+
+
+def _open_fds():
+    return sorted(os.listdir("/proc/self/fd"))
+
+
+@pytest.mark.parametrize("fmt", ["csv", "text"])
+def test_outputs_are_never_opened_with_o_trunc(tmp_path, monkeypatch, fmt):
+    opened = []
+    real_open = os.open
+
+    def recording_open(path, flags, *args, **kwargs):
+        opened.append((os.path.basename(path), flags))
+        return real_open(path, flags, *args, **kwargs)
+
+    monkeypatch.setattr(cli.os, "open", recording_open)
+    cfg = _write_cfg(tmp_path, SCENARIO_CFG)
+    out = tmp_path / "out"
+    for _ in range(2):   # the pass that creates the files, then a rerun over them
+        opened.clear()
+        assert main(["--config", str(cfg), "--out", str(out), "--format", fmt]) == 0
+        assert sorted(name for name, _ in opened) == sorted(p.name for p in out.iterdir())
+        assert not any(flags & os.O_TRUNC for _, flags in opened), opened
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077, 0o002, 0o000])
+def test_new_outputs_get_the_mode_of_write_text(tmp_path, umask):
+    cfg = _write_cfg(tmp_path, CRYSTAL_CFG)
+    reference, out = tmp_path / "reference.txt", tmp_path / "out"
+    old_umask = os.umask(umask)
+    try:
+        reference.write_text("x\n", encoding="utf-8", newline="\n")
+        assert main(["--config", str(cfg), "--out", str(out)]) == 0
+    finally:
+        os.umask(old_umask)
+    modes = {p.name: stat.S_IMODE(p.stat().st_mode) for p in out.iterdir()}
+    assert set(modes.values()) == {stat.S_IMODE(reference.stat().st_mode)}, modes
+
+
+@needs_proc_fd
+@pytest.mark.parametrize("fmt", ["csv", "text"])
+def test_main_leaves_no_open_file_descriptor(tmp_path, fmt):
+    cfg = _write_cfg(tmp_path, SCENARIO_CFG)
+    out = tmp_path / "out"
+    for _ in range(2):
+        before = _open_fds()
+        assert main(["--config", str(cfg), "--out", str(out), "--format", fmt]) == 0
+        assert _open_fds() == before
+
+
+def test_short_os_writes_still_write_every_byte(tmp_path, monkeypatch):
+    cfg = _write_cfg(tmp_path, SCENARIO_CFG)
+    expected = {}
+    for fmt in ("csv", "text"):
+        assert main(["--config", str(cfg), "--out", str(tmp_path / fmt), "--format", fmt]) == 0
+        expected.update((f"{fmt}/{p.name}", p.read_bytes()) for p in (tmp_path / fmt).iterdir())
+    real_write = os.write
+    monkeypatch.setattr(cli.os, "write", lambda fd, data: real_write(fd, data[:7]))
+    for fmt in ("csv", "text"):
+        out = tmp_path / f"short-{fmt}"
+        assert main(["--config", str(cfg), "--out", str(out), "--format", fmt]) == 0
+        for p in out.iterdir():
+            assert p.read_bytes() == expected[f"{fmt}/{p.name}"], p.name
+
+
+def _disk_full(fd, data):
+    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+@needs_proc_fd
+@pytest.mark.parametrize("case", ["report_is_a_directory", "provenance_is_a_directory",
+                                  "out_is_a_file", "disk_full"])
+def test_write_failure_is_a_runtime_error(tmp_path, capsys, monkeypatch, case):
+    cfg = _write_cfg(tmp_path, CRYSTAL_CFG)
+    out = tmp_path / "out"
+    fmt = "text" if case == "report_is_a_directory" else "csv"
+    if case == "report_is_a_directory":
+        (out / "report.txt").mkdir(parents=True)
+    elif case == "provenance_is_a_directory":   # written last, after the tables
+        (out / "provenance.txt").mkdir(parents=True)
+    elif case == "out_is_a_file":
+        out.write_text("not a directory\n", encoding="utf-8")
+    else:
+        monkeypatch.setattr(cli.os, "write", _disk_full)
+    before = _open_fds()
+    code = main(["--config", str(cfg), "--out", str(out), "--format", fmt])
+    assert _open_fds() == before
+    assert code == 2
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("runtime error: cannot write output: "), err
+    assert "Traceback" not in captured.err and captured.out == ""
 
 
 # ---------------------------------------------------------------------------

@@ -313,3 +313,18 @@ def test_cases_cover_every_shipped_config():
 @pytest.mark.parametrize("name, fmt", sorted(GOLDEN))
 def test_output_bytes_unchanged(tmp_path, name, fmt):
     assert _digests(tmp_path, name, fmt) == GOLDEN[(name, fmt)]
+
+
+@pytest.mark.parametrize("stale", ["longer", "one_byte"])
+@pytest.mark.parametrize("name, fmt", sorted(GOLDEN))
+def test_rerun_over_stale_files_leaves_the_golden_bytes(tmp_path, name, fmt, stale):
+    # a rerun writes over old files in place: a longer one must lose its tail,
+    # a one-byte one must grow to the whole output
+    stale_bytes = b"\xff" * 200_000 if stale == "longer" else b"\xff"
+    out = tmp_path / f"{name}-{fmt}"
+    out.mkdir()
+    for file_name in GOLDEN[(name, fmt)]:
+        (out / file_name).write_bytes(stale_bytes)
+    assert _digests(tmp_path, name, fmt) == GOLDEN[(name, fmt)]
+    if stale == "longer":
+        assert max(path.stat().st_size for path in out.iterdir()) < len(stale_bytes)
