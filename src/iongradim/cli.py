@@ -36,7 +36,9 @@ from .errors import (ConfigurationError, FieldSingularityError, InfeasibleError,
                      SolverError)
 from .estimation import (ExperimentPlan, NoiseModel, expected_parity, parity_estimate,
                          simulate_shots)
-from .magnetostatics import DipoleSource, axial_bz, compensation_gradient, dipole_field
+# dipole_field is unused here, but bench/tracing.py wraps it at this site
+from .magnetostatics import (DipoleSource, axial_bz, axial_field_table,  # noqa: F401
+                             compensation_gradient, dipole_field)
 from .protocol import (BELL, PAIR_WEIGHTS, ZeemanConfig, parity_trajectory, phase_rate,
                        pi_time, prepare_probe)
 from .scenarios import SCENARIO_KINDS, ScenarioConfig, run_scenario
@@ -314,7 +316,7 @@ def _execute_field(params: dict, seed: int) -> tuple[tuple[Table, ...], tuple[st
     source = DipoleSource(Vec3(0.0, 0.0, params["source_z_m"]),
                           Vec3(0.0, 0.0, params["source_moment_j_per_t"]))
     zs = np.linspace(params["z_start_m"], params["z_stop_m"], params["n_points"])
-    rows = tuple((float(z), dipole_field(source, Vec3(0.0, 0.0, float(z))).z) for z in zs)
+    rows = tuple(zip(zs.tolist(), axial_field_table(source, zs).tolist()))
     tables = [Table("axial_field", ("z_m", "Bz_T"), rows)]
     z1, z2 = params["pair_z1_m"], params["pair_z2_m"]
     if (z1 is None) != (z2 is None):

@@ -81,19 +81,24 @@ def length_scale(trap: TrapConfig) -> float:
     return ell
 
 
+# Newton calls these on arrays of at most 30 ions, where numpy's Python-level
+# wrappers cost more than the arithmetic: each writes a diagonal through the
+# flat view with stride n + 1, as np.fill_diagonal does.
+
 def _net_forces(u: np.ndarray) -> np.ndarray:
     """Dimensionless net force on each ion (zero at equilibrium)."""
     d = u[:, None] - u[None, :]
-    np.fill_diagonal(d, np.inf)
+    d.reshape(-1)[::len(u) + 1] = np.inf   # the diagonal
     return u - np.sum(np.sign(d) / (d * d), axis=1)
 
 
 def _jacobian(u: np.ndarray) -> np.ndarray:
+    diagonal = slice(None, None, len(u) + 1)
     ad = np.abs(u[:, None] - u[None, :])
-    np.fill_diagonal(ad, np.inf)
+    ad.reshape(-1)[diagonal] = np.inf
     j = -2.0 / (ad * ad * ad)
-    np.fill_diagonal(j, 0.0)
-    np.fill_diagonal(j, 1.0 - j.sum(axis=1))
+    j.reshape(-1)[diagonal] = 0.0
+    j.reshape(-1)[diagonal] = 1.0 - j.sum(axis=1)
     return j
 
 
@@ -115,7 +120,7 @@ def equilibrium_positions(n_ions: int, trap: TrapConfig) -> CrystalGeometry:
     # spacing well enough for Newton to converge in a handful of steps.
     u = (np.arange(n_ions) - (n_ions - 1) / 2.0) * (2.0 / n_ions ** (1.0 / 3.0))
     forces = _net_forces(u)
-    residual = float(np.max(np.abs(forces)))
+    residual = float(np.abs(forces).max())
     for iteration in range(_NEWTON_CAP):
         if residual < _RESIDUAL_TOL:
             break
@@ -123,16 +128,16 @@ def equilibrium_positions(n_ions: int, trap: TrapConfig) -> CrystalGeometry:
         scale = 1.0
         for _ in range(60):
             trial = u - scale * step
-            if np.all(np.diff(trial) > 0):
+            if (trial[1:] > trial[:-1]).all():
                 trial_forces = _net_forces(trial)
-                if float(np.max(np.abs(trial_forces))) < residual:
+                if float(np.abs(trial_forces).max()) < residual:
                     break
             scale *= 0.5
         else:   # no halving lowered the residual: take the smallest step regardless
             trial = u - scale * step
             trial_forces = _net_forces(trial)
         u, forces = trial, trial_forces
-        residual = float(np.max(np.abs(forces)))
+        residual = float(np.abs(forces).max())
     else:
         raise SolverError(f"equilibrium solve for {n_ions} ions did not converge", residual)
     log.debug("equilibrium n=%d converged: residual %.2e after %d iterations",

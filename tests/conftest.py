@@ -4,6 +4,13 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
+
+# One profile for every property test: the same examples on every run, none
+# remembered between runs, and no per-example time limit.
+settings.register_profile("iongradim", derandomize=True, database=None, max_examples=200,
+                          deadline=None)
+settings.load_profile("iongradim")
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 

@@ -16,6 +16,7 @@ the platform and not from a code change.
 """
 
 import hashlib
+import json
 from pathlib import Path
 
 import pytest
@@ -115,6 +116,10 @@ def _digests(tmp_path, name: str, fmt: str) -> dict[str, str]:
     config.write_text(_config_text(name), encoding="utf-8")
     out = tmp_path / f"{name}-{fmt}"
     assert main(["--config", str(config), "--out", str(out), "--format", fmt]) == 0
+    return _file_digests(out)
+
+
+def _file_digests(out: Path) -> dict[str, str]:
     return {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
             for path in sorted(out.iterdir())}
 
@@ -328,3 +333,32 @@ def test_rerun_over_stale_files_leaves_the_golden_bytes(tmp_path, name, fmt, sta
     assert _digests(tmp_path, name, fmt) == GOLDEN[(name, fmt)]
     if stale == "longer":
         assert max(path.stat().st_size for path in out.iterdir()) < len(stale_bytes)
+
+
+# numpy's dispatch to the x86-64-v3 and v4 (AVX2, AVX-512) loops switched off:
+# every ufunc runs its baseline build
+BASELINE_DISPATCH = "X86_V3 X86_V4 AVX512_ICL AVX512_SPR"
+
+_MAIN_EACH = """\
+import json, sys
+from iongradim.cli import main
+print(json.dumps([main(run) for run in json.loads(sys.argv[1])]))
+"""
+
+
+def test_output_bytes_unchanged_under_baseline_simd_dispatch(tmp_path, monkeypatch,
+                                                             fresh_python):
+    # the field table, the double-well scan (np.sin) and the crystal solve run
+    # numpy ufuncs: the bytes they print must not depend on the dispatched loops
+    monkeypatch.setenv("NPY_DISABLE_CPU_FEATURES", BASELINE_DISPATCH)
+    runs = []
+    for name, fmt in sorted(GOLDEN):
+        config = tmp_path / f"{name}.cfg"
+        config.write_text(_config_text(name), encoding="utf-8")
+        runs.append(["--config", str(config), "--out", str(tmp_path / f"{name}-{fmt}"),
+                     "--format", fmt])
+    done = fresh_python(_MAIN_EACH, json.dumps(runs), timeout=120.0)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout.splitlines()[-1]) == [0] * len(runs)
+    for name, fmt in sorted(GOLDEN):
+        assert _file_digests(tmp_path / f"{name}-{fmt}") == GOLDEN[(name, fmt)], (name, fmt)

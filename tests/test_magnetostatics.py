@@ -1,13 +1,18 @@
+import math
+import struct
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from iongradim.constants import Vec3, constants, norm
 from iongradim.errors import ConfigurationError, FieldSingularityError
 from iongradim.magnetostatics import (MU0_OVER_4PI, DipoleSource, axial_bz,
-                                      compensation_gradient, differential_field,
-                                      dipole_field, total_differential_field)
+                                      axial_field_table, compensation_gradient,
+                                      differential_field, dipole_field,
+                                      total_differential_field)
 
 MU_B = constants().bohr_magneton
 MU_E = abs(constants().electron_magnetic_moment)
@@ -229,3 +234,74 @@ def test_field_where_the_scale_is_subnormal_keeps_full_precision(evaluate, dist)
     assert MU0_OVER_4PI / dist ** 3 < np.finfo(float).tiny
     bz = evaluate(z_dipole(moment=moment), dist)
     assert abs(Fraction(bz) - exact) <= Fraction(1e-15) * exact
+
+
+# ---------------------------------------------------------------------------
+# axial_field_table: the field table's kernel against the per-point loop
+
+# Distances where a guard starts: the scale mu0/4pi / dist^3 turns subnormal
+# (~1.65e100 m), the cube overflows (~5.64e102 m), dz*dz overflows (~1.34e154 m).
+GUARD_EDGES = (float((Fraction(MU0_OVER_4PI) / Fraction(np.finfo(float).tiny)) ** (1 / 3)),
+               CUBE_LIMIT, math.sqrt(np.finfo(float).max))
+EDGE_DISTANCES = tuple(edge * f for edge in GUARD_EDGES for f in (1 - 1e-13, 1.0, 1 + 1e-13))
+EDGE_GRID = (*EDGE_DISTANCES, 1e160)
+
+distances = st.one_of(st.floats(-9.0, 160.0).map(lambda e: 10.0 ** e),
+                      st.sampled_from(EDGE_DISTANCES))
+moments = st.one_of(st.sampled_from((0.0, 1e300, -1e300, MU_B, -MU_E)),
+                    st.floats(-1e-20, 1e-20))
+
+
+def _bits(values) -> bytes:
+    return struct.pack(f"<{len(values)}d", *values)
+
+
+def _outcome(evaluate):
+    """Field bits, or the type and message of the error the evaluation raised."""
+    try:
+        return _bits(list(evaluate()))
+    except (ConfigurationError, FieldSingularityError) as error:
+        return type(error), str(error)
+
+
+@given(z0=st.one_of(st.just(0.0), st.floats(-1e-5, 1e-5)), moment=moments,
+       flip=st.booleans(),
+       offsets=st.lists(st.tuples(distances, st.sampled_from((-1.0, 1.0))), max_size=40),
+       near=st.one_of(st.none(), st.tuples(st.integers(0, 40), st.sampled_from((0.0, 5e-10)))))
+@example(z0=0.0, moment=1e300, flip=False, offsets=[(d, 1.0) for d in EDGE_GRID], near=None)
+@example(z0=-3e-6, moment=-MU_B, flip=True,
+         offsets=[(d, -1.0) for d in (1e-9, 1e-6, *EDGE_GRID)], near=None)
+@example(z0=0.0, moment=0.0, flip=False, offsets=[(d, s) for d in EDGE_GRID for s in (-1, 1)],
+         near=None)
+@example(z0=0.0, moment=0.0, flip=True, offsets=[(d, s) for d in EDGE_GRID for s in (-1, 1)],
+         near=None)
+def test_axial_field_table_is_the_per_point_loop_bit_for_bit(z0, moment, flip, offsets, near):
+    # bits, -0.0 included, or the loop's error type and message for its first failing point;
+    # `near` puts one point inside the 1 nm guard at a drawn place in the table
+    src = z_dipole(moment, z0).flipped() if flip else z_dipole(moment, z0)
+    if near is not None:
+        offsets.insert(near[0], (near[1], 1.0))
+    zs = np.array([z0 + sign * d for d, sign in offsets])
+    loop = _outcome(lambda: (dipole_field(src, Vec3(0.0, 0.0, z)).z for z in zs.tolist()))
+    assert _outcome(lambda: axial_field_table(src, zs)) == loop
+
+
+def test_axial_field_table_grid_crosses_every_guard():
+    # the edge grid lies on both sides of each guard, as the property's examples assume
+    below, above = EDGE_DISTANCES[0::3], EDGE_DISTANCES[2::3]
+    assert all(b < edge < a for b, edge, a in zip(below, GUARD_EDGES, above))
+    scale_edge, cube_edge, square_edge = zip(below, above)
+    assert MU0_OVER_4PI / scale_edge[0] ** 3 >= np.finfo(float).tiny
+    assert MU0_OVER_4PI / scale_edge[1] ** 3 < np.finfo(float).tiny
+    assert math.isfinite(cube_edge[0] ** 3)
+    with pytest.raises(OverflowError):
+        cube_edge[1] ** 3
+    assert math.isfinite(square_edge[0] * square_edge[0])
+    assert square_edge[1] * square_edge[1] == math.inf
+
+
+def test_axial_field_table_rejects_an_off_axis_source():
+    for src in (DipoleSource(Vec3(1e-6, 0.0, 0.0), Vec3(0.0, 0.0, MU_B)),
+                DipoleSource(Vec3(0.0, 0.0, 0.0), Vec3(0.0, MU_B, MU_B))):
+        with pytest.raises(ValueError):
+            axial_field_table(src, np.array([1e-6]))

@@ -1,13 +1,15 @@
 import dataclasses
 import json
 import math
+from typing import NamedTuple
 
 import pytest
 
 from iongradim.constants import Vec3, constants
 from iongradim.crystal import TrapConfig
 from iongradim.errors import ConfigurationError
-from iongradim.estimation import ExperimentPlan, NoiseModel, analytic_snr, required_shots
+from iongradim.estimation import (ExperimentPlan, NoiseModel, analytic_snr, required_shots,
+                                  swing_threshold)
 from iongradim.protocol import (BELL, GHZ, PAIR_WEIGHTS, ZeemanConfig, phase_rate,
                                 prepare_probe)
 from iongradim.scenarios import (_MAX_SCAN_DELTA_N, DOUBLE_WELL, GHZ_CHAIN,
@@ -213,14 +215,33 @@ def scan_by_shot_inversion(config, rate_unit):
     return math.inf
 
 
+class FirstHitAt(NamedTuple):
+    """An interaction time that puts the default config's swing threshold
+    between the swings of k - 1 and k atoms (paper-values mode, 10 shots)."""
+    k: int
+
+    def time(self) -> float:
+        config = dw_config(delta_n=1)
+        rate_unit = run_double_well(config).estimation["phase_rate_rad_per_s"]
+        contrast = config.preparation_fidelity * config.noise.contrast
+        threshold = swing_threshold(config.plan.shots, config.target_snr)
+        return 2.0 * math.asin(threshold / (2.0 * contrast)) / ((self.k - 0.5) * rate_unit)
+
+
+# The scan checks k in chunks 1-3, 4-15, 16-63, 64-255, ..., 4096-10000: hits
+# at 3, 4, 15, 16, 63, 64 and 10,000 sit on the chunk edges.
 @pytest.mark.parametrize("paper_values, t, atom_moment, runs_to_cap", [
     (True, 2.5, None, False),
     (False, 1e-3, None, False),
-    (False, 1e-8, None, True),
-])
+    (False, 1e-8, None, True),   # all 10,000 steps, nothing detectable
+    (True, 0.0, None, True),     # idle: no phase at any imbalance
+    *[(True, FirstHitAt(k), None, False) for k in (3, 4, 15, 16, 63, 64, 10_000)],
+], ids=lambda v: f"first_hit_at_{v.k}" if isinstance(v, FirstHitAt) else None)
 def test_double_well_min_detectable_matches_reference_scan(paper_values, t, atom_moment,
                                                            runs_to_cap):
-    config = dw_config(delta_n=1, paper_values=paper_values, t=t, atom_moment=atom_moment)
+    hit_at = t.k if isinstance(t, FirstHitAt) else None
+    config = dw_config(delta_n=1, paper_values=paper_values, t=t.time() if hit_at else t,
+                       atom_moment=atom_moment)
     report = run_double_well(config)
     # with delta_n = 1 the reported rate is the single-atom rate the scan steps by
     reference = scan_by_shot_inversion(config, report.estimation["phase_rate_rad_per_s"])
@@ -228,6 +249,8 @@ def test_double_well_min_detectable_matches_reference_scan(paper_values, t, atom
     assert found == reference
     if runs_to_cap:
         assert found == math.inf
+    elif hit_at:
+        assert found == hit_at
     else:
         assert 1.0 < found < _MAX_SCAN_DELTA_N
 
