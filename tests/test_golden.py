@@ -6,8 +6,10 @@ in `configs/` plus configs for the commands and modes those files do not
 reach: a `field` run with the pair table, a `protocol` run, a `montecarlo`
 run with gradient and common-mode noise on, `montecarlo` runs at full
 contrast whose every shot is even or every shot is odd, a double-well scan
-that walks to `_MAX_SCAN_DELTA_N` without a detectable imbalance, and
-computed-mode scenarios with noise.
+that walks to `_MAX_SCAN_DELTA_N` without a detectable imbalance,
+computed-mode scenarios with noise, and two long all-float tables (a
+2,000-step `protocol` run whose phase wraps about 2,900 times and a
+500-point `field` run).
 
 The digests were recorded with numpy 2.4.6 and its bundled LAPACK on x86-64.
 The crystal solve goes through LAPACK, so another numpy or LAPACK build may
@@ -102,6 +104,24 @@ bias_phase_rad = 3.141592653589793
 contrast = 1
 seed = 4
 """,
+    "protocol_long_wrapping": """\
+command = protocol
+delta_b_t = 2.5e-9
+duration_s = 41.5
+n_steps = 2000
+contrast = 0.87
+g_factor = 2.002
+""",
+    "field_500": """\
+command = field
+source_moment_j_per_t = -1.3e-23
+source_z_m = 2.5e-7
+z_start_m = -3e-6
+z_stop_m = -4.2e-5
+n_points = 500
+pair_z1_m = -1.1e-6
+pair_z2_m = -4.9e-6
+""",
 }
 
 
@@ -170,6 +190,18 @@ GOLDEN: dict[tuple[str, str], dict[str, str]] = {
     ("double_well_scan_to_cap", "text"): {
         "report.txt":
             "d107134e9441263d61fdb4e8b28873318706732d552b8174b9dfa416d8fef1a1",
+    },
+    ("field_500", "csv"): {
+        "axial_field.csv":
+            "16f015ffc0a835683f05eece915648f469e79b059eefc733b359093d76eb5cf0",
+        "pair_differential.csv":
+            "f87f59c9a11badfd4237879d01cdd476ef0b2b401a4e160ff02b4db60039a36c",
+        "provenance.txt":
+            "61c1093aed303d178419ba471e6c9b7b799a3545a7cc26f5a86ad7463c2636f5",
+    },
+    ("field_500", "text"): {
+        "report.txt":
+            "5a92313be640bf601425fa7e66b3c64b6d8a8c17425e22acadfd192de3b24d8f",
     },
     ("field_pair", "csv"): {
         "axial_field.csv":
@@ -266,6 +298,18 @@ GOLDEN: dict[tuple[str, str], dict[str, str]] = {
     ("protocol", "text"): {
         "report.txt":
             "bcbba2d9f4b9f618804232796da5e542c689fd24ef62cf788caefee02db999d0",
+    },
+    ("protocol_long_wrapping", "csv"): {
+        "parity_trajectory.csv":
+            "f35ea37f9b613c8d39226f508145f73414f64529a2b84987c69691dd48314df1",
+        "provenance.txt":
+            "93533f8334970faed4b2e2426f5c92ffcb15a1225a08e6241d17f6cbedee003b",
+        "summary.csv":
+            "6583fd88309d1f618c1b31d84f33d3e72713545ecdb2815ed3ef2b2c24804d09",
+    },
+    ("protocol_long_wrapping", "text"): {
+        "report.txt":
+            "7045568df183270c9f0fab7648282219039ded944c2a9de41efcd2bbd8f2977d",
     },
     ("three_ion_spin", "csv"): {
         "estimation.csv":
