@@ -4,11 +4,14 @@ import os
 import random
 import stat
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from iongradim import cli
+from iongradim import _format, cli
 from iongradim.cli import (ConfigFileError, ResultBundle, RunConfig, Table, _csv_cell,
                            _preamble, config_hash, emit, execute, format_number, main,
                            normalized_config, parse_config)
@@ -226,7 +229,36 @@ _CELL_MAKERS = (
 )
 
 
-def test_emit_matches_per_cell_formatting(tmp_path):
+# An exact tie at 16 significant digits: 1234567890123456.5 has 17.
+_TIE = 1234567890123456.5
+
+
+def _float_tables(r):
+    """Tables of the array kernel's size: all-float ones it formats, and ones it must leave."""
+    n = cli._KERNEL_MIN_CELLS // 2 + 7
+    def plain(i, j):
+        value = r.uniform(-1e3, 1e3) * 10.0 ** r.randint(-90, 90)
+        return np.float64(value) if (i + j) % 2 else value
+    def table(name, odd=None, width=3):
+        rows = [[plain(i, j) for j in range(width)] for i in range(n)]
+        if odd is not None:
+            cell, row, column = odd
+            rows[row][column] = cell
+        return Table(name, tuple("abcde"[:width]), tuple(map(tuple, rows)))
+    kernel = [table("float_mix")]
+    for column in range(3):
+        kernel.append(table(f"tie_{column}", (_TIE, n // 2, column)))
+        kernel.append(table(f"special_{column}", ((math.nan, -math.inf, 1e-300)[column],
+                                                  column * (n - 1) // 2, column)))
+    kernel.append(table("two_columns", width=2))
+    left = [table("one_int", (7, n - 1, 2)), table("one_bool", (True, 0, 0)),
+            table("one_str", ("x,y", n // 3, 1))]
+    ragged = table("ragged").rows
+    left.append(Table("ragged", ("a", "b", "c"), ragged[:5] + (ragged[5][:2],) + ragged[6:]))
+    return kernel, left
+
+
+def test_emit_matches_per_cell_formatting(tmp_path, monkeypatch):
     r = random.Random(8)
     # runs of same-typed rows (the template route) broken by rows of other types
     trajectory = tuple((float(t), 0.3 * t, 0.97 * math.cos(0.3 * t)) for t in range(40))
@@ -239,18 +271,122 @@ def test_emit_matches_per_cell_formatting(tmp_path):
             mixed.append(tuple(r.choice(_CELL_MAKERS)(r) for _ in range(4)))
     changing_column = tuple((i, (1.5, np.float64(-0.0), 7, np.int64(-7), True, "s,t")[i % 6])
                             for i in range(30))
+    # tables of at least _KERNEL_MIN_CELLS cells: all-float ones go through the
+    # array kernel, in one call for the bundle; the others must not
+    kernel_tables, other_tables = _float_tables(r)
     bundle = ResultBundle(
         header="# iongradim test seed=8", config_echo="command = crystal\nseed = 8\n",
         tables=(Table("trajectory", ("time_s", "phase_rad", "parity"), trajectory),
                 Table("mixed", ("a", "b", "c", "d"), tuple(mixed)),
                 Table("changing_column", ("i", "value"), changing_column),
-                Table("empty", ("x",), ())),
+                Table("empty", ("x",), ()), *kernel_tables, *other_tables),
         annotations=("a note",))
-    for output_format in ("csv", "text"):
-        out = tmp_path / output_format
-        written = {p.name: p.read_bytes() for p in emit(bundle, output_format, out)}
-        expected = _reference_emit(bundle, output_format)
-        assert {name: written[name] for name in expected} == expected
+    kernel_cells = sum(len(t.rows) * len(t.rows[0]) for t in kernel_tables)
+    real_kernel = _format.e15_words
+    for route in ("kernel", "fallback"):
+        calls = []
+        monkeypatch.setattr(_format, "LONG_DOUBLE_OK", route == "kernel")
+        monkeypatch.setattr(_format, "e15_words",
+                            lambda values: calls.append(values.size) or real_kernel(values))
+        for output_format in ("csv", "text"):
+            out = tmp_path / route / output_format
+            written = {p.name: p.read_bytes() for p in emit(bundle, output_format, out)}
+            expected = _reference_emit(bundle, output_format)
+            assert {name: written[name] for name in expected} == expected, route
+        assert calls == ([kernel_cells] * 2 if route == "kernel" else []), route
+
+
+# ---------------------------------------------------------------------------
+# the array kernel for all-float tables: '{:.15e}' byte for byte
+
+def _kernel_texts(values):
+    """The kernel's text of each value, or None where it falls back."""
+    words, fallback = _format.e15_words(np.asarray(values, np.float64))
+    cells = words.view(np.uint8).reshape(-1, 24)
+    return [None if skip else bytes(cell).replace(b"\0", b"").decode("ascii")
+            for cell, skip in zip(cells, fallback.tolist())]
+
+
+def _assert_formats_like_str_format(values):
+    values = [float(v) for v in values]
+    for value, text in zip(values, _kernel_texts(values)):
+        assert text is None or text == "{:.15e}".format(value), value
+    # the table route, with both separators: cells padded to a kernel-sized table
+    cells = (values * (cli._KERNEL_MIN_CELLS // len(values) + 3))[:cli._KERNEL_MIN_CELLS + 3]
+    rows = tuple(tuple(cells[i:i + 3]) for i in range(0, len(cells), 3))
+    for sep, lead in ((",", ""), ("  ", "  ")):
+        [lines] = cli._table_lines((Table("t", ("a", "b", "c"), rows),), sep, lead)
+        expected = [lead + sep.join(map("{:.15e}".format, row)) for row in rows]
+        assert "\n".join(lines) == "\n".join(expected)
+
+
+def _ties():
+    """Doubles exactly halfway between two 16-digit decimals: odd o / 2^n with
+    o * 5^n of 17 digits (the last one a 5), for every n where one exists."""
+    r = random.Random(3)
+    ties = []
+    for n in range(1, 25):
+        lo, hi = -(-10 ** 16 // 5 ** n), min(10 ** 17 // 5 ** n, 2 ** 53)
+        for _ in range(8 if lo < hi else 0):
+            odd = r.randrange(lo, hi) | 1
+            if odd < hi:
+                ties.append(odd / 2 ** n)
+    return ties
+
+
+def _edge_grid():
+    grid = []
+    for k in range(-323, 309):
+        power = float(f"1e{k}")
+        grid += [power, np.nextafter(power, 0.0), np.nextafter(power, math.inf),
+                 float(f"9.9999999999999996e{k - 1}"), float(f"9.99999999999999949e{k - 1}")]
+    grid += _ties() + [9999999999999999.0, 999999999999999.94, 5e-324, 2.225073858507201e-308,
+                       2.2250738585072014e-308, 1.7976931348623157e308, 0.0, math.nan,
+                       math.inf, 1e100, 9.999999999999999e99, 1e-100, 1.234e-300, 4.5e250]
+    return [sign * float(v) for v in grid for sign in (1.0, -1.0)]
+
+
+def test_kernel_matches_str_format_on_an_edge_grid():
+    grid = _edge_grid()
+    _assert_formats_like_str_format(grid)
+    texts = _kernel_texts(grid)
+    ties = _ties()
+    assert all(text is None for text in _kernel_texts(ties))      # every exact tie falls back
+    for tie in ties:
+        digits = Fraction(tie) * 10 ** (15 - math.floor(math.log10(tie)))
+        assert digits.denominator == 2
+    assert _kernel_texts([0.0, -0.0]) == ["0.000000000000000e+00", "-0.000000000000000e+00"]
+    # every cell the grid proves has a 2-digit exponent; most in-range cells are proven
+    assert all(text is None or len(text.split("e")[1]) == 3 for text in texts)
+    in_range = np.random.default_rng(5).uniform(-99.0, 99.0, 20_000)
+    values = np.where(in_range > 0, 1.0, -1.0) * 10.0 ** np.abs(in_range)
+    assert sum(text is None for text in _kernel_texts(values)) < 0.02 * values.size
+
+
+_ANY_BITS = st.integers(0, 2 ** 64 - 1).map(lambda b: float(np.uint64(b).view(np.float64)))
+
+
+@given(st.lists(st.one_of(_ANY_BITS, st.floats(), st.floats(1e-99, 1e100),
+                          st.floats(-1e100, -1e-99)), min_size=1, max_size=64))
+def test_kernel_matches_str_format_on_any_doubles(values):
+    _assert_formats_like_str_format(values)
+
+
+def test_kernel_powers_are_correctly_rounded():
+    exponents = range(15 + _format.K_OFFSET, 15 - _format.K_OFFSET - 1, -1)
+    assert len(_format.POWERS) == len(exponents)
+    for power, e in zip(_format.POWERS, exponents):
+        exact = Fraction(10) ** e
+        error = abs(Fraction(*power.as_integer_ratio()) - exact)
+        assert error <= Fraction(*np.spacing(power).as_integer_ratio()) / 2, e
+    # [1e-99, 1e100) holds exactly the doubles with a 2-digit decimal exponent
+    assert Fraction(_format.SMALLEST) >= Fraction(1, 10 ** 99)
+    assert Fraction(np.nextafter(_format.PAST_LARGEST, 0.0)) < 10 ** 100 <= _format.PAST_LARGEST
+
+
+def test_kernel_lookup_tables_stay_small():
+    tables = (_format.POWERS, _format.SIGN_LEAD, _format.DOT3, _format.FOUR, _format.EXPONENT)
+    assert sum(t.nbytes for t in tables) <= 100_000
 
 
 def _write_cfg(tmp_path, text, name="run.cfg"):
@@ -450,6 +586,31 @@ def test_outputs_are_never_opened_with_o_trunc(tmp_path, monkeypatch, fmt):
         assert main(["--config", str(cfg), "--out", str(out), "--format", fmt]) == 0
         assert sorted(name for name, _ in opened) == sorted(p.name for p in out.iterdir())
         assert not any(flags & os.O_TRUNC for _, flags in opened), opened
+
+
+@pytest.mark.parametrize("fmt", ["csv", "text"])
+def test_files_are_truncated_only_when_a_rewrite_is_shorter(tmp_path, monkeypatch, fmt):
+    truncated = []
+    real_ftruncate = os.ftruncate
+
+    def recording_ftruncate(fd, length):
+        truncated.append(length)
+        return real_ftruncate(fd, length)
+
+    monkeypatch.setattr(cli.os, "ftruncate", recording_ftruncate)
+    cfg = _write_cfg(tmp_path, SCENARIO_CFG)
+    out = tmp_path / "out"
+    argv = ["--config", str(cfg), "--out", str(out), "--format", fmt]
+    assert main(argv) == 0          # creates every file
+    assert truncated == []
+    expected = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert main(argv) == 0          # rewrites every file with the same bytes
+    assert truncated == []
+    for path in out.iterdir():      # every file longer than its new bytes
+        path.write_bytes(b"\xff" * 200_000)
+    assert main(argv) == 0
+    assert sorted(truncated) == sorted(len(data) for data in expected.values())
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == expected
 
 
 @pytest.mark.parametrize("umask", [0o022, 0o077, 0o002, 0o000])
