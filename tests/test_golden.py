@@ -7,9 +7,12 @@ reach: a `field` run with the pair table, a `protocol` run, a `montecarlo`
 run with gradient and common-mode noise on, `montecarlo` runs at full
 contrast whose every shot is even or every shot is odd, a double-well scan
 that walks to `_MAX_SCAN_DELTA_N` without a detectable imbalance,
-computed-mode scenarios with noise, and two long all-float tables (a
-2,000-step `protocol` run whose phase wraps about 2,900 times and a
-500-point `field` run).
+computed-mode scenarios with noise, a computed-mode molecular, double-well
+and GHZ-chain run each with preparation fidelity 0.93, readout contrast 0.85
+and gradient noise (every file that prints the fringe contrast moves if
+either factor is dropped), and two long all-float tables (a 2,000-step
+`protocol` run whose phase wraps about 2,900 times and a 500-point `field`
+run).
 
 The digests were recorded with numpy 2.4.6 and its bundled LAPACK on x86-64.
 The crystal solve goes through LAPACK, so another numpy or LAPACK build may
@@ -122,6 +125,39 @@ n_points = 500
 pair_z1_m = -1.1e-6
 pair_z2_m = -4.9e-6
 """,
+    "molecular_state_change_readout": """\
+command = scenario
+scenario = molecular_state_change
+moment_before_j_per_t = 9.2847647043e-24
+moment_after_j_per_t = 7.1e-24
+interaction_time_s = 1.5
+preparation_fidelity = 0.93
+readout_contrast = 0.85
+gradient_rms_t_per_m = 2e-7
+seed = 21
+""",
+    "double_well_readout": """\
+command = scenario
+scenario = double_well
+well_separation_m = 4.4e-6
+probe_spacing_m = 3.5e-6
+delta_n = 4
+interaction_time_s = 0.8
+shots = 200
+preparation_fidelity = 0.93
+readout_contrast = 0.85
+gradient_rms_t_per_m = 2e-7
+seed = 21
+""",
+    "ghz_chain_readout": """\
+command = scenario
+scenario = ghz_chain
+interaction_time_s = 3.0
+preparation_fidelity = 0.93
+readout_contrast = 0.85
+gradient_rms_t_per_m = 2e-7
+seed = 21
+""",
 }
 
 
@@ -174,6 +210,22 @@ GOLDEN: dict[tuple[str, str], dict[str, str]] = {
     ("double_well", "text"): {
         "report.txt":
             "7abbd8c1aec90b2e70a3403adc3edab3bdbc90ff2ac6da21ec71327ba911b3e6",
+    },
+    ("double_well_readout", "csv"): {
+        "estimation.csv":
+            "ac7660a4ad0970be5990f34994be66bfb9fe922a1559d253adad131406a23b62",
+        "field_table.csv":
+            "35e0666faeee78eb603cb246445fffe035c4c514f471068e947e9084f81556aa",
+        "geometry.csv":
+            "5e2f3ca0bbfe68b2eaeb105bf04547eef784175529980f72b7213a90cf5bf452",
+        "parity_trajectory_imbalance_evolution.csv":
+            "1b3f6c41ef43a6726d8d4168bde2d3036959fc4987be7ce3732d6376096d394f",
+        "provenance.txt":
+            "4a5b8a49ecc734bafb67eb643fad62b80bdf3becf4d8585e356be7a863f4f528",
+    },
+    ("double_well_readout", "text"): {
+        "report.txt":
+            "2c2f07bce78d48280d9c9188c8a84b3429fc71132a36e419f7c974ed45896f1a",
     },
     ("double_well_scan_to_cap", "csv"): {
         "estimation.csv":
@@ -233,6 +285,24 @@ GOLDEN: dict[tuple[str, str], dict[str, str]] = {
         "report.txt":
             "05fe8cde32c595aeb368eef2a62183f6a3b0e1d0f7d4d0ea034ed7c5387da6bb",
     },
+    ("ghz_chain_readout", "csv"): {
+        "estimation.csv":
+            "50725383aa1043c0a21f394f0b7908c21aea60ad8252037f02624038c56ec398",
+        "field_table.csv":
+            "bc493007d1b3b8a8bbfe02b5a7ae04662ef73345b7691c803e66bee14cc16269",
+        "geometry.csv":
+            "046e76480172e01d389d3eb6b8db5a13510c93985084f74d6a317a1e2a3ccde4",
+        "parity_trajectory_bell_side_pair.csv":
+            "e6a555b723ba1913c77d5778982b33f22a0130e5b58650fd1cec6677f06d8585",
+        "parity_trajectory_ghz.csv":
+            "d84f3eb8f2beb73249985698fedda603bdedfa4ba55ea5906af11b06a636904c",
+        "provenance.txt":
+            "6b72cf06c693200e1015a92137c87878f12e4961156001c99006440ed4436f66",
+    },
+    ("ghz_chain_readout", "text"): {
+        "report.txt":
+            "ae377a81d89c6b7f9a78a9c48eecc2b5fb86f005f841d4a39e344e8788eb406e",
+    },
     ("molecular_state_change", "csv"): {
         "estimation.csv":
             "f73fe5c4b622cf8023515dc79b6188f04c84f3d5ec31f310adb4f63bf2f7a8b5",
@@ -250,6 +320,24 @@ GOLDEN: dict[tuple[str, str], dict[str, str]] = {
     ("molecular_state_change", "text"): {
         "report.txt":
             "29a3b818c8adeb6875ff7f324628f38267a08f7a66c8cbf29e455884872e6586",
+    },
+    ("molecular_state_change_readout", "csv"): {
+        "estimation.csv":
+            "87d5877466a0c836a587ade1aa723998f7940ae9badf77293a53ded80eb9d5f7",
+        "field_table.csv":
+            "4a7b4a2f7590610286d73b0de0f16f83b1bb0fa19e649a91fb04babf98f07e71",
+        "geometry.csv":
+            "a3112ebc0e348af8604ac3dfc61d8122d29dfb9a0dd2c3c67d1e78ddfa437e50",
+        "parity_trajectory_moment_after.csv":
+            "b15252fb687a932964ab6e3fe2b8a794459a9469f271f477e261516714f3e582",
+        "parity_trajectory_moment_before.csv":
+            "38649a71af9dfd3dff962952e825d131f09d36c04cd94cc66801b793871268e1",
+        "provenance.txt":
+            "aba4ad08395d9b5ecf2b343d2d1315427029f6501f5a436c412c2bba27e26bea",
+    },
+    ("molecular_state_change_readout", "text"): {
+        "report.txt":
+            "0252e235114562700af382b876904b3fe47aaf04a756bbdf3b046fc85f6a1283",
     },
     ("montecarlo_full_contrast_even", "csv"): {
         "estimate.csv":
