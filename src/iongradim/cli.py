@@ -314,14 +314,14 @@ def _execute_crystal(params: dict, seed: int) -> tuple[tuple[Table, ...], tuple[
 
 
 def _execute_field(params: dict, seed: int) -> tuple[tuple[Table, ...], tuple[str, ...]]:
+    z1, z2 = params["pair_z1_m"], params["pair_z2_m"]
+    if (z1 is None) != (z2 is None):   # before the table, which can run to 1e5 points
+        raise ConfigurationError("pair_z1_m and pair_z2_m must be given together")
     source = DipoleSource(Vec3(0.0, 0.0, params["source_z_m"]),
                           Vec3(0.0, 0.0, params["source_moment_j_per_t"]))
     zs = np.linspace(params["z_start_m"], params["z_stop_m"], params["n_points"])
     rows = tuple(zip(zs.tolist(), axial_field_table(source, zs).tolist()))
     tables = [Table("axial_field", ("z_m", "Bz_T"), rows)]
-    z1, z2 = params["pair_z1_m"], params["pair_z2_m"]
-    if (z1 is None) != (z2 is None):
-        raise ConfigurationError("pair_z1_m and pair_z2_m must be given together")
     if z1 is not None:
         p1, p2 = Vec3(0.0, 0.0, z1), Vec3(0.0, 0.0, z2)
         delta = axial_bz(source, z2) - axial_bz(source, z1)

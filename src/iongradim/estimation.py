@@ -31,7 +31,7 @@ a proven bound: every shot's even probability p lies within
 
     |p - p0| <= K/2 (R s + e_phi) + e_p,
 
-K the probe and readout contrast, s = rms * gamma * |coupling| * t the
+K the per-shot contrast (_Run.contrast), s = rms * gamma * |coupling| * t the
 phase spread, R = sqrt(-2 ln 2^-53) the largest |Gaussian| a draw can give
 (its first uniform is at least 2^-53), e_phi a bound on the rounding of the
 phase steps and e_p a margin for the rounding of cos, of p and of the
@@ -137,6 +137,16 @@ class _Run:
     patterns: np.ndarray          # spin pattern per slot, which is its rank: even patterns first
 
     @property
+    def contrast(self) -> float:
+        """Fringe contrast of each shot: preparation fidelity times readout contrast.
+
+        Not effective_contrast, the ensemble's contrast: gradient dephasing
+        belongs there, while here each shot draws its own gradient phase, so
+        dephasing this contrast as well would count it twice.
+        """
+        return self.probe.contrast * self.noise.contrast
+
+    @property
     def n_class(self) -> int:
         """Spin patterns per parity class."""
         return len(self.patterns) // 2
@@ -235,8 +245,7 @@ class _Run:
                 * abs(probe.gradient_coupling))
         spread = rate * plan.interaction_time
         size = (rate + abs(self.base_rate)) * plan.interaction_time + abs(plan.bias_phase)
-        contrast = probe.contrast * self.noise.contrast
-        return 0.5 * contrast * (spread + _PHASE_ROUNDING * size) + _P_MARGIN
+        return 0.5 * self.contrast * (spread + _PHASE_ROUNDING * size) + _P_MARGIN
 
     def _noisy_phases(self, counter_a: np.ndarray, counter_b: np.ndarray,
                       out: np.ndarray | None = None, work: np.ndarray | None = None,
@@ -258,7 +267,7 @@ class _Run:
     def _p_even(self, phase, out: np.ndarray | None = None):
         """Even-parity probability 0.5 (1 + C cos(phase + bias)); in place in out when given."""
         p = np.cos(np.add(phase, self.plan.bias_phase, out=out), out=out)
-        p *= self.probe.contrast * self.noise.contrast
+        p *= self.contrast
         p += 1.0
         p *= 0.5
         return p
@@ -509,11 +518,26 @@ def parity_estimate(parity_sum: int, shots: int) -> EstimationResult:
                             snr=abs(p_hat) / std_error, shots_used=shots)
 
 
+def effective_contrast(probe: ProbeState, noise: NoiseModel) -> float:
+    """Fringe contrast of the analytic (ensemble) model: preparation fidelity times readout.
+
+    probe.contrast is the preparation fidelity (prepare_probe sets it). The
+    gradient dephasing of dephasing_contrast is not in it yet, so with
+    gradient noise the Monte Carlo's mean parity is this fringe times that
+    factor.
+    """
+    return probe.contrast * noise.contrast
+
+
 def expected_parity(plan: ExperimentPlan, probe: ProbeState, zeeman: ZeemanConfig,
                     fields: Sequence[float], noise: NoiseModel) -> float:
-    """Noise-free parity expectation the Monte Carlo estimate converges to."""
+    """Parity effective_contrast * cos(phase + bias) of the analytic model.
+
+    Without gradient noise the Monte Carlo estimate converges to it; with
+    gradient noise, to it times dephasing_contrast.
+    """
     rate = phase_rate(probe, zeeman, fields)
-    return probe.contrast * noise.contrast * math.cos(
+    return effective_contrast(probe, noise) * math.cos(
         accumulated_phase(rate, plan.interaction_time) + plan.bias_phase)
 
 
@@ -608,8 +632,8 @@ def dephasing_contrast(gradient_rms: float, probe: ProbeState, zeeman: ZeemanCon
     sigma_phi is the phase spread of the same weighted-field coupling used by
     phase_rate, accumulated over the interaction time.
     """
-    if gradient_rms < 0 or duration < 0:
-        raise ConfigurationError("gradient_rms and duration must be >= 0")
+    if not (0 <= gradient_rms < math.inf and 0 <= duration < math.inf):
+        raise ConfigurationError("gradient_rms and duration must be finite and >= 0")
     sigma_phi = (zeeman.gyromagnetic_ratio * gradient_rms * abs(probe.gradient_coupling)
                  * duration)
     return math.exp(-0.5 * sigma_phi * sigma_phi)

@@ -27,8 +27,8 @@ import numpy as np
 from .constants import Vec3, constants
 from .crystal import TrapConfig, equilibrium_positions, spacing
 from .errors import ConfigurationError, InfeasibleError
-from .estimation import (ExperimentPlan, NoiseModel, analytic_snr, required_shots,
-                         spin_discrimination_snr, swing_threshold)
+from .estimation import (ExperimentPlan, NoiseModel, analytic_snr, effective_contrast,
+                         required_shots, spin_discrimination_snr, swing_threshold)
 from .magnetostatics import (DipoleSource, axial_bz, compensation_gradient,
                              differential_field, total_differential_field)
 from .protocol import (BELL, GHZ, PAIR_WEIGHTS, ParityRecord, ZeemanConfig,
@@ -193,7 +193,7 @@ def run_three_ion_spin(config: ScenarioConfig) -> ScenarioReport:
     rate_down = phase_rate(probe, config.zeeman, fields_down)
     t_pi = pi_time(rate)
     t_max = 1.25 * t_pi if math.isfinite(t_pi) else config.plan.interaction_time
-    contrast = config.preparation_fidelity * config.noise.contrast
+    contrast = effective_contrast(probe, config.noise)
 
     discrimination = spin_discrimination_snr(config.plan, probe, config.zeeman,
                                              fields_up, fields_down, config.noise)
@@ -269,7 +269,7 @@ def run_molecular_state_change(config: ScenarioConfig) -> ScenarioReport:
 
     probe = prepare_probe(BELL, probes, config.preparation_fidelity,
                           branch_weights=PAIR_WEIGHTS)
-    contrast = config.preparation_fidelity * config.noise.contrast
+    contrast = effective_contrast(probe, config.noise)
     t = config.plan.interaction_time
     deltas = {"before": delta_b_for(config.moment_before),
               "after": delta_b_for(config.moment_after)}
@@ -347,7 +347,7 @@ def run_double_well(config: ScenarioConfig) -> ScenarioReport:
 
     probe = prepare_probe(BELL, probes, config.preparation_fidelity,
                           branch_weights=PAIR_WEIGHTS)
-    contrast = config.preparation_fidelity * config.noise.contrast
+    contrast = effective_contrast(probe, config.noise)
     t = config.plan.interaction_time
     delta_used = delta_b_for(config.delta_n)
     rate = phase_rate(probe, config.zeeman, (0.0, delta_used))
@@ -448,7 +448,7 @@ def run_ghz_chain(config: ScenarioConfig) -> ScenarioReport:
     # Bell baseline on the left side pair (outer, inner), with the branch
     # order matching the GHZ pattern so the rate ratio comes out +2.
     bell = prepare_probe(BELL, (positions[0], positions[1]), config.preparation_fidelity)
-    contrast = config.preparation_fidelity * config.noise.contrast
+    contrast = effective_contrast(ghz, config.noise)
 
     rate_ghz = phase_rate(ghz, config.zeeman, fields)
     rate_bell = phase_rate(bell, config.zeeman, (fields[0], fields[1]))

@@ -99,8 +99,34 @@ def test_multiple_errors_reported_together():
     assert "n_ions" in message and "axial_frequency_hz" in message and "bogus" in message
 
 
-def test_round_trip_normalization():
-    run = parse_config(SCENARIO_CFG)
+def _spec_values(spec):
+    """Values of one schema key within its FieldSpec bounds and choices."""
+    if spec.choices is not None:
+        return st.sampled_from(spec.choices)
+    if spec.kind == "bool":
+        return st.booleans()
+    if spec.kind == "int":   # no int key has an exclusive minimum
+        return st.integers(min_value=spec.minimum, max_value=spec.maximum)
+    assert spec.kind == "float", spec
+    return st.floats(min_value=spec.minimum, max_value=spec.maximum,
+                     exclude_min=spec.exclusive_minimum and spec.minimum is not None,
+                     allow_nan=False, allow_infinity=False)
+
+
+def _config_values(command):
+    return st.fixed_dictionaries({key: _spec_values(spec)
+                                  for key, spec in cli.COMMAND_SCHEMAS[command].items()})
+
+
+@given(st.sampled_from(sorted(cli.COMMAND_SCHEMAS)).flatmap(
+    lambda command: st.tuples(st.just(command), _config_values(command))))
+def test_round_trip_normalization(drawn):
+    # every schema key set, each within its bounds and choices
+    command, values = drawn
+    text = f"command = {command}\n" + "".join(
+        f"{key} = {cli._format_config_value(value)}\n" for key, value in values.items())
+    run = parse_config(text)
+    assert {**run.parameters, "seed": run.seed, "output_format": run.output_format} == values
     echo = normalized_config(run)
     again = parse_config(echo)
     assert again == run
@@ -146,6 +172,16 @@ def test_field_command_pair_requires_both():
     cfg = ("command = field\nsource_moment_j_per_t = 9.285e-24\n"
            "z_start_m = 1e-6\nz_stop_m = 5e-6\npair_z1_m = 1e-6\n")
     with pytest.raises(ConfigurationError):
+        execute(parse_config(cfg))
+
+
+def test_field_pair_is_checked_before_the_table(monkeypatch):
+    def no_table(source, zs):
+        raise AssertionError("the field table was evaluated")
+    monkeypatch.setattr(cli, "axial_field_table", no_table)
+    cfg = ("command = field\nsource_moment_j_per_t = 9.285e-24\nz_start_m = 1e-6\n"
+           "z_stop_m = 5e-6\nn_points = 100000\npair_z2_m = 2e-6\n")
+    with pytest.raises(ConfigurationError, match="must be given together"):
         execute(parse_config(cfg))
 
 

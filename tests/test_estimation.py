@@ -746,6 +746,14 @@ def test_required_shots_past_two_to_the_53_is_minimal(fresh_python):
     pytest.param(lambda: required_shots(math.inf, 1.0), id="target-inf"),
     pytest.param(lambda: required_shots(math.nan, 1.0), id="target-nan"),
     pytest.param(lambda: required_shots(2.0, math.nan), id="swing-nan"),
+    pytest.param(lambda: dephasing_contrast(math.nan, pair_probe(), ZEE, 1.0),
+                 id="dephasing-rms-nan"),
+    pytest.param(lambda: dephasing_contrast(math.inf, pair_probe(), ZEE, 1.0),
+                 id="dephasing-rms-inf"),
+    pytest.param(lambda: dephasing_contrast(1e-9, pair_probe(), ZEE, math.inf),
+                 id="dephasing-duration-inf"),
+    pytest.param(lambda: dephasing_contrast(1e-9, pair_probe(), ZEE, math.nan),
+                 id="dephasing-duration-nan"),
 ])
 def test_non_finite_inputs_rejected(make):
     with pytest.raises(ConfigurationError):

@@ -5,13 +5,14 @@ from typing import NamedTuple
 
 import pytest
 
+from iongradim import estimation, scenarios
 from iongradim.constants import Vec3, constants
 from iongradim.crystal import TrapConfig
 from iongradim.errors import ConfigurationError
-from iongradim.estimation import (ExperimentPlan, NoiseModel, analytic_snr, required_shots,
-                                  swing_threshold)
-from iongradim.protocol import (BELL, GHZ, PAIR_WEIGHTS, ZeemanConfig, phase_rate,
-                                prepare_probe)
+from iongradim.estimation import (ExperimentPlan, NoiseModel, analytic_snr, expected_parity,
+                                  required_shots, simulate_shots, swing_threshold)
+from iongradim.protocol import (BELL, GHZ, PAIR_WEIGHTS, ZeemanConfig, accumulated_phase,
+                                phase_rate, prepare_probe)
 from iongradim.scenarios import (_MAX_SCAN_DELTA_N, DOUBLE_WELL, GHZ_CHAIN,
                                  MOLECULAR_STATE_CHANGE, REFERENCE_DELTA_B_T,
                                  REFERENCE_DW_DELTA_B_T, THREE_ION_SPIN,
@@ -380,3 +381,88 @@ def test_scenario_kind_mismatch_rejected():
     cfg = base_config(THREE_ION_SPIN)
     with pytest.raises(ConfigurationError):
         run_ghz_chain(cfg)
+
+
+# ---------------------------------------------------------------------------
+# contrast routing: the analytic model takes estimation.effective_contrast,
+# the Monte Carlo shots take their own per-shot contrast
+
+ROUTED_CONTRAST = 0.5   # stands in for effective_contrast; the real one is 0.93 * 0.85
+READOUT_NOISE = NoiseModel(gradient_rms=2e-7, contrast=0.85)
+
+ROUTED_CONFIGS = {
+    THREE_ION_SPIN: dict(shots=40, t=2.0),
+    MOLECULAR_STATE_CHANGE: dict(t=1.5, moment_before=MU_E, moment_after=7.1e-24),
+    DOUBLE_WELL: dict(t=0.8, shots=200, well_separation=4.4e-6, probe_spacing=3.5e-6,
+                      delta_n=4),
+    GHZ_CHAIN: dict(t=3.0),
+}
+
+
+def routed_config(kind):
+    config = base_config(kind, seed=21, preparation_fidelity=0.93, **ROUTED_CONFIGS[kind])
+    return dataclasses.replace(config, noise=READOUT_NOISE)
+
+
+def route_contrast(monkeypatch):
+    def routed(probe, noise):
+        return ROUTED_CONTRAST
+    monkeypatch.setattr(estimation, "effective_contrast", routed)
+    monkeypatch.setattr(scenarios, "effective_contrast", routed)
+
+
+@pytest.mark.parametrize("kind", sorted(ROUTED_CONFIGS))
+def test_analytic_contrast_is_effective_contrast(monkeypatch, kind):
+    # every analytic fringe follows effective_contrast; the Monte Carlo
+    # estimates of the three-ion run do not
+    config = routed_config(kind)
+    before = run_scenario(config)
+    route_contrast(monkeypatch)
+    after = run_scenario(config)
+    for (name, series), (_, series_before) in zip(after.trajectories, before.trajectories):
+        assert [p.parity for p in series] == [ROUTED_CONTRAST * math.cos(p.phase)
+                                              for p in series], name
+        assert [p[:2] for p in series] == [p[:2] for p in series_before], name
+        assert [p.parity for p in series] != [p.parity for p in series_before], name
+    est = after.estimation
+    if kind == MOLECULAR_STATE_CHANGE:
+        rates = est["phase_rate_after_rad_per_s"] - est["phase_rate_before_rad_per_s"]
+        assert est["parity_swing"] == 2.0 * ROUTED_CONTRAST * abs(math.sin(
+            accumulated_phase(0.5 * rates, config.plan.interaction_time)))
+    if kind == DOUBLE_WELL:
+        assert est["parity_modulation"] == ROUTED_CONTRAST * abs(math.sin(est["phase_at_t_rad"]))
+    if kind == THREE_ION_SPIN:
+        for key in ("snr", "parity_up", "parity_down"):
+            assert est[key] == before.estimation[key], key
+
+
+def test_expected_parity_is_effective_contrast(monkeypatch):
+    probe = prepare_probe(BELL, (Vec3(0, 0, 0.0), Vec3(0, 0, 1.03e-6)), 0.93,
+                          branch_weights=PAIR_WEIGHTS)
+    zeeman = ZeemanConfig(g_factor=2.002)
+    plan = ExperimentPlan(shots=10, interaction_time=0.01, bias_phase=0.7)
+    fields = (0.0, 1e-12)
+    route_contrast(monkeypatch)
+    phase = accumulated_phase(phase_rate(probe, zeeman, fields), plan.interaction_time)
+    assert expected_parity(plan, probe, zeeman, fields, READOUT_NOISE) == (
+        ROUTED_CONTRAST * math.cos(phase + plan.bias_phase))
+
+
+@pytest.mark.parametrize("gradient_rms, shots", [
+    (0.0, 300),      # noise-free: counted against thresholds
+    (5e-4, 300),     # mapped: every shot at its own phase
+    (2e-7, 5000),    # screened: only the shots near a threshold are mapped
+])
+def test_shots_keep_their_own_contrast(monkeypatch, gradient_rms, shots):
+    # each shot draws its own gradient phase, so the ensemble contrast must
+    # not reach the shots: the tally is bit-identical under any effective_contrast
+    probe = prepare_probe(BELL, (Vec3(0, 0, 0.0), Vec3(0, 0, 1.03e-6)), 0.93,
+                          branch_weights=PAIR_WEIGHTS)
+    args = (ExperimentPlan(shots=shots, interaction_time=0.01, bias_phase=0.7, rng_seed=21),
+            probe, ZeemanConfig(g_factor=2.002), (0.0, 1e-12),
+            NoiseModel(gradient_rms=gradient_rms, contrast=0.85))
+    before = simulate_shots(*args)
+    route_contrast(monkeypatch)
+    after = simulate_shots(*args)
+    assert after.parity_sum == before.parity_sum
+    assert after.pattern_counts.tolist() == before.pattern_counts.tolist()
