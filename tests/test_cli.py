@@ -109,8 +109,13 @@ def _spec_values(spec):
         return st.integers(min_value=spec.minimum, max_value=spec.maximum)
     assert spec.kind == "float", spec
     return st.floats(min_value=spec.minimum, max_value=spec.maximum,
-                     exclude_min=spec.exclusive_minimum and spec.minimum is not None,
-                     allow_nan=False, allow_infinity=False)
+                     exclude_min=spec.exclusive_minimum, allow_nan=False, allow_infinity=False)
+
+
+def _config_text(value):
+    if isinstance(value, bool):
+        return "on" if value else "off"
+    return value if isinstance(value, str) else repr(value)
 
 
 def _config_values(command):
@@ -124,7 +129,7 @@ def test_round_trip_normalization(drawn):
     # every schema key set, each within its bounds and choices
     command, values = drawn
     text = f"command = {command}\n" + "".join(
-        f"{key} = {cli._format_config_value(value)}\n" for key, value in values.items())
+        f"{key} = {_config_text(value)}\n" for key, value in values.items())
     run = parse_config(text)
     assert {**run.parameters, "seed": run.seed, "output_format": run.output_format} == values
     echo = normalized_config(run)

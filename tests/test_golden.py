@@ -10,7 +10,7 @@ that walks to `_MAX_SCAN_DELTA_N` without a detectable imbalance,
 computed-mode scenarios with noise, a computed-mode molecular, double-well
 and GHZ-chain run each with preparation fidelity 0.93, readout contrast 0.85
 and gradient noise (every file that prints the fringe contrast moves if
-either factor is dropped), and two long all-float tables (a 2,000-step
+the readout factor is dropped), and two long all-float tables (a 2,000-step
 `protocol` run whose phase wraps about 2,900 times and a 500-point `field`
 run).
 
