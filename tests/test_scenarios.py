@@ -404,6 +404,11 @@ def routed_config(kind):
     return dataclasses.replace(config, noise=READOUT_NOISE)
 
 
+def bell_probe():
+    return prepare_probe(BELL, (Vec3(0, 0, 0.0), Vec3(0, 0, 1.03e-6)), 0.93,
+                         branch_weights=PAIR_WEIGHTS)
+
+
 def route_contrast(monkeypatch):
     def routed(probe, noise):
         return ROUTED_CONTRAST
@@ -437,8 +442,7 @@ def test_analytic_contrast_is_effective_contrast(monkeypatch, kind):
 
 
 def test_expected_parity_is_effective_contrast(monkeypatch):
-    probe = prepare_probe(BELL, (Vec3(0, 0, 0.0), Vec3(0, 0, 1.03e-6)), 0.93,
-                          branch_weights=PAIR_WEIGHTS)
+    probe = bell_probe()
     zeeman = ZeemanConfig(g_factor=2.002)
     plan = ExperimentPlan(shots=10, interaction_time=0.01, bias_phase=0.7)
     fields = (0.0, 1e-12)
@@ -456,10 +460,8 @@ def test_expected_parity_is_effective_contrast(monkeypatch):
 def test_shots_keep_their_own_contrast(monkeypatch, gradient_rms, shots):
     # each shot draws its own gradient phase, so the ensemble contrast must
     # not reach the shots: the tally is bit-identical under any effective_contrast
-    probe = prepare_probe(BELL, (Vec3(0, 0, 0.0), Vec3(0, 0, 1.03e-6)), 0.93,
-                          branch_weights=PAIR_WEIGHTS)
     args = (ExperimentPlan(shots=shots, interaction_time=0.01, bias_phase=0.7, rng_seed=21),
-            probe, ZeemanConfig(g_factor=2.002), (0.0, 1e-12),
+            bell_probe(), ZeemanConfig(g_factor=2.002), (0.0, 1e-12),
             NoiseModel(gradient_rms=gradient_rms, contrast=0.85))
     before = simulate_shots(*args)
     route_contrast(monkeypatch)
