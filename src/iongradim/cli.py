@@ -25,7 +25,6 @@ import os
 import re
 import sys
 from dataclasses import dataclass, field
-from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -160,7 +159,7 @@ class RunConfig:
 class Table:
     name: str
     columns: tuple[str, ...]
-    rows: tuple[tuple, ...]
+    rows: tuple[tuple, ...] | np.ndarray   # tuples, or a 2-D float64 array
 
 
 @dataclass(frozen=True)
@@ -319,9 +318,13 @@ def _execute_field(params: dict, seed: int) -> tuple[tuple[Table, ...], tuple[st
         raise ConfigurationError("pair_z1_m and pair_z2_m must be given together")
     source = DipoleSource(Vec3(0.0, 0.0, params["source_z_m"]),
                           Vec3(0.0, 0.0, params["source_moment_j_per_t"]))
-    zs = np.linspace(params["z_start_m"], params["z_stop_m"], params["n_points"])
-    rows = tuple(zip(zs.tolist(), axial_field_table(source, zs).tolist()))
-    tables = [Table("axial_field", ("z_m", "Bz_T"), rows)]
+    start, stop = params["z_start_m"], params["z_stop_m"]
+    if not math.isfinite(stop - start):
+        raise ConfigurationError(f"the span from z_start_m = {start!r} to z_stop_m = "
+                                 f"{stop!r} overflows a float")
+    zs = np.linspace(start, stop, params["n_points"])
+    tables = [Table("axial_field", ("z_m", "Bz_T"),
+                    np.column_stack((zs, axial_field_table(source, zs))))]
     if z1 is not None:
         p1, p2 = Vec3(0.0, 0.0, z1), Vec3(0.0, 0.0, z2)
         delta = axial_bz(source, z2) - axial_bz(source, z1)
@@ -337,9 +340,9 @@ def _execute_protocol(params: dict, seed: int) -> tuple[tuple[Table, ...], tuple
     probe = prepare_probe(BELL, (Vec3(0.0, 0.0, 0.0), Vec3(0.0, 0.0, 1e-6)),
                           params["contrast"], branch_weights=PAIR_WEIGHTS)
     rate = phase_rate(probe, zeeman, (0.0, params["delta_b_t"]))
-    records = parity_trajectory(rate, probe.contrast, params["duration_s"], params["n_steps"])
+    rows = parity_trajectory(rate, probe.contrast, params["duration_s"], params["n_steps"])
     t_pi = pi_time(rate)
-    tables = (Table("parity_trajectory", ("time_s", "phase_rad", "parity"), records),
+    tables = (Table("parity_trajectory", ("time_s", "phase_rad", "parity"), rows),
               Table("summary", ("phase_rate_rad_per_s", "t_pi_s"), ((rate, t_pi),)))
     return tables, (f"time to a pi phase rotation: {t_pi:.4f} s",)
 
@@ -368,6 +371,18 @@ def _execute_montecarlo(params: dict, seed: int) -> tuple[tuple[Table, ...], tup
     return (estimate, counts_table), ()
 
 
+# Scenario key -> ScenarioConfig field, for every key that is not read by the
+# trap, Zeeman, noise or plan builders of _execute_scenario.
+_SCENARIO_CONFIG_FIELDS = {
+    "paper_values": "paper_values", "preparation_fidelity": "preparation_fidelity",
+    "target_snr": "target_snr", "overhead_s_per_shot": "overhead_per_shot",
+    "source_moment_j_per_t": "source_moment", "moment_before_j_per_t": "moment_before",
+    "moment_after_j_per_t": "moment_after", "well_separation_m": "well_separation",
+    "probe_spacing_m": "probe_spacing", "atom_moment_j_per_t": "atom_moment",
+    "delta_n": "delta_n", "n_ions": "n_ions",
+}
+
+
 def _execute_scenario(params: dict, seed: int) -> tuple[tuple[Table, ...], tuple[str, ...]]:
     trap = TrapConfig(axial_frequency=2.0 * math.pi * params["axial_frequency_hz"],
                       ion_mass=params["ion_mass_kg"])
@@ -380,28 +395,16 @@ def _execute_scenario(params: dict, seed: int) -> tuple[tuple[Table, ...], tuple
         plan=ExperimentPlan(shots=params["shots"],
                             interaction_time=params["interaction_time_s"],
                             bias_phase=params["bias_phase_rad"], rng_seed=seed),
-        paper_values=params["paper_values"],
-        preparation_fidelity=params["preparation_fidelity"],
-        target_snr=params["target_snr"],
-        overhead_per_shot=params["overhead_s_per_shot"],
-        source_moment=params["source_moment_j_per_t"],
-        moment_before=params["moment_before_j_per_t"],
-        moment_after=params["moment_after_j_per_t"],
-        well_separation=params["well_separation_m"],
-        probe_spacing=params["probe_spacing_m"],
-        atom_moment=params["atom_moment_j_per_t"],
-        delta_n=params["delta_n"],
-        n_ions=params["n_ions"],
-    )
+        **{name: params[key] for key, name in _SCENARIO_CONFIG_FIELDS.items()})
     report = run_scenario(config)
     tables = [
         Table("geometry", ("quantity", "value"), tuple(report.geometry.items())),
         Table("field_table", ("ion_index", "z_m", "Bz_T"), report.field_table),
         Table("estimation", ("quantity", "value"), tuple(report.estimation.items())),
     ]
-    for label, records in report.trajectories:
+    for label, rows in report.trajectories:
         tables.append(Table(f"parity_trajectory_{label}", ("time_s", "phase_rad", "parity"),
-                            records))
+                            rows))
     return tuple(tables), report.annotations
 
 
@@ -454,7 +457,6 @@ def _csv_cell(value) -> str:
 # The str.format field that writes a cell of this exact type as format_number does;
 # any other type (str, bool, other numpy scalars) goes through _csv_cell.
 _CELL_FIELDS = {float: "{:.15e}", np.float64: "{:.15e}", int: "{:d}", np.int64: "{:d}"}
-_FLOAT_TYPES = frozenset(t for t, spec in _CELL_FIELDS.items() if spec == "{:.15e}")
 
 
 def _row_lines(rows, sep: str):
@@ -462,7 +464,10 @@ def _row_lines(rows, sep: str):
 
     Rows are formatted by one str.format template per run of rows that share
     their cell types, so the common all-number row skips the per-cell checks.
+    An array's rows are taken as lists of Python floats.
     """
+    if isinstance(rows, np.ndarray):
+        rows = rows.tolist()
     types = template = None
     for row in rows:
         row_types = tuple(map(type, row))
@@ -488,46 +493,28 @@ def _lead_word(text: str) -> np.uint32:
     return _format.ascii_words([[*text.encode("ascii").ljust(2, b"\0"), 0, 0]])[0]
 
 
-def _float_cells(rows) -> np.ndarray | None:
-    """The cells of rows, row by row, as float64; None unless all rows have one
-    width and every cell is exactly a float or an np.float64."""
-    if len(set(map(len, rows))) != 1:
-        return None
-    cells = list(chain.from_iterable(rows))
-    if not set(map(type, cells)) <= _FLOAT_TYPES:
-        return None
-    return np.array(cells, np.float64)
-
-
 def _table_lines(tables, sep: str, lead: str) -> list:
     """For each table, strings that "\\n".join to its rows' lines, each line
     lead + sep.join(map(_csv_cell, row)); sep and lead hold at most 2 characters.
 
-    Tables of at least _KERNEL_MIN_CELLS cells that are all floats in rows of
-    one width are formatted by one _format.e15_words call for the whole
-    bundle. Each cell fills 24 bytes, its two lead bytes holding its
-    separator or the line's lead, and each row one more word holding its
-    newline; NULs pad. A table's NULs are stripped and its text decoded as
-    one string, which is split into lines only to write again, by _row_lines,
-    each row that holds a cell the kernel did not prove. Every other table
-    goes through _row_lines.
+    Array tables of at least _KERNEL_MIN_CELLS cells are formatted by one
+    _format.e15_words call for the whole bundle. Each cell fills 24 bytes,
+    its two lead bytes holding its separator or the line's lead, and each
+    row one more word holding its newline; NULs pad. A table's NULs are
+    stripped and its text decoded as one string, which is split into lines
+    only to write again, by _row_lines, each row that holds a cell the
+    kernel did not prove. Every other table goes through _row_lines.
     """
     out = [_row_lines(t.rows, sep) if not lead
            else (lead + line for line in _row_lines(t.rows, sep)) for t in tables]
     if not _format.LONG_DOUBLE_OK:
         return out
-    picked, parts = [], []
-    for i, table in enumerate(tables):
-        rows = table.rows
-        if rows and len(rows) * len(rows[0]) >= _KERNEL_MIN_CELLS:
-            values = _float_cells(rows)
-            if values is not None:
-                picked.append((i, len(rows), len(rows[0])))
-                parts.append(values)
+    picked = [(i, *t.rows.shape) for i, t in enumerate(tables)
+              if isinstance(t.rows, np.ndarray) and t.rows.size >= _KERNEL_MIN_CELLS]
     if not picked:
         return out
-    words, fallback = _format.e15_words(np.concatenate(parts))
-    del parts
+    words, fallback = _format.e15_words(
+        np.concatenate([tables[i].rows.ravel() for i, _, _ in picked]))
     cell = 0
     for i, n, width in picked:
         cells = slice(cell, cell + n * width)
@@ -544,8 +531,7 @@ def _table_lines(tables, sep: str, lead: str) -> list:
             out[i] = [text]
             continue
         lines = text.split("\n")
-        rows = tables[i].rows
-        for r, line in zip(redo, _row_lines([rows[r] for r in redo], sep)):
+        for r, line in zip(redo, _row_lines(tables[i].rows[redo], sep)):
             lines[r] = lead + line
         out[i] = lines
     return out

@@ -630,10 +630,14 @@ def dephasing_contrast(gradient_rms: float, probe: ProbeState, zeeman: ZeemanCon
     """Fringe contrast multiplier exp(-sigma_phi^2 / 2) from quasi-static gradient noise.
 
     sigma_phi is the phase spread of the same weighted-field coupling used by
-    phase_rate, accumulated over the interaction time.
+    phase_rate, accumulated over the interaction time. It is exactly 1.0 when
+    the rms, the coupling or the duration is zero, even where the product of
+    the other factors overflows a float.
     """
     if not (0 <= gradient_rms < math.inf and 0 <= duration < math.inf):
         raise ConfigurationError("gradient_rms and duration must be finite and >= 0")
-    sigma_phi = (zeeman.gyromagnetic_ratio * gradient_rms * abs(probe.gradient_coupling)
-                 * duration)
+    gamma, coupling = zeeman.gyromagnetic_ratio, abs(probe.gradient_coupling)
+    if 0.0 in (gamma, gradient_rms, coupling, duration):
+        return 1.0
+    sigma_phi = gamma * gradient_rms * coupling * duration
     return math.exp(-0.5 * sigma_phi * sigma_phi)

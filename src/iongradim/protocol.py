@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -204,22 +204,20 @@ def outcome_probabilities(probe: ProbeState, bias_phase: float = 0.0) -> np.ndar
     return (1.0 + signs * fringe) / float(2 ** probe.n_ions)
 
 
-class ParityRecord(NamedTuple):
-    """One point of a parity trajectory, in the column order of its table."""
-
-    time: float     # s
-    phase: float    # rad
-    parity: float
-
-
 def parity_trajectory(rate: float, contrast: float, t_max: float,
-                      n_points: int = _TRAJECTORY_POINTS) -> tuple[ParityRecord, ...]:
-    """Parity contrast * cos(rate * t) at n_points even times from 0 to t_max.
+                      n_points: int = _TRAJECTORY_POINTS) -> np.ndarray:
+    """Rows (t, rate * t, contrast * cos(rate * t)) at n_points even times from 0 to t_max.
 
-    The times grow in magnitude and end exactly at t_max, and a float product
-    rounds monotonically, so the last phase is the largest: one guard on it
-    covers every point.
+    A read-only (n_points, 3) float64 array, its columns in the order of the
+    trajectory table: time (s), phase (rad), parity. The times grow in
+    magnitude and end exactly at t_max, and a float product rounds
+    monotonically, so the last phase is the largest: one guard on it covers
+    every point, before any is computed. np.cos gives math.cos's bits on
+    these phases, under every SIMD dispatch measured.
     """
-    times = np.linspace(0.0, t_max, n_points).tolist()
-    accumulated_phase(rate, times[-1] if times else 0.0)
-    return tuple([ParityRecord(t, rate * t, contrast * math.cos(rate * t)) for t in times])
+    times = np.linspace(0.0, t_max, n_points)
+    accumulated_phase(rate, float(times[-1]) if times.size else 0.0)
+    phases = rate * times
+    rows = np.column_stack((times, phases, contrast * np.cos(phases)))
+    rows.flags.writeable = False
+    return rows

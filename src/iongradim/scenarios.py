@@ -31,9 +31,8 @@ from .estimation import (ExperimentPlan, NoiseModel, analytic_snr, effective_con
                          required_shots, spin_discrimination_snr, swing_threshold)
 from .magnetostatics import (DipoleSource, axial_bz, compensation_gradient,
                              differential_field, total_differential_field)
-from .protocol import (BELL, GHZ, PAIR_WEIGHTS, ParityRecord, ZeemanConfig,
-                       accumulated_phase, parity_trajectory, phase_rate, pi_time,
-                       prepare_probe)
+from .protocol import (BELL, GHZ, PAIR_WEIGHTS, ZeemanConfig, accumulated_phase,
+                       parity_trajectory, phase_rate, pi_time, prepare_probe)
 
 THREE_ION_SPIN = "three_ion_spin"
 MOLECULAR_STATE_CHANGE = "molecular_state_change"
@@ -142,7 +141,7 @@ class ScenarioReport:
     geometry: dict[str, float]
     field_table: tuple[FieldRow, ...]
     delta_b: float
-    trajectories: tuple[tuple[str, tuple[ParityRecord, ...]], ...]
+    trajectories: tuple[tuple[str, np.ndarray], ...]   # (label, parity_trajectory rows)
     estimation: dict[str, float]
     annotations: tuple[str, ...] = field(default_factory=tuple)
 
@@ -157,6 +156,51 @@ def _three_ion_layout(config: ScenarioConfig):
     return geometry, probes, source
 
 
+def _expect_kind(config: ScenarioConfig, kind: str) -> None:
+    if config.kind != kind:
+        raise ConfigurationError(f"expected kind {kind!r}, got {config.kind!r}")
+
+
+def _bell_pair(config: ScenarioConfig, probes: tuple[Vec3, Vec3],
+               fields: dict[str, tuple[float, float]]):
+    """The pair runners' decoherence-free Bell pair on the two probe ions.
+
+    Returns the probe; its analytic fringe contrast; the phase rate of each
+    labelled pair of fields at the ions, in the order given; and the field
+    table, which holds the first pair.
+    """
+    probe = prepare_probe(BELL, probes, config.preparation_fidelity,
+                          branch_weights=PAIR_WEIGHTS)
+    rates = {label: phase_rate(probe, config.zeeman, pair) for label, pair in fields.items()}
+    first = next(iter(fields.values()))
+    rows = (FieldRow(0, probes[0].z, first[0]), FieldRow(1, probes[1].z, first[1]))
+    return probe, effective_contrast(probe, config.noise), rates, rows
+
+
+def _trajectories(rates: dict[str, float], contrast: float, t_max: float):
+    """One labelled parity trajectory per phase rate, each from 0 to t_max."""
+    return tuple((label, parity_trajectory(rate, contrast, t_max))
+                 for label, rate in rates.items())
+
+
+def _delta_b(config: ScenarioConfig, probes: tuple[Vec3, Vec3], source_z: float,
+             moment: float, paper_delta_b: float) -> float:
+    """Differential field across the probe pair of an axial dipole moment at
+    source_z; paper_delta_b in paper-values mode."""
+    if config.paper_values:
+        return paper_delta_b
+    source = DipoleSource(Vec3(0.0, 0.0, source_z), Vec3(0.0, 0.0, moment))
+    return differential_field(source, probes[0], probes[1])
+
+
+def _parity_swing(contrast, phase):
+    """Parity difference (2 contrast)|sin(phase)| between the two arms of a
+    discrimination at phases +-phase about the zero crossing; phase may be
+    an array. np.sin gives math.sin's bits on these inputs, under every SIMD
+    dispatch measured."""
+    return (2.0 * contrast) * np.abs(np.sin(phase))
+
+
 def run_three_ion_spin(config: ScenarioConfig) -> ScenarioReport:
     """Spin-state detection of the end ion by the adjacent Bell pair.
 
@@ -165,8 +209,7 @@ def run_three_ion_spin(config: ScenarioConfig) -> ScenarioReport:
     spacing, the per-ion fields, the time to a pi phase rotation, and the
     Monte Carlo flip-discrimination SNR at the configured operating point.
     """
-    if config.kind != THREE_ION_SPIN:
-        raise ConfigurationError(f"expected kind {THREE_ION_SPIN!r}, got {config.kind!r}")
+    _expect_kind(config, THREE_ION_SPIN)
     geometry, probes, source = _three_ion_layout(config)
     d12 = spacing(geometry, 0, 1)
     b_far = axial_bz(source, probes[0].z)
@@ -186,14 +229,12 @@ def run_three_ion_spin(config: ScenarioConfig) -> ScenarioReport:
         fields_down = (0.0, total_differential_field(source.flipped(), probes[0],
                                                      probes[1], gradient))
 
-    probe = prepare_probe(BELL, probes, config.preparation_fidelity,
-                          branch_weights=PAIR_WEIGHTS)
-    rate = phase_rate(probe, config.zeeman, fields_used)
-    rate_up = phase_rate(probe, config.zeeman, fields_up)
-    rate_down = phase_rate(probe, config.zeeman, fields_down)
+    probe, contrast, rates, field_rows = _bell_pair(config, probes, {
+        "free_evolution": fields_used, "compensated_spin_up": fields_up,
+        "compensated_spin_down": fields_down})
+    rate = rates["free_evolution"]
     t_pi = pi_time(rate)
     t_max = 1.25 * t_pi if math.isfinite(t_pi) else config.plan.interaction_time
-    contrast = effective_contrast(probe, config.noise)
 
     discrimination = spin_discrimination_snr(config.plan, probe, config.zeeman,
                                              fields_up, fields_down, config.noise)
@@ -223,14 +264,9 @@ def run_three_ion_spin(config: ScenarioConfig) -> ScenarioReport:
             "z_far_m": probes[0].z, "z_near_m": probes[1].z,
             "z_source_m": source.position.z,
         },
-        field_table=(FieldRow(0, probes[0].z, fields_used[0]),
-                     FieldRow(1, probes[1].z, fields_used[1])),
+        field_table=field_rows,
         delta_b=delta_used,
-        trajectories=(
-            ("free_evolution", parity_trajectory(rate, contrast, t_max)),
-            ("compensated_spin_up", parity_trajectory(rate_up, contrast, t_max)),
-            ("compensated_spin_down", parity_trajectory(rate_down, contrast, t_max)),
-        ),
+        trajectories=_trajectories(rates, contrast, t_max),
         estimation={
             "phase_rate_rad_per_s": rate,
             "t_pi_s": t_pi,
@@ -255,27 +291,19 @@ def run_molecular_state_change(config: ScenarioConfig) -> ScenarioReport:
     parity signals at the target SNR. A pair no shot count that fits a float
     tells apart (identical moments among them) is reported as infeasible.
     """
-    if config.kind != MOLECULAR_STATE_CHANGE:
-        raise ConfigurationError(f"expected kind {MOLECULAR_STATE_CHANGE!r}, got {config.kind!r}")
-    geometry, probes, _ = _three_ion_layout(config)
+    _expect_kind(config, MOLECULAR_STATE_CHANGE)
+    geometry, probes, source = _three_ion_layout(config)
     mu_e = abs(constants().electron_magnetic_moment)
-
-    def delta_b_for(moment: float) -> float:
-        if config.paper_values:
-            # Published three-ion value, scaled linearly with the moment.
-            return REFERENCE_DELTA_B_T * moment / mu_e
-        src = DipoleSource(Vec3(0.0, 0.0, geometry.positions[2]), Vec3(0.0, 0.0, moment))
-        return differential_field(src, probes[0], probes[1])
-
-    probe = prepare_probe(BELL, probes, config.preparation_fidelity,
-                          branch_weights=PAIR_WEIGHTS)
-    contrast = effective_contrast(probe, config.noise)
+    moments = {"moment_before": config.moment_before, "moment_after": config.moment_after}
+    # paper values: the published three-ion field, scaled linearly with the moment
+    deltas = {label: _delta_b(config, probes, source.position.z, moment,
+                              REFERENCE_DELTA_B_T * moment / mu_e)
+              for label, moment in moments.items()}
+    _, contrast, rates, field_rows = _bell_pair(
+        config, probes, {label: (0.0, delta) for label, delta in deltas.items()})
     t = config.plan.interaction_time
-    deltas = {"before": delta_b_for(config.moment_before),
-              "after": delta_b_for(config.moment_after)}
-    rates = {k: phase_rate(probe, config.zeeman, (0.0, d)) for k, d in deltas.items()}
-    swing = 2.0 * contrast * abs(math.sin(
-        accumulated_phase(0.5 * (rates["after"] - rates["before"]), t)))
+    swing = float(_parity_swing(contrast, accumulated_phase(
+        0.5 * (rates["moment_after"] - rates["moment_before"]), t)))
 
     try:
         shots_needed = float(required_shots(config.target_snr, swing))
@@ -286,7 +314,7 @@ def run_molecular_state_change(config: ScenarioConfig) -> ScenarioReport:
 
     annotations = (
         f"mode={config.mode}: differential fields before/after "
-        f"{deltas['before']:.6e} / {deltas['after']:.6e} T",
+        f"{deltas['moment_before']:.6e} / {deltas['moment_after']:.6e} T",
         "differential field and phase rate scale linearly with the molecular moment",
         (f"{shots_needed:.0f} shots per hypothesis reach SNR "
          f"{config.target_snr:.1f} at the symmetric operating point"
@@ -301,18 +329,14 @@ def run_molecular_state_change(config: ScenarioConfig) -> ScenarioReport:
             "d12_m": spacing(geometry, 0, 1),
             "z_far_m": probes[0].z, "z_near_m": probes[1].z,
         },
-        field_table=(FieldRow(0, probes[0].z, 0.0),
-                     FieldRow(1, probes[1].z, deltas["before"])),
-        delta_b=deltas["before"],
-        trajectories=(
-            ("moment_before", parity_trajectory(rates["before"], contrast, t)),
-            ("moment_after", parity_trajectory(rates["after"], contrast, t)),
-        ),
+        field_table=field_rows,
+        delta_b=deltas["moment_before"],
+        trajectories=_trajectories(rates, contrast, t),
         estimation={
-            "delta_b_before_t": deltas["before"],
-            "delta_b_after_t": deltas["after"],
-            "phase_rate_before_rad_per_s": rates["before"],
-            "phase_rate_after_rad_per_s": rates["after"],
+            "delta_b_before_t": deltas["moment_before"],
+            "delta_b_after_t": deltas["moment_after"],
+            "phase_rate_before_rad_per_s": rates["moment_before"],
+            "phase_rate_after_rad_per_s": rates["moment_after"],
             "parity_swing": swing,
             "shots_required": shots_needed,
             "total_measurement_time_s": total_time,
@@ -330,31 +354,24 @@ def run_double_well(config: ScenarioConfig) -> ScenarioReport:
     parity modulation away from the zero-crossing operating point, and the
     smallest detectable imbalance within the configured shot budget.
     """
-    if config.kind != DOUBLE_WELL:
-        raise ConfigurationError(f"expected kind {DOUBLE_WELL!r}, got {config.kind!r}")
+    _expect_kind(config, DOUBLE_WELL)
     half_sep = config.well_separation / 2.0
     half_probe = config.probe_spacing / 2.0
     probes = (Vec3(0.0, 0.0, -half_probe), Vec3(0.0, 0.0, half_probe))
     atom_moment = config.atom_moment if config.atom_moment is not None \
         else constants().bohr_magneton
 
-    def delta_b_for(imbalance: int) -> float:
-        if config.paper_values:
-            return REFERENCE_DW_DELTA_B_T * imbalance
-        source = DipoleSource(Vec3(0.0, 0.0, half_sep),
-                              Vec3(0.0, 0.0, imbalance * atom_moment))
-        return differential_field(source, probes[0], probes[1])
-
-    probe = prepare_probe(BELL, probes, config.preparation_fidelity,
-                          branch_weights=PAIR_WEIGHTS)
-    contrast = effective_contrast(probe, config.noise)
+    delta_used = _delta_b(config, probes, half_sep, config.delta_n * atom_moment,
+                          REFERENCE_DW_DELTA_B_T * config.delta_n)
+    probe, contrast, rates, field_rows = _bell_pair(
+        config, probes, {"imbalance_evolution": (0.0, delta_used)})
+    rate = rates["imbalance_evolution"]
     t = config.plan.interaction_time
-    delta_used = delta_b_for(config.delta_n)
-    rate = phase_rate(probe, config.zeeman, (0.0, delta_used))
     phase_at_t = accumulated_phase(rate, t)
     modulation = contrast * abs(math.sin(phase_at_t))
 
-    rate_unit = phase_rate(probe, config.zeeman, (0.0, delta_b_for(1)))
+    rate_unit = phase_rate(probe, config.zeeman, (0.0, _delta_b(
+        config, probes, half_sep, atom_moment, REFERENCE_DW_DELTA_B_T)))
     # The scan's phase grows with k: its last step must fit a float, so no step overflows.
     accumulated_phase(0.5 * _MAX_SCAN_DELTA_N * rate_unit, t)
     min_detectable = _min_detectable_delta_n(rate_unit, t, contrast, config.plan.shots,
@@ -384,10 +401,9 @@ def run_double_well(config: ScenarioConfig) -> ScenarioReport:
             "probe_to_near_well_m": half_sep - half_probe,
             "probe_to_far_well_m": half_sep + half_probe,
         },
-        field_table=(FieldRow(0, probes[0].z, 0.0),
-                     FieldRow(1, probes[1].z, delta_used)),
+        field_table=field_rows,
         delta_b=delta_used,
-        trajectories=(("imbalance_evolution", parity_trajectory(rate, contrast, t)),),
+        trajectories=_trajectories(rates, contrast, t),
         estimation={
             "delta_n": float(config.delta_n),
             "phase_rate_rad_per_s": rate,
@@ -404,19 +420,18 @@ def _min_detectable_delta_n(rate_unit: float, t: float, contrast: float, shots: 
                             target_snr: float) -> float:
     """Smallest imbalance k <= _MAX_SCAN_DELTA_N whose parity swing meets target_snr; inf if none.
 
-    The swing of k atoms is (2 contrast) |sin(((k/2) rate_unit) t)|, taken
-    in these float steps in this order. Below a swing of 2 the SNR test is
-    a comparison with one exact threshold; analytic_snr decides the rest.
-    k runs in chunks that grow x4 (1-3, 4-15, 16-63, ...), so an early hit
-    stays cheap and a full scan takes a few numpy passes. np.sin gives
-    math.sin's bits on these inputs, under every SIMD dispatch measured.
+    The swing of k atoms is _parity_swing at the phase ((k/2) rate_unit) t,
+    taken in these float steps in this order. Below a swing of 2 the SNR
+    test is a comparison with one exact threshold; analytic_snr decides the
+    rest. k runs in chunks that grow x4 (1-3, 4-15, 16-63, ...), so an early
+    hit stays cheap and a full scan takes a few numpy passes.
     """
     threshold = swing_threshold(shots, target_snr)
     lo = 1
     while lo <= _MAX_SCAN_DELTA_N:
         hi = min(4 * lo, _MAX_SCAN_DELTA_N + 1)
         k = np.arange(lo, hi, dtype=float)
-        swing = (2.0 * contrast) * np.abs(np.sin(((0.5 * k) * rate_unit) * t))
+        swing = _parity_swing(contrast, ((0.5 * k) * rate_unit) * t)
         hit = swing >= threshold
         for i in np.flatnonzero(~(swing < 2.0)):
             hit[i] = analytic_snr(shots, float(swing[i])) >= target_snr
@@ -434,8 +449,7 @@ def run_ghz_chain(config: ScenarioConfig) -> ScenarioReport:
     chain the opposite-side Zeeman shifts add constructively and the ratio
     is exactly 2.
     """
-    if config.kind != GHZ_CHAIN:
-        raise ConfigurationError(f"expected kind {GHZ_CHAIN!r}, got {config.kind!r}")
+    _expect_kind(config, GHZ_CHAIN)
     geometry = equilibrium_positions(5, config.trap)
     z = geometry.positions
     source = DipoleSource(Vec3(0.0, 0.0, z[2]),
@@ -476,10 +490,7 @@ def run_ghz_chain(config: ScenarioConfig) -> ScenarioReport:
         field_table=tuple(FieldRow(i, positions[k].z, fields[k])
                           for k, i in enumerate(probe_idx)),
         delta_b=fields[1] - fields[0],
-        trajectories=(
-            ("ghz", parity_trajectory(rate_ghz, contrast, t)),
-            ("bell_side_pair", parity_trajectory(rate_bell, contrast, t)),
-        ),
+        trajectories=_trajectories({"ghz": rate_ghz, "bell_side_pair": rate_bell}, contrast, t),
         estimation={
             "phase_rate_ghz_rad_per_s": rate_ghz,
             "phase_rate_bell_rad_per_s": rate_bell,

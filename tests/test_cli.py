@@ -1,4 +1,5 @@
 import errno
+import functools
 import math
 import os
 import random
@@ -8,10 +9,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from iongradim import _format, cli
+from iongradim import _format, cli, estimation
 from iongradim.cli import (ConfigFileError, ResultBundle, RunConfig, Table, _csv_cell,
                            _preamble, config_hash, emit, execute, format_number, main,
                            normalized_config, parse_config)
@@ -119,14 +120,56 @@ def _config_text(value):
 
 
 def _config_values(command):
-    return st.fixed_dictionaries({key: _spec_values(spec)
-                                  for key, spec in cli.COMMAND_SCHEMAS[command].items()})
+    values = st.fixed_dictionaries({key: _spec_values(spec)
+                                    for key, spec in cli.COMMAND_SCHEMAS[command].items()})
+    return values.map(_accepted_scenario) if command == "scenario" else values
+
+
+def _accepted_scenario(values):
+    """The drawn scenario values, moved to where ScenarioConfig accepts them."""
+    spacing, separation = sorted((values["probe_spacing_m"], values["well_separation_m"]))
+    assume(spacing < separation)
+    return {**values, "probe_spacing_m": spacing, "well_separation_m": separation,
+            "shots": min(values["shots"], estimation._SHOT_LIMIT),
+            "n_ions": 5 if values["scenario"] == "ghz_chain" else values["n_ions"]}
+
+
+# Where the trap, Zeeman, noise and plan builders of cli._execute_scenario put
+# each scenario key they read; cli._SCENARIO_CONFIG_FIELDS maps all the others.
+_BUILT_SCENARIO_KEYS = {
+    "seed": "plan.rng_seed", "scenario": "kind", "axial_frequency_hz": "trap.axial_frequency",
+    "ion_mass_kg": "trap.ion_mass", "g_factor": "zeeman.g_factor",
+    "readout_contrast": "noise.contrast", "gradient_rms_t_per_m": "noise.gradient_rms",
+    "common_mode_rms_t": "noise.common_mode_rms", "shots": "plan.shots",
+    "interaction_time_s": "plan.interaction_time", "bias_phase_rad": "plan.bias_phase",
+}
+
+
+class _Captured(Exception):
+    pass
+
+
+def _assert_scenario_keys_reach_their_fields(run, values):
+    def capture(config):
+        raise _Captured(config)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "run_scenario", capture)
+        with pytest.raises(_Captured) as caught:
+            execute(run)
+    [config] = caught.value.args
+    assert not set(_BUILT_SCENARIO_KEYS) & set(cli._SCENARIO_CONFIG_FIELDS)
+    paths = {**_BUILT_SCENARIO_KEYS, **cli._SCENARIO_CONFIG_FIELDS}
+    assert set(paths) == {*cli._SCENARIO_FIELDS, "seed"}
+    for key, path in paths.items():
+        expected = 2.0 * math.pi * values[key] if key == "axial_frequency_hz" else values[key]
+        assert functools.reduce(getattr, path.split("."), config) == expected, key
 
 
 @given(st.sampled_from(sorted(cli.COMMAND_SCHEMAS)).flatmap(
     lambda command: st.tuples(st.just(command), _config_values(command))))
 def test_round_trip_normalization(drawn):
-    # every schema key set, each within its bounds and choices
+    # every schema key set, each within its bounds and choices; a scenario
+    # config that ScenarioConfig accepts, whose every key reaches its field
     command, values = drawn
     text = f"command = {command}\n" + "".join(
         f"{key} = {_config_text(value)}\n" for key, value in values.items())
@@ -137,6 +180,8 @@ def test_round_trip_normalization(drawn):
     assert again == run
     assert normalized_config(again) == echo
     assert config_hash(echo) == config_hash(normalized_config(again))
+    if command == "scenario":
+        _assert_scenario_keys_reach_their_fields(run, values)
 
 
 # ---------------------------------------------------------------------------
@@ -169,8 +214,8 @@ def test_trajectory_schema():
     bundle = execute(parse_config(SCENARIO_CFG))
     trajectory = next(t for t in bundle.tables if t.name.startswith("parity_trajectory"))
     assert trajectory.columns == ("time_s", "phase_rad", "parity")
-    for record in trajectory.rows:   # parity records are the table rows
-        assert tuple(record) == (record.time, record.phase, record.parity)
+    rows = trajectory.rows   # the parity_trajectory array is the table
+    assert rows.dtype == np.float64 and rows.shape == (101, len(trajectory.columns))
 
 
 def test_field_command_pair_requires_both():
@@ -275,7 +320,8 @@ _TIE = 1234567890123456.5
 
 
 def _float_tables(r):
-    """Tables of the array kernel's size: all-float ones it formats, and ones it must leave."""
+    """Tables of the array kernel's size: float64 arrays it formats, and tuple
+    tables it must leave, all-float ones among them."""
     n = cli._KERNEL_MIN_CELLS // 2 + 7
     def plain(i, j):
         value = r.uniform(-1e3, 1e3) * 10.0 ** r.randint(-90, 90)
@@ -292,8 +338,9 @@ def _float_tables(r):
         kernel.append(table(f"special_{column}", ((math.nan, -math.inf, 1e-300)[column],
                                                   column * (n - 1) // 2, column)))
     kernel.append(table("two_columns", width=2))
-    left = [table("one_int", (7, n - 1, 2)), table("one_bool", (True, 0, 0)),
-            table("one_str", ("x,y", n // 3, 1))]
+    kernel = [Table(t.name, t.columns, np.array(t.rows, np.float64)) for t in kernel]
+    left = [table("float_tuples"), table("one_int", (7, n - 1, 2)),
+            table("one_bool", (True, 0, 0)), table("one_str", ("x,y", n // 3, 1))]
     ragged = table("ragged").rows
     left.append(Table("ragged", ("a", "b", "c"), ragged[:5] + (ragged[5][:2],) + ragged[6:]))
     return kernel, left
@@ -312,8 +359,8 @@ def test_emit_matches_per_cell_formatting(tmp_path, monkeypatch):
             mixed.append(tuple(r.choice(_CELL_MAKERS)(r) for _ in range(4)))
     changing_column = tuple((i, (1.5, np.float64(-0.0), 7, np.int64(-7), True, "s,t")[i % 6])
                             for i in range(30))
-    # tables of at least _KERNEL_MIN_CELLS cells: all-float ones go through the
-    # array kernel, in one call for the bundle; the others must not
+    # tables of at least _KERNEL_MIN_CELLS cells: arrays go through the array
+    # kernel, in one call for the bundle; tuple tables must not
     kernel_tables, other_tables = _float_tables(r)
     bundle = ResultBundle(
         header="# iongradim test seed=8", config_echo="command = crystal\nseed = 8\n",
@@ -352,12 +399,13 @@ def _assert_formats_like_str_format(values):
     values = [float(v) for v in values]
     for value, text in zip(values, _kernel_texts(values)):
         assert text is None or text == "{:.15e}".format(value), value
-    # the table route, with both separators: cells padded to a kernel-sized table
-    cells = (values * (cli._KERNEL_MIN_CELLS // len(values) + 3))[:cli._KERNEL_MIN_CELLS + 3]
-    rows = tuple(tuple(cells[i:i + 3]) for i in range(0, len(cells), 3))
+    # the table route, with both separators: cells padded to a kernel-sized array
+    rows_needed = cli._KERNEL_MIN_CELLS // 3 + 1
+    cells = (values * (3 * rows_needed // len(values) + 1))[:3 * rows_needed]
+    rows = np.array(cells, np.float64).reshape(rows_needed, 3)
     for sep, lead in ((",", ""), ("  ", "  ")):
         [lines] = cli._table_lines((Table("t", ("a", "b", "c"), rows),), sep, lead)
-        expected = [lead + sep.join(map("{:.15e}".format, row)) for row in rows]
+        expected = [lead + sep.join(map("{:.15e}".format, row)) for row in rows.tolist()]
         assert "\n".join(lines) == "\n".join(expected)
 
 
@@ -487,6 +535,9 @@ OVERFLOWING_CONFIGS = {
                               "ion_mass_kg = 6.6421562664e-26\n"),
     "crystal_high_frequency": ("command = crystal\nn_ions = 3\naxial_frequency_hz = 1e300\n"
                                "ion_mass_kg = 6.6421562664e-26\n"),
+    # every end of the span fits a float, but not the span
+    "field_span": ("command = field\nsource_moment_j_per_t = 9.285e-24\nz_start_m = -1e308\n"
+                   "z_stop_m = 1e308\nn_points = 5\n"),
     "field_moment": ("command = field\nsource_moment_j_per_t = 1e300\nz_start_m = 1e-6\n"
                      "z_stop_m = 2e-6\npair_z1_m = 1e-6\npair_z2_m = 2e-6\n"),
     # every field fits a float, but the slope across the 1 um pair does not
@@ -517,6 +568,13 @@ def test_overflowing_config_is_a_config_error(tmp_path, capsys, text):
     assert len(err) == 1 and err[0].startswith("config error: "), err
     assert "overflow" in err[0]
     assert not out.exists()
+
+
+def test_field_span_overflow_names_both_keys(tmp_path, capsys):
+    cfg = _write_cfg(tmp_path, OVERFLOWING_CONFIGS["field_span"])
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+    [line] = capsys.readouterr().err.splitlines()
+    assert "z_start_m" in line and "z_stop_m" in line, line
 
 
 def test_unallocatable_shot_count_is_a_config_error(tmp_path, capsys):

@@ -767,6 +767,15 @@ def test_dephasing_contrast_zero_noise():
     assert dephasing_contrast(0.0, pair_probe(), ZEE, 5.0) == 1.0
 
 
+@pytest.mark.parametrize("gradient_rms, positions, duration", [
+    (1e300, (0.0, SPACING), 0.0),     # the rms times the coupling overflows; no time passes
+    (1e300, (SPACING, SPACING), 1.0),  # both ions at one place: no gradient coupling
+])
+def test_dephasing_contrast_is_one_without_a_phase_spread(gradient_rms, positions, duration):
+    probe = prepare_probe(BELL, tuple(Vec3(0, 0, z) for z in positions), 1.0)
+    assert dephasing_contrast(gradient_rms, probe, ZEE, duration) == 1.0
+
+
 def test_dephasing_contrast_unit_phase_spread():
     g_rms = 1.0 / (COEFF * SPACING * 5.0)
     assert dephasing_contrast(g_rms, pair_probe(), ZEE, 5.0) == pytest.approx(

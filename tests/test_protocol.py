@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from iongradim.constants import Vec3, constants
 from iongradim.errors import ConfigurationError
@@ -174,6 +176,26 @@ def test_trajectory_equals_the_per_point_reference():
         got = [tuple(record) for record in parity_trajectory(rate, contrast, t_max, n)]
         expected = _trajectory_by_point(rate, contrast, t_max, n)
         assert np.array_equal(np.array(got).view(np.int64), np.array(expected).view(np.int64))
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@given(rate=st.floats(-1e6, 1e6) | _FINITE, contrast=st.floats(0.0, 1.0),
+       t_max=st.floats(0.0, 1e3) | st.floats(-1e300, 1e300), n_points=st.integers(0, 300))
+def test_trajectory_columns_are_the_per_point_values(rate, contrast, t_max, n_points):
+    # each column bit for bit: t, rate * t and contrast * math.cos(rate * t)
+    try:
+        expected = _trajectory_by_point(rate, contrast, t_max, n_points)
+    except ConfigurationError:
+        with pytest.raises(ConfigurationError, match="overflows a float"):
+            parity_trajectory(rate, contrast, t_max, n_points)
+        return
+    rows = parity_trajectory(rate, contrast, t_max, n_points)
+    assert rows.dtype == np.float64 and rows.shape == (n_points, 3)
+    assert not rows.flags.writeable
+    expected = np.array(expected, np.float64).reshape(n_points, 3)
+    assert rows.view(np.int64).tolist() == expected.view(np.int64).tolist()
 
 
 def test_phase_reversal():

@@ -3,6 +3,7 @@ import json
 import math
 from typing import NamedTuple
 
+import numpy as np
 import pytest
 
 from iongradim import estimation, scenarios
@@ -90,17 +91,17 @@ def test_three_ion_compensated_spin_up_is_flat():
         report = run_three_ion_spin(base_config(THREE_ION_SPIN, paper_values=paper))
         series = dict(report.trajectories)
         up = series["compensated_spin_up"]
-        parities = [p.parity for p in up]
+        parities = [parity for _, _, parity in up]
         assert max(parities) - min(parities) < 1e-12
         down = series["compensated_spin_down"]
-        assert max(abs(p.phase) for p in down) > 1.0
+        assert max(abs(phase) for _, phase, _ in down) > 1.0
 
 
 def test_three_ion_spin_down_rate_doubles():
     report = run_three_ion_spin(base_config(THREE_ION_SPIN, paper_values=True))
     series = dict(report.trajectories)
-    free = series["free_evolution"][-1].phase
-    down = series["compensated_spin_down"][-1].phase
+    free = series["free_evolution"][-1, 1]   # the last phase
+    down = series["compensated_spin_down"][-1, 1]
     assert abs(down) == pytest.approx(2.0 * abs(free), rel=1e-12)
 
 
@@ -173,7 +174,7 @@ def dw_config(delta_n=1, paper_values=True, shots=10, t=2.5, **kw):
 def test_double_well_balanced_is_flat():
     report = run_double_well(dw_config(delta_n=0, paper_values=False))
     assert report.delta_b == 0.0
-    parities = [p.parity for _, series in report.trajectories for p in series]
+    parities = [parity for _, series in report.trajectories for _, _, parity in series]
     assert max(parities) - min(parities) == 0.0
 
 
@@ -335,7 +336,8 @@ ALL_CONFIGS = [
 def test_reports_are_reproducible(make):
     a = dataclasses.asdict(run_scenario(make()))
     b = dataclasses.asdict(run_scenario(make()))
-    assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
+    assert (json.dumps(a, sort_keys=True, default=np.ndarray.tolist)
+            == json.dumps(b, sort_keys=True, default=np.ndarray.tolist))
 
 
 @pytest.mark.parametrize("make", ALL_CONFIGS)
@@ -343,9 +345,9 @@ def test_parity_bounds_hold(make):
     report = run_scenario(make())
     contrast = 0.99   # preparation fidelity default, readout contrast 1
     for _, series in report.trajectories:
-        for p in series:
-            assert abs(p.parity) <= 1.0 + 1e-15
-            assert p.parity == pytest.approx(contrast * math.cos(p.phase), abs=1e-12)
+        for _, phase, parity in series:
+            assert abs(parity) <= 1.0 + 1e-15
+            assert parity == pytest.approx(contrast * math.cos(phase), abs=1e-12)
 
 
 @pytest.mark.parametrize("make", ALL_CONFIGS)
@@ -353,8 +355,8 @@ def test_trajectory_consistent_with_field_table(make):
     report = run_scenario(make())
     rate = rebuild_rate(report)
     label, series = report.trajectories[0]
-    for p in series:
-        assert p.phase == pytest.approx(rate * p.time, abs=1e-12 * (1 + abs(p.phase)))
+    for time, phase, _ in series:
+        assert phase == pytest.approx(rate * time, abs=1e-12 * (1 + abs(phase)))
 
 
 @pytest.mark.parametrize("make", ALL_CONFIGS)
@@ -425,10 +427,11 @@ def test_analytic_contrast_is_effective_contrast(monkeypatch, kind):
     route_contrast(monkeypatch)
     after = run_scenario(config)
     for (name, series), (_, series_before) in zip(after.trajectories, before.trajectories):
-        assert [p.parity for p in series] == [ROUTED_CONTRAST * math.cos(p.phase)
-                                              for p in series], name
+        series, series_before = series.tolist(), series_before.tolist()
+        assert [p[2] for p in series] == [ROUTED_CONTRAST * math.cos(p[1])
+                                          for p in series], name
         assert [p[:2] for p in series] == [p[:2] for p in series_before], name
-        assert [p.parity for p in series] != [p.parity for p in series_before], name
+        assert [p[2] for p in series] != [p[2] for p in series_before], name
     est = after.estimation
     if kind == MOLECULAR_STATE_CHANGE:
         rates = est["phase_rate_after_rad_per_s"] - est["phase_rate_before_rad_per_s"]
