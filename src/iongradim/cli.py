@@ -24,7 +24,7 @@ import math
 import os
 import re
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -322,7 +322,9 @@ def _execute_field(params: dict, seed: int) -> tuple[tuple[Table, ...], tuple[st
     if not math.isfinite(stop - start):
         raise ConfigurationError(f"the span from z_start_m = {start!r} to z_stop_m = "
                                  f"{stop!r} overflows a float")
-    zs = np.linspace(start, stop, params["n_points"])
+    # only the last product i * step can overflow, and linspace sets that point to stop
+    with np.errstate(over="ignore"):
+        zs = np.linspace(start, stop, params["n_points"])
     tables = [Table("axial_field", ("z_m", "Bz_T"),
                     np.column_stack((zs, axial_field_table(source, zs))))]
     if z1 is not None:
@@ -335,10 +337,26 @@ def _execute_field(params: dict, seed: int) -> tuple[tuple[Table, ...], tuple[st
     return tuple(tables), ()
 
 
+def _bell_pair(spacing: float, fidelity: float):
+    """The protocol and montecarlo commands' decoherence-free Bell pair, at z = 0 and spacing."""
+    return prepare_probe(BELL, (Vec3(0.0, 0.0, 0.0), Vec3(0.0, 0.0, spacing)), fidelity,
+                         branch_weights=PAIR_WEIGHTS)
+
+
+def _shot_inputs(params: dict, seed: int, contrast_key: str):
+    """The Zeeman coupling, noise model and plan of a command that draws shots;
+    the readout contrast is read from contrast_key."""
+    return (ZeemanConfig(g_factor=params["g_factor"]),
+            NoiseModel(common_mode_rms=params["common_mode_rms_t"],
+                       gradient_rms=params["gradient_rms_t_per_m"],
+                       contrast=params[contrast_key]),
+            ExperimentPlan(shots=params["shots"], interaction_time=params["interaction_time_s"],
+                           bias_phase=params["bias_phase_rad"], rng_seed=seed))
+
+
 def _execute_protocol(params: dict, seed: int) -> tuple[tuple[Table, ...], tuple[str, ...]]:
     zeeman = ZeemanConfig(g_factor=params["g_factor"])
-    probe = prepare_probe(BELL, (Vec3(0.0, 0.0, 0.0), Vec3(0.0, 0.0, 1e-6)),
-                          params["contrast"], branch_weights=PAIR_WEIGHTS)
+    probe = _bell_pair(1e-6, params["contrast"])
     rate = phase_rate(probe, zeeman, (0.0, params["delta_b_t"]))
     rows = parity_trajectory(rate, probe.contrast, params["duration_s"], params["n_steps"])
     t_pi = pi_time(rate)
@@ -348,15 +366,8 @@ def _execute_protocol(params: dict, seed: int) -> tuple[tuple[Table, ...], tuple
 
 
 def _execute_montecarlo(params: dict, seed: int) -> tuple[tuple[Table, ...], tuple[str, ...]]:
-    zeeman = ZeemanConfig(g_factor=params["g_factor"])
-    probe = prepare_probe(BELL, (Vec3(0.0, 0.0, 0.0), Vec3(0.0, 0.0, params["probe_spacing_m"])),
-                          1.0, branch_weights=PAIR_WEIGHTS)
-    noise = NoiseModel(common_mode_rms=params["common_mode_rms_t"],
-                       gradient_rms=params["gradient_rms_t_per_m"],
-                       contrast=params["contrast"])
-    plan = ExperimentPlan(shots=params["shots"],
-                          interaction_time=params["interaction_time_s"],
-                          bias_phase=params["bias_phase_rad"], rng_seed=seed)
+    probe = _bell_pair(params["probe_spacing_m"], 1.0)
+    zeeman, noise, plan = _shot_inputs(params, seed, "contrast")
     fields = (0.0, params["delta_b_t"])
     outcomes = simulate_shots(plan, probe, zeeman, fields, noise)
     true_parity = expected_parity(plan, probe, zeeman, fields, noise)
@@ -372,7 +383,7 @@ def _execute_montecarlo(params: dict, seed: int) -> tuple[tuple[Table, ...], tup
 
 
 # Scenario key -> ScenarioConfig field, for every key that is not read by the
-# trap, Zeeman, noise or plan builders of _execute_scenario.
+# trap builder of _execute_scenario or by _shot_inputs.
 _SCENARIO_CONFIG_FIELDS = {
     "paper_values": "paper_values", "preparation_fidelity": "preparation_fidelity",
     "target_snr": "target_snr", "overhead_s_per_shot": "overhead_per_shot",
@@ -387,14 +398,7 @@ def _execute_scenario(params: dict, seed: int) -> tuple[tuple[Table, ...], tuple
     trap = TrapConfig(axial_frequency=2.0 * math.pi * params["axial_frequency_hz"],
                       ion_mass=params["ion_mass_kg"])
     config = ScenarioConfig(
-        kind=params["scenario"], trap=trap,
-        zeeman=ZeemanConfig(g_factor=params["g_factor"]),
-        noise=NoiseModel(common_mode_rms=params["common_mode_rms_t"],
-                         gradient_rms=params["gradient_rms_t_per_m"],
-                         contrast=params["readout_contrast"]),
-        plan=ExperimentPlan(shots=params["shots"],
-                            interaction_time=params["interaction_time_s"],
-                            bias_phase=params["bias_phase_rad"], rng_seed=seed),
+        params["scenario"], trap, *_shot_inputs(params, seed, "readout_contrast"),
         **{name: params[key] for key, name in _SCENARIO_CONFIG_FIELDS.items()})
     report = run_scenario(config)
     tables = [
@@ -454,36 +458,20 @@ def _csv_cell(value) -> str:
     return format_number(value)
 
 
-# The str.format field that writes a cell of this exact type as format_number does;
-# any other type (str, bool, other numpy scalars) goes through _csv_cell.
-_CELL_FIELDS = {float: "{:.15e}", np.float64: "{:.15e}", int: "{:d}", np.int64: "{:d}"}
-
-
 def _row_lines(rows, sep: str):
-    """Each row as sep.join(map(_csv_cell, row)) would write it.
-
-    Rows are formatted by one str.format template per run of rows that share
-    their cell types, so the common all-number row skips the per-cell checks.
-    An array's rows are taken as lists of Python floats.
-    """
+    """Each row as sep.join(map(_csv_cell, row)); an array's rows are taken
+    as lists of Python floats."""
     if isinstance(rows, np.ndarray):
         rows = rows.tolist()
-    types = template = None
-    for row in rows:
-        row_types = tuple(map(type, row))
-        if row_types != types:
-            types = row_types
-            fields = [_CELL_FIELDS.get(t) for t in types]
-            template = None if None in fields else sep.join(fields).format
-        yield template(*row) if template else sep.join(map(_csv_cell, row))
+    return (sep.join(map(_csv_cell, row)) for row in rows)
 
 
 # ---------------------------------------------------------------------------
 # all-float tables: '{:.15e}' for a whole array at once (_format.e15_words)
 
-# A table of fewer cells costs more through the array kernel than through
-# _row_lines: each bundle pays about 60 us of numpy calls, a cell then about a
-# third of its str.format cost.
+# Each bundle pays about 50 us of numpy calls in the array kernel, and a cell
+# then a fraction of its _csv_cell cost: on one 2- or 3-column table the kernel
+# overtakes _row_lines at about 48 cells and is 1.4-2.2x faster from 72 to 120.
 _KERNEL_MIN_CELLS = 128
 _NEWLINE = _format.ascii_words([[ord("\n"), 0, 0, 0]])[0]
 
@@ -659,9 +647,9 @@ def main(argv: list[str] | None = None) -> int:
         if args.seed is not None:
             if not (0 <= args.seed < 2 ** 64):
                 raise ConfigurationError("--seed must fit in 64 bits")
-            run = RunConfig(run.command, run.parameters, args.seed, run.output_format)
+            run = replace(run, seed=args.seed)
         if args.format is not None:
-            run = RunConfig(run.command, run.parameters, run.seed, args.format)
+            run = replace(run, output_format=args.format)
         if args.paper_values is not None:
             if run.command == "scenario":
                 run.parameters["paper_values"] = args.paper_values == "on"

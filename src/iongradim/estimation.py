@@ -48,7 +48,7 @@ import math
 import struct
 from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -160,7 +160,7 @@ class _Run:
         _window flags, each moved from its rank there to its own slot. It
         maps when the screen would cost more than mapping every shot, or
         when the window is not finite. Both give the counts of the
-        per-shot mapping that blocks() regenerates.
+        per-shot mapping that _block regenerates.
         """
         plan, n = self.plan, self.n_class
         window = self._window()   # 0 for a noise-free run: nothing to flag, no window pass
@@ -197,21 +197,14 @@ class _Run:
             counts += np.diff([0, *below.tolist(), plan.shots])
         return counts
 
-    def blocks(self) -> Iterator[tuple[int, int, float | np.ndarray, np.ndarray, np.ndarray]]:
-        """Yield (lo, hi, phase, even, slot) for each block of shots [lo, hi).
-
-        phase is one float for every shot of a noise-free run and an array
-        otherwise; slot indexes self.patterns. A per-shot phase that is not
-        finite is a ConfigurationError.
-        """
-        phase = None if self.noise.gradient_rms > 0 else self._noise_free_phase()
-        for lo in range(0, self.plan.shots, _BLOCK):
-            hi = min(lo + _BLOCK, self.plan.shots)
-            # one call per block, so no block's temporaries outlive it
-            yield (lo, hi, *self._block(lo, hi, phase))
-
     def _block(self, lo: int, hi: int, phase: float | None,
                ) -> tuple[float | np.ndarray, np.ndarray, np.ndarray]:
+        """(phase, even, slot) of the shots [lo, hi), given the noise-free phase or None.
+
+        The phase returned is one float for every shot of a noise-free run
+        and an array otherwise; slot indexes self.patterns. A per-shot phase
+        that is not finite is a ConfigurationError.
+        """
         shot = np.arange(lo, hi, dtype=np.uint64) * np.uint64(_SLOTS_PER_SHOT)
         if phase is None:
             phase = self._noisy_phases(shot + np.uint64(2), shot + np.uint64(3))
@@ -437,10 +430,14 @@ class ShotOutcomes:
             raise ConfigurationError(
                 f"{n} shots need {n * _OUTPUT_BYTES_PER_SHOT} bytes of per-shot outputs, "
                 "which cannot be allocated") from None
-        for lo, hi, phase, even, slot in self._run.blocks():
+        run = self._run
+        phase = None if run.noise.gradient_rms > 0 else run._noise_free_phase()
+        for lo in range(0, n, _BLOCK):
+            hi = min(lo + _BLOCK, n)
+            # one call per block, so no block's temporaries outlive it
+            phases[lo:hi], even, slot = run._block(lo, hi, phase)
             parities[lo:hi] = np.where(even, 1, -1)
-            indices[lo:hi] = self._run.patterns[slot]
-            phases[lo:hi] = phase
+            indices[lo:hi] = run.patterns[slot]
         return parities, indices, phases
 
     @property

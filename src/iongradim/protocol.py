@@ -215,7 +215,10 @@ def parity_trajectory(rate: float, contrast: float, t_max: float,
     every point, before any is computed. np.cos gives math.cos's bits on
     these phases, under every SIMD dispatch measured.
     """
-    times = np.linspace(0.0, t_max, n_points)
+    # Of linspace's products i * step only the last, (n_points - 1) * step, can
+    # round past the largest float; linspace then sets that point to t_max.
+    with np.errstate(over="ignore"):
+        times = np.linspace(0.0, t_max, n_points)
     accumulated_phase(rate, float(times[-1]) if times.size else 0.0)
     phases = rate * times
     rows = np.column_stack((times, phases, contrast * np.cos(phases)))

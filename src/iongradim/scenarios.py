@@ -111,6 +111,11 @@ class ScenarioConfig:
                     f"(spacing {self.probe_spacing} >= separation {self.well_separation})")
             if self.delta_n is None or not isinstance(self.delta_n, int) or self.delta_n < 0:
                 raise ConfigurationError("delta_n must be an integer >= 0")
+            try:   # the runner scales the atom moment and the paper-values field by it
+                float(self.delta_n)
+            except OverflowError:
+                raise ConfigurationError(
+                    "delta_n overflows a float: it must be at most about 1.8e308") from None
         if self.kind == GHZ_CHAIN:
             n = 5 if self.n_ions is None else self.n_ions
             if n != 5:

@@ -1,21 +1,29 @@
+import contextlib
 import errno
 import functools
+import io
 import math
 import os
 import random
 import stat
+import tempfile
 import tracemalloc
+import warnings
+from dataclasses import replace
+from decimal import Decimal
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from iongradim import _format, cli, estimation
 from iongradim.cli import (ConfigFileError, ResultBundle, RunConfig, Table, _csv_cell,
                            _preamble, config_hash, emit, execute, format_number, main,
                            normalized_config, parse_config)
+from iongradim.constants import constants
 from iongradim.errors import ConfigurationError
 
 CRYSTAL_CFG = """\
@@ -119,6 +127,11 @@ def _config_text(value):
     return value if isinstance(value, str) else repr(value)
 
 
+def _config_file(command, values):
+    return f"command = {command}\n" + "".join(
+        f"{key} = {_config_text(value)}\n" for key, value in values.items())
+
+
 def _config_values(command):
     values = st.fixed_dictionaries({key: _spec_values(spec)
                                     for key, spec in cli.COMMAND_SCHEMAS[command].items()})
@@ -134,8 +147,8 @@ def _accepted_scenario(values):
             "n_ions": 5 if values["scenario"] == "ghz_chain" else values["n_ions"]}
 
 
-# Where the trap, Zeeman, noise and plan builders of cli._execute_scenario put
-# each scenario key they read; cli._SCENARIO_CONFIG_FIELDS maps all the others.
+# Where the trap builder of cli._execute_scenario and cli._shot_inputs put each
+# scenario key they read; cli._SCENARIO_CONFIG_FIELDS maps all the others.
 _BUILT_SCENARIO_KEYS = {
     "seed": "plan.rng_seed", "scenario": "kind", "axial_frequency_hz": "trap.axial_frequency",
     "ion_mass_kg": "trap.ion_mass", "g_factor": "zeeman.g_factor",
@@ -149,14 +162,19 @@ class _Captured(Exception):
     pass
 
 
-def _assert_scenario_keys_reach_their_fields(run, values):
-    def capture(config):
-        raise _Captured(config)
+def _call_args(run, name):
+    """The arguments with which executing run calls cli.<name>, which is not run."""
+    def capture(*args):
+        raise _Captured(*args)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(cli, "run_scenario", capture)
+        patch.setattr(cli, name, capture)
         with pytest.raises(_Captured) as caught:
             execute(run)
-    [config] = caught.value.args
+    return caught.value.args
+
+
+def _assert_scenario_keys_reach_their_fields(run, values):
+    [config] = _call_args(run, "run_scenario")
     assert not set(_BUILT_SCENARIO_KEYS) & set(cli._SCENARIO_CONFIG_FIELDS)
     paths = {**_BUILT_SCENARIO_KEYS, **cli._SCENARIO_CONFIG_FIELDS}
     assert set(paths) == {*cli._SCENARIO_FIELDS, "seed"}
@@ -171,9 +189,7 @@ def test_round_trip_normalization(drawn):
     # every schema key set, each within its bounds and choices; a scenario
     # config that ScenarioConfig accepts, whose every key reaches its field
     command, values = drawn
-    text = f"command = {command}\n" + "".join(
-        f"{key} = {_config_text(value)}\n" for key, value in values.items())
-    run = parse_config(text)
+    run = parse_config(_config_file(command, values))
     assert {**run.parameters, "seed": run.seed, "output_format": run.output_format} == values
     echo = normalized_config(run)
     again = parse_config(echo)
@@ -182,6 +198,25 @@ def test_round_trip_normalization(drawn):
     assert config_hash(echo) == config_hash(normalized_config(again))
     if command == "scenario":
         _assert_scenario_keys_reach_their_fields(run, values)
+    if command == "montecarlo":
+        _assert_montecarlo_keys_reach_their_fields(run, values)
+
+
+def _assert_montecarlo_keys_reach_their_fields(run, values):
+    shots = min(values["shots"], estimation._SHOT_LIMIT)   # past it ExperimentPlan refuses
+    run = replace(run, parameters={**run.parameters, "shots": shots})
+    plan, probe, zeeman, fields, noise = _call_args(run, "simulate_shots")
+    reached = {"seed": plan.rng_seed, "shots": plan.shots,
+               "interaction_time_s": plan.interaction_time, "bias_phase_rad": plan.bias_phase,
+               "g_factor": zeeman.g_factor, "contrast": noise.contrast,
+               "gradient_rms_t_per_m": noise.gradient_rms,
+               "common_mode_rms_t": noise.common_mode_rms,
+               "probe_spacing_m": probe.ion_positions[1].z, "delta_b_t": fields[1]}
+    assert set(reached) == set(values) - {"output_format"}
+    for key, value in reached.items():
+        assert value == (shots if key == "shots" else values[key]), key
+    # the readout contrast is not the pair's: it is prepared with fidelity 1
+    assert (probe.ion_positions[0].z, fields[0], probe.contrast) == (0.0, 0.0, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -348,7 +383,7 @@ def _float_tables(r):
 
 def test_emit_matches_per_cell_formatting(tmp_path, monkeypatch):
     r = random.Random(8)
-    # runs of same-typed rows (the template route) broken by rows of other types
+    # runs of same-typed rows broken by rows of other types
     trajectory = tuple((float(t), 0.3 * t, 0.97 * math.cos(0.3 * t)) for t in range(40))
     mixed = []
     for _ in range(300):
@@ -557,6 +592,12 @@ OVERFLOWING_CONFIGS = {
                             "interaction_time_s = 1e30\n"),
     "ghz_chain_long_time": ("command = scenario\nscenario = ghz_chain\n"
                             "source_moment_j_per_t = 1e270\ninteraction_time_s = 1e30\n"),
+    # an imbalance past the float range, which scales the atom moment or the
+    # published single-atom field
+    "double_well_delta_n": ("command = scenario\nscenario = double_well\n"
+                            f"delta_n = {10 ** 400}\n"),
+    "double_well_delta_n_paper_values": ("command = scenario\nscenario = double_well\n"
+                                         f"delta_n = {10 ** 400}\npaper_values = on\n"),
 }
 
 
@@ -570,11 +611,139 @@ def test_overflowing_config_is_a_config_error(tmp_path, capsys, text):
     assert not out.exists()
 
 
-def test_field_span_overflow_names_both_keys(tmp_path, capsys):
-    cfg = _write_cfg(tmp_path, OVERFLOWING_CONFIGS["field_span"])
+@pytest.mark.parametrize("name, keys", [
+    ("field_span", ("z_start_m", "z_stop_m")),
+    ("double_well_delta_n", ("delta_n",)),
+    ("double_well_delta_n_paper_values", ("delta_n",)),
+])
+def test_overflow_error_names_its_keys(tmp_path, capsys, name, keys):
+    cfg = _write_cfg(tmp_path, OVERFLOWING_CONFIGS[name])
     assert main(["--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
     [line] = capsys.readouterr().err.splitlines()
-    assert "z_start_m" in line and "z_stop_m" in line, line
+    assert all(key in line for key in keys), line
+
+
+# Runs that np.linspace overflows on inside numpy: only at its last point,
+# which it then sets to the stop value.
+LINSPACE_OVERFLOW_CONFIGS = {
+    "protocol_duration": ("protocol", {"delta_b_t": 1e-30, "duration_s": 1.7976931348623157e308,
+                                       "n_steps": 1442}),
+    "field_stop": ("field", {"source_moment_j_per_t": 9.285e-24, "z_start_m": 1e-6,
+                             "z_stop_m": 1.7976931348623157e308, "n_points": 15952}),
+    "field_stop_from_the_source": ("field", {"source_moment_j_per_t": 9.285e-24,
+                                             "z_start_m": 0.0,
+                                             "z_stop_m": 1.7976931348623157e308,
+                                             "n_points": 15952}),
+}
+
+
+@pytest.mark.parametrize("name", LINSPACE_OVERFLOW_CONFIGS)
+def test_linspace_overflow_writes_nothing_to_stderr(tmp_path, fresh_python, name):
+    # the run whose table starts at the source fails there, and says only that
+    err = ("config error: field requested 0.000e+00 m from the source (guard 1e-09 m)\n"
+           if name == "field_stop_from_the_source" else "")
+    cfg = _write_cfg(tmp_path, _config_file(*LINSPACE_OVERFLOW_CONFIGS[name]))
+    out = tmp_path / "out"
+    result = fresh_python(CLI_MAIN, "--config", str(cfg), "--out", str(out))
+    assert (result.returncode, result.stderr) == ((1, err) if err else (0, ""))
+    tables = sorted(out.glob("*.csv"))
+    assert bool(tables) == (not err)
+    for path in tables:   # as decimals: the largest float's 16 digits parse to inf
+        rows = path.read_text().splitlines()[2:]
+        assert rows and all(Decimal(cell).is_finite() for row in rows
+                            for cell in row.split(",")), path.name
+
+
+# Shot counts in the CLI property stop here: a legal huge count runs in time
+# linear in it, by design.
+_CLI_SHOT_CAP = 10_000
+
+# The scenario keys that only some kinds read. A scenario draw sets those of
+# its own kind and may set any key that every kind reads.
+_KIND_KEYS = {
+    "three_ion_spin": ("source_moment_j_per_t",),
+    "molecular_state_change": ("moment_before_j_per_t", "moment_after_j_per_t"),
+    "double_well": ("well_separation_m", "probe_spacing_m", "atom_moment_j_per_t", "delta_n"),
+    "ghz_chain": ("source_moment_j_per_t",),
+}
+_KIND_ONLY_KEYS = {"scenario", "n_ions", *(key for keys in _KIND_KEYS.values() for key in keys)}
+
+
+def _scenario_values(spec):
+    """A scenario key's values: anywhere within its FieldSpec, or for a float
+    key also within a factor of 10 of its default (of the electron moment, for
+    a moment without one), so that most draws run a scenario to its end."""
+    values = _spec_values(spec)
+    typical = abs(constants().electron_magnetic_moment) if spec.default is None \
+        else spec.default
+    if spec.kind != "float" or typical == 0:
+        return values
+    high = typical * 10 if spec.maximum is None else min(typical * 10, spec.maximum)
+    return st.one_of(values, st.floats(typical / 10, high))
+
+
+def _cli_values(command, kind=None):
+    """A config of the command, each key within its FieldSpec bounds and choices:
+    every required key and any of the others; for a scenario, every key of its
+    kind and any of the keys every kind reads."""
+    schema = cli.COMMAND_SCHEMAS[command]
+    if kind is None:
+        required = [key for key, spec in schema.items() if spec.required]
+        optional = [key for key, spec in schema.items() if not spec.required]
+        values = _spec_values
+    else:
+        required = _KIND_KEYS[kind]
+        optional = [key for key in schema if key not in _KIND_ONLY_KEYS]
+        values = _scenario_values
+    drawn = st.fixed_dictionaries({key: values(schema[key]) for key in required},
+                                  optional={key: values(schema[key]) for key in optional})
+
+    def fit(values):
+        if kind is not None:
+            values = {"scenario": kind, **values}
+        if "shots" in values:
+            values = {**values, "shots": min(values["shots"], _CLI_SHOT_CAP)}
+        if kind == "double_well":   # the probe pair fits inside the wells
+            spacing, separation = sorted((values["probe_spacing_m"], values["well_separation_m"]))
+            values = {**values, "probe_spacing_m": spacing, "well_separation_m": separation}
+        return values
+    return drawn.map(fit)
+
+
+# Each command, and the scenario command once per kind
+_CLI_TARGETS = [(command, None) for command in sorted(cli.COMMAND_SCHEMAS) if command != "scenario"]
+_CLI_TARGETS += [("scenario", kind) for kind in sorted(_KIND_KEYS)]
+
+
+def _run_main(text):
+    """(exit code, stderr lines, {file name: bytes}) of one main call into a fresh
+    directory; a warning counts as a line of stderr."""
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg, out = _write_cfg(Path(tmp), text), Path(tmp, "out")
+        err = io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, \
+                contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            warnings.simplefilter("always")
+            code = main(["--config", str(cfg), "--out", str(out)])
+        files = {path.name: path.read_bytes() for path in sorted(out.glob("*"))}
+    return code, err.getvalue().splitlines() + [str(w.message) for w in caught], files
+
+
+@example(LINSPACE_OVERFLOW_CONFIGS["protocol_duration"])
+@example(LINSPACE_OVERFLOW_CONFIGS["field_stop"])
+@example(LINSPACE_OVERFLOW_CONFIGS["field_stop_from_the_source"])
+@given(st.sampled_from(_CLI_TARGETS).flatmap(
+    lambda target: st.tuples(st.just(target[0]), _cli_values(*target))))
+def test_every_drawn_config_ends_cleanly(drawn):
+    text = _config_file(*drawn)
+    code, err, files = _run_main(text)
+    assert code in (0, 1, 2), (code, err)
+    if code == 0:
+        assert err == [] and files
+    else:
+        assert len(err) == 1 and err[0].startswith(("config error: ", "runtime error: ")), err
+        assert files == {}
+    assert _run_main(text) == (code, err, files)
 
 
 def test_unallocatable_shot_count_is_a_config_error(tmp_path, capsys):

@@ -1,4 +1,10 @@
+import ast
+from pathlib import Path
+
 import iongradim
+
+# bench/tracing.py wraps cli.dipole_field, so cli imports it without using it
+_UNUSED_IMPORTS_KEPT = {("cli", "dipole_field")}
 
 
 def test_public_names_are_the_ones_the_readme_lists():
@@ -9,3 +15,24 @@ def test_public_names_are_the_ones_the_readme_lists():
         "ConfigurationError", "FieldSingularityError", "InfeasibleError", "SolverError",
     }
     assert all(hasattr(iongradim, name) for name in iongradim.__all__)
+
+
+def _unused_imports(tree):
+    """Names the module imports but neither reads nor lists in __all__."""
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(alias.asname or alias.name for alias in node.names)
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    exported = {element.value for node in ast.walk(tree) if isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+                for element in node.value.elts}
+    return imported - read - exported
+
+
+def test_every_import_is_used():
+    unused = {(path.stem, name) for path in Path(iongradim.__file__).parent.glob("*.py")
+              for name in _unused_imports(ast.parse(path.read_text(encoding="utf-8")))}
+    assert unused == _UNUSED_IMPORTS_KEPT
