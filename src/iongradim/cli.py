@@ -175,7 +175,11 @@ def _parse_value(raw: str, spec: FieldSpec, key: str, line_no: int) -> object:
     if spec.kind == "int":
         if not _INT_RE.match(raw):
             raise ConfigFileError(f"{where}: expected an integer, got {raw!r}")
-        value = int(raw)
+        try:
+            value = int(raw)
+        except ValueError:   # more digits than Python converts from a string
+            raise ConfigFileError(f"{where}: an integer of {len(raw.lstrip('+-'))} digits "
+                                  "is too long to convert") from None
     elif spec.kind == "float":
         try:
             value = float(raw)
@@ -252,7 +256,7 @@ def parse_config(text: str) -> RunConfig:
         except ConfigFileError as exc:
             errors.append(str(exc))
     for key, spec in schema.items():
-        if key in parameters:
+        if key in parameters or key in assignments:   # set, though perhaps to a bad value
             continue
         if spec.required:
             errors.append(f"missing required key {key!r} for command {command!r}")

@@ -27,19 +27,24 @@ integers against the exact integers at which the ranks begin at the
 noise-free even probability p0 (the rank never falls as the integer grows,
 so the run finds each threshold once). Without gradient noise every shot
 has p0, so the counts are final. With gradient noise the screen relies on
-a proven bound: every shot's even probability p lies within
+a proven bound: a shot whose Gaussian g has |g| <= r has an even
+probability p within
 
-    |p - p0| <= K/2 (R s + e_phi) + e_p,
+    |p - p0| <= K/2 (r s + e_phi) + e_p,
 
 K the per-shot contrast (_Run.contrast), s = rms * gamma * |coupling| * t the
-phase spread, R = sqrt(-2 ln 2^-53) the largest |Gaussian| a draw can give
-(its first uniform is at least 2^-53), e_phi a bound on the rounding of the
-phase steps and e_p a margin for the rounding of cos, of p and of the
-mapping (see _window). No threshold moves further than p does, so only the
-shots whose integer lies that close to a threshold can take another
-pattern: the same kernel maps those alone, and each moves from its rank at
-p0 to its own slot. A run maps when the bound is not finite or when the
-screen would cost more than mapping every shot.
+phase spread, e_phi a bound on the rounding of the phase steps and e_p a
+margin for the rounding of cos, of p and of the mapping (see _window). No
+threshold moves further than p does, so only a shot whose integer lies that
+close to a threshold can take another pattern. The screen applies the bound
+twice. A pass over the block flags the shots within it at R = sqrt(-2 ln
+2^-53), the largest |Gaussian| a draw can give (its first uniform is at
+least 2^-53). For each flagged shot, the shot's own Box-Muller radius r then
+gives its own window: rng.gaussian returns r times a cosine, so |g| <= r
+exactly. The same kernel maps the shots whose own window holds a threshold,
+each moved from its rank at p0 to its own slot; the others keep their rank.
+A run maps when the bound is not finite or when the screen would cost more
+than mapping every shot.
 """
 
 from __future__ import annotations
@@ -76,16 +81,22 @@ _GAUSSIAN_MAX = math.sqrt(-2.0 * math.log(2.0 ** -53)) * (1.0 + 2.0 ** -40)
 # size, which bounds every step (see _window)
 _PHASE_ROUNDING = 2.0 ** -49
 _P_MARGIN = 2.0 ** -40   # e_p: cos, the steps of p and of _slots each round by a few 2^-53
+_MEAN_RADIUS = math.sqrt(math.pi / 2)   # mean Box-Muller radius: the cost model's typical shot
 # What the screen costs, in units of mapping one shot: _SCREEN_SETUP per
 # run; per shot, _SCREEN_BASE for its outcome draw and _PASS_COST for the
-# count and window passes of each rank boundary; and 1 per flagged shot. A
-# run screens only when that costs less than mapping every shot. Fitted on
-# a 2-vCPU Xeon: the measured break-even flagged share is 0.78 with the 3
-# boundaries of a Bell pair, 0.40 with the 15 of 4 ions and none with the
-# 63 of 6; the setup puts it between 1,600 and 2,700 shots for a Bell pair.
+# count and window passes of each rank boundary; per shot the window passes
+# flag, _RADIUS_COST for its radius and own window plus _PASS_COST per
+# boundary for its distance; and 1 per shot its own window keeps, a share
+# taken at _MEAN_RADIUS. A run screens only when that costs less than
+# mapping every shot. Fitted on a 2-vCPU Xeon: with every shot of a Bell
+# pair flagged, the measured break-even kept share is 0.54-0.67 (the model
+# says 0.56); 4 ions measured 0.69-0.94 of mapping up to a flagged share
+# of 0.87, where the model stops screening at 0.55; 6 ions never screen.
+# The setup puts the break-even between 2,500 and 4,000 shots for a Bell pair.
 _SCREEN_SETUP = 2048
 _SCREEN_BASE = 1 / 8
 _PASS_COST = 1 / 32
+_RADIUS_COST = 1 / 8
 
 
 @dataclass(frozen=True)
@@ -156,27 +167,28 @@ class _Run:
 
         A run that maps sends every shot to _own_slots. A run that screens
         counts the integers against the exact thresholds of the noise-free
-        even probability and sends to _own_slots only the shots that
-        _window flags, each moved from its rank there to its own slot. It
+        even probability. It sends to _own_slots only the shots that _window
+        flags at R and whose own window then holds a threshold too
+        (_moved_counts), each moved from its rank there to its own slot. It
         maps when the screen would cost more than mapping every shot, or
         when the window is not finite. Both give the counts of the
         per-shot mapping that _block regenerates.
         """
         plan, n = self.plan, self.n_class
         window = self._window()   # 0 for a noise-free run: nothing to flag, no window pass
-        boundaries = 2 * n - 1   # they flag at most a share boundaries * 2 window
-        saved = 1 - _SCREEN_BASE - boundaries * (_PASS_COST + 2 * window)   # per shot
-        screen = window == 0 or saved * plan.shots > _SCREEN_SETUP   # false when nan
+        screen = window == 0 or (math.isfinite(window)
+                                 and self._screen_saving(window) * plan.shots > _SCREEN_SETUP)
         if screen:
             thresholds = _thresholds(self._p_even(self._noise_free_phase()), n)
             windows = _windows(thresholds, math.ceil(window * 2.0 ** 53))
             thresholds = np.array(thresholds, dtype=np.uint64)
-            below = np.zeros(boundaries, dtype=np.int64)   # shots of rank < r, r = 1 .. 2n - 1
+            below = np.zeros(2 * n - 1, dtype=np.int64)   # shots of rank < r, r = 1 .. 2n - 1
         m = min(plan.shots, _BLOCK)
         counter = np.arange(4, _SLOTS_PER_SHOT * m, _SLOTS_PER_SHOT, dtype=np.uint64)
         bits = np.empty(m, dtype=np.uint64)
         if window != 0:   # nan too, which maps; a noise-free run maps no shot
             floats, masks = np.empty((2, m)), np.empty((3, m), dtype=bool)
+            gathered = np.empty((2, m), dtype=np.uint64) if screen else None
         counts = np.zeros(2 * n, dtype=np.int64)
         for lo in range(0, plan.shots, _BLOCK):
             k = min(_BLOCK, plan.shots - lo)
@@ -186,16 +198,66 @@ class _Run:
             else:
                 below += _count_below(b, thresholds)
                 idx = _in_windows(b, windows, *masks[:, :k]) if windows else ()
-                if len(idx):   # flagged shots leave their rank at p0 for their own slot
-                    flagged, j = b[idx], len(idx)
-                    counts -= np.bincount(np.searchsorted(thresholds, flagged, side="right"),
-                                          minlength=2 * n)
-                    counts += self._own_slots(flagged, counter[idx], *floats[:, :j],
-                                              *masks[:2, :j])
+                if len(idx):
+                    counts += self._moved_counts(b, idx, counter[0], thresholds, floats,
+                                                 masks, gathered)
             counter += np.uint64(_SLOTS_PER_SHOT * _BLOCK)
         if screen:
             counts += np.diff([0, *below.tolist(), plan.shots])
         return counts
+
+    def _screen_saving(self, window: float) -> float:
+        """What screening saves per shot over mapping it, in units of mapping one shot.
+
+        The window passes flag at most a share 2 (2n - 1) window of the
+        shots, and the own windows keep a share of about the same at the
+        mean radius (see _SCREEN_SETUP for the cost of each step).
+        """
+        boundaries = 2 * self.n_class - 1
+        flagged = min(2 * boundaries * window, 1.0)
+        kept = min(2 * boundaries * self._window(_MEAN_RADIUS), 1.0)
+        return (1 - _SCREEN_BASE - boundaries * _PASS_COST
+                - flagged * (_RADIUS_COST + boundaries * _PASS_COST) - kept)
+
+    def _moved_counts(self, bits: np.ndarray, idx: np.ndarray, first: np.uint64,
+                      thresholds: np.ndarray, floats: np.ndarray, masks: np.ndarray,
+                      gathered: np.ndarray) -> np.ndarray | int:
+        """Change of the slot counts from the flagged shots idx of a block.
+
+        Each flagged shot whose own window (_own_halves) holds a threshold
+        leaves its rank at p0 for its own slot; the others keep their rank.
+        bits, the block's outcome integers, and idx are spent; first is the
+        block's first slot-4 counter, and floats, masks and gathered are the
+        run's block buffers: of the per-shot arrays, only the index arrays
+        are allocated here.
+        """
+        j = len(idx)
+        flagged = np.take(bits, idx, out=gathered[0, :j], mode="clip")
+        counter = idx.view(np.uint64)   # the slot-4 counter of the block's shot i is first + 8 i
+        counter *= np.uint64(_SLOTS_PER_SHOT)
+        counter += first
+        near = np.less(_distances(flagged, thresholds, floats[1, :j].view(np.uint64), bits[:j]),
+                       self._own_halves(counter, floats[0, :j]), out=masks[0, :j])
+        keep = np.flatnonzero(near)
+        i = len(keep)
+        if not i:
+            return 0
+        moved = np.take(flagged, keep, out=bits[:i], mode="clip")
+        ranks = np.diff([0, *_count_below(moved, thresholds).tolist(), i])   # shots per rank at p0
+        counter = np.take(counter, keep, out=gathered[1, :i], mode="clip")
+        return self._own_slots(moved, counter, *floats[:, :i], *masks[:2, :i]) - ranks
+
+    def _own_halves(self, counter: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Each shot's own window, in outcome-integer units, from its radius; in out.
+
+        counter holds the shots' slot-4 counters. The radius of slot 2 goes
+        through the steps of _window, so a shot can take another pattern
+        only where its integer lies below this many units from a threshold.
+        """
+        np.subtract(counter, np.uint64(2), out=out.view(np.uint64))
+        half = self._window(rng._radius(self.plan.rng_seed, out.view(np.uint64), out))
+        half *= 2.0 ** 53
+        return half
 
     def _block(self, lo: int, hi: int, phase: float | None,
                ) -> tuple[float | np.ndarray, np.ndarray, np.ndarray]:
@@ -222,23 +284,45 @@ class _Run:
         _check_phases(phase)
         return phase
 
-    def _window(self) -> float:
-        """Bound, in draw units, on |p_even of any shot - p_even at the noise-free phase|.
+    def _window(self, radius=_GAUSSIAN_MAX):
+        """Bound, in draw units, on |p_even - p0| of a shot whose |Gaussian| is at most radius.
 
-        0 without gradient noise, where every shot has the noise-free phase;
-        not finite when a step of a per-shot phase might overflow. rate takes
-        the steps of _noisy_phases with R for the Gaussian, so each step of a
-        per-shot phase is at most the matching step here (rounding is
-        monotone), and size bounds every step of both phases.
+        p0 is p_even at the noise-free phase. The bound is 0 without gradient
+        noise, where every shot has the noise-free phase, and not finite when
+        a step of a per-shot phase might overflow. An array of radii is
+        turned into the shots' bounds in place. The bound K/2 (spread +
+        e_phi) + e_p holds step by step:
+
+        1. |g| <= radius. For R, g's first uniform is at least 2^-53 and
+           |cos| <= 1. For a shot's own Box-Muller radius (rng._radius),
+           rng.gaussian returns that very float times a cosine, and
+           |r cos| <= r rounds to at most r, since rounding is monotone.
+        2. The steps of _noisy_phases multiply g by rms, gamma and the
+           coupling. The same steps here, on radius and |coupling|, are
+           each at least the matching per-shot step in magnitude, again by
+           monotone rounding; times t, that is the spread.
+        3. size, taken at R, bounds every step of both phases, so the 9
+           rounded steps between the per-shot and the noise-free phase,
+           bias added, move it by less than e_phi = _PHASE_ROUNDING * size.
+        4. |cos a - cos b| <= |a - b| and p = (1 + K cos) / 2, so
+           |p - p0| <= K/2 (spread + e_phi), up to the rounding of cos, of
+           the steps of p and of this bound, which e_p covers.
         """
         if self.noise.gradient_rms == 0:
             return 0.0
-        plan, probe = self.plan, self.probe
-        rate = (_GAUSSIAN_MAX * self.noise.gradient_rms * self.zeeman.gyromagnetic_ratio
-                * abs(probe.gradient_coupling))
-        spread = rate * plan.interaction_time
+        plan, rms, gamma = self.plan, self.noise.gradient_rms, self.zeeman.gyromagnetic_ratio
+        coupling = abs(self.probe.gradient_coupling)
+        rate = _GAUSSIAN_MAX * rms * gamma * coupling
         size = (rate + abs(self.base_rate)) * plan.interaction_time + abs(plan.bias_phase)
-        return 0.5 * self.contrast * (spread + _PHASE_ROUNDING * size) + _P_MARGIN
+        window = radius   # the steps of rate and spread at radius; in place for an array
+        window *= rms
+        window *= gamma
+        window *= coupling
+        window *= plan.interaction_time
+        window += _PHASE_ROUNDING * size
+        window *= 0.5 * self.contrast
+        window += _P_MARGIN
+        return window
 
     def _noisy_phases(self, counter_a: np.ndarray, counter_b: np.ndarray,
                       out: np.ndarray | None = None, work: np.ndarray | None = None,
@@ -352,6 +436,23 @@ def _in_windows(bits: np.ndarray, windows: list[tuple[np.uint64, np.uint64]],
         above &= below
         flagged |= above
     return np.flatnonzero(flagged)
+
+
+def _distances(bits: np.ndarray, thresholds: np.ndarray, out: np.ndarray,
+               work: np.ndarray) -> np.ndarray:
+    """Distance of each outcome integer b to its nearest threshold t, in the caller's uint64 out.
+
+    The distance to t is b - t for b >= t and t - 1 - b for b < t, so b lies
+    in [t - h, t + h) exactly when it is below h. In uint64 arithmetic the
+    other difference of each pair wraps to at least 2^64 - 2^53 - 1, since b
+    and t are at most 2^53; so the distance is the least of them all.
+    """
+    np.subtract(bits, thresholds[0], out=out)
+    for t in thresholds[1:]:
+        np.minimum(out, np.subtract(bits, t, out=work), out=out)
+    for before in thresholds - np.uint64(1):   # 0 - 1 wraps to 2^64 - 1, beyond every b
+        np.minimum(out, np.subtract(before, bits, out=work), out=out)
+    return out
 
 
 def _count_below(bits: np.ndarray, thresholds: np.ndarray) -> np.ndarray:

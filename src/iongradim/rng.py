@@ -17,9 +17,10 @@ Counter 0 with seed 0 therefore reproduces the first output of the
 canonical sequentially-seeded SplitMix64 stream, 0xE220A8397B1DCDAF, which
 the test suite pins. Uniforms map the top 53 bits b to (b + 1) * 2^-53 in
 (0, 1], a map that is exact and strictly increasing in b; Gaussians use the
-Box-Muller transform on two counters. Every draw can be written into a
-caller's buffer (out=), so a caller that reuses its buffers allocates
-nothing per draw; the bits are the same either way.
+Box-Muller transform on two counters, and the radius of the first, which
+bounds the draw's magnitude, can be drawn alone. Every draw can be written
+into a caller's buffer (out=), so a caller that reuses its buffers
+allocates nothing per draw; the bits are the same either way.
 """
 
 from __future__ import annotations
@@ -91,16 +92,27 @@ def gaussian(seed: int, counter_a, counter_b, out: np.ndarray | None = None,
     memory of its own counter.
     """
     shape = np.shape(counter_a)
-    u1 = uniform(seed, counter_a, np.empty(shape) if out is None else out)
+    g = _radius(seed, counter_a, np.empty(shape) if out is None else out)
     u2 = uniform(seed, counter_b, np.empty(shape) if work is None else work)
-    # sqrt(-2 log u1) * cos(2 pi u2), in place
-    np.log(u1, out=u1)
-    u1 *= -2.0
-    np.sqrt(u1, out=u1)
+    # radius * cos(2 pi u2), in place
     u2 *= 2.0 * np.pi
     np.cos(u2, out=u2)
-    u1 *= u2
-    return _returned(u1, out)
+    g *= u2
+    return _returned(g, out)
+
+
+def _radius(seed: int, counter, out: np.ndarray) -> np.ndarray:
+    """The Box-Muller radius sqrt(-2 log u1) of gaussian's first stream, in place in out.
+
+    gaussian multiplies this very float by a cosine, so |gaussian| <= radius
+    holds exactly for each draw: |cos| <= 1 and rounding is monotone. out, a
+    float64 array of the counter's shape, may share the counter's memory.
+    """
+    r = uniform(seed, counter, out)
+    np.log(r, out=r)
+    r *= -2.0
+    np.sqrt(r, out=r)
+    return r
 
 
 def _returned(draws: np.ndarray, out: np.ndarray | None) -> np.ndarray:

@@ -623,6 +623,22 @@ def test_overflow_error_names_its_keys(tmp_path, capsys, name, keys):
     assert all(key in line for key in keys), line
 
 
+@pytest.mark.parametrize("text", [
+    "command = scenario\nscenario = double_well\ndelta_n = " + "1" * 5000 + "\n",
+    "command = montecarlo\ninteraction_time_s = 1\ndelta_b_t = 1e-12\n"
+    "shots = " + "1" * 5000 + "\n",
+], ids=["delta_n", "shots"])
+def test_too_long_integer_is_a_config_error(tmp_path, capsys, text):
+    # Python refuses to convert an integer string of more than 4,300 digits
+    out = tmp_path / "out"
+    assert main(["--config", str(_write_cfg(tmp_path, text)), "--out", str(out)]) == 1
+    [line] = capsys.readouterr().err.splitlines()
+    key = text.splitlines()[-1].split(" = ")[0]
+    assert line.startswith(f"config error: line {text.count(chr(10))}: {key}: "), line
+    assert "5000 digits" in line
+    assert not out.exists()
+
+
 # Runs that np.linspace overflows on inside numpy: only at its last point,
 # which it then sets to the stop value.
 LINSPACE_OVERFLOW_CONFIGS = {

@@ -1,8 +1,11 @@
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from iongradim import estimation, rng
 from iongradim.constants import Vec3, constants
@@ -371,7 +374,7 @@ def _screen_case(n_ions, spread, fringe, base_phase, shots):
 
 
 SCREEN_GRID = [(n_ions, spread, fringe, base_phase, shots)
-               for n_ions in (2, 4, 6) for spread in (1e-6, 1e-3, 1e-2, 0.3)
+               for n_ions in (2, 4, 6) for spread in (1e-6, 1e-3, 1e-2, 0.05, 0.1, 0.3)
                for fringe in FRINGE_PHASES for base_phase in (0.0, 1e6)
                for shots in (1, _BLOCK, _BLOCK + 17)]
 
@@ -387,6 +390,24 @@ def _tally_and_reference(case):
     return out, out.pattern_counts[out._run.patterns], regenerated[out._run.patterns]
 
 
+@given(n_ions=st.sampled_from((2, 4)), spread=st.floats(0.0, 0.5),
+       common_mode_rms=st.floats(0.0, 1e300, exclude_min=True),
+       seed=st.integers(0, 2 ** 64 - 1), shots=st.integers(1, 2 * _BLOCK + 17))
+@example(n_ions=2, spread=0.05, common_mode_rms=1e-9, seed=1, shots=2 * _BLOCK + 17)   # screens
+@example(n_ions=2, spread=0.3, common_mode_rms=1e-9, seed=1, shots=2 * _BLOCK + 17)    # maps
+def test_common_mode_noise_leaves_the_tally_bit_identical(n_ions, spread, common_mode_rms,
+                                                          seed, shots):
+    # the branch weights sum to zero, so a uniform field noise changes no
+    # outcome, on either side of the spread where runs stop screening
+    shot_plan, probe, zeeman, fields, noise = _screen_case(n_ions, spread, 0.9, 0.0, shots)
+    shot_plan = replace(shot_plan, rng_seed=seed)
+    quiet = simulate_shots(shot_plan, probe, zeeman, fields, noise)
+    loud = simulate_shots(shot_plan, probe, zeeman, fields,
+                          replace(noise, common_mode_rms=common_mode_rms))
+    assert loud.parity_sum == quiet.parity_sum
+    assert np.array_equal(loud.pattern_counts, quiet.pattern_counts)
+
+
 @pytest.mark.parametrize("route", [SCREEN, MAP], ids=["screen", "map"])
 @pytest.mark.parametrize("case", SCREEN_GRID, ids=str)
 def test_both_routes_equal_the_regenerated_shots(monkeypatch, case, route):
@@ -397,15 +418,34 @@ def test_both_routes_equal_the_regenerated_shots(monkeypatch, case, route):
     assert out.parity_sum == out.shots - 2 * odd == int(out.parities.sum())
 
 
+def _some_grid_case_misses():
+    """Whether the tally of some grid case differs from its regenerated shots."""
+    return any(not np.array_equal(*_tally_and_reference(case)[1:]) for case in SCREEN_GRID)
+
+
 def test_screen_grid_moves_flagged_shots(monkeypatch):
     # with a zero window no shot is flagged, and some grid case then misses
     # the shots that its own phase moves to another pattern
     windows = estimation._windows
     monkeypatch.setattr(estimation, "_SCREEN_SETUP", SCREEN)
     monkeypatch.setattr(estimation, "_windows", lambda thresholds, half: windows(thresholds, 0))
-    missed = [case for case in SCREEN_GRID
-              if not np.array_equal(*_tally_and_reference(case)[1:])]
-    assert missed
+    assert _some_grid_case_misses()
+
+
+@pytest.mark.parametrize("scale", [0.0, 0.5], ids=["zero", "half"])
+def test_screen_grid_needs_each_shots_own_window(monkeypatch, scale):
+    # the window passes flag as before, but each flagged shot's own window is
+    # shrunk: some grid case then misses shots that its own phase moves
+    own_halves = estimation._Run._own_halves
+
+    def shrunk(run, counter, out):
+        half = own_halves(run, counter, out)
+        half *= scale
+        return half
+
+    monkeypatch.setattr(estimation, "_SCREEN_SETUP", SCREEN)
+    monkeypatch.setattr(estimation._Run, "_own_halves", shrunk)
+    assert _some_grid_case_misses()
 
 
 def test_gaussian_bound_covers_the_smallest_uniform():
@@ -413,8 +453,36 @@ def test_gaussian_bound_covers_the_smallest_uniform():
     assert np.sqrt(-2.0 * np.log(smallest))[0] <= _GAUSSIAN_MAX
 
 
+def test_gaussian_is_bounded_by_its_own_radius(monkeypatch):
+    # 2^20 seeded shots, the last of which draws the smallest first uniform
+    # 2^-53 and an angle uniform of 1, where cos(2 pi u2) rounds to 1
+    shots = 2 ** 20
+    slot = np.arange(shots, dtype=np.uint64) * np.uint64(8)
+    last = slot[-1]
+    uniform_bits = rng.uniform_bits
+
+    def with_extremes(seed, counter, out=None):
+        bits = uniform_bits(seed, counter, out)
+        bits[counter == last + np.uint64(2)] = 0
+        bits[counter == last + np.uint64(3)] = 2 ** 53 - 1
+        return bits
+
+    monkeypatch.setattr(rng, "uniform_bits", with_extremes)
+    g = rng.gaussian(17, slot + np.uint64(2), slot + np.uint64(3))
+    radius = rng._radius(17, slot + np.uint64(2), np.empty(shots))
+    angle = rng.uniform(17, slot + np.uint64(3))
+    # the radius is the very float gaussian multiplies by the cosine, bit for bit
+    assert np.array_equal(g, radius * np.cos(angle * (2.0 * np.pi)))
+    assert np.all(np.abs(g) <= radius)
+    assert g[-1] == radius[-1] == radius.max() <= _GAUSSIAN_MAX
+
+
 def test_screened_run_draws_few_gaussians(monkeypatch):
-    # a Bell run at sigma_phi = 1e-3 draws the Gaussian only near a pattern boundary
+    # a Bell run draws the Gaussian only for the shots whose own window holds
+    # one of its 3 pattern boundaries. A shot of radius r has a window of
+    # K/2 s r on each side of each boundary, so at the mean radius sqrt(pi/2)
+    # at most a share 3 K s sqrt(pi/2) of the shots is drawn (K = 1 here; the
+    # windows may overlap). Bound: that share plus 5 sigma of its count.
     drawn = []
     gaussian = rng.gaussian
 
@@ -423,9 +491,13 @@ def test_screened_run_draws_few_gaussians(monkeypatch):
         return gaussian(seed, counter_a, *args)
 
     monkeypatch.setattr(rng, "gaussian", counted)
-    shot_plan, probe, zeeman, fields, noise = _screen_case(2, 1e-3, 0.9, 0.0, 2 * _BLOCK + 5)
-    out = simulate_shots(shot_plan, probe, zeeman, fields, noise)
-    assert 0 < sum(drawn) <= 0.05 * out.shots
+    shots = 2 * _BLOCK + 5
+    for spread in (1e-3, 0.05):
+        expected = 3 * spread * math.sqrt(math.pi / 2) * shots
+        drawn.clear()
+        simulate_shots(*_screen_case(2, spread, 0.9, 0.0, shots))
+        assert 0 < sum(drawn) <= expected + 5 * math.sqrt(expected), spread
+    _, probe, _, fields, _ = _screen_case(2, 1e-3, 0.9, 0.0, 1)
     # a per-shot phase that overflows is still a config error, also where
     # the window is nan (an infinite rate times a zero time)
     for rms, t in ((1e300, 1.0), (1.0, 1e305), (1e300, 0.0)):
