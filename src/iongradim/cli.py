@@ -656,7 +656,8 @@ def main(argv: list[str] | None = None) -> int:
             run = replace(run, output_format=args.format)
         if args.paper_values is not None:
             if run.command == "scenario":
-                run.parameters["paper_values"] = args.paper_values == "on"
+                run = replace(run, parameters={**run.parameters,
+                                               "paper_values": args.paper_values == "on"})
             else:
                 log.warning("--paper-values only applies to scenario runs; ignored")
         bundle = execute(run)

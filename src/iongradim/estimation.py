@@ -37,14 +37,16 @@ phase spread, e_phi a bound on the rounding of the phase steps and e_p a
 margin for the rounding of cos, of p and of the mapping (see _window). No
 threshold moves further than p does, so only a shot whose integer lies that
 close to a threshold can take another pattern. The screen applies the bound
-twice. A pass over the block flags the shots within it at R = sqrt(-2 ln
-2^-53), the largest |Gaussian| a draw can give (its first uniform is at
-least 2^-53). For each flagged shot, the shot's own Box-Muller radius r then
-gives its own window: rng.gaussian returns r times a cosine, so |g| <= r
-exactly. The same kernel maps the shots whose own window holds a threshold,
-each moved from its rank at p0 to its own slot; the others keep their rank.
-A run maps when the bound is not finite or when the screen would cost more
-than mapping every shot.
+twice, each time with one test (_near): does the integer lie within h of a
+threshold, h the bound in whole integer units, rounded up? A pass over the
+block flags the shots within it at R = sqrt(-2 ln 2^-53), the largest
+|Gaussian| a draw can give (its first uniform is at least 2^-53). For each
+flagged shot, the shot's own Box-Muller radius r then gives its own h:
+rng.gaussian returns r times a cosine, so |g| <= r exactly. The same kernel
+maps the shots within their own h of a threshold, each moved from its rank
+at p0 to its own slot; the others keep their rank. A run maps when the
+bound is not finite or when the screen would cost more than mapping every
+shot.
 """
 
 from __future__ import annotations
@@ -84,10 +86,10 @@ _P_MARGIN = 2.0 ** -40   # e_p: cos, the steps of p and of _slots each round by 
 _MEAN_RADIUS = math.sqrt(math.pi / 2)   # mean Box-Muller radius: the cost model's typical shot
 # What the screen costs, in units of mapping one shot: _SCREEN_SETUP per
 # run; per shot, _SCREEN_BASE for its outcome draw and _PASS_COST for the
-# count and window passes of each rank boundary; per shot the window passes
-# flag, _RADIUS_COST for its radius and own window plus _PASS_COST per
-# boundary for its distance; and 1 per shot its own window keeps, a share
-# taken at _MEAN_RADIUS. A run screens only when that costs less than
+# count pass and the near test (_near) of each rank boundary; per shot the
+# near test flags, _RADIUS_COST for its radius and own half plus _PASS_COST
+# per boundary for its own near test; and 1 per shot its own half keeps, a
+# share taken at _MEAN_RADIUS. A run screens only when that costs less than
 # mapping every shot. Fitted on a 2-vCPU Xeon: with every shot of a Bell
 # pair flagged, the measured break-even kept share is 0.54-0.67 (the model
 # says 0.56); 4 ions measured 0.69-0.94 of mapping up to a flagged share
@@ -167,40 +169,42 @@ class _Run:
 
         A run that maps sends every shot to _own_slots. A run that screens
         counts the integers against the exact thresholds of the noise-free
-        even probability. It sends to _own_slots only the shots that _window
-        flags at R and whose own window then holds a threshold too
+        even probability. It sends to _own_slots only the shots that _near
+        flags within the half of _window at R and then within their own half
         (_moved_counts), each moved from its rank there to its own slot. It
         maps when the screen would cost more than mapping every shot, or
         when the window is not finite. Both give the counts of the
         per-shot mapping that _block regenerates.
         """
         plan, n = self.plan, self.n_class
-        window = self._window()   # 0 for a noise-free run: nothing to flag, no window pass
+        window = self._window()   # 0 for a noise-free run: nothing to flag, no near test
         screen = window == 0 or (math.isfinite(window)
                                  and self._screen_saving(window) * plan.shots > _SCREEN_SETUP)
         if screen:
-            thresholds = _thresholds(self._p_even(self._noise_free_phase()), n)
-            windows = _windows(thresholds, math.ceil(window * 2.0 ** 53))
-            thresholds = np.array(thresholds, dtype=np.uint64)
+            thresholds = np.array(_thresholds(self._p_even(self._noise_free_phase()), n),
+                                  dtype=np.uint64)
+            half = min(math.ceil(window * 2.0 ** 53), 2 ** 53)   # 2^53 already holds every integer
             below = np.zeros(2 * n - 1, dtype=np.int64)   # shots of rank < r, r = 1 .. 2n - 1
         m = min(plan.shots, _BLOCK)
         counter = np.arange(4, _SLOTS_PER_SHOT * m, _SLOTS_PER_SHOT, dtype=np.uint64)
         bits = np.empty(m, dtype=np.uint64)
         if window != 0:   # nan too, which maps; a noise-free run maps no shot
-            floats, masks = np.empty((2, m)), np.empty((3, m), dtype=bool)
+            floats, masks = np.empty((2, m)), np.empty((2, m), dtype=bool)
             gathered = np.empty((2, m), dtype=np.uint64) if screen else None
         counts = np.zeros(2 * n, dtype=np.int64)
         for lo in range(0, plan.shots, _BLOCK):
             k = min(_BLOCK, plan.shots - lo)
             b = rng.uniform_bits(plan.rng_seed, counter[:k], bits[:k])
             if not screen:
-                counts += self._own_slots(b, counter[:k], *floats[:, :k], *masks[:2, :k])
+                counts += self._own_slots(b, counter[:k], *floats[:, :k], *masks[:, :k])
             else:
                 below += _count_below(b, thresholds)
-                idx = _in_windows(b, windows, *masks[:, :k]) if windows else ()
-                if len(idx):
-                    counts += self._moved_counts(b, idx, counter[0], thresholds, floats,
-                                                 masks, gathered)
+                if window != 0:
+                    idx = np.flatnonzero(_near(b, thresholds, half, floats[0, :k].view(np.uint64),
+                                               *masks[:, :k]))
+                    if len(idx):
+                        counts += self._moved_counts(b, idx, counter[0], thresholds, floats,
+                                                     masks, gathered)
             counter += np.uint64(_SLOTS_PER_SHOT * _BLOCK)
         if screen:
             counts += np.diff([0, *below.tolist(), plan.shots])
@@ -209,8 +213,8 @@ class _Run:
     def _screen_saving(self, window: float) -> float:
         """What screening saves per shot over mapping it, in units of mapping one shot.
 
-        The window passes flag at most a share 2 (2n - 1) window of the
-        shots, and the own windows keep a share of about the same at the
+        The near test at R flags at most a share 2 (2n - 1) window of the
+        shots, and the own halves keep a share of about the same at the
         mean radius (see _SCREEN_SETUP for the cost of each step).
         """
         boundaries = 2 * self.n_class - 1
@@ -224,40 +228,47 @@ class _Run:
                       gathered: np.ndarray) -> np.ndarray | int:
         """Change of the slot counts from the flagged shots idx of a block.
 
-        Each flagged shot whose own window (_own_halves) holds a threshold
-        leaves its rank at p0 for its own slot; the others keep their rank.
-        bits, the block's outcome integers, and idx are spent; first is the
-        block's first slot-4 counter, and floats, masks and gathered are the
-        run's block buffers: of the per-shot arrays, only the index arrays
-        are allocated here.
+        Each flagged shot that _near finds within its own half (_own_halves)
+        of a threshold leaves its rank at p0 for its own slot; the others
+        keep their rank. bits, the block's outcome integers, and idx are
+        spent; first is the block's first slot-4 counter, and floats, masks
+        and gathered are the run's block buffers: of the per-shot arrays,
+        only the index arrays are allocated here.
         """
         j = len(idx)
         flagged = np.take(bits, idx, out=gathered[0, :j], mode="clip")
         counter = idx.view(np.uint64)   # the slot-4 counter of the block's shot i is first + 8 i
         counter *= np.uint64(_SLOTS_PER_SHOT)
         counter += first
-        near = np.less(_distances(flagged, thresholds, floats[1, :j].view(np.uint64), bits[:j]),
-                       self._own_halves(counter, floats[0, :j]), out=masks[0, :j])
-        keep = np.flatnonzero(near)
+        halves = self._own_halves(counter, floats[0, :j], gathered[1, :j])
+        keep = np.flatnonzero(_near(flagged, thresholds, halves, floats[1, :j].view(np.uint64),
+                                    *masks[:, :j]))
         i = len(keep)
         if not i:
             return 0
         moved = np.take(flagged, keep, out=bits[:i], mode="clip")
         ranks = np.diff([0, *_count_below(moved, thresholds).tolist(), i])   # shots per rank at p0
         counter = np.take(counter, keep, out=gathered[1, :i], mode="clip")
-        return self._own_slots(moved, counter, *floats[:, :i], *masks[:2, :i]) - ranks
+        return self._own_slots(moved, counter, *floats[:, :i], *masks[:, :i]) - ranks
 
-    def _own_halves(self, counter: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """Each shot's own window, in outcome-integer units, from its radius; in out.
+    def _own_halves(self, counter: np.ndarray, work: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Each shot's own half-width, in whole outcome-integer units, from its radius; in out.
 
-        counter holds the shots' slot-4 counters. The radius of slot 2 goes
-        through the steps of _window, so a shot can take another pattern
-        only where its integer lies below this many units from a threshold.
+        counter holds the shots' slot-4 counters, work is a float64 and out
+        a uint64 buffer of their length. The radius of slot 2 goes through
+        the steps of _window, times 2^53, and out takes the ceiling h of
+        that float half: an integer lies below the float half from a
+        threshold exactly when it lies below h, so the shot can take another
+        pattern only where its integer is within h of a threshold (_near).
+        A half above 2^53 is cut to 2^53, which already holds every integer.
         """
-        np.subtract(counter, np.uint64(2), out=out.view(np.uint64))
-        half = self._window(rng._radius(self.plan.rng_seed, out.view(np.uint64), out))
+        np.subtract(counter, np.uint64(2), out=work.view(np.uint64))
+        half = self._window(rng._radius(self.plan.rng_seed, work.view(np.uint64), work))
         half *= 2.0 ** 53
-        return half
+        np.minimum(half, 2.0 ** 53, out=half)
+        np.ceil(half, out=half)
+        np.copyto(out, half, casting="unsafe")
+        return out
 
     def _block(self, lo: int, hi: int, phase: float | None,
                ) -> tuple[float | np.ndarray, np.ndarray, np.ndarray]:
@@ -411,47 +422,26 @@ def _slots_in_place(draw: np.ndarray, p_even: np.ndarray, n_class: int, tmp: np.
     return slot
 
 
-def _windows(thresholds: list[int], half: int) -> list[tuple[np.uint64, np.uint64]]:
-    """(lo, hi) of [t - half, t + half) around each threshold t, clipped to [0, 2^53) and merged
-    where they meet; none when half is 0."""
-    if not half:
-        return []
-    merged: list[list[int]] = []
-    for t in thresholds:
-        lo, hi = max(t - half, 0), min(t + half, 2 ** 53)
-        if merged and lo <= merged[-1][1]:
-            merged[-1][1] = max(merged[-1][1], hi)
-        else:
-            merged.append([lo, hi])
-    return [(np.uint64(lo), np.uint64(hi)) for lo, hi in merged]
+def _near(bits: np.ndarray, thresholds: np.ndarray, half, work: np.ndarray,
+          out: np.ndarray, hit: np.ndarray) -> np.ndarray:
+    """Flag, in the caller's bool out, each outcome integer b within half of a threshold t.
 
-
-def _in_windows(bits: np.ndarray, windows: list[tuple[np.uint64, np.uint64]],
-                above: np.ndarray, below: np.ndarray, flagged: np.ndarray) -> np.ndarray:
-    """Indices of the integers that lie in any window, found in the caller's bool buffers."""
-    flagged.fill(False)
-    for lo, hi in windows:
-        np.greater_equal(bits, lo, out=above)
-        np.less(bits, hi, out=below)
-        above &= below
-        flagged |= above
-    return np.flatnonzero(flagged)
-
-
-def _distances(bits: np.ndarray, thresholds: np.ndarray, out: np.ndarray,
-               work: np.ndarray) -> np.ndarray:
-    """Distance of each outcome integer b to its nearest threshold t, in the caller's uint64 out.
-
-    The distance to t is b - t for b >= t and t - 1 - b for b < t, so b lies
-    in [t - h, t + h) exactly when it is below h. In uint64 arithmetic the
-    other difference of each pair wraps to at least 2^64 - 2^53 - 1, since b
-    and t are at most 2^53; so the distance is the least of them all.
+    b is near t when it lies in [t - half, t + half), that is when
+    (b - t + half) mod 2^64 < 2 half: b and t are at most 2^53 and half at
+    most 2^53, so b - t + half below 0 wraps to at least 2^64 - 2^53.
+    half is one int for every b or a uint64 array of one per b, which is
+    spent (doubled in place). thresholds are sorted; work is a uint64 and
+    hit a bool buffer of bits' length, and work holds b + half - t for
+    each t in turn.
     """
-    np.subtract(bits, thresholds[0], out=out)
-    for t in thresholds[1:]:
-        np.minimum(out, np.subtract(bits, t, out=work), out=out)
-    for before in thresholds - np.uint64(1):   # 0 - 1 wraps to 2^64 - 1, beyond every b
-        np.minimum(out, np.subtract(before, bits, out=work), out=out)
+    np.add(bits, half, out=work)
+    half += half   # in place for an array, a new int for an int
+    out.fill(False)
+    before = 0
+    for t in thresholds.tolist():
+        work -= t - before
+        before = t
+        out |= np.less(work, half, out=hit)
     return out
 
 

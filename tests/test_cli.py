@@ -842,6 +842,17 @@ def test_paper_values_flag_overrides(tmp_path):
     assert "mode=paper-values" in provenance
 
 
+def test_paper_values_flag_leaves_the_parsed_config_as_it_is(tmp_path, monkeypatch):
+    # the flag makes a new RunConfig, as --seed and --format do, instead of
+    # writing into the parameters of the frozen one that parse_config returned
+    parsed = []
+    parse = cli.parse_config
+    monkeypatch.setattr(cli, "parse_config", lambda text: parsed.append(parse(text)) or parsed[-1])
+    cfg = _write_cfg(tmp_path, SCENARIO_CFG)
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "pv"), "--paper-values", "off"]) == 0
+    assert parsed[0].parameters["paper_values"] is True
+
+
 # ---------------------------------------------------------------------------
 # writing the output files
 

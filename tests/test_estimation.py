@@ -418,34 +418,97 @@ def test_both_routes_equal_the_regenerated_shots(monkeypatch, case, route):
     assert out.parity_sum == out.shots - 2 * odd == int(out.parities.sum())
 
 
+@pytest.mark.parametrize("n_ions", [2, 4])
+def test_forced_screen_at_a_huge_spread_equals_the_regenerated_shots(monkeypatch, n_ions):
+    # own halves far above 2^64 (a spread of 1e4 rad) are cut to 2^53 before
+    # they become integers; every shot is then flagged and mapped
+    monkeypatch.setattr(estimation, "_SCREEN_SETUP", SCREEN)
+    _, got, want = _tally_and_reference((n_ions, 1e4, 0.9, 0.0, 1000))
+    assert np.array_equal(got, want)
+
+
 def _some_grid_case_misses():
     """Whether the tally of some grid case differs from its regenerated shots."""
     return any(not np.array_equal(*_tally_and_reference(case)[1:]) for case in SCREEN_GRID)
 
 
 def test_screen_grid_moves_flagged_shots(monkeypatch):
-    # with a zero window no shot is flagged, and some grid case then misses
-    # the shots that its own phase moves to another pattern
-    windows = estimation._windows
+    # with a zero stage-1 half (the one int half) no shot is flagged, and
+    # some grid case then misses the shots that its own phase moves
+    near = estimation._near
+
+    def unflagged(bits, thresholds, half, *buffers):
+        return near(bits, thresholds, half if np.ndim(half) else 0, *buffers)
+
     monkeypatch.setattr(estimation, "_SCREEN_SETUP", SCREEN)
-    monkeypatch.setattr(estimation, "_windows", lambda thresholds, half: windows(thresholds, 0))
+    monkeypatch.setattr(estimation, "_near", unflagged)
     assert _some_grid_case_misses()
 
 
-@pytest.mark.parametrize("scale", [0.0, 0.5], ids=["zero", "half"])
-def test_screen_grid_needs_each_shots_own_window(monkeypatch, scale):
-    # the window passes flag as before, but each flagged shot's own window is
+SHRINKS = {"zero": lambda half: half.fill(0),
+           "half": lambda half: np.floor_divide(half, 2, out=half)}
+
+
+@pytest.mark.parametrize("shrink", SHRINKS.values(), ids=SHRINKS.keys())
+def test_screen_grid_needs_each_shots_own_window(monkeypatch, shrink):
+    # stage 1 flags as before, but each flagged shot's integer half is
     # shrunk: some grid case then misses shots that its own phase moves
     own_halves = estimation._Run._own_halves
 
-    def shrunk(run, counter, out):
-        half = own_halves(run, counter, out)
-        half *= scale
+    def shrunk(run, counter, work, out):
+        half = own_halves(run, counter, work, out)
+        shrink(half)
         return half
 
     monkeypatch.setattr(estimation, "_SCREEN_SETUP", SCREEN)
     monkeypatch.setattr(estimation._Run, "_own_halves", shrunk)
     assert _some_grid_case_misses()
+
+
+# sorted, as _thresholds gives them: 0, 2^53 (no draw reaches the rank) and a repeat
+NEAR_THRESHOLDS = [0, 1, 5, 2 ** 30, 2 ** 52 + 7, 2 ** 53 - 1, 2 ** 53, 2 ** 53]
+NEAR_HALVES = [0, 1, 2, 3, 2 ** 20, 2 ** 52, 2 ** 53]
+
+
+def _near_cases(halves, seed):
+    """(b, half) pairs: b at t - half - 1, t - half, t + half - 1 and t + half of every
+    threshold t, then seeded integers, most within 2^21 of a threshold, with seeded halves."""
+    cases = [(b, h) for h in halves for t in NEAR_THRESHOLDS
+             for b in (t - h - 1, t - h, t + h - 1, t + h) if 0 <= b < 2 ** 53]
+    draws = np.random.default_rng(seed)
+    for i in range(2000):
+        b = (int(draws.integers(0, 2 ** 53)) if i % 10 == 0 else
+             int(draws.choice(NEAR_THRESHOLDS)) + int(draws.integers(-2 ** 21, 2 ** 21)))
+        cases.append((min(max(b, 0), 2 ** 53 - 1), int(draws.choice(halves))))
+    return cases
+
+
+def _near_flags(bits, half):
+    """_near of the integers at one int half or one uint64 half per integer."""
+    n = len(bits)
+    bits = np.array(bits, dtype=np.uint64)
+    kept = bits.copy()
+    out = estimation._near(bits, np.array(NEAR_THRESHOLDS, dtype=np.uint64), half,
+                           np.empty(n, dtype=np.uint64), np.empty(n, dtype=bool),
+                           np.empty(n, dtype=bool))
+    assert np.array_equal(bits, kept)
+    return out.tolist()
+
+
+def _near_reference(b, h):
+    return any(t - h <= b < t + h for t in NEAR_THRESHOLDS)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_near_flags_the_integers_within_half_of_a_threshold(seed):
+    # against its definition in Python ints: b lies in [t - half, t + half)
+    # of some threshold t; one int half, then one half per integer
+    for h in NEAR_HALVES:
+        bits = [b for b, _ in _near_cases([h], seed)]
+        assert _near_flags(bits, h) == [_near_reference(b, h) for b in bits], h
+    cases = _near_cases(NEAR_HALVES, seed)
+    halves = np.array([h for _, h in cases], dtype=np.uint64)
+    assert _near_flags([b for b, _ in cases], halves) == [_near_reference(b, h) for b, h in cases]
 
 
 def test_gaussian_bound_covers_the_smallest_uniform():

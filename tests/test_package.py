@@ -36,3 +36,24 @@ def test_every_import_is_used():
     unused = {(path.stem, name) for path in Path(iongradim.__file__).parent.glob("*.py")
               for name in _unused_imports(ast.parse(path.read_text(encoding="utf-8")))}
     assert unused == _UNUSED_IMPORTS_KEPT
+
+
+def _unreferenced_private_functions(trees):
+    """Module-level functions named _x that no module refers to outside their own body."""
+    defined, referenced = set(), set()
+    for module, tree in trees.items():
+        for top in tree.body:
+            own = top.name if isinstance(top, ast.FunctionDef) else None
+            if own is not None and own.startswith("_"):
+                defined.add((module, own))
+            for node in ast.walk(top):
+                name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+                if name != own:
+                    referenced.add(name)
+    return {(module, name) for module, name in defined if name not in referenced}
+
+
+def test_every_private_function_is_called():
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in Path(iongradim.__file__).parent.glob("*.py")}
+    assert _unreferenced_private_functions(trees) == set()
