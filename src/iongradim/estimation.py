@@ -74,7 +74,7 @@ _SHOT_LIMIT = 2 ** 64 // _SLOTS_PER_SHOT   # beyond it the 64-bit counters wrap 
 _BLOCK = 2 ** 15   # shots per block: a float64 per-shot temporary is 256 KB
 _OUTPUT_BYTES_PER_SHOT = 24   # parity, outcome index and phase, 8 bytes each
 _MAX_SHOTS = int(np.finfo(float).max)   # largest shot count that converts to a float
-_TWO_BITS = struct.unpack("<q", struct.pack("<d", 2.0))[0]   # bit pattern of a swing of 2
+_TWO_BITS = 0x4000000000000000   # bit pattern of a swing of 2.0
 # R: sqrt(-2 ln 2^-53) bounds |rng.gaussian|, since its first uniform is at
 # least 2^-53 and |cos| <= 1; the factor covers the rounding of log and sqrt
 _GAUSSIAN_MAX = math.sqrt(-2.0 * math.log(2.0 ** -53)) * (1.0 + 2.0 ** -40)
@@ -456,25 +456,33 @@ def _thresholds(p_even: float, n_class: int) -> list[int]:
     """T_r = min{b : rank(b) >= r} for r = 1 .. 2 n_class - 1 at one p_even.
 
     b is a draw's 53-bit integer (see rng.bits_to_uniform) and rank(b) is
-    _rank; T_r = 2^53 when no draw reaches rank r. The ranks never fall as b
-    grows, so a search that keeps rank(lo) < r <= rank(hi) is exact: it
-    starts from the real-arithmetic boundary, gallops out until the pair
-    brackets T_r, then bisects.
+    _rank, which never falls as b grows; T_r = 2^53 when no draw reaches
+    rank r. Each search starts from the real-arithmetic boundary.
     """
-    p, top = float(p_even), 2 ** 53
-    thresholds = []
-    for r in range(1, 2 * n_class):
-        hi, step = _guess(r, p, n_class), 1
-        lo = hi - 1
-        while hi < top and _rank(hi, p, n_class) < r:   # rank(top) is taken as infinite
-            lo, hi, step = hi, min(hi + step, top), 2 * step
-        while lo >= 0 and _rank(lo, p, n_class) >= r:   # and rank(-1) as below every r
-            lo, hi, step = max(lo - step, -1), lo, 2 * step
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            lo, hi = (lo, mid) if _rank(mid, p, n_class) >= r else (mid, hi)
-        thresholds.append(hi)
-    return thresholds
+    p = float(p_even)
+    return [_least(lambda b: _rank(b, p, n_class) >= r, -1, 2 ** 53, _guess(r, p, n_class))
+            for r in range(1, 2 * n_class)]
+
+
+def _least(holds, lo: int, hi: int, start: int) -> int:
+    """The least x in (lo, hi] where holds(x), for a holds that never turns false as x grows.
+
+    holds(lo) is taken as false and holds(hi) as true; neither is called.
+    From start, clamped into (lo, hi], the search gallops out in steps that
+    double until holds(below) is false and holds(above) true, then bisects
+    (below, above]. The answer is the least point of an exact predicate, so
+    start only sets how many calls the search makes.
+    """
+    above, step = min(max(start, lo + 1), hi), 1
+    below = above - 1
+    while above < hi and not holds(above):
+        below, above, step = above, min(above + step, hi), 2 * step
+    while below > lo and holds(below):
+        below, above, step = max(below - step, lo), below, 2 * step
+    while above - below > 1:
+        mid = (below + above) // 2
+        below, above = (below, mid) if holds(mid) else (mid, above)
+    return above
 
 
 def _guess(r: int, p: float, n_class: int) -> int:
@@ -669,17 +677,15 @@ def swing_threshold(shots: int, target_snr: float) -> float:
     Below a swing of 2, analytic_snr is non-decreasing in the swing, since
     every float step in it is monotone; so for any swing s < 2,
     analytic_snr(shots, s) >= target_snr exactly when s >= the threshold.
-    Nonnegative floats order like their bit patterns, so bisecting the
-    patterns below 2.0 finds the threshold in 62 calls of analytic_snr.
+    Nonnegative floats order like their bit patterns, so the threshold is
+    the least pattern in (0, 2.0] that meets the target, searched from the
+    real-arithmetic root 2T / sqrt(2N + T^2). hypot keeps T^2 from
+    overflowing; a 2T that overflows gives a root of inf, clamped to 2.0.
     """
-    low, high = 0, _TWO_BITS   # a swing of 0 reaches no target > 0; 2.0 is not searched
-    while high - low > 1:
-        mid = (low + high) // 2
-        if analytic_snr(shots, _float_from_bits(mid)) >= target_snr:
-            high = mid
-        else:
-            low = mid
-    return _float_from_bits(high) if high < _TWO_BITS else math.inf
+    root = 2.0 * target_snr / math.hypot(math.sqrt(2.0 * shots), target_snr)
+    bits = _least(lambda b: analytic_snr(shots, _float_from_bits(b)) >= target_snr,
+                  0, _TWO_BITS, struct.unpack("<q", struct.pack("<d", root))[0])
+    return _float_from_bits(bits) if bits < _TWO_BITS else math.inf
 
 
 def _float_from_bits(bits: int) -> float:
@@ -689,8 +695,9 @@ def _float_from_bits(bits: int) -> float:
 def required_shots(target_snr: float, parity_swing: float) -> int:
     """Smallest per-hypothesis shot count whose analytic SNR meets the target.
 
-    Doubling brackets the count and bisection finds it, since analytic_snr is
-    non-decreasing in shots; infeasible when no count that fits a float does.
+    analytic_snr is non-decreasing in shots, so the count is the least one
+    that meets the target, searched from 1 by doubling; infeasible when no
+    count that fits a float does.
     """
     if not (0 < target_snr < math.inf):
         raise ConfigurationError(f"target_snr must be finite and > 0, got {target_snr}")
@@ -698,19 +705,11 @@ def required_shots(target_snr: float, parity_swing: float) -> int:
         raise InfeasibleError("parity swing is zero: no shot count reaches the target SNR")
     if not parity_swing <= 2:
         raise ConfigurationError(f"parity swing must be a number <= 2, got {parity_swing}")
-    low, high = 0, 1   # the count lies in (low, high] once high reaches the target
-    while analytic_snr(high, parity_swing) < target_snr and high < _MAX_SHOTS:
-        low, high = high, min(2 * high, _MAX_SHOTS)
-    while high - low > 1:
-        mid = (low + high) // 2
-        if analytic_snr(mid, parity_swing) >= target_snr:
-            high = mid
-        else:
-            low = mid
-    if not target_snr <= analytic_snr(high, parity_swing) < math.inf:
+    shots = _least(lambda n: analytic_snr(n, parity_swing) >= target_snr, 0, _MAX_SHOTS, 1)
+    if not target_snr <= analytic_snr(shots, parity_swing) < math.inf:
         raise InfeasibleError(f"no shot count that fits a float reaches SNR {target_snr} "
                               f"at parity swing {parity_swing}")
-    return high
+    return shots
 
 
 def dephasing_contrast(gradient_rms: float, probe: ProbeState, zeeman: ZeemanConfig,

@@ -427,19 +427,20 @@ def _min_detectable_delta_n(rate_unit: float, t: float, contrast: float, shots: 
 
     The swing of k atoms is _parity_swing at the phase ((k/2) rate_unit) t,
     taken in these float steps in this order. Below a swing of 2 the SNR
-    test is a comparison with one exact threshold; analytic_snr decides the
-    rest. k runs in chunks that grow x4 (1-3, 4-15, 16-63, ...), so an early
-    hit stays cheap and a full scan takes a few numpy passes.
+    test is a comparison with one exact threshold. No swing exceeds 2, since
+    the contrast is at most 1 and rounding is monotone, and a swing of
+    exactly 2 meets the target as analytic_snr decides for 2.0. k runs in
+    chunks that grow x4 (1-3, 4-15, 16-63, ...), so an early hit stays cheap
+    and a full scan takes a few numpy passes.
     """
     threshold = swing_threshold(shots, target_snr)
+    full_swing_meets = analytic_snr(shots, 2.0) >= target_snr
     lo = 1
     while lo <= _MAX_SCAN_DELTA_N:
         hi = min(4 * lo, _MAX_SCAN_DELTA_N + 1)
         k = np.arange(lo, hi, dtype=float)
         swing = _parity_swing(contrast, ((0.5 * k) * rate_unit) * t)
-        hit = swing >= threshold
-        for i in np.flatnonzero(~(swing < 2.0)):
-            hit[i] = analytic_snr(shots, float(swing[i])) >= target_snr
+        hit = np.where(swing < 2.0, swing >= threshold, full_swing_meets)
         if hit.any():
             return float(lo + hit.argmax())
         lo = hi

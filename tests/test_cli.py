@@ -19,12 +19,14 @@ import pytest
 from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
-from iongradim import _format, cli, estimation
+from iongradim import _format, cli, crystal, estimation
 from iongradim.cli import (ConfigFileError, ResultBundle, RunConfig, Table, _csv_cell,
                            _preamble, config_hash, emit, execute, format_number, main,
                            normalized_config, parse_config)
 from iongradim.constants import constants
 from iongradim.errors import ConfigurationError
+
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
 CRYSTAL_CFG = """\
 # three-ion chain, Ca-40 at 10 MHz
@@ -463,7 +465,8 @@ def _edge_grid():
     for k in range(-323, 309):
         power = float(f"1e{k}")
         grid += [power, np.nextafter(power, 0.0), np.nextafter(power, math.inf),
-                 float(f"9.9999999999999996e{k - 1}"), float(f"9.99999999999999949e{k - 1}")]
+                 float(f"9.9999999999999996e{k - 1}"), float(f"9.99999999999999949e{k - 1}"),
+                 float(f"9.99999999999999e{k - 1}")]   # log10 rounds up to k: k moves down
     grid += _ties() + [9999999999999999.0, 999999999999999.94, 5e-324, 2.225073858507201e-308,
                        2.2250738585072014e-308, 1.7976931348623157e308, 0.0, math.nan,
                        math.inf, 1e100, 9.999999999999999e99, 1e-100, 1.234e-300, 4.5e250]
@@ -480,6 +483,8 @@ def test_kernel_matches_str_format_on_an_edge_grid():
         digits = Fraction(tie) * 10 ** (15 - math.floor(math.log10(tie)))
         assert digits.denominator == 2
     assert _kernel_texts([0.0, -0.0]) == ["0.000000000000000e+00", "-0.000000000000000e+00"]
+    # proven only after the move of k: log10 gives 15, and the digits at 15 fall below 10^15
+    assert _kernel_texts([999999999999999.0]) == ["9.999999999999990e+14"]
     # every cell the grid proves has a 2-digit exponent; most in-range cells are proven
     assert all(text is None or len(text.split("e")[1]) == 3 for text in texts)
     in_range = np.random.default_rng(5).uniform(-99.0, 99.0, 20_000)
@@ -819,6 +824,40 @@ def test_usage_exit_codes(tmp_path, capsys, args, code):
     captured = capsys.readouterr()
     assert "usage:" in captured.out + captured.err
     assert not out.exists()
+
+
+def test_solver_failure_exits_2_with_one_line(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(crystal, "_NEWTON_CAP", 1)
+    out = tmp_path / "out"
+    assert main(["--config", str(CONFIG_DIR / "crystal_three_ion.cfg"), "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1, err
+    assert err[0].startswith(
+        "runtime error: equilibrium solve for 3 ions did not converge (residual "), err
+    assert not out.exists()
+
+
+def test_seed_flag_past_64_bits_is_a_config_error(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["--config", str(_write_cfg(tmp_path, CRYSTAL_CFG)), "--out", str(out),
+                 "--seed", str(2 ** 64)]) == 1
+    assert capsys.readouterr().err.splitlines() == ["config error: --seed must fit in 64 bits"]
+    assert not out.exists()
+
+
+def test_paper_values_flag_on_a_crystal_run_is_ignored_with_a_warning(tmp_path, fresh_python):
+    cfg = str(CONFIG_DIR / "crystal_three_ion.cfg")
+    assert main(["--config", cfg, "--out", str(tmp_path / "plain")]) == 0
+    # in a fresh interpreter, so that the warning reaches stderr through main's own logging setup
+    result = fresh_python("import sys; from iongradim.cli import main; sys.exit(main(sys.argv[1:]))",
+                          "--config", cfg, "--out", str(tmp_path / "flag"), "--paper-values", "on")
+    assert result.returncode == 0, result.stderr
+    assert result.stderr.splitlines() == [
+        "WARNING iongradim.cli: --paper-values only applies to scenario runs; ignored"]
+    plain = sorted(p.name for p in (tmp_path / "plain").iterdir())
+    assert plain == sorted(p.name for p in (tmp_path / "flag").iterdir())
+    for name in plain:
+        assert (tmp_path / "flag" / name).read_bytes() == (tmp_path / "plain" / name).read_bytes()
 
 
 def test_seed_flag_overrides_config(tmp_path):

@@ -10,8 +10,9 @@ from hypothesis import strategies as st
 from iongradim import estimation, rng
 from iongradim.constants import Vec3, constants
 from iongradim.errors import ConfigurationError, InfeasibleError
-from iongradim.estimation import (_BLOCK, _GAUSSIAN_MAX, ExperimentPlan, NoiseModel,
-                                  _count_below, _slots, _slots_in_place, _thresholds,
+from iongradim.estimation import (_BLOCK, _GAUSSIAN_MAX, _MAX_SHOTS, _TWO_BITS,
+                                  ExperimentPlan, NoiseModel, _count_below, _float_from_bits,
+                                  _least, _slots, _slots_in_place, _thresholds,
                                   analytic_snr, dephasing_contrast, expected_parity,
                                   parity_estimate, required_shots, simulate_shots,
                                   spin_discrimination_snr, swing_threshold)
@@ -295,14 +296,15 @@ def test_threshold_counts_equal_the_per_shot_mapping(p_even, n_ions):
 
 
 @pytest.mark.parametrize("miss", [lambda guess: 0, lambda guess: TOP,
-                                  lambda guess: guess + 12_345, lambda guess: guess - 3])
+                                  lambda guess: guess + 12_345, lambda guess: guess - 3,
+                                  lambda guess: -5, lambda guess: TOP + 5])
 def test_threshold_search_is_exact_from_a_missed_guess(monkeypatch, miss):
-    # a start that does not bracket the threshold gallops out and bisects to the same one
+    # a start that does not bracket the threshold, or lies outside [0, 2^53],
+    # gallops out and bisects to the same one
     cases = [(np.float64(p), n_class) for p in P_EVEN_GRID for n_class in (2, 8)]
     want = [_thresholds(p, n_class) for p, n_class in cases]
     guess = estimation._guess
-    monkeypatch.setattr(estimation, "_guess", lambda r, p, n: min(max(miss(guess(r, p, n)), 0),
-                                                                  TOP))
+    monkeypatch.setattr(estimation, "_guess", lambda r, p, n: miss(guess(r, p, n)))
     assert [_thresholds(p, n_class) for p, n_class in cases] == want
 
 
@@ -750,6 +752,84 @@ def test_arms_use_independent_substreams():
     result = spin_discrimination_snr(plan(shots=50, t=5.0, seed=5), p, ZEE,
                                      (0.0, 0.0), (0.0, 0.0), NoiseModel())
     assert result.up.parity_estimate != result.down.parity_estimate
+
+
+# ---------------------------------------------------------------------------
+# _least, the one monotone search
+
+def _least_with_calls(threshold, lo, hi, start):
+    """_least of x >= threshold, and every x it asked about; each must lie inside (lo, hi)."""
+    calls = []
+
+    def holds(x):
+        assert lo < x < hi, (x, lo, hi)
+        assert len(calls) < 400, "the search does not end"
+        calls.append(x)
+        return x >= threshold
+    return _least(holds, lo, hi, start), calls
+
+
+def _brute_least(threshold, lo, hi):
+    return next(x for x in range(lo + 1, hi + 1) if x == hi or x >= threshold)
+
+
+@pytest.mark.parametrize("lo, hi", [(0, 1), (-1, 1), (0, 2), (-1, 7), (3, 40), (-20, 45)])
+def test_least_is_the_brute_force_answer_from_every_start(lo, hi):
+    # every threshold, also those that put the answer at lo + 1 (all true) or
+    # at hi (all false), and every start inside and outside (lo, hi]
+    for threshold in range(lo - 2, hi + 3):
+        want = _brute_least(threshold, lo, hi)
+        for start in range(lo - 5, hi + 6):
+            got, calls = _least_with_calls(threshold, lo, hi, start)
+            assert got == want, (threshold, start)
+            assert len(set(calls)) >= len(calls) - 1   # only the gallop's last below repeats
+
+
+def test_least_gallops_from_the_start():
+    # the calls grow with the log of the distance from the clamped start to the
+    # answer, not with the log of the range
+    r = np.random.default_rng(21)
+    lo, hi = -1, 2 ** 64
+    for _ in range(500):
+        answer = int(r.integers(0, 2 ** 63)) >> int(r.integers(0, 63))
+        start = answer + (int(r.integers(-2 ** 20, 2 ** 20)) >> int(r.integers(0, 21)))
+        for begin in (start, lo - 1 - abs(start), hi + abs(start)):
+            got, calls = _least_with_calls(answer, lo, hi, begin)
+            assert got == answer
+            distance = abs(answer - min(max(begin, lo + 1), hi))
+            assert len(calls) <= 2 * distance.bit_length() + 3, (answer, begin, len(calls))
+
+
+def _bisected(meets, lo, hi):
+    """The least x in (lo, hi] where meets(x), hi where none does, by bisecting the whole range."""
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if meets(mid) else (mid, hi)
+    return hi
+
+
+def test_swing_threshold_and_required_shots_equal_a_full_bisection(monkeypatch):
+    # shot counts up to 2^61, targets from 1e-320 up to 1.7e308, swings down to 1e-320
+    r = np.random.default_rng(22)
+    shots = [1, 2 ** 61, *(int(2.0 ** e) for e in r.uniform(0.0, 61.0, 60))]
+    targets = [5e-324, 1.7e308, *(10.0 ** r.uniform(-320.0, 308.23, 60)).tolist()]
+    swings = [2.0, 5e-324, *(2.0 * 10.0 ** r.uniform(-320.0, 0.0, 60)).tolist()]
+    calls = []
+    monkeypatch.setattr(estimation, "analytic_snr",
+                        lambda n, s: calls.append(1) or analytic_snr(n, s))
+    for n, target in zip(shots, targets):
+        want = _bisected(lambda b: analytic_snr(n, _float_from_bits(b)) >= target, 0, _TWO_BITS)
+        del calls[:]
+        assert swing_threshold(n, target) == (
+            _float_from_bits(want) if want < _TWO_BITS else math.inf), (n, target)
+        assert len(calls) <= 4, (n, target, len(calls))   # full bisection: 62 calls
+    for target, swing in zip(targets, swings):
+        want = _bisected(lambda n: analytic_snr(n, swing) >= target, 0, _MAX_SHOTS)
+        try:
+            got = required_shots(target, swing)
+        except InfeasibleError:
+            got = None
+        assert got == (want if target <= analytic_snr(want, swing) < math.inf else None)
 
 
 # ---------------------------------------------------------------------------

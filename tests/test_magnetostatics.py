@@ -1,5 +1,6 @@
 import math
 import struct
+from dataclasses import astuple
 from fractions import Fraction
 
 import numpy as np
@@ -305,3 +306,46 @@ def test_axial_field_table_rejects_an_off_axis_source():
                 DipoleSource(Vec3(0.0, 0.0, 0.0), Vec3(0.0, MU_B, MU_B))):
         with pytest.raises(ValueError):
             axial_field_table(src, np.array([1e-6]))
+
+
+# ---------------------------------------------------------------------------
+# a flipped source negates every field component exactly
+
+def _negated(evaluate, flipped_evaluate):
+    """Whether the flipped evaluation is the exact negation, or raises the same error.
+
+    Zeros compare equal whatever their sign: x - y of equal x and y is +0.0
+    for either spin.
+    """
+    try:
+        values = list(evaluate())
+    except (ConfigurationError, FieldSingularityError) as error:
+        with pytest.raises(type(error)) as raised:
+            list(flipped_evaluate())
+        return str(raised.value) == str(error)
+    return list(flipped_evaluate()) == [-v for v in values]
+
+
+offsets = st.one_of(st.just(0.0), st.tuples(distances, st.sampled_from((-1.0, 1.0))).map(
+    lambda pair: pair[0] * pair[1]))
+vectors = st.builds(Vec3, moments, moments, moments)
+
+
+@given(position=st.builds(Vec3, *3 * [st.floats(-1e-5, 1e-5)]), moment=vectors,
+       offset=st.builds(Vec3, offsets, offsets, offsets))
+def test_flipped_source_negates_every_dipole_field_component(position, moment, offset):
+    src = DipoleSource(position, moment)
+    point = position + offset
+    assert _negated(lambda: astuple(dipole_field(src, point)),
+                    lambda: astuple(dipole_field(src.flipped(), point)))
+
+
+@given(z0=st.one_of(st.just(0.0), st.floats(-1e-5, 1e-5)), moment=moments,
+       zs=st.lists(offsets, min_size=1, max_size=40))
+def test_flipped_source_negates_the_axial_field(z0, moment, zs):
+    src = z_dipole(moment, z0)
+    zs = np.array(zs) + z0
+    assert _negated(lambda: axial_field_table(src, zs),
+                    lambda: axial_field_table(src.flipped(), zs))
+    for z in zs.tolist():
+        assert _negated(lambda: [axial_bz(src, z)], lambda: [axial_bz(src.flipped(), z)])

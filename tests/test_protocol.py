@@ -280,6 +280,18 @@ def test_probe_state_validation():
         prepare_probe(GHZ, positions3 + positions3, 1.0)
 
 
+@pytest.mark.parametrize("kind, n, weights, message", [
+    ("W", 2, ((0.5, -0.5), (-0.5, 0.5)), "unknown probe kind 'W'"),
+    (BELL, 3, ((0.5, -0.5, 0.5), (-0.5, 0.5, -0.5)), "Bell probe needs exactly 2 ions, got 3"),
+    (GHZ, 4, ((0.5, -0.5), (-0.5, 0.5)), "branch weight length does not match ion count"),
+])
+def test_probe_state_names_each_rejected_field(kind, n, weights, message):
+    positions = tuple(Vec3(0, 0, i * 1e-6) for i in range(n))
+    with pytest.raises(ConfigurationError) as raised:
+        ProbeState(kind, positions, weights)
+    assert str(raised.value) == message
+
+
 def test_zeeman_config_validation():
     with pytest.raises(ConfigurationError):
         ZeemanConfig(g_factor=0.0)

@@ -379,6 +379,30 @@ def test_config_rejects_non_finite_or_negative_inputs(name, value):
         dataclasses.replace(dw_config(), **{name: value})
 
 
+@pytest.mark.parametrize("make, message", [
+    (lambda: base_config("triple_well"), "unknown scenario kind 'triple_well'"),
+    (lambda: base_config(THREE_ION_SPIN, preparation_fidelity=1.01),
+     "preparation_fidelity must be in [0, 1]"),
+    (lambda: base_config(THREE_ION_SPIN, preparation_fidelity=-0.01),
+     "preparation_fidelity must be in [0, 1]"),
+    (lambda: base_config(MOLECULAR_STATE_CHANGE, moment_before=MU_E),
+     "molecular_state_change needs moment_before and moment_after"),
+    (lambda: dw_config(well_separation=None),
+     "double_well needs well_separation and probe_spacing"),
+    (lambda: dw_config(probe_spacing=None),
+     "double_well needs well_separation and probe_spacing"),
+    (lambda: dw_config(well_separation=0.0), "double-well geometry must be positive"),
+    (lambda: dw_config(probe_spacing=0.0), "double-well geometry must be positive"),
+    (lambda: dw_config(delta_n=-1), "delta_n must be an integer >= 0"),
+    (lambda: dw_config(delta_n=1.5), "delta_n must be an integer >= 0"),
+    (lambda: dw_config(delta_n=None), "delta_n must be an integer >= 0"),
+])
+def test_scenario_config_names_each_rejected_field(make, message):
+    with pytest.raises(ConfigurationError) as raised:
+        make()
+    assert str(raised.value) == message
+
+
 def test_scenario_kind_mismatch_rejected():
     cfg = base_config(THREE_ION_SPIN)
     with pytest.raises(ConfigurationError):
