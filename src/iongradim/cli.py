@@ -68,6 +68,7 @@ class FieldSpec:
     maximum: float | None = None
     exclusive_minimum: bool = False
     choices: tuple[str, ...] | None = None
+    to: str | None = None           # the ScenarioConfig field a scenario key fills
 
 
 def _f(kind="float", **kw) -> FieldSpec:
@@ -87,21 +88,22 @@ _SCENARIO_FIELDS = {
     "interaction_time_s": _f(default=5.0, minimum=0),
     "bias_phase_rad": _f(default=math.pi / 2),
     "g_factor": _f(default=constants().ca40_g_factor, minimum=0, exclusive_minimum=True),
-    "preparation_fidelity": _f(default=0.99, minimum=0, maximum=1),
+    "preparation_fidelity": _f(default=0.99, minimum=0, maximum=1, to="preparation_fidelity"),
     "readout_contrast": _f(default=1.0, minimum=0, maximum=1),
     "gradient_rms_t_per_m": _f(default=0.0, minimum=0),
     "common_mode_rms_t": _f(default=0.0, minimum=0),
-    "target_snr": _f(default=2.0, minimum=0, exclusive_minimum=True),
-    "overhead_s_per_shot": _f(default=1.0, minimum=0),
-    "paper_values": _f("bool", default=False),
-    "source_moment_j_per_t": _f(default=None, minimum=0),
-    "moment_before_j_per_t": _f(default=None, minimum=0),
-    "moment_after_j_per_t": _f(default=None, minimum=0),
-    "well_separation_m": _f(default=4.4e-6, minimum=0, exclusive_minimum=True),
-    "probe_spacing_m": _f(default=3.5e-6, minimum=0, exclusive_minimum=True),
-    "atom_moment_j_per_t": _f(default=None, minimum=0, exclusive_minimum=True),
-    "delta_n": _f("int", default=1, minimum=0),
-    "n_ions": _f("int", default=None, minimum=1, maximum=MAX_IONS),
+    "target_snr": _f(default=2.0, minimum=0, exclusive_minimum=True, to="target_snr"),
+    "overhead_s_per_shot": _f(default=1.0, minimum=0, to="overhead_per_shot"),
+    "paper_values": _f("bool", default=False, to="paper_values"),
+    "source_moment_j_per_t": _f(default=None, minimum=0, to="source_moment"),
+    "moment_before_j_per_t": _f(default=None, minimum=0, to="moment_before"),
+    "moment_after_j_per_t": _f(default=None, minimum=0, to="moment_after"),
+    "well_separation_m": _f(default=4.4e-6, minimum=0, exclusive_minimum=True,
+                            to="well_separation"),
+    "probe_spacing_m": _f(default=3.5e-6, minimum=0, exclusive_minimum=True, to="probe_spacing"),
+    "atom_moment_j_per_t": _f(default=None, minimum=0, exclusive_minimum=True, to="atom_moment"),
+    "delta_n": _f("int", default=1, minimum=0, to="delta_n"),
+    "n_ions": _f("int", default=None, minimum=1, maximum=MAX_IONS, to="n_ions"),
 }
 
 COMMAND_SCHEMAS: dict[str, dict[str, FieldSpec]] = {
@@ -386,24 +388,12 @@ def _execute_montecarlo(params: dict, seed: int) -> tuple[tuple[Table, ...], tup
     return (estimate, counts_table), ()
 
 
-# Scenario key -> ScenarioConfig field, for every key that is not read by the
-# trap builder of _execute_scenario or by _shot_inputs.
-_SCENARIO_CONFIG_FIELDS = {
-    "paper_values": "paper_values", "preparation_fidelity": "preparation_fidelity",
-    "target_snr": "target_snr", "overhead_s_per_shot": "overhead_per_shot",
-    "source_moment_j_per_t": "source_moment", "moment_before_j_per_t": "moment_before",
-    "moment_after_j_per_t": "moment_after", "well_separation_m": "well_separation",
-    "probe_spacing_m": "probe_spacing", "atom_moment_j_per_t": "atom_moment",
-    "delta_n": "delta_n", "n_ions": "n_ions",
-}
-
-
 def _execute_scenario(params: dict, seed: int) -> tuple[tuple[Table, ...], tuple[str, ...]]:
     trap = TrapConfig(axial_frequency=2.0 * math.pi * params["axial_frequency_hz"],
                       ion_mass=params["ion_mass_kg"])
     config = ScenarioConfig(
         params["scenario"], trap, *_shot_inputs(params, seed, "readout_contrast"),
-        **{name: params[key] for key, name in _SCENARIO_CONFIG_FIELDS.items()})
+        **{spec.to: params[key] for key, spec in _SCENARIO_FIELDS.items() if spec.to})
     report = run_scenario(config)
     tables = [
         Table("geometry", ("quantity", "value"), tuple(report.geometry.items())),

@@ -150,7 +150,7 @@ def _accepted_scenario(values):
 
 
 # Where the trap builder of cli._execute_scenario and cli._shot_inputs put each
-# scenario key they read; cli._SCENARIO_CONFIG_FIELDS maps all the others.
+# scenario key they read; every other key names its field in its FieldSpec's `to`.
 _BUILT_SCENARIO_KEYS = {
     "seed": "plan.rng_seed", "scenario": "kind", "axial_frequency_hz": "trap.axial_frequency",
     "ion_mass_kg": "trap.ion_mass", "g_factor": "zeeman.g_factor",
@@ -177,8 +177,9 @@ def _call_args(run, name):
 
 def _assert_scenario_keys_reach_their_fields(run, values):
     [config] = _call_args(run, "run_scenario")
-    assert not set(_BUILT_SCENARIO_KEYS) & set(cli._SCENARIO_CONFIG_FIELDS)
-    paths = {**_BUILT_SCENARIO_KEYS, **cli._SCENARIO_CONFIG_FIELDS}
+    mapped = {key: spec.to for key, spec in cli._SCENARIO_FIELDS.items() if spec.to}
+    assert not set(_BUILT_SCENARIO_KEYS) & set(mapped)
+    paths = {**_BUILT_SCENARIO_KEYS, **mapped}
     assert set(paths) == {*cli._SCENARIO_FIELDS, "seed"}
     for key, path in paths.items():
         expected = 2.0 * math.pi * values[key] if key == "axial_frequency_hz" else values[key]

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from iongradim.constants import Vec3, constants, norm
@@ -349,3 +349,92 @@ def test_flipped_source_negates_the_axial_field(z0, moment, zs):
                     lambda: axial_field_table(src.flipped(), zs))
     for z in zs.tolist():
         assert _negated(lambda: [axial_bz(src, z)], lambda: [axial_bz(src.flipped(), z)])
+
+
+# ---------------------------------------------------------------------------
+# scaling every distance by lam scales every field by lam^-3
+
+SCALE_BOUND = Fraction(2) ** -46   # 64 ulps of a field at 2^-52 each, stated before any run
+TINY = np.finfo(float).tiny
+
+unit_components = st.one_of(st.just(0.0), st.tuples(
+    st.floats(1e-3, 1.0), st.sampled_from((-1.0, 1.0))).map(lambda pair: pair[0] * pair[1]))
+directions = st.tuples(unit_components, unit_components, unit_components).filter(any)
+magnitudes = st.floats(-30.0, 300.0).map(lambda e: 10.0 ** e)
+
+
+def _evaluations(moment, point):
+    """For a source at the origin: dipole_field at point, and axial_bz and
+    axial_field_table at the point's distance on the axis; None if any raises."""
+    z = math.copysign(norm(point), point.z)
+    try:
+        return (astuple(dipole_field(DipoleSource(Vec3(0.0, 0.0, 0.0), moment), point)),
+                [axial_bz(z_dipole(moment.z), z)],
+                axial_field_table(z_dipole(moment.z), np.array([z])).tolist())
+    except (ConfigurationError, FieldSingularityError):
+        return None
+
+
+def _flat(evaluations):
+    vector, bz, table = evaluations
+    return [*vector, *bz, *table]
+
+
+def _plain(dist):
+    """Whether the field at dist takes no guarded step: outside 1 nm, with a
+    finite cube and a normal scale mu0/4pi / dist^3."""
+    return dist >= MIN_DIST and dist < CUBE_LIMIT and MU0_OVER_4PI / dist ** 3 >= TINY
+
+
+MIN_DIST = 1e-9
+
+
+@given(direction=directions, dist=st.floats(-9.0, 100.0).map(lambda e: 10.0 ** e),
+       moment_direction=directions, magnitude=magnitudes, k=st.integers(-60, 60))
+def test_a_power_of_two_distance_scale_scales_every_field_exactly(direction, dist,
+                                                                  moment_direction,
+                                                                  magnitude, k):
+    # where nothing overflows or underflows, lam = 2^k scales each step exactly
+    lam = 2.0 ** k
+    point = Vec3(*(dist * u for u in direction))
+    moment = Vec3(*(magnitude * u for u in moment_direction))
+    assume(_plain(norm(point)) and _plain(norm(point * lam)))
+    near, far = _evaluations(moment, point), _evaluations(moment, point * lam)
+    assume(near is not None and far is not None)
+    assume(all(v == 0.0 or TINY <= abs(v) for v in _flat(near) + _flat(far)))
+    assert _flat(far) == [v * lam ** -3 for v in _flat(near)]
+
+
+@given(direction=directions, dist=st.one_of(st.floats(-9.0, 150.0).map(lambda e: 10.0 ** e),
+                                            st.sampled_from(EDGE_DISTANCES[:6])),
+       moment_direction=directions, magnitude=magnitudes,
+       lam=st.one_of(st.floats(-20.0, 20.0).map(lambda e: 10.0 ** e),
+                     st.integers(-60, 60).map(lambda k: 2.0 ** k)))
+@example(direction=(0.0, 0.0, 1.0), dist=1e101, moment_direction=(0.0, 0.0, 1.0),
+         magnitude=1e300, lam=3.0)   # scale subnormal on both sides: divided step by step
+@example(direction=(0.0, 0.6, 0.8), dist=1e99, moment_direction=(1.0, 0.0, 1.0),
+         magnitude=1e290, lam=1e4)   # the scaled point's cube overflows
+def test_any_distance_scale_scales_every_field_within_the_bound(direction, dist,
+                                                                moment_direction, magnitude,
+                                                                lam):
+    # distances up to 1e150 m, through the step-by-step division past ~1.7e100 m
+    # and the overflowing cube past ~5.6e102 m. Each dipole_field component
+    # times lam^3 is within SCALE_BOUND of the field's length (the scaled
+    # point is rounded component by component); each axial field times the
+    # cube of the exact ratio of the two distances, within SCALE_BOUND of itself
+    point = Vec3(*(dist * u for u in direction))
+    moment = Vec3(*(magnitude * u for u in moment_direction))
+    scaled = point * lam
+    d0, d1 = norm(point), norm(scaled)
+    assume(MIN_DIST <= min(d0, d1) and max(d0, d1) <= 1e150)
+    near, far = _evaluations(moment, point), _evaluations(moment, scaled)
+    assume(near is not None and far is not None)
+    (vector0, bz0, table0), (vector1, bz1, table1) = near, far
+    lengths = norm(Vec3(*vector0)), norm(Vec3(*vector1))
+    assume(TINY <= min(lengths) <= max(lengths) < math.inf and min(map(abs, bz0 + bz1)) >= TINY)
+    for got, want in zip(vector1, vector0):
+        assert (abs(Fraction(got) * Fraction(lam) ** 3 - Fraction(want))
+                <= SCALE_BOUND * Fraction(lengths[0]))
+    ratio = (Fraction(d1) / Fraction(d0)) ** 3
+    for got, want in zip(bz1 + table1, bz0 + table0):
+        assert abs(Fraction(got) * ratio - Fraction(want)) <= SCALE_BOUND * abs(Fraction(want))

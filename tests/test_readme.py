@@ -1,12 +1,17 @@
 """README's figures about this code's output, checked at the precision README prints them."""
 import contextlib
+import dataclasses
 import io
+import math
 import re
 from pathlib import Path
 
-from iongradim import cli
-from iongradim.estimation import dephasing_contrast
-from iongradim.protocol import ZeemanConfig
+import numpy as np
+
+from iongradim import cli, estimation, scenarios
+from iongradim.constants import Vec3, constants
+from iongradim.estimation import ExperimentPlan, NoiseModel, dephasing_contrast, simulate_shots
+from iongradim.protocol import BELL, GHZ, ZeemanConfig, prepare_probe
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -47,3 +52,111 @@ def test_library_example_figure():
     t_pi = float(printed.getvalue().splitlines()[0])
     [quoted] = re.findall(r'print\(report\.estimation\["t_pi_s"\]\)\s+# ~(\S+) s', example)
     assert quoted == f"{t_pi:.2f}"
+
+
+def _library_report(paper_values):
+    [example] = _fenced("python")
+    namespace = {}
+    with contextlib.redirect_stdout(io.StringIO()):
+        exec(compile(example, "README.md", "exec"), namespace)
+    config = dataclasses.replace(namespace["config"], paper_values=paper_values)
+    return scenarios.run_scenario(config)
+
+
+def _swings(report, t=5.0):
+    """contrast |sin(rate t)| of the single (free) and flipped (spin-down) fringes."""
+    trajectories = dict(report.trajectories)
+
+    def swing(label):
+        rows = trajectories[label]
+        contrast, rate = rows[0, 2], rows[-1, 1] / rows[-1, 0]   # parity(0) = contrast
+        return contrast, contrast * abs(math.sin(rate * t))
+    contrast, single = swing("free_evolution")
+    return contrast, single, swing("compensated_spin_down")[1]
+
+
+def test_reference_values_table():
+    report = _library_report(paper_values=False)
+    (_, _, b_far), (_, _, b_near) = report.field_table
+    d12, delta = report.geometry["d12_m"], report.delta_b
+    near, far = scenarios.REFERENCE_NEAR_FIELD_T, scenarios.REFERENCE_FAR_FIELD_T
+    published_delta = scenarios.REFERENCE_DELTA_B_T
+    mu = constants().electron_magnetic_moment
+    contrast, single, flip = _swings(report)
+    _, paper_single, paper_flip = _swings(_library_report(paper_values=True))
+    assert f"{b_far / far:.1f}" == f"{b_near / near:.1f}"   # "same ratio"
+    assert b_near / b_far == 8.0 and f"{near / far:.0f}" == "8"
+    assert f"{near - far:.1e}" == f"{published_delta:.1e}"
+    assert f"{9284.764e-26 / abs(mu):.0f}" == "10"
+    double_well = cli.execute(cli.parse_config("command = scenario\nscenario = double_well\n"))
+    assert any("published estimate: +-30%" in note for note in double_well.annotations)
+    prose = _prose()
+    for row in (
+            f"are {contrast:.2f} |sin(phase)| at t = 5 s,",
+            f"| field at the near probe ion ({d12 * 1e6:.2f} um) | {near:.1e} T | "
+            f"{b_near:.2e} T | ratio ~{b_near / near:.1f};",
+            f"| field at the far probe ion ({2 * d12 * 1e6:.2f} um) | {far:.1e} T | "
+            f"{b_far:.2e} T | same ratio; the published 8:1 near/far ratio is reproduced "
+            "exactly |",
+            f"| differential field (three-ion) | {published_delta:.1e} T | {delta:.2e} T |",
+            f"| electron magnetic moment | -9284.764e-26 J/T | {mu:.10e} J/T (CODATA) | "
+            "the published figure is 10x the CODATA magnitude",
+            f"| parity swing at t = 5 s | +-30% | {flip:.2f} (compensated flip), {single:.2f} "
+            f"(single differential) | at the published {published_delta:.1e} T field the same "
+            f"swings are {paper_flip:.2f} and {paper_single:.2f};"):
+        assert row in prose, row
+
+
+def _screen_run(n_ions, spread, contrast=1.0):
+    """The run behind one shot of a Bell pair or a (+ + - -) GHZ state, at phase
+    spread `spread` rad and contrast K."""
+    positions = tuple(Vec3(0.0, 0.0, 1e-6 * k) for k in range(n_ions))
+    branch = (0.5,) * (n_ions // 2) + (-0.5,) * (n_ions // 2)
+    probe = prepare_probe(BELL if n_ions == 2 else GHZ, positions, 1.0,
+                          (branch, tuple(-w for w in branch)))
+    zeeman = ZeemanConfig(g_factor=2.0)
+    rms = spread / (zeeman.gyromagnetic_ratio * abs(probe.gradient_coupling))
+    plan = ExperimentPlan(shots=1, interaction_time=1.0, bias_phase=0.0, rng_seed=0)
+    return simulate_shots(plan, probe, zeeman, (0.0,) * n_ions,
+                          NoiseModel(gradient_rms=rms, contrast=contrast))._run
+
+
+def _saving(n_ions, spread, contrast=1.0):
+    run = _screen_run(n_ions, spread, contrast)
+    return run._screen_saving(run._window())
+
+
+def _crossover(n_ions, contrast):
+    """The spread K s at which screening stops saving, by bisection."""
+    lo, hi = 1e-6, 1.0
+    while hi - lo > 1e-9:
+        mid = (lo + hi) / 2
+        lo, hi = (mid, hi) if _saving(n_ions, mid, contrast) > 0 else (lo, mid)
+    return contrast * lo
+
+
+def test_screen_figures():
+    def share(spread):   # the share the own halves send to the kernel, at the mean radius
+        run = _screen_run(2, spread)
+        return min(2 * (2 * run.n_class - 1) * run._window(estimation._MEAN_RADIUS), 1.0)
+
+    bell, ghz = (estimation._SCREEN_SETUP / _saving(n, 1e-9) for n in (2, 4))
+    bell_k = {round(_crossover(2, k), 2) for k in (1.0, 0.5)}
+    ghz_k = {float(f"{_crossover(4, k):.1g}") for k in (1.0, 0.5)}
+    assert bell_k == {0.15} and ghz_k == {0.004}
+    for n_ions in (6, 8):   # no spread saves anything, not even none
+        assert _screen_run(n_ions, 1e-9)._screen_saving(0.0) < 0
+    for n_class in (2 ** k for k in range(6, 20)):   # nor with more ions: the cost grows
+        run = dataclasses.replace(_screen_run(2, 1e-9), patterns=np.empty(2 * n_class))
+        assert run._screen_saving(0.0) < 0
+    prose = _prose()
+    for text in (
+            f"R = sqrt(-2 ln 2^-53) = {estimation._GAUSSIAN_MAX:.2f},",
+            f"The radius averages sqrt(pi/2) = {estimation._MEAN_RADIUS:.2f},",
+            f"{100 * share(1e-3):.1f} % at a spread of 1e-3 rad and "
+            f"{100 * share(0.05):.0f} % at 0.05 rad (K = 1)",
+            f"in runs of fewer than about {round(bell, -2):,.0f} shots "
+            f"({round(ghz, -2):,.0f} for a 4-ion GHZ state), above a spread of about 0.15/K rad "
+            "for a Bell pair or 0.004/K rad for a 4-ion GHZ state, and at any spread with 6 or "
+            "more ions."):
+        assert text in prose, text

@@ -5,13 +5,17 @@ from typing import NamedTuple
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from iongradim import estimation, scenarios
 from iongradim.constants import Vec3, constants
 from iongradim.crystal import TrapConfig
 from iongradim.errors import ConfigurationError
 from iongradim.estimation import (ExperimentPlan, NoiseModel, analytic_snr, expected_parity,
-                                  required_shots, simulate_shots, swing_threshold)
+                                  required_shots, simulate_shots, spin_discrimination_snr,
+                                  swing_threshold)
+from iongradim.magnetostatics import DipoleSource, axial_bz
 from iongradim.protocol import (BELL, GHZ, PAIR_WEIGHTS, ZeemanConfig, accumulated_phase,
                                 phase_rate, prepare_probe)
 from iongradim.scenarios import (_MAX_SCAN_DELTA_N, DOUBLE_WELL, GHZ_CHAIN,
@@ -78,7 +82,6 @@ def test_three_ion_computed_mode_reports_discrepancy():
 
 def test_three_ion_field_table_recomputable():
     # computed mode: the table rows equal the dipole law at the listed points
-    from iongradim.magnetostatics import DipoleSource, axial_bz
     report = run_three_ion_spin(base_config(THREE_ION_SPIN))
     source = DipoleSource(Vec3(0.0, 0.0, report.geometry["z_source_m"]),
                           Vec3(0.0, 0.0, MU_E))
@@ -192,6 +195,25 @@ def test_double_well_linearity_in_imbalance():
     assert r3.delta_b == pytest.approx(3.0 * r1.delta_b, rel=1e-12)
 
 
+LINEARITY_BOUND = 2.0 ** -46   # 64 ulps of the two fields' sizes, stated before any run
+
+
+@given(separation=st.floats(-7.0, -3.0).map(lambda e: 10.0 ** e), share=st.floats(0.01, 0.9),
+       atom_moment=st.floats(-2.0, 2.0).map(lambda e: C.bohr_magneton * 10.0 ** e),
+       delta_n=st.integers(0, 10 ** 6))
+def test_double_well_field_is_linear_in_the_imbalance(separation, share, atom_moment, delta_n):
+    # computed mode: delta_n atoms give delta_n times one atom's differential
+    # field, within the bound of the two fields whose difference it is
+    def field(n):
+        return run_double_well(dw_config(delta_n=n, paper_values=False, well_separation=separation,
+                                         probe_spacing=share * separation,
+                                         atom_moment=atom_moment)).delta_b
+    source = DipoleSource(Vec3(0.0, 0.0, separation / 2.0), Vec3(0.0, 0.0, atom_moment))
+    size = sum(abs(axial_bz(source, z)) for z in (-share * separation / 2.0,
+                                                   share * separation / 2.0))
+    assert abs(field(delta_n) - delta_n * field(1)) <= LINEARITY_BOUND * delta_n * size
+
+
 def test_double_well_probe_wider_than_wells_rejected():
     with pytest.raises(ConfigurationError):
         dw_config(delta_n=1, probe_spacing=5.0e-6)
@@ -301,6 +323,15 @@ def test_double_well_overflowing_atom_moment_rejected(atom_moment):
 def test_ghz_rate_ratio_is_two():
     report = run_ghz_chain(base_config(GHZ_CHAIN))
     assert report.estimation["rate_ratio"] == pytest.approx(2.0, abs=1e-9)
+
+
+@given(frequency=st.floats(4.0, 8.0).map(lambda e: 2.0 * math.pi * 10.0 ** e),
+       mass=st.floats(1.0, 300.0).map(lambda amu: amu * C.atomic_mass_unit))
+def test_ghz_rate_ratio_is_two_for_any_trap(frequency, mass):
+    # criterion 09's bound, over trap frequencies of 10 kHz to 100 MHz and 1 to 300 u
+    config = dataclasses.replace(base_config(GHZ_CHAIN),
+                                 trap=TrapConfig(axial_frequency=frequency, ion_mass=mass))
+    assert abs(run_ghz_chain(config).estimation["rate_ratio"] - 2.0) <= 1e-9
 
 
 def test_ghz_inner_spacing_below_outer():
@@ -495,3 +526,113 @@ def test_shots_keep_their_own_contrast(monkeypatch, gradient_rms, shots):
     after = simulate_shots(*args)
     assert after.parity_sum == before.parity_sum
     assert after.pattern_counts.tolist() == before.pattern_counts.tolist()
+
+
+# ---------------------------------------------------------------------------
+# analytic values against the Monte Carlo without gradient noise: each printed
+# value lies within K_SIGMA standard errors of the shots, at fixed seeds
+
+K_SIGMA = 4.0
+MC_SHOTS = 10 ** 6
+QUIET = NoiseModel(contrast=0.85)   # gradient_rms = 0
+QUIET_CONTRAST = 0.93 * 0.85
+
+
+def quiet_config(kind, paper_values=False, **extra):
+    config = base_config(kind, paper_values=paper_values, seed=23, preparation_fidelity=0.93,
+                         **extra)
+    return dataclasses.replace(config, noise=QUIET)
+
+
+def standard_error(parity, shots=MC_SHOTS):
+    """Standard error of a parity estimate from shots at mean parity."""
+    return math.sqrt((1.0 - parity * parity) / shots)
+
+
+def mc_parity(probe, fields, t, bias, seed=29, zeeman=ZeemanConfig(g_factor=2.002)):
+    plan = ExperimentPlan(shots=MC_SHOTS, interaction_time=t, bias_phase=bias, rng_seed=seed)
+    return simulate_shots(plan, probe, zeeman, fields, QUIET).parity_sum / MC_SHOTS
+
+
+def pair_probe(z1, z2):
+    return prepare_probe(BELL, (Vec3(0.0, 0.0, z1), Vec3(0.0, 0.0, z2)), 0.93,
+                         branch_weights=PAIR_WEIGHTS)
+
+
+@pytest.mark.parametrize("paper_values, moment_after, t", [
+    (False, 7.1e-24, 1.5), (True, MU_E / 2, 5.0), (False, MU_E / 3, 3.0)])
+def test_molecular_swing_is_the_monte_carlo_arm_difference(paper_values, moment_after, t):
+    config = quiet_config(MOLECULAR_STATE_CHANGE, paper_values, t=t, moment_before=MU_E,
+                          moment_after=moment_after)
+    report = run_molecular_state_change(config)
+    est, geometry = report.estimation, report.geometry
+    probe = pair_probe(geometry["z_far_m"], geometry["z_near_m"])
+    arms = ((0.0, est["delta_b_before_t"]), (0.0, est["delta_b_after_t"]))
+    rates = [phase_rate(probe, config.zeeman, fields) for fields in arms]
+    assert rates == [est["phase_rate_before_rad_per_s"], est["phase_rate_after_rad_per_s"]]
+    # the symmetric bias: the two arms sit at +-phi about the zero crossing
+    plan = ExperimentPlan(shots=MC_SHOTS, interaction_time=t, rng_seed=31,
+                          bias_phase=math.pi / 2 - 0.5 * (rates[0] + rates[1]) * t)
+    result = spin_discrimination_snr(plan, probe, config.zeeman, *arms, config.noise)
+    swing = est["parity_swing"]
+    difference = abs(result.up.parity_estimate - result.down.parity_estimate)
+    assert abs(difference - swing) <= K_SIGMA * math.sqrt(2.0) * standard_error(swing / 2)
+
+
+@pytest.mark.parametrize("paper_values, delta_n, t", [
+    (True, 1, 2.5), (False, 2, 2.5), (False, 5, 0.8)])
+def test_double_well_modulation_is_the_monte_carlo_parity(paper_values, delta_n, t):
+    config = quiet_config(DOUBLE_WELL, paper_values, t=t, well_separation=4.4e-6,
+                          probe_spacing=3.5e-6, delta_n=delta_n)
+    report = run_double_well(config)
+    est = report.estimation
+    half = config.probe_spacing / 2.0
+    probe, fields = pair_probe(-half, half), (0.0, report.delta_b)
+    assert phase_rate(probe, config.zeeman, fields) == est["phase_rate_rad_per_s"]
+    # at the bias pi/2 the parity is -K sin(phase), the modulation K |sin(phase)|
+    parity = mc_parity(probe, fields, t, math.pi / 2)
+    modulation = est["parity_modulation"]
+    assert abs(abs(parity) - modulation) <= K_SIGMA * standard_error(modulation)
+
+
+QUIET_CONFIGS = [
+    lambda: quiet_config(THREE_ION_SPIN),
+    lambda: quiet_config(THREE_ION_SPIN, paper_values=True, t=2.0),
+    lambda: quiet_config(MOLECULAR_STATE_CHANGE, moment_before=MU_E, moment_after=MU_E / 2),
+    lambda: quiet_config(DOUBLE_WELL, t=2.5, well_separation=4.4e-6, probe_spacing=3.5e-6,
+                         delta_n=3),
+    lambda: quiet_config(GHZ_CHAIN, t=3.0),
+]
+
+
+@pytest.mark.parametrize("make", QUIET_CONFIGS)
+def test_last_trajectory_parity_is_the_monte_carlo_parity(make):
+    # the shots run the scenario's own probe and field table at bias 0, so the
+    # phase column is checked, not only the cosine of it
+    config = make()
+    report = run_scenario(config)
+    rows = report.field_table
+    positions = tuple(Vec3(0.0, 0.0, r.z_m) for r in rows)
+    probe = prepare_probe(BELL, positions, 0.93, branch_weights=PAIR_WEIGHTS) \
+        if len(rows) == 2 else prepare_probe(GHZ, positions, 0.93)
+    label, series = report.trajectories[0]
+    t, _, parity = series[-1].tolist()
+    assert series[0, 2] == QUIET_CONTRAST
+    got = mc_parity(probe, tuple(r.bz_t for r in rows), t, 0.0, zeeman=config.zeeman)
+    assert abs(got - parity) <= K_SIGMA * standard_error(parity), label
+
+
+@pytest.mark.parametrize("paper_values, t", [(False, 5.0), (True, 5.0), (False, 2.0)])
+def test_three_ion_arms_are_the_analytic_fringe(monkeypatch, paper_values, t):
+    calls = []
+
+    def recorded(*args):
+        calls.append(args)
+        return spin_discrimination_snr(*args)
+    monkeypatch.setattr(scenarios, "spin_discrimination_snr", recorded)
+    est = run_three_ion_spin(quiet_config(THREE_ION_SPIN, paper_values, t=t,
+                                          shots=MC_SHOTS)).estimation
+    [(plan, probe, zeeman, fields_up, fields_down, noise)] = calls
+    for key, fields in (("parity_up", fields_up), ("parity_down", fields_down)):
+        want = expected_parity(plan, probe, zeeman, fields, noise)
+        assert abs(est[key] - want) <= K_SIGMA * standard_error(want), key
