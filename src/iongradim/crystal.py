@@ -113,8 +113,6 @@ def equilibrium_positions(n_ions: int, trap: TrapConfig) -> CrystalGeometry:
     if not isinstance(n_ions, int) or not (1 <= n_ions <= MAX_IONS):
         raise ConfigurationError(f"n_ions must be an integer in [1, {MAX_IONS}], got {n_ions!r}")
     ell = length_scale(trap)
-    if n_ions == 1:
-        return CrystalGeometry(positions=(0.0,), length_scale=ell)
 
     # Uniform symmetric guess; the 2/n^(1/3) pitch tracks the true inner
     # spacing well enough for Newton to converge in a handful of steps.

@@ -181,8 +181,8 @@ class _Run:
         screen = window == 0 or (math.isfinite(window)
                                  and self._screen_saving(window) * plan.shots > _SCREEN_SETUP)
         if screen:
-            thresholds = np.array(_thresholds(self._p_even(self._noise_free_phase()), n),
-                                  dtype=np.uint64)
+            p0 = self._p_even(accumulated_phase(self.base_rate, plan.interaction_time))
+            thresholds = np.array(_thresholds(p0, n), dtype=np.uint64)
             half = min(math.ceil(window * 2.0 ** 53), 2 ** 53)   # 2^53 already holds every integer
             below = np.zeros(2 * n - 1, dtype=np.int64)   # shots of rank < r, r = 1 .. 2n - 1
         m = min(plan.shots, _BLOCK)
@@ -270,30 +270,20 @@ class _Run:
         np.copyto(out, half, casting="unsafe")
         return out
 
-    def _block(self, lo: int, hi: int, phase: float | None,
-               ) -> tuple[float | np.ndarray, np.ndarray, np.ndarray]:
-        """(phase, even, slot) of the shots [lo, hi), given the noise-free phase or None.
+    def _block(self, lo: int, hi: int) -> tuple[float | np.ndarray, np.ndarray, np.ndarray]:
+        """(phase, even, slot) of the shots [lo, hi).
 
         The phase returned is one float for every shot of a noise-free run
-        and an array otherwise; slot indexes self.patterns. A per-shot phase
-        that is not finite is a ConfigurationError.
+        and an array otherwise; slot indexes self.patterns. A phase that is
+        not finite is a ConfigurationError.
         """
         shot = np.arange(lo, hi, dtype=np.uint64) * np.uint64(_SLOTS_PER_SHOT)
-        if phase is None:
-            phase = self._noisy_phases(shot + np.uint64(2), shot + np.uint64(3))
+        phase = (self._noisy_phases(shot + np.uint64(2), shot + np.uint64(3))
+                 if self.noise.gradient_rms > 0
+                 else accumulated_phase(self.base_rate, self.plan.interaction_time))
         p_even = self._p_even(phase)
         draw = rng.uniform(self.plan.rng_seed, shot + np.uint64(4))
         return phase, draw < p_even, _slots(draw, p_even, self.n_class)
-
-    def _noise_free_phase(self) -> float:
-        """The phase of every shot without gradient noise.
-
-        With gradient noise a finite _window bounds it, so only a noise-free
-        run can fail its check here.
-        """
-        phase = self.base_rate * self.plan.interaction_time
-        _check_phases(phase)
-        return phase
 
     def _window(self, radius=_GAUSSIAN_MAX):
         """Bound, in draw units, on |p_even - p0| of a shot whose |Gaussian| is at most radius.
@@ -338,7 +328,10 @@ class _Run:
     def _noisy_phases(self, counter_a: np.ndarray, counter_b: np.ndarray,
                       out: np.ndarray | None = None, work: np.ndarray | None = None,
                       ) -> np.ndarray:
-        """Per-shot phases from the gradient Gaussian on two counter slots (see rng.gaussian)."""
+        """Per-shot phases from the gradient Gaussian on two counter slots (see rng.gaussian).
+
+        A phase that is not finite is a ConfigurationError.
+        """
         plan, probe = self.plan, self.probe
         phase = rng.gaussian(plan.rng_seed, counter_a, counter_b, out, work)
         with np.errstate(over="ignore", invalid="ignore"):   # checked just below
@@ -349,7 +342,9 @@ class _Run:
             phase *= probe.gradient_coupling
             phase += self.base_rate
             phase *= plan.interaction_time
-        _check_phases(phase)
+        if not np.isfinite(phase).all():
+            raise ConfigurationError("a per-shot phase overflows a float: the field, gradient "
+                                     "noise or interaction time is too large")
         return phase
 
     def _p_even(self, phase, out: np.ndarray | None = None):
@@ -530,11 +525,10 @@ class ShotOutcomes:
                 f"{n} shots need {n * _OUTPUT_BYTES_PER_SHOT} bytes of per-shot outputs, "
                 "which cannot be allocated") from None
         run = self._run
-        phase = None if run.noise.gradient_rms > 0 else run._noise_free_phase()
         for lo in range(0, n, _BLOCK):
             hi = min(lo + _BLOCK, n)
             # one call per block, so no block's temporaries outlive it
-            phases[lo:hi], even, slot = run._block(lo, hi, phase)
+            phases[lo:hi], even, slot = run._block(lo, hi)
             parities[lo:hi] = np.where(even, 1, -1)
             indices[lo:hi] = run.patterns[slot]
         return parities, indices, phases
@@ -589,12 +583,6 @@ def _slot_patterns(n_ions: int) -> np.ndarray:
     patterns = np.concatenate((np.flatnonzero(parity > 0), np.flatnonzero(parity < 0)))
     patterns.flags.writeable = False
     return patterns
-
-
-def _check_phases(phases) -> None:
-    if not np.isfinite(phases).all():
-        raise ConfigurationError("a per-shot phase overflows a float: the field, gradient "
-                                 "noise or interaction time is too large")
 
 
 def parity_estimate(parity_sum: int, shots: int) -> EstimationResult:

@@ -25,6 +25,7 @@ from iongradim.cli import (ConfigFileError, ResultBundle, RunConfig, Table, _csv
                            normalized_config, parse_config)
 from iongradim.constants import constants
 from iongradim.errors import ConfigurationError
+from iongradim.protocol import ZeemanConfig, accumulated_phase, phase_rate
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
@@ -614,6 +615,24 @@ def test_overflowing_config_is_a_config_error(tmp_path, capsys, text):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("config error: "), err
     assert "overflow" in err[0]
+    assert not out.exists()
+
+
+def test_noise_free_shots_overflow_as_the_accumulated_phase(tmp_path, capsys):
+    # a noise-free Monte Carlo takes its phase from protocol.accumulated_phase,
+    # so an overflowing rate x time is that function's error, naming both
+    probe, zeeman = cli._bell_pair(1.03e-6, 1.0), ZeemanConfig(g_factor=constants().ca40_g_factor)
+    fields, t = (0.0, 1e290), 1e30
+    with pytest.raises(ConfigurationError) as expected:
+        accumulated_phase(phase_rate(probe, zeeman, fields), t)
+    with pytest.raises(ConfigurationError) as raised:
+        estimation.simulate_shots(estimation.ExperimentPlan(shots=100, interaction_time=t),
+                                  probe, zeeman, fields, estimation.NoiseModel())
+    assert str(raised.value) == str(expected.value)
+    out = tmp_path / "out"
+    cfg = _write_cfg(tmp_path, OVERFLOWING_CONFIGS["montecarlo_long_time"])
+    assert main(["--config", str(cfg), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == [f"config error: {expected.value}"]
     assert not out.exists()
 
 

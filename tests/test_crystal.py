@@ -178,9 +178,17 @@ def _newton_recomputing_each_step(n):
     return u - u.mean()
 
 
-@pytest.mark.parametrize("n", range(2, 31))
-def test_newton_keeps_the_accepted_trial_bit_for_bit(n):
-    geometry = equilibrium_positions(n, trap_10mhz())
+TRAPS = {"ca40_10mhz": trap_10mhz(),
+         "be9_1mhz": TrapConfig(axial_frequency=2.0 * math.pi * 1e6,
+                                ion_mass=9.012 * constants().atomic_mass_unit)}
+
+
+@pytest.mark.parametrize("trap", TRAPS.values(), ids=TRAPS.keys())
+@pytest.mark.parametrize("n", range(1, 31))
+def test_newton_keeps_the_accepted_trial_bit_for_bit(n, trap):
+    # one dimensionless chain per ion count, which each trap only scales; a
+    # single ion takes the same path, where the chain is [0.0]
+    geometry = equilibrium_positions(n, trap)
     expected = _newton_recomputing_each_step(n) * geometry.length_scale
     assert np.array_equal(np.array(geometry.positions), expected)
 

@@ -2,8 +2,10 @@ import ast
 from pathlib import Path
 
 import iongradim
+from test_bench_targets import _load_tracing
 
-# bench/tracing.py wraps cli.dipole_field, so cli imports it without using it
+# bench/tracing.py wraps cli.dipole_field, so cli imports it without using it;
+# test_each_kept_import_is_a_traced_site holds each entry to such a site
 _UNUSED_IMPORTS_KEPT = {("cli", "dipole_field")}
 
 
@@ -36,6 +38,13 @@ def test_every_import_is_used():
     unused = {(path.stem, name) for path in Path(iongradim.__file__).parent.glob("*.py")
               for name in _unused_imports(ast.parse(path.read_text(encoding="utf-8")))}
     assert unused == _UNUSED_IMPORTS_KEPT
+
+
+def test_each_kept_import_is_a_traced_site():
+    # once the benchmark stops wrapping a kept import where it is looked up,
+    # the import has no reason left and must go
+    sites = {site for *_, target_sites in _load_tracing()._TARGETS for site in target_sites}
+    assert _UNUSED_IMPORTS_KEPT <= sites
 
 
 def _unreferenced_private_functions(trees):

@@ -579,6 +579,65 @@ def test_molecular_swing_is_the_monte_carlo_arm_difference(paper_values, moment_
     assert abs(difference - swing) <= K_SIGMA * math.sqrt(2.0) * standard_error(swing / 2)
 
 
+# The mean SNR of SNR_SEEDS Monte Carlo discriminations, each with its own
+# seed, lies within K_SIGMA standard errors of analytic_snr. Each run's SNR is
+# |Z + mu| with Z near a unit Gaussian and mu the analytic SNR, whose mean
+# exceeds mu by 2 phi(mu) - 2 mu Phi(-mu): below 0.01 for every mu >= 2.4
+# checked here, a seventh of a standard error.
+SNR_SEEDS = range(200)
+SNR_TARGET = 3.0
+
+
+def assert_mean_snr_is_analytic(probe, zeeman, arms, t, shots, swing):
+    """Run both arms at the symmetric bias over SNR_SEEDS; returns the analytic SNR."""
+    rates = [phase_rate(probe, zeeman, fields) for fields in arms]
+    bias = math.pi / 2 - 0.5 * (rates[0] + rates[1]) * t
+    snrs = np.array([spin_discrimination_snr(
+        ExperimentPlan(shots=shots, interaction_time=t, bias_phase=bias, rng_seed=seed),
+        probe, zeeman, *arms, QUIET).snr for seed in SNR_SEEDS])
+    want = analytic_snr(shots, swing)
+    z = (snrs.mean() - want) / (snrs.std(ddof=1) / math.sqrt(len(snrs)))
+    assert abs(z) <= K_SIGMA, (snrs.mean(), want, z)
+    return want
+
+
+@pytest.mark.parametrize("paper_values, moment_after, t", [
+    (False, 7.1e-24, 1.5), (True, MU_E / 2, 5.0), (False, MU_E / 3, 3.0)])
+def test_molecular_shots_required_reach_the_target_snr(paper_values, moment_after, t):
+    # the printed shots_required, run per arm, give the analytic SNR on average
+    config = quiet_config(MOLECULAR_STATE_CHANGE, paper_values, t=t, moment_before=MU_E,
+                          moment_after=moment_after, target_snr=SNR_TARGET)
+    report = run_molecular_state_change(config)
+    est, geometry = report.estimation, report.geometry
+    probe = pair_probe(geometry["z_far_m"], geometry["z_near_m"])
+    arms = ((0.0, est["delta_b_before_t"]), (0.0, est["delta_b_after_t"]))
+    shots = int(est["shots_required"])
+    assert shots == est["shots_required"]
+    snr = assert_mean_snr_is_analytic(probe, config.zeeman, arms, t, shots, est["parity_swing"])
+    assert snr >= SNR_TARGET
+
+
+@pytest.mark.parametrize("paper_values, t, shots", [(False, 0.02, 1000), (True, 0.02, 1000)])
+def test_double_well_min_detectable_is_the_monte_carlo_threshold(paper_values, t, shots):
+    # k* = min_detectable_delta_n against a balanced arm: the shots give the
+    # analytic SNR of k* atoms, which meets the target, and of k* - 1, which does not
+    config = quiet_config(DOUBLE_WELL, paper_values, t=t, shots=shots, well_separation=4.4e-6,
+                          probe_spacing=3.5e-6, delta_n=1, target_snr=SNR_TARGET)
+    est = run_double_well(config).estimation
+    k_star = est["min_detectable_delta_n"]
+    assert 2 <= k_star < math.inf
+    half = config.probe_spacing / 2.0
+    probe = pair_probe(-half, half)
+    snrs = []
+    for k in (int(k_star) - 1, int(k_star)):
+        swing = scenarios._parity_swing(QUIET_CONTRAST,
+                                        ((0.5 * k) * est["phase_rate_rad_per_s"]) * t)
+        arms = ((0.0, 0.0), (0.0, run_double_well(dataclasses.replace(config, delta_n=k)).delta_b))
+        snrs.append(assert_mean_snr_is_analytic(probe, config.zeeman, arms, t, shots,
+                                                float(swing)))
+    assert snrs[0] < SNR_TARGET <= snrs[1]
+
+
 @pytest.mark.parametrize("paper_values, delta_n, t", [
     (True, 1, 2.5), (False, 2, 2.5), (False, 5, 0.8)])
 def test_double_well_modulation_is_the_monte_carlo_parity(paper_values, delta_n, t):
