@@ -105,10 +105,13 @@ def _jacobian(u: np.ndarray) -> np.ndarray:
 def equilibrium_positions(n_ions: int, trap: TrapConfig) -> CrystalGeometry:
     """Solve the linear-chain equilibrium for n_ions (1..30).
 
-    Damped Newton iteration on the force-balance system, initialized from a
-    uniformly spaced guess; steps are halved until the residual decreases and
-    the ordering is preserved. Raises SolverError (carrying the residual) if
-    the force residual does not drop below 1e-12 within the iteration cap.
+    Damped Newton iteration on the dimensionless force-balance system,
+    initialized from a uniformly spaced guess; it reads only n_ions, since
+    the trap only scales the chain by length_scale. Each step is halved, at
+    most 60 times, until the ions stay ordered and the residual decreases.
+    Raises SolverError, carrying the residual of the last accepted point,
+    when no halving lowers it or when the residual does not drop below
+    1e-12 within the iteration cap.
     """
     if not isinstance(n_ions, int) or not (1 <= n_ions <= MAX_IONS):
         raise ConfigurationError(f"n_ions must be an integer in [1, {MAX_IONS}], got {n_ions!r}")
@@ -128,14 +131,13 @@ def equilibrium_positions(n_ions: int, trap: TrapConfig) -> CrystalGeometry:
             trial = u - scale * step
             if (trial[1:] > trial[:-1]).all():
                 trial_forces = _net_forces(trial)
-                if float(np.abs(trial_forces).max()) < residual:
+                trial_residual = float(np.abs(trial_forces).max())
+                if trial_residual < residual:
                     break
             scale *= 0.5
-        else:   # no halving lowered the residual: take the smallest step regardless
-            trial = u - scale * step
-            trial_forces = _net_forces(trial)
-        u, forces = trial, trial_forces
-        residual = float(np.abs(forces).max())
+        else:
+            raise SolverError(f"no Newton step lowers the residual for {n_ions} ions", residual)
+        u, forces, residual = trial, trial_forces, trial_residual
     else:
         raise SolverError(f"equilibrium solve for {n_ions} ions did not converge", residual)
     log.debug("equilibrium n=%d converged: residual %.2e after %d iterations",

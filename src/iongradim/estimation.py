@@ -225,7 +225,7 @@ class _Run:
 
     def _moved_counts(self, bits: np.ndarray, idx: np.ndarray, first: np.uint64,
                       thresholds: np.ndarray, floats: np.ndarray, masks: np.ndarray,
-                      gathered: np.ndarray) -> np.ndarray | int:
+                      gathered: np.ndarray) -> np.ndarray:
         """Change of the slot counts from the flagged shots idx of a block.
 
         Each flagged shot that _near finds within its own half (_own_halves)
@@ -244,8 +244,6 @@ class _Run:
         keep = np.flatnonzero(_near(flagged, thresholds, halves, floats[1, :j].view(np.uint64),
                                     *masks[:, :j]))
         i = len(keep)
-        if not i:
-            return 0
         moved = np.take(flagged, keep, out=bits[:i], mode="clip")
         ranks = np.diff([0, *_count_below(moved, thresholds).tolist(), i])   # shots per rank at p0
         counter = np.take(counter, keep, out=gathered[1, :i], mode="clip")
@@ -441,9 +439,7 @@ def _near(bits: np.ndarray, thresholds: np.ndarray, half, work: np.ndarray,
 
 
 def _count_below(bits: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
-    """Number of outcome integers below each of the sorted thresholds."""
-    if len(bits) < 128 * len(thresholds):   # few: one sort costs less than a pass per threshold
-        return np.searchsorted(np.sort(bits), thresholds)
+    """Number of outcome integers below each of the sorted thresholds, one pass each."""
     return np.array([np.count_nonzero(bits < t) for t in thresholds.tolist()])
 
 

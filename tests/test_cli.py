@@ -857,6 +857,25 @@ def test_solver_failure_exits_2_with_one_line(tmp_path, capsys, monkeypatch):
     assert not out.exists()
 
 
+def test_stalled_newton_exits_2_with_one_line(tmp_path, capsys, monkeypatch):
+    # after the first evaluation no trial lowers the residual
+    calls = []
+    real = crystal._net_forces
+
+    def forces(u):
+        calls.append(u)
+        return real(u) if len(calls) == 1 else np.full(len(u), 10.0)
+
+    monkeypatch.setattr(crystal, "_net_forces", forces)
+    out = tmp_path / "out"
+    assert main(["--config", str(CONFIG_DIR / "crystal_three_ion.cfg"), "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["runtime error: no Newton step lowers the residual for 3 ions "
+                   "(residual 7.367e-01)"], err
+    assert len(calls) == 61
+    assert not out.exists()
+
+
 def test_seed_flag_past_64_bits_is_a_config_error(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["--config", str(_write_cfg(tmp_path, CRYSTAL_CFG)), "--out", str(out),

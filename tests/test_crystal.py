@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from iongradim import crystal
 from iongradim.constants import constants
 from iongradim.crystal import (CrystalGeometry, TrapConfig, _jacobian, _net_forces,
                                equilibrium_positions, length_scale, spacing)
-from iongradim.errors import ConfigurationError
+from iongradim.errors import ConfigurationError, SolverError
 
 CA40_MASS = 40.0 * constants().atomic_mass_unit
 
@@ -191,6 +192,28 @@ def test_newton_keeps_the_accepted_trial_bit_for_bit(n, trap):
     geometry = equilibrium_positions(n, trap)
     expected = _newton_recomputing_each_step(n) * geometry.length_scale
     assert np.array_equal(np.array(geometry.positions), expected)
+
+
+@pytest.mark.parametrize("real_calls", [1, 3, 5])
+@pytest.mark.parametrize("n", [3, 10, 30])
+def test_newton_stops_when_no_step_lowers_the_residual(monkeypatch, n, real_calls):
+    # after real_calls true evaluations every trial's forces are 10 at each ion,
+    # above every residual the solve has reached: no halving of the step is taken
+    residuals = []
+
+    def forces(u):
+        f = _net_forces(u) if len(residuals) < real_calls else np.full(n, 10.0)
+        residuals.append(float(np.abs(f).max()))
+        return f
+
+    monkeypatch.setattr(crystal, "_net_forces", forces)
+    with pytest.raises(SolverError, match=f"no Newton step lowers the residual for {n} ions") \
+            as raised:
+        equilibrium_positions(n, trap_10mhz())
+    # the error carries the residual of the last accepted point, which is the
+    # least of the true ones since each accepted trial lowered it
+    assert raised.value.residual == min(residuals[:real_calls])
+    assert len(residuals) <= real_calls + 60
 
 
 def test_positions_scale_with_length_scale():

@@ -283,7 +283,7 @@ def test_threshold_counts_equal_the_per_shot_mapping(p_even, n_ions):
     seeded = np.random.default_rng(72).integers(0, TOP, 10_000, dtype=np.uint64)
     bits = np.concatenate((np.array([0, TOP - 1, *near], dtype=np.uint64), seeded))
     as_array = np.array(thresholds, dtype=np.uint64)
-    for sample in (bits, bits[:2 + len(near)]):   # a pass per threshold, and one sort
+    for sample in (bits, bits[:2 + len(near)], bits[:0]):
         below = np.cumsum(np.bincount(_mapped_ranks(sample, p_even, n_class),
                                       minlength=2 * n_class))[:-1]
         assert np.array_equal(_count_below(sample, as_array), below)

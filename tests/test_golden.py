@@ -4,15 +4,16 @@ Each case runs the CLI in both output formats and compares the sha256 of
 every written file with the digest recorded here. The cases are every file
 in `configs/` plus configs for the commands and modes those files do not
 reach: a `field` run with the pair table, a `protocol` run, a `montecarlo`
-run with gradient and common-mode noise on, `montecarlo` runs at full
-contrast whose every shot is even or every shot is odd, a double-well scan
-that walks to `_MAX_SCAN_DELTA_N` without a detectable imbalance,
-computed-mode scenarios with noise, a computed-mode molecular, double-well
-and GHZ-chain run each with preparation fidelity 0.93, readout contrast 0.85
-and gradient noise (every file that prints the fringe contrast moves if
-the readout factor is dropped), and two long all-float tables (a 2,000-step
-`protocol` run whose phase wraps about 2,900 times and a 500-point `field`
-run).
+run with gradient and common-mode noise on, a 20,000-shot one with gradient
+noise whose outcome counts a relative libm error of 1e-3 moves, `montecarlo`
+runs at full contrast whose every shot is even or every shot is odd, a
+double-well scan that walks to `_MAX_SCAN_DELTA_N` without a detectable
+imbalance, computed-mode scenarios with noise, a computed-mode molecular,
+double-well and GHZ-chain run each with preparation fidelity 0.93, readout
+contrast 0.85 and gradient noise (every file that prints the fringe
+contrast moves if the readout factor is dropped), and two long all-float
+tables (a 2,000-step `protocol` run whose phase wraps about 2,900 times and
+a 500-point `field` run).
 
 The digests were recorded with numpy 2.4.6 and its bundled LAPACK on x86-64.
 The crystal solve goes through LAPACK, so another numpy or LAPACK build may
@@ -24,8 +25,10 @@ import hashlib
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from iongradim import estimation, rng
 from iongradim.cli import main
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
@@ -57,6 +60,17 @@ delta_b_t = 1e-12
 bias_phase_rad = 0.7
 gradient_rms_t_per_m = 5e-4
 common_mode_rms_t = 1e-9
+contrast = 0.9
+probe_spacing_m = 1.03e-6
+seed = 11
+""",
+    "montecarlo_noise_20k_shots": """\
+command = montecarlo
+shots = 20000
+interaction_time_s = 0.01
+delta_b_t = 1e-12
+bias_phase_rad = 0.7
+gradient_rms_t_per_m = 5e-4
 contrast = 0.9
 probe_spacing_m = 1.03e-6
 seed = 11
@@ -375,6 +389,18 @@ GOLDEN: dict[tuple[str, str], dict[str, str]] = {
         "report.txt":
             "034b5b4948a2ac18cb345fad2a5e90af8fe960d5a68251daa495c138cdc96c77",
     },
+    ("montecarlo_noise_20k_shots", "csv"): {
+        "estimate.csv":
+            "d361e896d0aa29156e9b94efdec55ef98fba9c426e3eb19d798a7b7087acdcba",
+        "outcome_counts.csv":
+            "0ca6840ad73eeda918137fd10d71de205000c97ce7f5fa1cb053ff4d00a0ac65",
+        "provenance.txt":
+            "633e9ce82bf982a0d67bde07c15e42a858c7464b2c9f1e9a9b3f7394460fd229",
+    },
+    ("montecarlo_noise_20k_shots", "text"): {
+        "report.txt":
+            "12b9999f06655325208f0e69a4ad2c266101020218d481955dffd2e3bee8a84e",
+    },
     ("protocol", "csv"): {
         "parity_trajectory.csv":
             "97c6c0962ecb97f80a81f12d0e981f1c0271ce58455ff6217291106e7127e93e",
@@ -494,3 +520,72 @@ def test_output_bytes_unchanged_under_baseline_simd_dispatch(tmp_path, monkeypat
     assert json.loads(done.stdout.splitlines()[-1]) == [0] * len(runs)
     for name, fmt in sorted(GOLDEN):
         assert _file_digests(tmp_path / f"{name}-{fmt}") == GOLDEN[(name, fmt)], (name, fmt)
+
+
+# The golden cases whose bytes pass through a log or cosine of rng (the
+# Box-Muller radius and angle) or of estimation (each shot's even probability).
+# protocol.parity_trajectory's np.cos is not nudged: it prints its phases.
+LIBM_CASES = ["montecarlo_full_contrast_even", "montecarlo_full_contrast_odd", "montecarlo_noise",
+              "montecarlo_noise_20k_shots", "three_ion_spin", "three_ion_spin_computed_noise"]
+# Fixed before the first run: numpy documents at most 4 ulp of error for its
+# SIMD float64 log and cos loops.
+LIBM_ULPS = 4
+
+
+def _ulps(k, direction):
+    """Move each result k ulp toward direction; an exact zero (log 1) stays exact."""
+    def nudge(x):
+        moved = x
+        for _ in range(k):
+            moved = np.nextafter(moved, direction)
+        return np.where(x == 0, x, moved)
+    return nudge
+
+
+class _NudgedNumpy:
+    """numpy, with each np.log and np.cos result moved by nudge; a cosine stays in [-1, 1]."""
+
+    def __init__(self, nudge):
+        self._nudge = nudge
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def log(self, *args, **kwargs):
+        return self._moved(np.log(*args, **kwargs), -np.inf, np.inf)
+
+    def cos(self, *args, **kwargs):
+        return self._moved(np.cos(*args, **kwargs), -1.0, 1.0)
+
+    def _moved(self, result, lo, hi):
+        moved = np.clip(self._nudge(result), lo, hi)
+        if isinstance(result, np.ndarray):
+            result[...] = moved   # in place: the caller may have passed it as out=
+            return result
+        return np.float64(moved)
+
+
+def _libm_digests(tmp_path, monkeypatch, nudge, cases):
+    numpy = _NudgedNumpy(nudge)
+    monkeypatch.setattr(rng, "np", numpy)
+    monkeypatch.setattr(estimation, "np", numpy)
+    return {case: _digests(tmp_path, *case) for case in cases}
+
+
+@pytest.mark.parametrize("direction", [np.inf, -np.inf], ids=["up", "down"])
+def test_libm_rounding_of_the_shot_path_leaves_the_golden_bytes(tmp_path, monkeypatch,
+                                                                direction):
+    nudge = _ulps(LIBM_ULPS, direction)
+    assert np.array_equal(nudge(np.array([0.75, 0.0, -0.75])) - [0.75, 0.0, -0.75],
+                          np.sign(direction) * LIBM_ULPS * np.array([2.0 ** -53, 0.0, 2.0 ** -53]))
+    cases = [(name, fmt) for name in LIBM_CASES for fmt in ("csv", "text")]
+    assert _libm_digests(tmp_path, monkeypatch, nudge, cases) == {c: GOLDEN[c] for c in cases}
+
+
+@pytest.mark.parametrize("relative", [1e-3, -1e-3])
+def test_a_relative_libm_error_of_1e_3_moves_the_20k_shot_counts(tmp_path, monkeypatch,
+                                                                 relative):
+    # the libm test has power: a larger error does reach the golden bytes
+    case = ("montecarlo_noise_20k_shots", "csv")
+    moved = _libm_digests(tmp_path, monkeypatch, lambda x: x * (1.0 + relative), [case])
+    assert moved[case]["outcome_counts.csv"] != GOLDEN[case]["outcome_counts.csv"]

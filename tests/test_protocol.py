@@ -1,4 +1,5 @@
 import math
+import types
 
 import numpy as np
 import pytest
@@ -131,6 +132,85 @@ def test_uniform_time_dependent_sequence_accumulates_zero_phase():
         b = rng.uniform(-1e-5, 1e-5)
         phase += accumulated_phase(phase_rate(probe, ZEE, (b, b)), rng.uniform(0, 10))
     assert phase == 0.0
+
+
+def _offset_bound(fields, offset) -> float:
+    """Bound on |phase_rate(b + u) - phase_rate(b)| for one offset u added at every ion.
+
+    With sum(delta_m) = 0 both rates are g W rounded, W = sum dm_i b_i the
+    exact weighted field. phase_rate rounds these steps, each by at most
+    2^-53 of its result (a sum whose result is subnormal is exact):
+    - each c_i = b_i + u, by 2^-53 |b_i + u| (dm_i = +-1, so dm_i c_i is exact);
+    - the n - 1 additions of sum() over b and over c, each sum within
+      (n - 1) 2^-53 of its absolute terms of the exact one;
+    - the product with g, by 2^-53 |g S| plus 2^-1075 where it is subnormal.
+    With A = sum |b_i| + n |u| that is |g| 2^-53 A (n - 1 + 1 + n - 1 + 2)
+    to first order; one more n-sized unit takes the second-order terms.
+    """
+    n = len(fields)
+    weight = sum(abs(b) for b in fields) + n * abs(offset)
+    return ZEE.gyromagnetic_ratio * (2 * n + 2) * 2.0 ** -53 * weight + 2.0 ** -1074
+
+
+def _shifted_rates(probe, fields, offset):
+    return (phase_rate(probe, ZEE, fields),
+            phase_rate(probe, ZEE, tuple(b + offset for b in fields)))
+
+
+_FIELD = st.floats(-1e-3, 1e-3)
+
+
+@st.composite
+def _probes(draw, balanced=True):
+    """A probe of 2 to 8 ions at drawn axial positions, with drawn branch weights.
+
+    Balanced weights sum to zero, as ProbeState requires; otherwise the
+    stand-in carries only the two attributes phase_rate reads.
+    """
+    n = draw(st.integers(1, 4)) * 2
+    first, pitch = draw(st.floats(-1e-5, 1e-5)), draw(st.floats(1e-7, 1e-5))
+    positions = tuple(Vec3(0, 0, first + k * pitch) for k in range(n))
+    if balanced:
+        pattern = draw(st.permutations((0.5,) * (n // 2) + (-0.5,) * (n // 2)))
+        return prepare_probe(BELL if n == 2 else GHZ, positions, 1.0,
+                             (tuple(pattern), tuple(-w for w in pattern)))
+    pattern = draw(st.lists(st.sampled_from((0.5, -0.5)), min_size=n, max_size=n))
+    if sum(pattern) == 0:
+        pattern[0] = -pattern[0]
+    return types.SimpleNamespace(n_ions=n, delta_m=tuple(2 * w for w in pattern))
+
+
+@given(data=st.data(), probe=_probes(), offset=_FIELD)
+def test_uniform_offset_moves_the_rate_within_its_rounding_bound(data, probe, offset):
+    fields = data.draw(st.lists(_FIELD, min_size=probe.n_ions, max_size=probe.n_ions))
+    rate, shifted = _shifted_rates(probe, fields, offset)
+    assert abs(shifted - rate) <= _offset_bound(fields, offset)
+
+
+@given(data=st.data(), probe=_probes(balanced=False), ratio=st.floats(1e-6, 1e6),
+       sign=st.sampled_from((1.0, -1.0)))
+def test_unbalanced_weights_break_the_offset_bound(data, probe, ratio, sign):
+    # the bound has power: where sum(delta_m) = k != 0 an offset adds g k u
+    fields = data.draw(st.lists(_FIELD, min_size=probe.n_ions, max_size=probe.n_ions))
+    offset = sign * ratio * max(max(abs(b) for b in fields), 1e-12)
+    rate, shifted = _shifted_rates(probe, fields, offset)
+    assert abs(shifted - rate) > _offset_bound(fields, offset)
+
+
+_STEPS = st.integers(-2 ** 20, 2 ** 20)
+
+
+@given(bell=st.booleans(), steps=st.lists(_STEPS, min_size=4, max_size=4), offset=_STEPS,
+       exponent=st.integers(-80, -10))
+def test_uniform_offset_on_a_power_of_two_grid_leaves_the_rate_bit_identical(
+        bell, steps, offset, exponent):
+    # fields and offset below 2^21 units of one power of two: every sum is exact
+    positions4 = tuple(Vec3(0, 0, z) for z in (-2e-6, -1e-6, 1e-6, 2e-6))
+    probe = bell_probe() if bell else ghz4_probe(positions4)
+    unit = 2.0 ** exponent
+    fields = tuple(k * unit for k in steps[:probe.n_ions])
+    rate, shifted = _shifted_rates(probe, fields, offset * unit)
+    assert shifted.hex() == rate.hex()
 
 
 def test_accumulated_phase_examples():

@@ -160,3 +160,21 @@ def test_screen_figures():
             "for a Bell pair or 0.004/K rad for a 4-ion GHZ state, and at any spread with 6 or "
             "more ions."):
         assert text in prose, text
+
+
+def test_figures_of_the_code_constants():
+    shot_bits = estimation._SHOT_LIMIT.bit_length() - 1
+    assert estimation._SHOT_LIMIT == 2 ** shot_bits
+    largest = np.finfo(float).max
+    [printed] = {cli.format_number(x) for x in (largest, np.nextafter(largest, 0.0))}
+    assert float(printed) == math.inf
+    prose = _prose()
+    for text in (
+            f"The Monte Carlo runs its shots in fixed blocks of {estimation._BLOCK:,} ",
+            f"at {estimation._OUTPUT_BYTES_PER_SHOT} bytes per shot;",
+            f"`shots` may be at most 2^{shot_bits}, because each shot takes "
+            f"{estimation._SLOTS_PER_SHOT} slots of a 64-bit RNG counter",
+            f"Large float64 array tables (at least {cli._KERNEL_MIN_CELLS} cells:",
+            f"the two largest finite floats, {float(largest)!r} and the one below it, both "
+            f"print as `{printed}`, which is above the largest float and parses back as inf."):
+        assert text in prose, text
