@@ -10,8 +10,9 @@ the force balance for the scaled coordinates u_i reads
 
 which is solved by damped Newton iteration and scaled back to meters.
 Solving dimensionless first keeps the conditioning independent of trap
-parameters. For three ions the outer coordinates are (5/4)^(1/3) = 1.0772,
-which sets the frequently quoted adjacent spacing d12 = 1.077 * l.
+parameters, and lets one solve per ion count serve every trap. For three
+ions the outer coordinates are (5/4)^(1/3) = 1.0772, which sets the
+frequently quoted adjacent spacing d12 = 1.077 * l.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -105,18 +107,28 @@ def _jacobian(u: np.ndarray) -> np.ndarray:
 def equilibrium_positions(n_ions: int, trap: TrapConfig) -> CrystalGeometry:
     """Solve the linear-chain equilibrium for n_ions (1..30).
 
-    Damped Newton iteration on the dimensionless force-balance system,
-    initialized from a uniformly spaced guess; it reads only n_ions, since
-    the trap only scales the chain by length_scale. Each step is halved, at
-    most 60 times, until the ions stay ordered and the residual decreases.
-    Raises SolverError, carrying the residual of the last accepted point,
-    when no halving lowers it or when the residual does not drop below
-    1e-12 within the iteration cap.
+    The dimensionless chain reads only n_ions, so it is solved once per ion
+    count per process (_unit_chain) and scaled by the trap's length_scale.
+    Raises SolverError when that solve fails; a failed solve is not kept.
     """
     if not isinstance(n_ions, int) or not (1 <= n_ions <= MAX_IONS):
         raise ConfigurationError(f"n_ions must be an integer in [1, {MAX_IONS}], got {n_ions!r}")
     ell = length_scale(trap)
+    return CrystalGeometry(positions=tuple(float(z) for z in _unit_chain(n_ions) * ell),
+                           length_scale=ell)
 
+
+@lru_cache(maxsize=MAX_IONS)
+def _unit_chain(n_ions: int) -> np.ndarray:
+    """Dimensionless equilibrium of n_ions, center of mass at 0; read-only, shared by calls.
+
+    Damped Newton iteration on the force-balance system, initialized from a
+    uniformly spaced guess. Each step is halved, at most 60 times, until the
+    ions stay ordered and the residual decreases. Raises SolverError,
+    carrying the residual of the last accepted point, when no halving lowers
+    it or when the residual does not drop below 1e-12 within the iteration
+    cap. The cache holds every valid n_ions, so nothing is evicted.
+    """
     # Uniform symmetric guess; the 2/n^(1/3) pitch tracks the true inner
     # spacing well enough for Newton to converge in a handful of steps.
     u = (np.arange(n_ions) - (n_ions - 1) / 2.0) * (2.0 / n_ions ** (1.0 / 3.0))
@@ -144,7 +156,8 @@ def equilibrium_positions(n_ions: int, trap: TrapConfig) -> CrystalGeometry:
               n_ions, residual, iteration)
 
     u = u - u.mean()   # pin the center of mass; equilibrium has sum(u) = 0 exactly
-    return CrystalGeometry(positions=tuple(float(z) for z in u * ell), length_scale=ell)
+    u.flags.writeable = False
+    return u
 
 
 def spacing(geometry: CrystalGeometry, i: int, j: int) -> float:

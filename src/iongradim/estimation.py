@@ -461,15 +461,17 @@ def _least(holds, lo: int, hi: int, start: int) -> int:
     holds(lo) is taken as false and holds(hi) as true; neither is called.
     From start, clamped into (lo, hi], the search gallops out in steps that
     double until holds(below) is false and holds(above) true, then bisects
-    (below, above]. The answer is the least point of an exact predicate, so
-    start only sets how many calls the search makes.
+    (below, above]. No point is asked about twice. The answer is the least
+    point of an exact predicate, so start only sets how many calls the
+    search makes.
     """
     above, step = min(max(start, lo + 1), hi), 1
     below = above - 1
     while above < hi and not holds(above):
         below, above, step = above, min(above + step, hi), 2 * step
-    while below > lo and holds(below):
-        below, above, step = max(below - step, lo), below, 2 * step
+    if step == 1:   # no upward gallop; after one, holds(below) is already known false
+        while below > lo and holds(below):
+            below, above, step = max(below - step, lo), below, 2 * step
     while above - below > 1:
         mid = (below + above) // 2
         below, above = (below, mid) if holds(mid) else (mid, above)

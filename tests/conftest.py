@@ -28,3 +28,16 @@ def fresh_python():
         return subprocess.run([sys.executable, "-c", code, *args], env=env,
                               capture_output=True, text=True, timeout=timeout)
     return run
+
+
+@pytest.fixture
+def uncached_chain():
+    """Empty the crystal's per-ion-count chain cache before and after the test.
+
+    A test that patches the solver then sees a fresh solve, and a patched
+    solve never leaves its chain behind for the tests after it.
+    """
+    from iongradim import crystal
+    crystal._unit_chain.cache_clear()
+    yield
+    crystal._unit_chain.cache_clear()

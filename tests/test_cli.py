@@ -846,7 +846,7 @@ def test_usage_exit_codes(tmp_path, capsys, args, code):
     assert not out.exists()
 
 
-def test_solver_failure_exits_2_with_one_line(tmp_path, capsys, monkeypatch):
+def test_solver_failure_exits_2_with_one_line(tmp_path, capsys, monkeypatch, uncached_chain):
     monkeypatch.setattr(crystal, "_NEWTON_CAP", 1)
     out = tmp_path / "out"
     assert main(["--config", str(CONFIG_DIR / "crystal_three_ion.cfg"), "--out", str(out)]) == 2
@@ -857,7 +857,7 @@ def test_solver_failure_exits_2_with_one_line(tmp_path, capsys, monkeypatch):
     assert not out.exists()
 
 
-def test_stalled_newton_exits_2_with_one_line(tmp_path, capsys, monkeypatch):
+def test_stalled_newton_exits_2_with_one_line(tmp_path, capsys, monkeypatch, uncached_chain):
     # after the first evaluation no trial lowers the residual
     calls = []
     real = crystal._net_forces

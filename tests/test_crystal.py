@@ -192,11 +192,15 @@ def test_newton_keeps_the_accepted_trial_bit_for_bit(n, trap):
     geometry = equilibrium_positions(n, trap)
     expected = _newton_recomputing_each_step(n) * geometry.length_scale
     assert np.array_equal(np.array(geometry.positions), expected)
+    # a call that reads the cached chain gives the bytes of an uncached solve
+    uncached = crystal._unit_chain.__wrapped__(n) * geometry.length_scale
+    assert np.array(equilibrium_positions(n, trap).positions).tobytes() == uncached.tobytes()
 
 
 @pytest.mark.parametrize("real_calls", [1, 3, 5])
 @pytest.mark.parametrize("n", [3, 10, 30])
-def test_newton_stops_when_no_step_lowers_the_residual(monkeypatch, n, real_calls):
+def test_newton_stops_when_no_step_lowers_the_residual(monkeypatch, n, real_calls,
+                                                      uncached_chain):
     # after real_calls true evaluations every trial's forces are 10 at each ion,
     # above every residual the solve has reached: no halving of the step is taken
     residuals = []
@@ -214,6 +218,36 @@ def test_newton_stops_when_no_step_lowers_the_residual(monkeypatch, n, real_call
     # least of the true ones since each accepted trial lowered it
     assert raised.value.residual == min(residuals[:real_calls])
     assert len(residuals) <= real_calls + 60
+
+
+def test_each_ion_count_is_solved_once(monkeypatch, uncached_chain):
+    # the second trap only scales the chain the first call solved
+    calls = []
+    monkeypatch.setattr(crystal, "_jacobian", lambda u: calls.append(len(u)) or _jacobian(u))
+    equilibrium_positions(5, TRAPS["ca40_10mhz"])
+    assert calls and set(calls) == {5}
+    solved = len(calls)
+    equilibrium_positions(5, TRAPS["be9_1mhz"])
+    assert len(calls) == solved
+
+
+def test_the_cached_chain_is_read_only():
+    chain = crystal._unit_chain(4)
+    assert not chain.flags.writeable
+    with pytest.raises(ValueError):
+        chain[0] = 0.0
+    assert crystal._unit_chain(4) is chain
+
+
+def test_a_failed_solve_is_not_kept(monkeypatch, uncached_chain):
+    monkeypatch.setattr(crystal, "_NEWTON_CAP", 1)
+    with pytest.raises(SolverError, match="equilibrium solve for 6 ions did not converge"):
+        equilibrium_positions(6, trap_10mhz())
+    monkeypatch.undo()
+    geometry = equilibrium_positions(6, trap_10mhz())
+    expected = crystal._unit_chain.__wrapped__(6) * geometry.length_scale
+    assert np.array(geometry.positions).tobytes() == expected.tobytes()
+    assert crystal._unit_chain.cache_info().currsize == 1
 
 
 def test_positions_scale_with_length_scale():

@@ -782,7 +782,20 @@ def test_least_is_the_brute_force_answer_from_every_start(lo, hi):
         for start in range(lo - 5, hi + 6):
             got, calls = _least_with_calls(threshold, lo, hi, start)
             assert got == want, (threshold, start)
-            assert len(set(calls)) >= len(calls) - 1   # only the gallop's last below repeats
+            assert len(set(calls)) == len(calls)   # no point is asked about twice
+
+
+@given(lo=st.integers(-2 ** 70, 2 ** 70),
+       width=st.one_of(st.integers(1, 64), st.integers(1, 2 ** 70)),
+       start=st.integers(-2 ** 72, 2 ** 72),
+       offset=st.one_of(st.integers(-4, 68), st.integers(-4, 2 ** 70 + 4)))
+@example(lo=0, width=2 ** 62, start=3, offset=1000)   # gallops up 3, 4, 6, ..., 514, 1026
+@example(lo=0, width=2 ** 62, start=1026, offset=1000)   # gallops down
+def test_least_asks_about_no_point_twice(lo, width, start, offset):
+    hi, threshold = lo + width, lo + offset
+    got, calls = _least_with_calls(threshold, lo, hi, start)
+    assert got == min(max(threshold, lo + 1), hi)
+    assert len(set(calls)) == len(calls), calls
 
 
 def test_least_gallops_from_the_start():
