@@ -83,24 +83,19 @@ def length_scale(trap: TrapConfig) -> float:
     return ell
 
 
-# Newton calls these on arrays of at most 30 ions, where numpy's Python-level
-# wrappers cost more than the arithmetic: each writes a diagonal through the
-# flat view with stride n + 1, as np.fill_diagonal does.
-
 def _net_forces(u: np.ndarray) -> np.ndarray:
     """Dimensionless net force on each ion (zero at equilibrium)."""
     d = u[:, None] - u[None, :]
-    d.reshape(-1)[::len(u) + 1] = np.inf   # the diagonal
+    np.fill_diagonal(d, np.inf)
     return u - np.sum(np.sign(d) / (d * d), axis=1)
 
 
 def _jacobian(u: np.ndarray) -> np.ndarray:
-    diagonal = slice(None, None, len(u) + 1)
     ad = np.abs(u[:, None] - u[None, :])
-    ad.reshape(-1)[diagonal] = np.inf
+    np.fill_diagonal(ad, np.inf)
     j = -2.0 / (ad * ad * ad)
-    j.reshape(-1)[diagonal] = 0.0
-    j.reshape(-1)[diagonal] = 1.0 - j.sum(axis=1)
+    np.fill_diagonal(j, 0.0)
+    np.fill_diagonal(j, 1.0 - j.sum(axis=1))
     return j
 
 

@@ -184,7 +184,6 @@ class _Run:
             p0 = self._p_even(accumulated_phase(self.base_rate, plan.interaction_time))
             thresholds = np.array(_thresholds(p0, n), dtype=np.uint64)
             half = min(math.ceil(window * 2.0 ** 53), 2 ** 53)   # 2^53 already holds every integer
-            below = np.zeros(2 * n - 1, dtype=np.int64)   # shots of rank < r, r = 1 .. 2n - 1
         m = min(plan.shots, _BLOCK)
         counter = np.arange(4, _SLOTS_PER_SHOT * m, _SLOTS_PER_SHOT, dtype=np.uint64)
         bits = np.empty(m, dtype=np.uint64)
@@ -198,7 +197,7 @@ class _Run:
             if not screen:
                 counts += self._own_slots(b, counter[:k], *floats[:, :k], *masks[:, :k])
             else:
-                below += _count_below(b, thresholds)
+                counts += _rank_counts(b, thresholds)
                 if window != 0:
                     idx = np.flatnonzero(_near(b, thresholds, half, floats[0, :k].view(np.uint64),
                                                *masks[:, :k]))
@@ -206,8 +205,6 @@ class _Run:
                         counts += self._moved_counts(b, idx, counter[0], thresholds, floats,
                                                      masks, gathered)
             counter += np.uint64(_SLOTS_PER_SHOT * _BLOCK)
-        if screen:
-            counts += np.diff([0, *below.tolist(), plan.shots])
         return counts
 
     def _screen_saving(self, window: float) -> float:
@@ -245,7 +242,7 @@ class _Run:
                                     *masks[:, :j]))
         i = len(keep)
         moved = np.take(flagged, keep, out=bits[:i], mode="clip")
-        ranks = np.diff([0, *_count_below(moved, thresholds).tolist(), i])   # shots per rank at p0
+        ranks = _rank_counts(moved, thresholds)   # before _own_slots spends moved
         counter = np.take(counter, keep, out=gathered[1, :i], mode="clip")
         return self._own_slots(moved, counter, *floats[:, :i], *masks[:, :i]) - ranks
 
@@ -438,9 +435,14 @@ def _near(bits: np.ndarray, thresholds: np.ndarray, half, work: np.ndarray,
     return out
 
 
-def _count_below(bits: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
-    """Number of outcome integers below each of the sorted thresholds, one pass each."""
-    return np.array([np.count_nonzero(bits < t) for t in thresholds.tolist()])
+def _rank_counts(bits: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
+    """Outcome integers per rank at p0, in one pass per threshold.
+
+    thresholds are the sorted T_1 .. T_2n-1 of _thresholds. Rank r holds the
+    integers from T_r up to T_r+1, with T_0 = 0 and T_2n above every integer.
+    """
+    below = [np.count_nonzero(bits < t) for t in thresholds.tolist()]
+    return np.diff([0, *below, len(bits)])
 
 
 def _thresholds(p_even: float, n_class: int) -> list[int]:

@@ -114,9 +114,7 @@ def axial_bz(source: DipoleSource, z: float) -> float:
     Only the axial moment component contributes to Bz on the axis.
     """
     dz = z - source.position.z
-    if abs(dz) < MIN_SOURCE_DISTANCE:
-        raise FieldSingularityError(
-            f"axial field requested {abs(dz):.3e} m from the source")
+    _require_clear(abs(dz))
     try:
         bz = 2.0 * MU0_OVER_4PI * source.moment.z / abs(dz) ** 3
     except OverflowError:   # the cube passes the float range, beyond ~5.6e102 m

@@ -52,6 +52,7 @@ REFERENCE_T_PI_S = 26.0                # quoted +1 -> -1 parity rotation time
 REFERENCE_TOTAL_TIME_S = 60.0          # quoted total measurement time bound
 
 _MAX_SCAN_DELTA_N = 10_000
+_SENSED_ION = 2   # the spin the probes sense: the positive end of 3 ions, the middle of 5
 
 
 @dataclass(frozen=True)
@@ -67,7 +68,7 @@ class ScenarioConfig:
     preparation_fidelity: float = 0.99
     target_snr: float = 2.0
     overhead_per_shot: float = 1.0       # s of cooling/readout per shot
-    source_moment: float | None = None   # J/T; default |electron moment|
+    source_moment: float | None = None   # J/T; default |electron moment| (_chain_layout)
     # molecular_state_change:
     moment_before: float | None = None   # J/T
     moment_after: float | None = None    # J/T
@@ -126,11 +127,6 @@ class ScenarioConfig:
     def mode(self) -> str:
         return MODE_PAPER if self.paper_values else MODE_COMPUTED
 
-    def moment_magnitude(self) -> float:
-        if self.source_moment is not None:
-            return self.source_moment
-        return abs(constants().electron_magnetic_moment)
-
 
 class FieldRow(NamedTuple):
     """One row of the field table: ion index, axial position (m), Bz (T)."""
@@ -151,14 +147,18 @@ class ScenarioReport:
     annotations: tuple[str, ...] = field(default_factory=tuple)
 
 
-def _three_ion_layout(config: ScenarioConfig):
-    """Solve the 3-ion chain; the sensed spin sits at the positive end."""
-    geometry = equilibrium_positions(3, config.trap)
-    z_far, z_near, z_x = geometry.positions
-    probes = (Vec3(0.0, 0.0, z_far), Vec3(0.0, 0.0, z_near))
-    source = DipoleSource(Vec3(0.0, 0.0, z_x),
-                          Vec3(0.0, 0.0, config.moment_magnitude()))
-    return geometry, probes, source
+def _chain_layout(config: ScenarioConfig, n_ions: int):
+    """Solve the n_ions chain: its geometry, the probes and the sensed spin's axial dipole.
+
+    The probes are every ion but _SENSED_ION, in chain order. The source's
+    moment is config.source_moment, by default the |electron moment|.
+    """
+    geometry = equilibrium_positions(n_ions, config.trap)
+    z = geometry.positions
+    probes = tuple(Vec3(0.0, 0.0, z[i]) for i in range(n_ions) if i != _SENSED_ION)
+    moment = (abs(constants().electron_magnetic_moment) if config.source_moment is None
+              else config.source_moment)
+    return geometry, probes, DipoleSource(Vec3(0.0, 0.0, z[_SENSED_ION]), Vec3(0.0, 0.0, moment))
 
 
 def _expect_kind(config: ScenarioConfig, kind: str) -> None:
@@ -215,7 +215,7 @@ def run_three_ion_spin(config: ScenarioConfig) -> ScenarioReport:
     Monte Carlo flip-discrimination SNR at the configured operating point.
     """
     _expect_kind(config, THREE_ION_SPIN)
-    geometry, probes, source = _three_ion_layout(config)
+    geometry, probes, source = _chain_layout(config, 3)
     d12 = spacing(geometry, 0, 1)
     b_far = axial_bz(source, probes[0].z)
     b_near = axial_bz(source, probes[1].z)
@@ -297,7 +297,7 @@ def run_molecular_state_change(config: ScenarioConfig) -> ScenarioReport:
     tells apart (identical moments among them) is reported as infeasible.
     """
     _expect_kind(config, MOLECULAR_STATE_CHANGE)
-    geometry, probes, source = _three_ion_layout(config)
+    geometry, probes, source = _chain_layout(config, 3)
     mu_e = abs(constants().electron_magnetic_moment)
     moments = {"moment_before": config.moment_before, "moment_after": config.moment_after}
     # paper values: the published three-ion field, scaled linearly with the moment
@@ -456,12 +456,7 @@ def run_ghz_chain(config: ScenarioConfig) -> ScenarioReport:
     is exactly 2.
     """
     _expect_kind(config, GHZ_CHAIN)
-    geometry = equilibrium_positions(5, config.trap)
-    z = geometry.positions
-    source = DipoleSource(Vec3(0.0, 0.0, z[2]),
-                          Vec3(0.0, 0.0, config.moment_magnitude()))
-    probe_idx = (0, 1, 3, 4)
-    positions = tuple(Vec3(0.0, 0.0, z[i]) for i in probe_idx)
+    geometry, positions, source = _chain_layout(config, 5)
     fields = tuple(axial_bz(source, p.z) for p in positions)
 
     ghz = prepare_probe(GHZ, positions, config.preparation_fidelity)
@@ -491,10 +486,11 @@ def run_ghz_chain(config: ScenarioConfig) -> ScenarioReport:
             "length_scale_m": geometry.length_scale,
             "inner_spacing_m": spacing(geometry, 1, 2),
             "outer_spacing_m": spacing(geometry, 0, 1),
-            "z_source_m": z[2],
+            "z_source_m": source.position.z,
         },
-        field_table=tuple(FieldRow(i, positions[k].z, fields[k])
-                          for k, i in enumerate(probe_idx)),
+        # probe k is ion k, or ion k + 1 past the sensed spin
+        field_table=tuple(FieldRow(k + (k >= _SENSED_ION), p.z, b)
+                          for k, (p, b) in enumerate(zip(positions, fields))),
         delta_b=fields[1] - fields[0],
         trajectories=_trajectories({"ghz": rate_ghz, "bell_side_pair": rate_bell}, contrast, t),
         estimation={

@@ -695,6 +695,18 @@ def test_linspace_overflow_writes_nothing_to_stderr(tmp_path, fresh_python, name
                             for cell in row.split(",")), path.name
 
 
+def test_pair_within_a_nanometre_of_the_source_has_the_one_guard_message(tmp_path, capsys):
+    # every table point is clear of the source; only the pair's z1 trips the guard
+    cfg = _write_cfg(tmp_path, _config_file("field", {
+        "source_moment_j_per_t": 9.285e-24, "z_start_m": 1e-6, "z_stop_m": 3e-6,
+        "n_points": 3, "pair_z1_m": 5e-10, "pair_z2_m": 2e-6}))
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "config error: field requested 5.000e-10 m from the source (guard 1e-09 m)"]
+    assert not out.exists()
+
+
 # Shot counts in the CLI property stop here: a legal huge count runs in time
 # linear in it, by design.
 _CLI_SHOT_CAP = 10_000

@@ -11,8 +11,8 @@ from iongradim import estimation, rng
 from iongradim.constants import Vec3, constants
 from iongradim.errors import ConfigurationError, InfeasibleError
 from iongradim.estimation import (_BLOCK, _GAUSSIAN_MAX, _MAX_SHOTS, _TWO_BITS,
-                                  ExperimentPlan, NoiseModel, _count_below, _float_from_bits,
-                                  _least, _slots, _slots_in_place, _thresholds,
+                                  ExperimentPlan, NoiseModel, _float_from_bits, _least,
+                                  _rank_counts, _slots, _slots_in_place, _thresholds,
                                   analytic_snr, dephasing_contrast, expected_parity,
                                   parity_estimate, required_shots, simulate_shots,
                                   spin_discrimination_snr, swing_threshold)
@@ -284,9 +284,8 @@ def test_threshold_counts_equal_the_per_shot_mapping(p_even, n_ions):
     bits = np.concatenate((np.array([0, TOP - 1, *near], dtype=np.uint64), seeded))
     as_array = np.array(thresholds, dtype=np.uint64)
     for sample in (bits, bits[:2 + len(near)], bits[:0]):
-        below = np.cumsum(np.bincount(_mapped_ranks(sample, p_even, n_class),
-                                      minlength=2 * n_class))[:-1]
-        assert np.array_equal(_count_below(sample, as_array), below)
+        assert np.array_equal(_rank_counts(sample, as_array), np.bincount(
+            _mapped_ranks(sample, p_even, n_class), minlength=2 * n_class))
     # and each threshold is the first integer of its rank
     for r, t in enumerate(thresholds, 1):
         if t > 0:

@@ -1,4 +1,5 @@
 import ast
+from collections import Counter
 from pathlib import Path
 
 import iongradim
@@ -47,22 +48,37 @@ def test_each_kept_import_is_a_traced_site():
     assert _UNUSED_IMPORTS_KEPT <= sites
 
 
-def _unreferenced_private_functions(trees):
-    """Module-level functions named _x that no module refers to outside their own body."""
-    defined, referenced = set(), set()
-    for module, tree in trees.items():
-        for top in tree.body:
-            own = top.name if isinstance(top, ast.FunctionDef) else None
-            if own is not None and own.startswith("_"):
-                defined.add((module, own))
-            for node in ast.walk(top):
-                name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
-                if name != own:
-                    referenced.add(name)
-    return {(module, name) for module, name in defined if name not in referenced}
+def _reads(node):
+    """Each name and attribute that node reads, counted once per read."""
+    return Counter(sub.id if isinstance(sub, ast.Name) else sub.attr for sub in ast.walk(node)
+                   if isinstance(sub, (ast.Name, ast.Attribute)) and isinstance(sub.ctx, ast.Load))
+
+
+def _definitions(tree):
+    """(name, node) of each function, class or constant at a module's top, and of each
+    method of its classes; node is the def, or the constant's assignment."""
+    for top in tree.body:
+        if isinstance(top, (ast.FunctionDef, ast.ClassDef)):
+            yield top.name, top
+        if isinstance(top, ast.ClassDef):
+            yield from ((node.name, node) for node in top.body
+                        if isinstance(node, ast.FunctionDef))
+        if isinstance(top, (ast.Assign, ast.AnnAssign)):
+            targets = top.targets if isinstance(top, ast.Assign) else [top.target]
+            yield from ((target.id, top) for target in targets if isinstance(target, ast.Name))
+
+
+def _unreferenced_private_names(trees):
+    """Private names, dunders aside, that no module reads outside their own definition."""
+    reads = sum((_reads(tree) for tree in trees.values()), Counter())
+    return {(module, name) for module, tree in trees.items()
+            for name, node in _definitions(tree)
+            if name.startswith("_") and not name.startswith("__")
+            and reads[name] == _reads(node)[name]}
 
 
 def test_every_private_function_is_called():
+    # and every private class, module-level constant and method is read
     trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
              for path in Path(iongradim.__file__).parent.glob("*.py")}
-    assert _unreferenced_private_functions(trees) == set()
+    assert _unreferenced_private_names(trees) == set()
