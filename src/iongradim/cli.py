@@ -10,9 +10,10 @@ the key name; frequencies are given in Hz and converted to rad/s internally.
 Outputs are CSV tables (one file per table, scientific notation with 16
 significant digits, `#` provenance header line) plus a provenance file
 carrying the seed, the config hash, and the normalized config echo from
-which the hash can be recomputed. Identical config and seed produce
-byte-identical files. Exit codes: 0 success, 1 config or usage error, 2
-runtime or solver error.
+which the hash can be recomputed. On one machine, identical config and seed
+produce byte-identical files; across machines an output that solves a crystal
+can differ in its last digits with the BLAS kernel (see README). Exit codes:
+0 success, 1 config or usage error, 2 runtime or solver error.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import math
 import os
 import re
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -61,7 +62,7 @@ class ConfigFileError(ConfigurationError):
 
 @dataclass(frozen=True)
 class FieldSpec:
-    kind: str                       # int | float | bool | str
+    kind: str = "float"             # int | float | bool | str
     required: bool = False
     default: object = None
     minimum: float | None = None
@@ -71,79 +72,84 @@ class FieldSpec:
     to: str | None = None           # the ScenarioConfig field a scenario key fills
 
 
-def _f(kind="float", **kw) -> FieldSpec:
-    return FieldSpec(kind=kind, **kw)
+_SCENARIO_DEFAULTS = {f.name: f.default for f in fields(ScenarioConfig)}
+
+
+def _fills(to: str, **kw) -> FieldSpec:
+    """The spec of a scenario key that fills ScenarioConfig.<to>, with that field's default."""
+    return FieldSpec(default=_SCENARIO_DEFAULTS[to], to=to, **kw)
 
 
 _COMMON_FIELDS = {
-    "seed": _f("int", default=0, minimum=0, maximum=2 ** 64 - 1),
-    "output_format": _f("str", default="csv", choices=("csv", "text")),
+    "seed": FieldSpec("int", default=0, minimum=0, maximum=2 ** 64 - 1),
+    "output_format": FieldSpec("str", default="csv", choices=("csv", "text")),
 }
+_G_FACTOR = FieldSpec(default=constants().ca40_g_factor, minimum=0, exclusive_minimum=True)
+_CONTRAST = FieldSpec(default=1.0, minimum=0, maximum=1)
+_FIELD_NOISE = dict.fromkeys(("gradient_rms_t_per_m", "common_mode_rms_t"),
+                             FieldSpec(default=0.0, minimum=0))
 
 _SCENARIO_FIELDS = {
-    "scenario": _f("str", required=True, choices=SCENARIO_KINDS),
-    "axial_frequency_hz": _f(default=10e6, minimum=0, exclusive_minimum=True),
-    "ion_mass_kg": _f(default=DEFAULT_ION_MASS_KG, minimum=0, exclusive_minimum=True),
-    "shots": _f("int", default=10, minimum=1),
-    "interaction_time_s": _f(default=5.0, minimum=0),
-    "bias_phase_rad": _f(default=math.pi / 2),
-    "g_factor": _f(default=constants().ca40_g_factor, minimum=0, exclusive_minimum=True),
-    "preparation_fidelity": _f(default=0.99, minimum=0, maximum=1, to="preparation_fidelity"),
-    "readout_contrast": _f(default=1.0, minimum=0, maximum=1),
-    "gradient_rms_t_per_m": _f(default=0.0, minimum=0),
-    "common_mode_rms_t": _f(default=0.0, minimum=0),
-    "target_snr": _f(default=2.0, minimum=0, exclusive_minimum=True, to="target_snr"),
-    "overhead_s_per_shot": _f(default=1.0, minimum=0, to="overhead_per_shot"),
-    "paper_values": _f("bool", default=False, to="paper_values"),
-    "source_moment_j_per_t": _f(default=None, minimum=0, to="source_moment"),
-    "moment_before_j_per_t": _f(default=None, minimum=0, to="moment_before"),
-    "moment_after_j_per_t": _f(default=None, minimum=0, to="moment_after"),
-    "well_separation_m": _f(default=4.4e-6, minimum=0, exclusive_minimum=True,
-                            to="well_separation"),
-    "probe_spacing_m": _f(default=3.5e-6, minimum=0, exclusive_minimum=True, to="probe_spacing"),
-    "atom_moment_j_per_t": _f(default=None, minimum=0, exclusive_minimum=True, to="atom_moment"),
-    "delta_n": _f("int", default=1, minimum=0, to="delta_n"),
-    "n_ions": _f("int", default=None, minimum=1, maximum=MAX_IONS, to="n_ions"),
+    "scenario": FieldSpec("str", required=True, choices=SCENARIO_KINDS),
+    "axial_frequency_hz": FieldSpec(default=10e6, minimum=0, exclusive_minimum=True),
+    "ion_mass_kg": FieldSpec(default=DEFAULT_ION_MASS_KG, minimum=0, exclusive_minimum=True),
+    "shots": FieldSpec("int", default=10, minimum=1),
+    "interaction_time_s": FieldSpec(default=5.0, minimum=0),
+    "bias_phase_rad": FieldSpec(default=math.pi / 2),
+    "g_factor": _G_FACTOR,
+    "preparation_fidelity": _fills("preparation_fidelity", minimum=0, maximum=1),
+    "readout_contrast": _CONTRAST,
+    **_FIELD_NOISE,
+    "target_snr": _fills("target_snr", minimum=0, exclusive_minimum=True),
+    "overhead_s_per_shot": _fills("overhead_per_shot", minimum=0),
+    "paper_values": _fills("paper_values", kind="bool"),
+    "source_moment_j_per_t": _fills("source_moment", minimum=0),
+    "moment_before_j_per_t": _fills("moment_before", minimum=0),
+    "moment_after_j_per_t": _fills("moment_after", minimum=0),
+    "well_separation_m": _fills("well_separation", minimum=0, exclusive_minimum=True),
+    "probe_spacing_m": _fills("probe_spacing", minimum=0, exclusive_minimum=True),
+    "atom_moment_j_per_t": _fills("atom_moment", minimum=0, exclusive_minimum=True),
+    "delta_n": _fills("delta_n", kind="int", minimum=0),
+    "n_ions": _fills("n_ions", kind="int", minimum=1, maximum=MAX_IONS),
 }
 
 COMMAND_SCHEMAS: dict[str, dict[str, FieldSpec]] = {
     "crystal": {
         **_COMMON_FIELDS,
-        "n_ions": _f("int", required=True, minimum=1, maximum=MAX_IONS),
-        "axial_frequency_hz": _f(required=True, minimum=0, exclusive_minimum=True),
-        "ion_mass_kg": _f(required=True, minimum=0, exclusive_minimum=True),
-        "ion_charge_c": _f(default=constants().elementary_charge,
-                           minimum=0, exclusive_minimum=True),
+        "n_ions": FieldSpec("int", required=True, minimum=1, maximum=MAX_IONS),
+        "axial_frequency_hz": FieldSpec(required=True, minimum=0, exclusive_minimum=True),
+        "ion_mass_kg": FieldSpec(required=True, minimum=0, exclusive_minimum=True),
+        "ion_charge_c": FieldSpec(default=constants().elementary_charge,
+                                  minimum=0, exclusive_minimum=True),
     },
     "field": {
         **_COMMON_FIELDS,
-        "source_moment_j_per_t": _f(required=True),
-        "source_z_m": _f(default=0.0),
-        "z_start_m": _f(required=True),
-        "z_stop_m": _f(required=True),
-        "n_points": _f("int", default=101, minimum=2, maximum=100000),
-        "pair_z1_m": _f(default=None),
-        "pair_z2_m": _f(default=None),
+        "source_moment_j_per_t": FieldSpec(required=True),
+        "source_z_m": FieldSpec(default=0.0),
+        "z_start_m": FieldSpec(required=True),
+        "z_stop_m": FieldSpec(required=True),
+        "n_points": FieldSpec("int", default=101, minimum=2, maximum=100000),
+        "pair_z1_m": FieldSpec(),
+        "pair_z2_m": FieldSpec(),
     },
     "protocol": {
         **_COMMON_FIELDS,
-        "delta_b_t": _f(required=True),
-        "g_factor": _f(default=constants().ca40_g_factor, minimum=0, exclusive_minimum=True),
-        "contrast": _f(default=1.0, minimum=0, maximum=1),
-        "duration_s": _f(required=True, minimum=0),
-        "n_steps": _f("int", default=101, minimum=2, maximum=100000),
+        "delta_b_t": FieldSpec(required=True),
+        "g_factor": _G_FACTOR,
+        "contrast": _CONTRAST,
+        "duration_s": FieldSpec(required=True, minimum=0),
+        "n_steps": FieldSpec("int", default=101, minimum=2, maximum=100000),
     },
     "montecarlo": {
         **_COMMON_FIELDS,
-        "shots": _f("int", required=True, minimum=1),
-        "interaction_time_s": _f(required=True, minimum=0),
-        "delta_b_t": _f(required=True),
-        "bias_phase_rad": _f(default=0.0),
-        "g_factor": _f(default=constants().ca40_g_factor, minimum=0, exclusive_minimum=True),
-        "contrast": _f(default=1.0, minimum=0, maximum=1),
-        "gradient_rms_t_per_m": _f(default=0.0, minimum=0),
-        "common_mode_rms_t": _f(default=0.0, minimum=0),
-        "probe_spacing_m": _f(default=1.03e-6, minimum=0, exclusive_minimum=True),
+        "shots": FieldSpec("int", required=True, minimum=1),
+        "interaction_time_s": FieldSpec(required=True, minimum=0),
+        "delta_b_t": FieldSpec(required=True),
+        "bias_phase_rad": FieldSpec(default=0.0),
+        "g_factor": _G_FACTOR,
+        "contrast": _CONTRAST,
+        **_FIELD_NOISE,
+        "probe_spacing_m": FieldSpec(default=1.03e-6, minimum=0, exclusive_minimum=True),
     },
     "scenario": {**_COMMON_FIELDS, **_SCENARIO_FIELDS},
 }
@@ -303,10 +309,17 @@ def config_hash(echo: str) -> str:
 # ---------------------------------------------------------------------------
 # command execution
 
+_TRAJECTORY_COLUMNS = ("time_s", "phase_rad", "parity")
+
+
+def _trap(params: dict, **charge) -> TrapConfig:
+    """The trap of axial_frequency_hz, converted from Hz to rad/s, and ion_mass_kg."""
+    return TrapConfig(axial_frequency=2.0 * math.pi * params["axial_frequency_hz"],
+                      ion_mass=params["ion_mass_kg"], **charge)
+
+
 def _execute_crystal(params: dict, seed: int) -> tuple[tuple[Table, ...], tuple[str, ...]]:
-    trap = TrapConfig(axial_frequency=2.0 * math.pi * params["axial_frequency_hz"],
-                      ion_mass=params["ion_mass_kg"],
-                      ion_charge=params["ion_charge_c"])
+    trap = _trap(params, ion_charge=params["ion_charge_c"])
     geometry = equilibrium_positions(params["n_ions"], trap)
     n = geometry.n_ions
     positions = Table("positions", ("ion_index", "z_m"), tuple(enumerate(geometry.positions)))
@@ -366,7 +379,7 @@ def _execute_protocol(params: dict, seed: int) -> tuple[tuple[Table, ...], tuple
     rate = phase_rate(probe, zeeman, (0.0, params["delta_b_t"]))
     rows = parity_trajectory(rate, probe.contrast, params["duration_s"], params["n_steps"])
     t_pi = pi_time(rate)
-    tables = (Table("parity_trajectory", ("time_s", "phase_rad", "parity"), rows),
+    tables = (Table("parity_trajectory", _TRAJECTORY_COLUMNS, rows),
               Table("summary", ("phase_rate_rad_per_s", "t_pi_s"), ((rate, t_pi),)))
     return tables, (f"time to a pi phase rotation: {t_pi:.4f} s",)
 
@@ -389,10 +402,8 @@ def _execute_montecarlo(params: dict, seed: int) -> tuple[tuple[Table, ...], tup
 
 
 def _execute_scenario(params: dict, seed: int) -> tuple[tuple[Table, ...], tuple[str, ...]]:
-    trap = TrapConfig(axial_frequency=2.0 * math.pi * params["axial_frequency_hz"],
-                      ion_mass=params["ion_mass_kg"])
     config = ScenarioConfig(
-        params["scenario"], trap, *_shot_inputs(params, seed, "readout_contrast"),
+        params["scenario"], _trap(params), *_shot_inputs(params, seed, "readout_contrast"),
         **{spec.to: params[key] for key, spec in _SCENARIO_FIELDS.items() if spec.to})
     report = run_scenario(config)
     tables = [
@@ -401,8 +412,7 @@ def _execute_scenario(params: dict, seed: int) -> tuple[tuple[Table, ...], tuple
         Table("estimation", ("quantity", "value"), tuple(report.estimation.items())),
     ]
     for label, rows in report.trajectories:
-        tables.append(Table(f"parity_trajectory_{label}", ("time_s", "phase_rad", "parity"),
-                            rows))
+        tables.append(Table(f"parity_trajectory_{label}", _TRAJECTORY_COLUMNS, rows))
     return tuple(tables), report.annotations
 
 
@@ -606,7 +616,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=None,
                         help="override the config seed (64-bit unsigned)")
     parser.add_argument("--out", default=".", help="output directory")
-    parser.add_argument("--format", choices=("csv", "text"), default=None,
+    parser.add_argument("--format", choices=_COMMON_FIELDS["output_format"].choices,
                         help="override the config output format")
     parser.add_argument("--paper-values", choices=("on", "off"), default=None,
                         help="scenario runs: use published reference values "

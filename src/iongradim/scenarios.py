@@ -38,7 +38,6 @@ THREE_ION_SPIN = "three_ion_spin"
 MOLECULAR_STATE_CHANGE = "molecular_state_change"
 DOUBLE_WELL = "double_well"
 GHZ_CHAIN = "ghz_chain"
-SCENARIO_KINDS = (THREE_ION_SPIN, MOLECULAR_STATE_CHANGE, DOUBLE_WELL, GHZ_CHAIN)
 
 MODE_COMPUTED = "computed"
 MODE_PAPER = "paper-values"
@@ -72,11 +71,11 @@ class ScenarioConfig:
     # molecular_state_change:
     moment_before: float | None = None   # J/T
     moment_after: float | None = None    # J/T
-    # double_well:
-    well_separation: float | None = None  # m
-    probe_spacing: float | None = None    # m
-    atom_moment: float | None = None      # J/T per excess atom
-    delta_n: int | None = None            # atom-number imbalance
+    # double_well, by default the published geometry (configs/double_well.cfg):
+    well_separation: float = 4.4e-6      # m
+    probe_spacing: float = 3.5e-6        # m
+    atom_moment: float | None = None     # J/T per excess atom
+    delta_n: int = 1                     # atom-number imbalance
     # ghz_chain:
     n_ions: int | None = None
 
@@ -92,7 +91,8 @@ class ScenarioConfig:
         for name in ("source_moment", "moment_before", "moment_after",
                      "well_separation", "probe_spacing", "atom_moment"):
             value = getattr(self, name)
-            if value is not None and not (0 <= value < math.inf):
+            # a moment may be None (unset, or defaulted at run time); a length may not
+            if not (0 <= value < math.inf if value is not None else "moment" in name):
                 raise ConfigurationError(f"{name} must be finite and >= 0, got {value}")
         if self.atom_moment == 0:
             raise ConfigurationError("atom_moment must be > 0")
@@ -101,16 +101,13 @@ class ScenarioConfig:
                 raise ConfigurationError(
                     "molecular_state_change needs moment_before and moment_after")
         if self.kind == DOUBLE_WELL:
-            if self.well_separation is None or self.probe_spacing is None:
-                raise ConfigurationError(
-                    "double_well needs well_separation and probe_spacing")
             if self.well_separation <= 0 or self.probe_spacing <= 0:
                 raise ConfigurationError("double-well geometry must be positive")
             if self.probe_spacing >= self.well_separation:
                 raise ConfigurationError(
                     "probe pair must fit inside the double well "
                     f"(spacing {self.probe_spacing} >= separation {self.well_separation})")
-            if self.delta_n is None or not isinstance(self.delta_n, int) or self.delta_n < 0:
+            if not isinstance(self.delta_n, int) or self.delta_n < 0:
                 raise ConfigurationError("delta_n must be an integer >= 0")
             try:   # the runner scales the atom moment and the paper-values field by it
                 float(self.delta_n)
@@ -510,6 +507,7 @@ _RUNNERS = {
     DOUBLE_WELL: run_double_well,
     GHZ_CHAIN: run_ghz_chain,
 }
+SCENARIO_KINDS = tuple(_RUNNERS)
 
 
 def run_scenario(config: ScenarioConfig) -> ScenarioReport:

@@ -150,8 +150,8 @@ def _accepted_scenario(values):
             "n_ions": 5 if values["scenario"] == "ghz_chain" else values["n_ions"]}
 
 
-# Where the trap builder of cli._execute_scenario and cli._shot_inputs put each
-# scenario key they read; every other key names its field in its FieldSpec's `to`.
+# Where cli._execute_scenario puts each key it reads for the kind, cli._trap and
+# cli._shot_inputs; every other key names its field in its FieldSpec's `to`.
 _BUILT_SCENARIO_KEYS = {
     "seed": "plan.rng_seed", "scenario": "kind", "axial_frequency_hz": "trap.axial_frequency",
     "ion_mass_kg": "trap.ion_mass", "g_factor": "zeeman.g_factor",

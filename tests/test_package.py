@@ -2,6 +2,8 @@ import ast
 from collections import Counter
 from pathlib import Path
 
+import pytest
+
 import iongradim
 from test_bench_targets import _load_tracing
 
@@ -82,3 +84,11 @@ def test_every_private_function_is_called():
     trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
              for path in Path(iongradim.__file__).parent.glob("*.py")}
     assert _unreferenced_private_names(trees) == set()
+
+
+def test_project_version_is_the_package_version():
+    # every output header carries __version__; pyproject.toml states it to installers
+    tomllib = pytest.importorskip("tomllib")   # Python 3.11+
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    with pyproject.open("rb") as file:
+        assert tomllib.load(file)["project"]["version"] == iongradim.__version__

@@ -178,3 +178,26 @@ def test_figures_of_the_code_constants():
             f"the two largest finite floats, {float(largest)!r} and the one below it, both "
             f"print as `{printed}`, which is above the largest float and parses back as inf."):
         assert text in prose, text
+
+
+def test_command_table_keys_are_schema_keys():
+    text = README.read_text(encoding="utf-8")
+    table = text.split("Commands and their main keys:", 1)[1].split("\n\n")[1]
+    rows = {command.strip(" `"): keys for command, keys in
+            (line.split("|")[1:3] for line in table.splitlines() if line.startswith("| `"))}
+    assert list(rows) == list(cli.COMMAND_SCHEMAS)
+    for command, keys in rows.items():
+        listed = re.findall(r"`(\w+)`", re.sub(r"\(.*?\)", "", keys))   # (values) aside
+        assert listed and set(listed) <= set(cli.COMMAND_SCHEMAS[command]), command
+    kinds = re.findall(r"`(\w+)`", re.search(r"\((.*?)\)", rows["scenario"]).group(1))
+    assert tuple(kinds) == scenarios.SCENARIO_KINDS
+
+
+def test_flags_sentence_names_the_parser_options():
+    sentence = re.search(r"Flags: (.*?)\.\s", _prose()).group(1)
+    flags = dict(re.findall(r"`(--[a-z-]+) ?([^`]*)`", sentence))
+    options = {action.option_strings[-1]: action for action in cli._PARSER._actions}
+    assert set(flags) == set(options) - {"--help"}
+    for flag, argument in flags.items():   # a|b lists the flag's choices
+        if "|" in argument:
+            assert tuple(argument.split("|")) == tuple(options[flag].choices), flag

@@ -168,8 +168,6 @@ def test_molecular_has_both_trajectories():
 # double well
 
 def dw_config(delta_n=1, paper_values=True, shots=10, t=2.5, **kw):
-    kw.setdefault("well_separation", 4.4e-6)
-    kw.setdefault("probe_spacing", 3.5e-6)
     return base_config(DOUBLE_WELL, paper_values=paper_values, shots=shots, t=t,
                        delta_n=delta_n, **kw)
 
@@ -212,6 +210,25 @@ def test_double_well_field_is_linear_in_the_imbalance(separation, share, atom_mo
     size = sum(abs(axial_bz(source, z)) for z in (-share * separation / 2.0,
                                                    share * separation / 2.0))
     assert abs(field(delta_n) - delta_n * field(1)) <= LINEARITY_BOUND * delta_n * size
+
+
+@pytest.mark.parametrize("paper_values", [False, True])
+def test_double_well_defaults_to_the_published_geometry(paper_values):
+    # configs/double_well.cfg's wells 4.4 um apart, probes 3.5 um apart and one excess atom
+    given = base_config(DOUBLE_WELL, paper_values=paper_values, t=2.5)
+    spelled = dataclasses.replace(given, well_separation=4.4e-6, probe_spacing=3.5e-6,
+                                  delta_n=1)
+    assert given == spelled
+    report, expected = run_double_well(given), run_double_well(spelled)
+    assert report.geometry["well_separation_m"] == 4.4e-6
+    assert report.geometry["probe_spacing_m"] == 3.5e-6
+    assert report.estimation["delta_n"] == 1.0
+    assert dataclasses.replace(report, trajectories=()) == dataclasses.replace(
+        expected, trajectories=())
+    assert [label for label, _ in report.trajectories] == [
+        label for label, _ in expected.trajectories]
+    for (_, rows), (_, expected_rows) in zip(report.trajectories, expected.trajectories):
+        assert rows.tobytes() == expected_rows.tobytes()
 
 
 def test_double_well_probe_wider_than_wells_rejected():
@@ -418,10 +435,8 @@ def test_config_rejects_non_finite_or_negative_inputs(name, value):
      "preparation_fidelity must be in [0, 1]"),
     (lambda: base_config(MOLECULAR_STATE_CHANGE, moment_before=MU_E),
      "molecular_state_change needs moment_before and moment_after"),
-    (lambda: dw_config(well_separation=None),
-     "double_well needs well_separation and probe_spacing"),
-    (lambda: dw_config(probe_spacing=None),
-     "double_well needs well_separation and probe_spacing"),
+    (lambda: dw_config(well_separation=None), "well_separation must be finite and >= 0, got None"),
+    (lambda: dw_config(probe_spacing=None), "probe_spacing must be finite and >= 0, got None"),
     (lambda: dw_config(well_separation=0.0), "double-well geometry must be positive"),
     (lambda: dw_config(probe_spacing=0.0), "double-well geometry must be positive"),
     (lambda: dw_config(delta_n=-1), "delta_n must be an integer >= 0"),
