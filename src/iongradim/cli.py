@@ -477,12 +477,11 @@ def _row_lines(rows, sep: str):
 # then a fraction of its _csv_cell cost: on one 2- or 3-column table the kernel
 # overtakes _row_lines at about 48 cells and is 1.4-2.2x faster from 72 to 120.
 _KERNEL_MIN_CELLS = 128
-_NEWLINE = _format.ascii_words([[ord("\n"), 0, 0, 0]])[0]
 
 
-def _lead_word(text: str) -> np.uint32:
-    """The word that ORs text (at most 2 ASCII characters) into a cell's lead bytes."""
-    return _format.ascii_words([[*text.encode("ascii").ljust(2, b"\0"), 0, 0]])[0]
+def _word(text: str) -> np.uint32:
+    """text (at most 4 ASCII characters) as one native uint32 word, NUL-padded."""
+    return np.frombuffer(text.encode("ascii").ljust(4, b"\0"), np.uint32)[0]
 
 
 def _table_lines(tables, sep: str, lead: str) -> list:
@@ -490,42 +489,38 @@ def _table_lines(tables, sep: str, lead: str) -> list:
     lead + sep.join(map(_csv_cell, row)); sep and lead hold at most 2 characters.
 
     Array tables of at least _KERNEL_MIN_CELLS cells are formatted by one
-    _format.e15_words call for the whole bundle. Each cell fills 24 bytes,
-    its two lead bytes holding its separator or the line's lead, and each
-    row one more word holding its newline; NULs pad. A table's NULs are
-    stripped and its text decoded as one string, which is split into lines
-    only to write again, by _row_lines, each row that holds a cell the
-    kernel did not prove. Every other table goes through _row_lines.
+    _format.e15_words call for the whole bundle, and each cell the kernel
+    did not prove by str.format over its own 24 bytes, which every
+    '{:.15e}' text fits (the longest has 23 characters). Each cell then
+    takes 7 words: one holding what comes before it (the line's lead, a
+    newline and the lead, or the separator) and its 6 words of text; NULs
+    pad. A table's NULs are stripped and its text decoded as one string.
+    Every other table goes through _row_lines.
     """
     out = [_row_lines(t.rows, sep) if not lead
            else (lead + line for line in _row_lines(t.rows, sep)) for t in tables]
     if not _format.LONG_DOUBLE_OK:
         return out
-    picked = [(i, *t.rows.shape) for i, t in enumerate(tables)
+    picked = [(i, t.rows.size, t.rows.shape[1]) for i, t in enumerate(tables)
               if isinstance(t.rows, np.ndarray) and t.rows.size >= _KERNEL_MIN_CELLS]
     if not picked:
         return out
-    words, fallback = _format.e15_words(
-        np.concatenate([tables[i].rows.ravel() for i, _, _ in picked]))
-    cell = 0
-    for i, n, width in picked:
-        cells = slice(cell, cell + n * width)
-        cell += n * width
-        region = np.empty((n, 6 * width + 1), np.uint32)
-        region[:, :-1] = words[cells].reshape(n, 6 * width)
-        region[:, -1] = _NEWLINE
-        region[-1, -1] = 0
-        region[:, 0] |= _lead_word(lead)
-        region[:, 6:-1:6] |= _lead_word(sep)
-        text = region.tobytes().translate(None, b"\0").decode("ascii")
-        redo = np.flatnonzero(fallback[cells].reshape(n, width).any(axis=1)).tolist()
-        if not redo:
-            out[i] = [text]
-            continue
-        lines = text.split("\n")
-        for r, line in zip(redo, _row_lines(tables[i].rows[redo], sep)):
-            lines[r] = lead + line
-        out[i] = lines
+    values = np.concatenate([tables[i].rows.ravel() for i, _, _ in picked])
+    words, fallback = _format.e15_words(values)
+    redo = np.flatnonzero(fallback)
+    texts = np.array(list(map("{:.15e}".format, values[redo].tolist())), "S24")
+    words[redo] = texts.view(np.uint32).reshape(-1, 6)
+    cells = np.empty((values.size, 7), np.uint32)
+    cells[:, 0] = _word(sep)
+    cells[:, 1:] = words
+    first, line_start = _word(lead), _word("\n" + lead)
+    start = 0
+    for i, size, width in picked:
+        table = cells[start:start + size]
+        start += size
+        table[::width, 0] = line_start
+        table[0, 0] = first
+        out[i] = [table.tobytes().translate(None, b"\0").decode("ascii")]
     return out
 
 
@@ -569,7 +564,8 @@ def emit(bundle: ResultBundle, output_format: str, out_dir: str | Path) -> list[
     new bytes followed by the file's old ones.
     """
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    if not out.is_dir():   # one stat; mkdir on an existing directory raises and catches
+        out.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
     if output_format == "csv":
         for table, rows in zip(bundle.tables, _table_lines(bundle.tables, ",", "")):
@@ -628,6 +624,8 @@ _PARSER = _build_parser()   # argparse keeps no state between parse_args calls
 
 
 def _configure_logging() -> None:
+    if logging.root.handlers:   # basicConfig would do nothing
+        return
     level_name = os.environ.get("IONGRADIM_LOG", "WARNING").upper()
     level = getattr(logging, level_name, None)
     if not isinstance(level, int):
@@ -642,8 +640,9 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:   # argparse has printed the help or the usage error
         return EXIT_OK if exc.code == 0 else EXIT_CONFIG
     try:
-        text = Path(args.config).read_text(encoding="utf-8")
-    except OSError as exc:
+        with open(args.config, "rb") as config:
+            text = config.read().decode("utf-8")   # parse_config's splitlines takes \r\n and \r
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     try:

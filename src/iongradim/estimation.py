@@ -684,8 +684,12 @@ def required_shots(target_snr: float, parity_swing: float) -> int:
     """Smallest per-hypothesis shot count whose analytic SNR meets the target.
 
     analytic_snr is non-decreasing in shots, so the count is the least one
-    that meets the target, searched from 1 by doubling; infeasible when no
-    count that fits a float does.
+    that meets the target, searched from the real-arithmetic root
+    2 (T/s)^2 (1 - s^2/4); infeasible when no count that fits a float does.
+    T/s cannot divide by zero, since s > 0, and an overflow of the root to
+    inf is clamped to _MAX_SHOTS like any other start; the factor 1 - s^2/4,
+    which is 0 at s = 2, is taken before T/s squares, so inf * 0 cannot make
+    a nan.
     """
     if not (0 < target_snr < math.inf):
         raise ConfigurationError(f"target_snr must be finite and > 0, got {target_snr}")
@@ -693,7 +697,10 @@ def required_shots(target_snr: float, parity_swing: float) -> int:
         raise InfeasibleError("parity swing is zero: no shot count reaches the target SNR")
     if not parity_swing <= 2:
         raise ConfigurationError(f"parity swing must be a number <= 2, got {parity_swing}")
-    shots = _least(lambda n: analytic_snr(n, parity_swing) >= target_snr, 0, _MAX_SHOTS, 1)
+    ratio = target_snr / parity_swing
+    root = 2.0 * ratio * (ratio * (1.0 - parity_swing * parity_swing / 4.0))
+    shots = _least(lambda n: analytic_snr(n, parity_swing) >= target_snr, 0, _MAX_SHOTS,
+                   int(min(max(root, 1.0), _MAX_SHOTS)))
     if not target_snr <= analytic_snr(shots, parity_swing) < math.inf:
         raise InfeasibleError(f"no shot count that fits a float reaches SNR {target_snr} "
                               f"at parity swing {parity_swing}")

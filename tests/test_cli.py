@@ -2,6 +2,7 @@ import contextlib
 import errno
 import functools
 import io
+import json
 import math
 import os
 import random
@@ -423,6 +424,28 @@ def test_emit_matches_per_cell_formatting(tmp_path, monkeypatch):
         assert calls == ([kernel_cells] * 2 if route == "kernel" else []), route
 
 
+# Cells the kernel does not prove: the two longest '{:.15e}' texts (23
+# characters), nan, +-inf and an exact tie; and -0.0, which it writes itself.
+_UNPROVEN = (-1e-300, -1.7976931348623157e308, math.nan, math.inf, -math.inf, _TIE)
+
+
+@pytest.mark.parametrize("spread", [False, True])
+def test_unproven_cells_are_written_in_their_own_slots(spread):
+    r = np.random.default_rng(24)
+    cells = list(_UNPROVEN) + [-0.0]
+    width = 3 if spread else len(cells)
+    rows = r.uniform(-1e3, 1e3, (cli._KERNEL_MIN_CELLS // width + 2, width))
+    for k, value in enumerate(cells):   # all in row 1, or one to a row from row 1 down
+        rows[(1 + k, k % width) if spread else (1, k)] = value
+    _, fallback = _format.e15_words(rows.ravel())
+    assert fallback.sum() >= len(_UNPROVEN)
+    for sep, lead in ((",", ""), ("  ", "  ")):
+        [lines] = cli._table_lines((Table("t", tuple("abcdefg"[:width]), rows),), sep, lead)
+        assert len(lines) == 1   # the whole table, in one piece
+        assert lines[0] == "\n".join(lead + sep.join(map("{:.15e}".format, row))
+                                  for row in rows.tolist())
+
+
 # ---------------------------------------------------------------------------
 # the array kernel for all-float tables: '{:.15e}' byte for byte
 
@@ -552,6 +575,19 @@ def test_exit_codes(tmp_path):
                                "axial_frequency_hz = 1e6\nion_mass_kg = 1e-26\n",
                      name="bad.cfg")
     assert main(["--config", str(bad), "--out", str(tmp_path / "x")]) == 1
+
+
+def test_config_that_is_not_utf8_is_a_config_error(tmp_path, capsys):
+    cfg = tmp_path / "latin1.cfg"
+    cfg.write_bytes(("# café\n" + CRYSTAL_CFG).encode("latin-1"))
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [
+        "error: cannot read config: 'utf-8' codec can't decode byte 0xe9 in position 5: "
+        "invalid continuation byte"]
+    assert "Traceback" not in captured.err and captured.out == ""
+    assert not out.exists()
 
 
 # Finite config values whose fields, phase rate, accumulated phase or trap
@@ -768,11 +804,12 @@ _CLI_TARGETS = [(command, None) for command in sorted(cli.COMMAND_SCHEMAS) if co
 _CLI_TARGETS += [("scenario", kind) for kind in sorted(_KIND_KEYS)]
 
 
-def _run_main(text):
-    """(exit code, stderr lines, {file name: bytes}) of one main call into a fresh
-    directory; a warning counts as a line of stderr."""
+def _run_main(data):
+    """(exit code, stderr lines, {file name: bytes}) of one main call on the
+    config bytes, into a fresh directory; a warning counts as a line of stderr."""
     with tempfile.TemporaryDirectory() as tmp:
-        cfg, out = _write_cfg(Path(tmp), text), Path(tmp, "out")
+        cfg, out = Path(tmp, "run.cfg"), Path(tmp, "out")
+        cfg.write_bytes(data)
         err = io.StringIO()
         with warnings.catch_warnings(record=True) as caught, \
                 contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
@@ -782,21 +819,33 @@ def _run_main(text):
     return code, err.getvalue().splitlines() + [str(w.message) for w in caught], files
 
 
-@example(LINSPACE_OVERFLOW_CONFIGS["protocol_duration"])
-@example(LINSPACE_OVERFLOW_CONFIGS["field_stop"])
-@example(LINSPACE_OVERFLOW_CONFIGS["field_stop_from_the_source"])
-@given(st.sampled_from(_CLI_TARGETS).flatmap(
-    lambda target: st.tuples(st.just(target[0]), _cli_values(*target))))
-def test_every_drawn_config_ends_cleanly(drawn):
-    text = _config_file(*drawn)
-    code, err, files = _run_main(text)
+_LINE_ENDS = ("\n", "\r\n", "\r")
+
+
+@example(drawn=LINSPACE_OVERFLOW_CONFIGS["protocol_duration"], ending="\n", latin1=False)
+@example(drawn=LINSPACE_OVERFLOW_CONFIGS["field_stop"], ending="\r\n", latin1=False)
+@example(drawn=LINSPACE_OVERFLOW_CONFIGS["field_stop_from_the_source"], ending="\r",
+         latin1=False)
+@given(drawn=st.sampled_from(_CLI_TARGETS).flatmap(
+    lambda target: st.tuples(st.just(target[0]), _cli_values(*target))),
+    ending=st.sampled_from(_LINE_ENDS), latin1=st.booleans())
+def test_every_drawn_config_ends_cleanly(drawn, ending, latin1):
+    # each config with LF, CRLF or CR line ends, and some with a Latin-1
+    # comment, which is not UTF-8
+    data = _config_file(*drawn).replace("\n", ending).encode("ascii")
+    if latin1:
+        data = f"# café{ending}".encode("latin-1") + data
+    code, err, files = _run_main(data)
     assert code in (0, 1, 2), (code, err)
-    if code == 0:
+    if latin1:
+        assert code == 1 and len(err) == 1, (code, err)
+        assert err[0].startswith("error: cannot read config: ") and files == {}, err
+    elif code == 0:
         assert err == [] and files
     else:
         assert len(err) == 1 and err[0].startswith(("config error: ", "runtime error: ")), err
         assert files == {}
-    assert _run_main(text) == (code, err, files)
+    assert _run_main(data) == (code, err, files)
 
 
 def test_unallocatable_shot_count_is_a_config_error(tmp_path, capsys):
@@ -909,6 +958,52 @@ def test_paper_values_flag_on_a_crystal_run_is_ignored_with_a_warning(tmp_path, 
     assert plain == sorted(p.name for p in (tmp_path / "flag").iterdir())
     for name in plain:
         assert (tmp_path / "flag" / name).read_bytes() == (tmp_path / "plain" / name).read_bytes()
+
+
+# Runs main once per JSON argument list, after a logging setup of its own if
+# asked, and prints the exit codes, then the root logger's handlers, level and
+# format.
+_MAIN_AND_LOG_STATE = """\
+import json, logging, sys
+from iongradim.cli import main
+if sys.argv[1] == "configured":
+    logging.basicConfig(level=logging.ERROR, format="%(message)s")
+print([main(argv) for argv in json.loads(sys.argv[2])])
+root = logging.root
+print([type(h).__name__ for h in root.handlers], logging.getLevelName(root.level),
+      root.handlers[0].formatter._fmt)
+"""
+
+
+@pytest.mark.parametrize("level, shown", [
+    ("debug", ["WARNING iongradim.cli: --paper-values only applies to scenario runs; ignored",
+               "INFO iongradim.cli: executing command 'crystal' (seed 0)",
+               "DEBUG iongradim.crystal: equilibrium n=3 converged: residual "]),
+    ("loud", ["WARNING iongradim.cli: --paper-values only applies to scenario runs; ignored"]),
+])
+def test_iongradim_log_sets_the_level_in_a_fresh_interpreter(tmp_path, fresh_python,
+                                                             monkeypatch, level, shown):
+    # an unknown level name ("loud") falls back to WARNING
+    monkeypatch.setenv("IONGRADIM_LOG", level)
+    run = ["--config", str(CONFIG_DIR / "crystal_three_ion.cfg"), "--out", str(tmp_path),
+           "--paper-values", "on"]
+    result = fresh_python(_MAIN_AND_LOG_STATE, "fresh", json.dumps([run]))
+    assert result.returncode == 0, result.stderr
+    err = result.stderr.splitlines()
+    assert len(err) == len(shown) and all(map(str.startswith, err, shown)), err
+    assert result.stdout.splitlines()[-2:] == [   # after the written paths
+        "[0]", f"['StreamHandler'] {'DEBUG' if level == 'debug' else 'WARNING'} "
+               "%(levelname)s %(name)s: %(message)s"]
+
+
+def test_main_leaves_a_configured_root_logger_as_it_is(tmp_path, fresh_python, monkeypatch):
+    monkeypatch.setenv("IONGRADIM_LOG", "debug")
+    cfg = str(CONFIG_DIR / "crystal_three_ion.cfg")
+    runs = [["--config", cfg, "--out", str(tmp_path / "out")]] * 2
+    result = fresh_python(_MAIN_AND_LOG_STATE, "configured", json.dumps(runs))
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-2:] == ["[0, 0]", "['StreamHandler'] ERROR %(message)s"]
+    assert result.stderr == ""
 
 
 def test_seed_flag_overrides_config(tmp_path):

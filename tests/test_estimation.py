@@ -844,6 +844,37 @@ def test_swing_threshold_and_required_shots_equal_a_full_bisection(monkeypatch):
         assert got == (want if target <= analytic_snr(want, swing) < math.inf else None)
 
 
+def test_required_shots_starts_at_the_closed_form(monkeypatch):
+    # on the paper-scale grid the search starts at or next to its answer, so a
+    # call asks analytic_snr about two counts and checks the answer with a
+    # third; a search from 1 made 46.6 calls per call here
+    r = np.random.default_rng(23)
+    targets = 10.0 ** r.uniform(-1.0, 2.0, 3000)
+    swings = 2.0 * 10.0 ** r.uniform(-6.0, 0.0, 3000)
+    calls = []
+    monkeypatch.setattr(estimation, "analytic_snr",
+                        lambda n, s: calls.append(1) or analytic_snr(n, s))
+    for target, swing in zip(targets.tolist(), swings.tolist()):
+        assert required_shots(target, swing) == _bisected(
+            lambda n: analytic_snr(n, swing) >= target, 0, _MAX_SHOTS), (target, swing)
+    assert len(calls) <= 3 * targets.size
+    # a root past every float count is clamped, and the search ends infeasible;
+    # at a swing of 2 the root is 0 even where (T/s)^2 alone overflows to inf
+    for target, swing in ((3.0, 1e-200), (1e300, 1e-300), (1e155, 2.0), (1e300, 2.0),
+                          (1.7e308, 2.0)):
+        want = _bisected(lambda n: analytic_snr(n, swing) >= target, 0, _MAX_SHOTS)
+        try:
+            got = required_shots(target, swing)
+        except InfeasibleError:
+            got = None
+        assert got == (want if target <= analytic_snr(want, swing) < math.inf else None), (
+            target, swing)
+    assert required_shots(1e155, 2.0) > 1e155
+    for target, swing in ((3.0, 1e-200), (1e300, 1e-300), (1e300, 2.0), (1.7e308, 2.0)):
+        with pytest.raises(InfeasibleError, match="no shot count"):
+            required_shots(target, swing)
+
+
 # ---------------------------------------------------------------------------
 # required_shots
 

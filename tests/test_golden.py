@@ -493,6 +493,29 @@ def test_rerun_over_stale_files_leaves_the_golden_bytes(tmp_path, name, fmt, sta
         assert max(path.stat().st_size for path in out.iterdir()) < len(stale_bytes)
 
 
+SHIPPED = sorted((path.stem, fmt) for path in CONFIG_DIR.glob("*.cfg") for fmt in ("csv", "text"))
+
+
+@pytest.mark.parametrize("ending", ["\r\n", "\r"])
+@pytest.mark.parametrize("name, fmt", SHIPPED)
+def test_crlf_and_cr_line_ends_leave_the_golden_bytes(tmp_path, name, fmt, ending):
+    config = tmp_path / f"{name}.cfg"
+    config.write_bytes(_config_text(name).replace("\n", ending).encode("utf-8"))
+    out = tmp_path / "out"
+    assert main(["--config", str(config), "--out", str(out), "--format", fmt]) == 0
+    assert _file_digests(out) == GOLDEN[(name, fmt)]
+
+
+@pytest.mark.parametrize("name, fmt", SHIPPED)
+def test_missing_nested_out_and_a_rerun_into_it_write_the_golden_bytes(tmp_path, name, fmt):
+    config = tmp_path / f"{name}.cfg"
+    config.write_text(_config_text(name), encoding="utf-8")
+    out = tmp_path / "a" / "b" / "out"
+    for _ in range(2):   # the first run makes the directories, the second finds them
+        assert main(["--config", str(config), "--out", str(out), "--format", fmt]) == 0
+        assert _file_digests(out) == GOLDEN[(name, fmt)]
+
+
 # numpy's dispatch to the x86-64-v3 and v4 (AVX2, AVX-512) loops switched off:
 # every ufunc runs its baseline build
 BASELINE_DISPATCH = "X86_V3 X86_V4 AVX512_ICL AVX512_SPR"
