@@ -26,6 +26,7 @@ import os
 import re
 import sys
 from dataclasses import dataclass, field, fields, replace
+from itertools import chain, islice
 from pathlib import Path
 
 import numpy as np
@@ -456,26 +457,54 @@ def format_number(value) -> str:
 
 def _csv_cell(value) -> str:
     if isinstance(value, str):
-        if any(ch in value for ch in (",", '"', "\n")):
+        if "," in value or '"' in value or "\n" in value:
             return '"' + value.replace('"', '""') + '"'
         return value
     return format_number(value)
 
 
-def _row_lines(rows, sep: str):
-    """Each row as sep.join(map(_csv_cell, row)); an array's rows are taken
-    as lists of Python floats."""
+# The '%' spec whose text is format_number's for a cell of exactly this type:
+# '%.15e' % x is f"{float(x):.15e}" and '%d' % n is str(int(n)). A cell of any
+# other type, bool among them, goes in as its _csv_cell text under '%s'.
+_SPECS = {float: "%.15e", np.float64: "%.15e", int: "%d", np.int64: "%d"}
+
+
+def _row_lines(rows, sep: str, lead: str) -> list[str]:
+    """The rows' lines, each lead + sep.join(map(_csv_cell, row)), "\\n"-joined
+    into one string by one '%' call; no string for no rows. An array's rows
+    are taken as lists of Python floats.
+
+    The template holds each cell's spec (_SPECS) after the lead or a
+    separator: the first row's specs, repeated, when every row has them. A
+    cell's text is an argument, never part of the template, so a '%' in a
+    string cell is written as it is.
+    """
     if isinstance(rows, np.ndarray):
         rows = rows.tolist()
-    return (sep.join(map(_csv_cell, row)) for row in rows)
+    if not rows:
+        return []
+    cells = list(chain.from_iterable(rows))
+    specs = list(map(_SPECS.get, map(type, cells)))
+    if None in specs:
+        for i in [i for i, spec in enumerate(specs) if spec is None]:
+            specs[i], cells[i] = "%s", _csv_cell(cells[i])
+    width = len(rows[0])
+    if specs[:width] * len(rows) == specs and len(set(map(len, rows))) == 1:
+        template = "\n".join([lead + sep.join(specs[:width])] * len(rows))
+    else:
+        spec = iter(specs)
+        template = "\n".join([lead + sep.join(islice(spec, len(row))) for row in rows])
+    return [template % tuple(cells)]
 
 
 # ---------------------------------------------------------------------------
 # all-float tables: '{:.15e}' for a whole array at once (_format.e15_words)
 
 # Each bundle pays about 50 us of numpy calls in the array kernel, and a cell
-# then a fraction of its _csv_cell cost: on one 2- or 3-column table the kernel
-# overtakes _row_lines at about 48 cells and is 1.4-2.2x faster from 72 to 120.
+# then a fraction of its '%' cost: on one 2- or 3-column table (2-vCPU Xeon)
+# the kernel overtakes _row_lines at about 72 cells and is 1.3-1.6x faster from
+# 96 to 120. A seed-0 sweep pass has about 17 array tables from 72 to 127
+# cells, too few for a lower bound to gain a measurable share of the pass.
 _KERNEL_MIN_CELLS = 128
 
 
@@ -484,9 +513,10 @@ def _word(text: str) -> np.uint32:
     return np.frombuffer(text.encode("ascii").ljust(4, b"\0"), np.uint32)[0]
 
 
-def _table_lines(tables, sep: str, lead: str) -> list:
-    """For each table, strings that "\\n".join to its rows' lines, each line
-    lead + sep.join(map(_csv_cell, row)); sep and lead hold at most 2 characters.
+def _table_lines(tables, sep: str, lead: str) -> list[list[str]]:
+    """For each table, its rows' lines, each lead + sep.join(map(_csv_cell, row)),
+    "\\n"-joined into one string; no string for a table without rows. sep and
+    lead hold at most 2 characters.
 
     Array tables of at least _KERNEL_MIN_CELLS cells are formatted by one
     _format.e15_words call for the whole bundle, and each cell the kernel
@@ -495,33 +525,31 @@ def _table_lines(tables, sep: str, lead: str) -> list:
     takes 7 words: one holding what comes before it (the line's lead, a
     newline and the lead, or the separator) and its 6 words of text; NULs
     pad. A table's NULs are stripped and its text decoded as one string.
-    Every other table goes through _row_lines.
+    Every other table, and every table where _format.LONG_DOUBLE_OK is
+    false, goes through _row_lines, and only those do.
     """
-    out = [_row_lines(t.rows, sep) if not lead
-           else (lead + line for line in _row_lines(t.rows, sep)) for t in tables]
-    if not _format.LONG_DOUBLE_OK:
-        return out
+    out = [None] * len(tables)
     picked = [(i, t.rows.size, t.rows.shape[1]) for i, t in enumerate(tables)
               if isinstance(t.rows, np.ndarray) and t.rows.size >= _KERNEL_MIN_CELLS]
-    if not picked:
-        return out
-    values = np.concatenate([tables[i].rows.ravel() for i, _, _ in picked])
-    words, fallback = _format.e15_words(values)
-    redo = np.flatnonzero(fallback)
-    texts = np.array(list(map("{:.15e}".format, values[redo].tolist())), "S24")
-    words[redo] = texts.view(np.uint32).reshape(-1, 6)
-    cells = np.empty((values.size, 7), np.uint32)
-    cells[:, 0] = _word(sep)
-    cells[:, 1:] = words
-    first, line_start = _word(lead), _word("\n" + lead)
-    start = 0
-    for i, size, width in picked:
-        table = cells[start:start + size]
-        start += size
-        table[::width, 0] = line_start
-        table[0, 0] = first
-        out[i] = [table.tobytes().translate(None, b"\0").decode("ascii")]
-    return out
+    if picked and _format.LONG_DOUBLE_OK:
+        values = np.concatenate([tables[i].rows.ravel() for i, _, _ in picked])
+        words, fallback = _format.e15_words(values)
+        redo = np.flatnonzero(fallback)
+        texts = np.array(list(map("{:.15e}".format, values[redo].tolist())), "S24")
+        words[redo] = texts.view(np.uint32).reshape(-1, 6)
+        cells = np.empty((values.size, 7), np.uint32)
+        cells[:, 0] = _word(sep)
+        cells[:, 1:] = words
+        first, line_start = _word(lead), _word("\n" + lead)
+        start = 0
+        for i, size, width in picked:
+            table = cells[start:start + size]
+            start += size
+            table[::width, 0] = line_start
+            table[0, 0] = first
+            out[i] = [table.tobytes().translate(None, b"\0").decode("ascii")]
+    return [_row_lines(t.rows, sep, lead) if lines is None else lines
+            for t, lines in zip(tables, out)]
 
 
 def _preamble(bundle: ResultBundle) -> list[str]:
@@ -564,7 +592,9 @@ def emit(bundle: ResultBundle, output_format: str, out_dir: str | Path) -> list[
     new bytes followed by the file's old ones.
     """
     out = Path(out_dir)
-    if not out.is_dir():   # one stat; mkdir on an existing directory raises and catches
+    # one stat of out_dir as given: a Path's text would be built first, and
+    # mkdir on an existing directory raises and catches
+    if not os.path.isdir(out_dir):
         out.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
     if output_format == "csv":
@@ -623,14 +653,44 @@ def _build_parser() -> argparse.ArgumentParser:
 _PARSER = _build_parser()   # argparse keeps no state between parse_args calls
 
 
+class _StderrHandler(logging.StreamHandler):
+    """A StreamHandler that writes each record to whatever sys.stderr is then,
+    so a caller that redirects stderr per main call gets each call's lines."""
+
+    def __init__(self):
+        logging.Handler.__init__(self)   # StreamHandler's would fix the stream now
+
+    @property
+    def stream(self):
+        return sys.stderr
+
+
 def _configure_logging() -> None:
-    if logging.root.handlers:   # basicConfig would do nothing
+    if logging.root.handlers:   # a caller's handler, or the one an earlier call added
         return
     level_name = os.environ.get("IONGRADIM_LOG", "WARNING").upper()
     level = getattr(logging, level_name, None)
     if not isinstance(level, int):
         level = logging.WARNING
-    logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
+    logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s",
+                        handlers=[_StderrHandler()])
+
+
+def _read_config(path: str) -> str:
+    """The config file's text, decoded as UTF-8 (parse_config's splitlines
+    takes \\r\\n and \\r). Read to its end, so a pipe is read whole too; a
+    failed read raises an OSError that names the path, as open's does."""
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        chunks = []
+        while chunk := os.read(fd, 1 << 16):
+            chunks.append(chunk)
+    except OSError as exc:
+        exc.filename = path
+        raise
+    finally:
+        os.close(fd)
+    return b"".join(chunks).decode("utf-8")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -640,8 +700,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:   # argparse has printed the help or the usage error
         return EXIT_OK if exc.code == 0 else EXIT_CONFIG
     try:
-        with open(args.config, "rb") as config:
-            text = config.read().decode("utf-8")   # parse_config's splitlines takes \r\n and \r
+        text = _read_config(args.config)
     except (OSError, UnicodeDecodeError) as exc:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -435,14 +435,14 @@ def _near(bits: np.ndarray, thresholds: np.ndarray, half, work: np.ndarray,
     return out
 
 
-def _rank_counts(bits: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
+def _rank_counts(bits: np.ndarray, thresholds: np.ndarray) -> list[int]:
     """Outcome integers per rank at p0, in one pass per threshold.
 
     thresholds are the sorted T_1 .. T_2n-1 of _thresholds. Rank r holds the
     integers from T_r up to T_r+1, with T_0 = 0 and T_2n above every integer.
     """
-    below = [np.count_nonzero(bits < t) for t in thresholds.tolist()]
-    return np.diff([0, *below, len(bits)])
+    below = [0, *(np.count_nonzero(bits < t) for t in thresholds.tolist()), len(bits)]
+    return [high - low for low, high in zip(below, below[1:])]
 
 
 def _thresholds(p_even: float, n_class: int) -> list[int]:

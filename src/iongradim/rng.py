@@ -64,9 +64,13 @@ def uniform_bits(seed: int, counter, out: np.ndarray | None = None) -> np.ndarra
 def bits_to_uniform(bits: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """(b + 1) * 2^-53 for 53-bit integer(s) b: exact, and strictly increasing in b.
 
-    out, a float64 array of the shape of bits, may share their memory.
+    bits is a uint64 array whose every b is below 2^53, as uniform_bits
+    gives. Each b is read through an int64 view, whose conversion to float64
+    is cheaper than uint64's; the precondition makes the view's value b
+    itself and the conversion exact. out, a float64 array of the shape of
+    bits, may share their memory.
     """
-    u = np.add(bits, 1.0, out=out)
+    u = np.add(bits.view(np.int64), 1.0, out=out)
     u *= 2.0 ** -53
     return u
 

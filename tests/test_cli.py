@@ -349,7 +349,8 @@ _CELL_MAKERS = (
     lambda r: r.randint(-2 ** 70, 2 ** 70),
     lambda r: np.int64(r.randint(-2 ** 63, 2 ** 63 - 1)),
     lambda r: r.random() < 0.5,
-    lambda r: r.choice(("plain", "a,b", 'say "hi"', "two\nlines", "", "x,\"y\"\nz")),
+    lambda r: r.choice(("plain", "a,b", 'say "hi"', "two\nlines", "", "x,\"y\"\nz",
+                        "5%", "%s", "%%d")),
     lambda r: np.float32(r.random()),
     lambda r: np.int32(r.randint(-100, 100)),
 )
@@ -386,7 +387,10 @@ def _float_tables(r):
     return kernel, left
 
 
-def test_emit_matches_per_cell_formatting(tmp_path, monkeypatch):
+# _KERNEL_MIN_CELLS as it is, at 1 (every array table goes to the kernel) and
+# above every table (none does): each table is checked on both routes.
+@pytest.mark.parametrize("min_cells", [None, 1, 10 ** 6])
+def test_emit_matches_per_cell_formatting(tmp_path, monkeypatch, min_cells):
     r = random.Random(8)
     # runs of same-typed rows broken by rows of other types
     trajectory = tuple((float(t), 0.3 * t, 0.97 * math.cos(0.3 * t)) for t in range(40))
@@ -399,17 +403,28 @@ def test_emit_matches_per_cell_formatting(tmp_path, monkeypatch):
             mixed.append(tuple(r.choice(_CELL_MAKERS)(r) for _ in range(4)))
     changing_column = tuple((i, (1.5, np.float64(-0.0), 7, np.int64(-7), True, "s,t")[i % 6])
                             for i in range(30))
-    # tables of at least _KERNEL_MIN_CELLS cells: arrays go through the array
-    # kernel, in one call for the bundle; tuple tables must not
+    # small arrays, below the constant as it is, and the array kernel's size:
+    # arrays of at least _KERNEL_MIN_CELLS cells go through the kernel, in one
+    # call for the bundle; tuple tables never do
+    small_arrays = [Table("trajectory_array", ("time_s", "phase_rad", "parity"),
+                          np.array(trajectory)),
+                    Table("one_row_array", ("a", "b"), np.array([[-0.0, math.nan]])),
+                    Table("empty_array", ("a", "b", "c"), np.empty((0, 3)))]
     kernel_tables, other_tables = _float_tables(r)
     bundle = ResultBundle(
         header="# iongradim test seed=8", config_echo="command = crystal\nseed = 8\n",
         tables=(Table("trajectory", ("time_s", "phase_rad", "parity"), trajectory),
                 Table("mixed", ("a", "b", "c", "d"), tuple(mixed)),
                 Table("changing_column", ("i", "value"), changing_column),
-                Table("empty", ("x",), ()), *kernel_tables, *other_tables),
+                Table("empty", ("x",), ()),
+                # as many cells as 3 rows of the first row's 2, all of one type
+                Table("ragged_even", ("a", "b"), ((0.5, 1.5), (2.5,), (3.5, 4.5, 5.5))),
+                *small_arrays, *kernel_tables, *other_tables),
         annotations=("a note",))
-    kernel_cells = sum(len(t.rows) * len(t.rows[0]) for t in kernel_tables)
+    if min_cells is not None:   # after _float_tables, which sizes its tables by the constant
+        monkeypatch.setattr(cli, "_KERNEL_MIN_CELLS", min_cells)
+    kernel_cells = sum(t.rows.size for t in bundle.tables
+                       if isinstance(t.rows, np.ndarray) and t.rows.size >= cli._KERNEL_MIN_CELLS)
     real_kernel = _format.e15_words
     for route in ("kernel", "fallback"):
         calls = []
@@ -421,7 +436,7 @@ def test_emit_matches_per_cell_formatting(tmp_path, monkeypatch):
             written = {p.name: p.read_bytes() for p in emit(bundle, output_format, out)}
             expected = _reference_emit(bundle, output_format)
             assert {name: written[name] for name in expected} == expected, route
-        assert calls == ([kernel_cells] * 2 if route == "kernel" else []), route
+        assert calls == ([kernel_cells] * 2 if route == "kernel" and kernel_cells else []), route
 
 
 # Cells the kernel does not prove: the two longest '{:.15e}' texts (23
@@ -520,6 +535,19 @@ def test_kernel_matches_str_format_on_an_edge_grid():
 _ANY_BITS = st.integers(0, 2 ** 64 - 1).map(lambda b: float(np.uint64(b).view(np.float64)))
 
 
+_INT64_ENDS = (np.int64(-2 ** 63), np.int64(-2 ** 63 + 1), np.int64(2 ** 63 - 1))
+
+
+@given(value=_ANY_BITS, n=st.integers(-2 ** 70, 2 ** 70))
+def test_percent_specs_write_format_numbers_text(value, n):
+    # the spec _row_lines puts in its template for each cell type it names
+    cells = [value, np.float64(value), n, *_INT64_ENDS]
+    if -2 ** 63 <= n < 2 ** 63:
+        cells.append(np.int64(n))
+    for cell in cells:
+        assert cli._SPECS[type(cell)] % cell == format_number(cell), cell
+
+
 @given(st.lists(st.one_of(_ANY_BITS, st.floats(), st.floats(1e-99, 1e100),
                           st.floats(-1e100, -1e-99)), min_size=1, max_size=64))
 def test_kernel_matches_str_format_on_any_doubles(values):
@@ -588,6 +616,16 @@ def test_config_that_is_not_utf8_is_a_config_error(tmp_path, capsys):
         "invalid continuation byte"]
     assert "Traceback" not in captured.err and captured.out == ""
     assert not out.exists()
+
+
+def test_config_that_is_a_directory_is_named_in_the_read_error(tmp_path, capsys):
+    # opening a directory succeeds and reading it fails; the line names the path all the same
+    assert main(["--config", str(tmp_path), "--out", str(tmp_path / "out")]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [
+        f"error: cannot read config: [Errno {errno.EISDIR}] {os.strerror(errno.EISDIR)}: "
+        f"{str(tmp_path)!r}"]
+    assert captured.out == "" and not (tmp_path / "out").exists()
 
 
 # Finite config values whose fields, phase rate, accumulated phase or trap
@@ -992,7 +1030,7 @@ def test_iongradim_log_sets_the_level_in_a_fresh_interpreter(tmp_path, fresh_pyt
     err = result.stderr.splitlines()
     assert len(err) == len(shown) and all(map(str.startswith, err, shown)), err
     assert result.stdout.splitlines()[-2:] == [   # after the written paths
-        "[0]", f"['StreamHandler'] {'DEBUG' if level == 'debug' else 'WARNING'} "
+        "[0]", f"['_StderrHandler'] {'DEBUG' if level == 'debug' else 'WARNING'} "
                "%(levelname)s %(name)s: %(message)s"]
 
 
@@ -1004,6 +1042,28 @@ def test_main_leaves_a_configured_root_logger_as_it_is(tmp_path, fresh_python, m
     assert result.returncode == 0, result.stderr
     assert result.stdout.splitlines()[-2:] == ["[0, 0]", "['StreamHandler'] ERROR %(message)s"]
     assert result.stderr == ""
+
+
+_TWO_CAPTURES = """\
+import contextlib, io, json, sys
+from iongradim.cli import main
+captures = [io.StringIO(), io.StringIO()]
+for capture, flags in zip(captures, ([], ["--paper-values", "on"])):
+    with contextlib.redirect_stderr(capture), contextlib.redirect_stdout(io.StringIO()):
+        assert main(["--config", sys.argv[1], "--out", sys.argv[2], *flags]) == 0
+print(json.dumps([capture.getvalue() for capture in captures]))
+"""
+
+
+def test_each_call_logs_to_the_stderr_it_runs_under(tmp_path, fresh_python, monkeypatch):
+    # an in-process caller that redirects stderr per call, as bench/run.py
+    # does, gets each call's log lines in that call's capture
+    monkeypatch.delenv("IONGRADIM_LOG", raising=False)
+    result = fresh_python(_TWO_CAPTURES, str(CONFIG_DIR / "crystal_three_ion.cfg"),
+                          str(tmp_path / "out"))
+    assert result.returncode == 0 and result.stderr == "", result.stderr
+    assert json.loads(result.stdout) == [
+        "", "WARNING iongradim.cli: --paper-values only applies to scenario runs; ignored\n"]
 
 
 def test_seed_flag_overrides_config(tmp_path):
@@ -1055,7 +1115,8 @@ def test_outputs_are_never_opened_with_o_trunc(tmp_path, monkeypatch, fmt):
     real_open = os.open
 
     def recording_open(path, flags, *args, **kwargs):
-        opened.append((os.path.basename(path), flags))
+        if flags & (os.O_WRONLY | os.O_RDWR):   # not the config, which is read
+            opened.append((os.path.basename(path), flags))
         return real_open(path, flags, *args, **kwargs)
 
     monkeypatch.setattr(cli.os, "open", recording_open)

@@ -175,7 +175,9 @@ def test_figures_of_the_code_constants():
             f"`shots` may be at most 2^{shot_bits}, because each shot takes "
             f"{estimation._SLOTS_PER_SHOT} slots of a 64-bit RNG counter",
             f"Large float64 array tables (at least {cli._KERNEL_MIN_CELLS} cells:",
-            f"Only tables below {cli._KERNEL_MIN_CELLS} cells, tables that are not float arrays,",
+            f"Tables below {cli._KERNEL_MIN_CELLS} cells, tables that are not float arrays,",
+            "are each written by one `%` call, from a template that holds `%.15e` for each "
+            "float, `%d` for each integer and `%s`,",
             f"the two largest finite floats, {float(largest)!r} and the one below it, both "
             f"print as `{printed}`, which is above the largest float and parses back as inf."):
         assert text in prose, text

@@ -110,9 +110,14 @@ def test_reference_vector_through_a_buffer():
 
 
 def test_uniform_is_its_bits_mapped_exactly_and_increasingly():
-    bits = np.array([0, 1, 2 ** 52, 2 ** 53 - 2, 2 ** 53 - 1], dtype=np.uint64)
+    # bits_to_uniform reads b through an int64 view, which holds b for every b below 2^53
+    edges = [0, 1, 2 ** 52, 2 ** 53 - 2, 2 ** 53 - 1]
+    bits = np.array(edges, dtype=np.uint64)
     u = rng.bits_to_uniform(bits)
     assert u.tolist() == [2.0 ** -53, 2.0 ** -52, 0.5 + 2.0 ** -53, 1.0 - 2.0 ** -53, 1.0]
+    assert u.tolist() == [(b + 1) * 2 ** -53 for b in edges]
+    rng.bits_to_uniform(bits, bits.view(np.float64))   # in place, as uniform calls it
+    assert bits.view(np.float64).tolist() == u.tolist()
     counters = np.arange(50, dtype=np.uint64)
     assert np.array_equal(rng.uniform(8, counters),
                           rng.bits_to_uniform(rng.uniform_bits(8, counters)))
