@@ -281,13 +281,11 @@ def parse_config(text: str) -> RunConfig:
 
 
 def _format_config_value(value: object) -> str:
-    if isinstance(value, bool):
-        return "on" if value else "off"
-    if isinstance(value, int):
-        return str(value)
+    """A float's repr, which parses back to the same float; a str as it is;
+    format_number's text of a bool or an int."""
     if isinstance(value, float):
         return repr(value)
-    return str(value)
+    return value if isinstance(value, str) else format_number(value)
 
 
 def normalized_config(run: RunConfig) -> str:
@@ -442,6 +440,14 @@ def execute(run: RunConfig) -> ResultBundle:
 # ---------------------------------------------------------------------------
 # output formatting
 
+# The '%' spec of a number cell of exactly this type, the one statement of the
+# cell formats: a float's writes f"{x:.15e}" for every float64, and an int's
+# writes str(n). A cell of any other type, bool among them, goes into
+# _row_lines' template as its _csv_cell text under '%s'.
+_SPECS = {**dict.fromkeys((float, np.float64), "%.15e"),
+          **dict.fromkeys((int, np.int64), "%d")}
+
+
 def format_number(value) -> str:
     """A number in 16 significant digits, off by at most half a unit in the 16th.
 
@@ -451,8 +457,8 @@ def format_number(value) -> str:
     if isinstance(value, bool):
         return "on" if value else "off"
     if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return f"{float(value):.15e}"
+        return _SPECS[int] % int(value)
+    return _SPECS[float] % float(value)
 
 
 def _csv_cell(value) -> str:
@@ -461,12 +467,6 @@ def _csv_cell(value) -> str:
             return '"' + value.replace('"', '""') + '"'
         return value
     return format_number(value)
-
-
-# The '%' spec whose text is format_number's for a cell of exactly this type:
-# '%.15e' % x is f"{float(x):.15e}" and '%d' % n is str(int(n)). A cell of any
-# other type, bool among them, goes in as its _csv_cell text under '%s'.
-_SPECS = {float: "%.15e", np.float64: "%.15e", int: "%d", np.int64: "%d"}
 
 
 def _row_lines(rows, sep: str, lead: str) -> list[str]:
@@ -498,7 +498,7 @@ def _row_lines(rows, sep: str, lead: str) -> list[str]:
 
 
 # ---------------------------------------------------------------------------
-# all-float tables: '{:.15e}' for a whole array at once (_format.e15_words)
+# all-float tables: the float cell text for a whole array at once (_format.e15_words)
 
 # Each bundle pays about 50 us of numpy calls in the array kernel, and a cell
 # then a fraction of its '%' cost: on one 2- or 3-column table (2-vCPU Xeon)
@@ -520,8 +520,8 @@ def _table_lines(tables, sep: str, lead: str) -> list[list[str]]:
 
     Array tables of at least _KERNEL_MIN_CELLS cells are formatted by one
     _format.e15_words call for the whole bundle, and each cell the kernel
-    did not prove by str.format over its own 24 bytes, which every
-    '{:.15e}' text fits (the longest has 23 characters). Each cell then
+    did not prove by its _SPECS text over its own 24 bytes, which every
+    float's text fits (the longest has 23 characters). Each cell then
     takes 7 words: one holding what comes before it (the line's lead, a
     newline and the lead, or the separator) and its 6 words of text; NULs
     pad. A table's NULs are stripped and its text decoded as one string.
@@ -535,7 +535,7 @@ def _table_lines(tables, sep: str, lead: str) -> list[list[str]]:
         values = np.concatenate([tables[i].rows.ravel() for i, _, _ in picked])
         words, fallback = _format.e15_words(values)
         redo = np.flatnonzero(fallback)
-        texts = np.array(list(map("{:.15e}".format, values[redo].tolist())), "S24")
+        texts = np.array(list(map(_SPECS[float].__mod__, values[redo].tolist())), "S24")
         words[redo] = texts.view(np.uint32).reshape(-1, 6)
         cells = np.empty((values.size, 7), np.uint32)
         cells[:, 0] = _word(sep)
@@ -596,39 +596,25 @@ def emit(bundle: ResultBundle, output_format: str, out_dir: str | Path) -> list[
     # mkdir on an existing directory raises and catches
     if not os.path.isdir(out_dir):
         out.mkdir(parents=True, exist_ok=True)
-    written: list[Path] = []
     if output_format == "csv":
-        for table, rows in zip(bundle.tables, _table_lines(bundle.tables, ",", "")):
-            path = out / f"{table.name}.csv"
-            lines = [bundle.header, ",".join(table.columns)]
-            lines.extend(rows)
-            _write(path, lines)
-            written.append(path)
-        written.append(_write_provenance(bundle, out))
+        files = [(f"{table.name}.csv", [bundle.header, ",".join(table.columns), *rows])
+                 for table, rows in zip(bundle.tables, _table_lines(bundle.tables, ",", ""))]
+        files.append(("provenance.txt", [
+            *_preamble(bundle), "config echo (sha256 of this block is the config hash):",
+            bundle.config_echo.rstrip("\n")]))
     elif output_format == "text":
         lines = _preamble(bundle)
         for table, rows in zip(bundle.tables, _table_lines(bundle.tables, "  ", "  ")):
-            lines.append(f"[{table.name}]")
-            lines.append("  " + "  ".join(table.columns))
-            lines.extend(rows)
-            lines.append("")
+            lines += [f"[{table.name}]", "  " + "  ".join(table.columns), *rows, ""]
         lines.append("config echo:")
         lines.extend("  " + line for line in bundle.config_echo.splitlines())
-        path = out / "report.txt"
-        _write(path, lines)
-        written.append(path)
+        files = [("report.txt", lines)]
     else:
         raise ConfigurationError(f"unknown output format {output_format!r}")
+    written = [out / name for name, _ in files]
+    for path, (_, lines) in zip(written, files):
+        _write(path, lines)
     return written
-
-
-def _write_provenance(bundle: ResultBundle, out: Path) -> Path:
-    lines = _preamble(bundle)
-    lines.append("config echo (sha256 of this block is the config hash):")
-    lines.append(bundle.config_echo.rstrip("\n"))
-    path = out / "provenance.txt"
-    _write(path, lines)
-    return path
 
 
 # ---------------------------------------------------------------------------
@@ -707,7 +693,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         run = parse_config(text)
         if args.seed is not None:
-            if not (0 <= args.seed < 2 ** 64):
+            spec = _COMMON_FIELDS["seed"]
+            if not (spec.minimum <= args.seed <= spec.maximum):
                 raise ConfigurationError("--seed must fit in 64 bits")
             run = replace(run, seed=args.seed)
         if args.format is not None:

@@ -113,13 +113,14 @@ def axial_bz(source: DipoleSource, z: float) -> float:
     On-axis specialization of the dipole law: Bz = 2 (mu0/4pi) m_z / |dz|^3.
     Only the axial moment component contributes to Bz on the axis.
     """
-    dz = z - source.position.z
-    _require_clear(abs(dz))
-    try:
-        bz = 2.0 * MU0_OVER_4PI * source.moment.z / abs(dz) ** 3
-    except OverflowError:   # the cube passes the float range, beyond ~5.6e102 m
-        bz = 2.0 * MU0_OVER_4PI * source.moment.z / abs(dz) / abs(dz) / abs(dz)
-    _require_finite(abs(dz), bz)
+    dist = abs(z - source.position.z)
+    _require_clear(dist)
+    cube = _cube(dist)
+    if cube == math.inf:   # the cube passes the float range, beyond ~5.6e102 m
+        bz = 2.0 * MU0_OVER_4PI * source.moment.z / dist / dist / dist
+    else:
+        bz = 2.0 * MU0_OVER_4PI * source.moment.z / cube
+    _require_finite(dist, bz)
     return bz
 
 

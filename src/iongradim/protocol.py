@@ -120,13 +120,12 @@ def prepare_probe(kind: str, ion_positions: Sequence[Vec3], fidelity: float,
                   ) -> ProbeState:
     """Entanglement transfer and preparation, idealized to a contrast factor.
 
-    Returns a probe with contrast equal to the preparation fidelity. Default
+    Returns a probe with contrast equal to the preparation fidelity, which
+    ProbeState holds to [0, 1]. Default
     branch patterns exist for 2 ions (up-down) and 4 ions (up-down-down-up
     around a central sensed spin); other even counts need explicit
     branch_weights.
     """
-    if not (0.0 <= fidelity <= 1.0):
-        raise ConfigurationError(f"fidelity must be in [0, 1], got {fidelity}")
     n = len(ion_positions)
     if branch_weights is None:
         if n == 2:

@@ -540,12 +540,15 @@ _INT64_ENDS = (np.int64(-2 ** 63), np.int64(-2 ** 63 + 1), np.int64(2 ** 63 - 1)
 
 @given(value=_ANY_BITS, n=st.integers(-2 ** 70, 2 ** 70))
 def test_percent_specs_write_format_numbers_text(value, n):
-    # the spec _row_lines puts in its template for each cell type it names
-    cells = [value, np.float64(value), n, *_INT64_ENDS]
+    # the spec _row_lines puts in its template for each cell type it names, and
+    # format_number formats through, against the text of the pinned formats
+    ints = [n, *_INT64_ENDS]
     if -2 ** 63 <= n < 2 ** 63:
-        cells.append(np.int64(n))
-    for cell in cells:
-        assert cli._SPECS[type(cell)] % cell == format_number(cell), cell
+        ints.append(np.int64(n))
+    for cell in (value, np.float64(value)):
+        assert cli._SPECS[type(cell)] % cell == "{:.15e}".format(float(cell)), cell
+    for cell in ints:
+        assert cli._SPECS[type(cell)] % cell == str(int(cell)), cell
 
 
 @given(st.lists(st.one_of(_ANY_BITS, st.floats(), st.floats(1e-99, 1e100),

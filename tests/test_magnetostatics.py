@@ -236,6 +236,10 @@ def test_field_beyond_the_cube_limit_hand_value_and_underflow():
         2e-16, rel=1e-14, abs=0.0)
     assert axial_bz(z_dipole(), 1e200) == 0.0
     assert dipole_field(z_dipole(), Vec3(0.0, 1e200, 0.0)) == Vec3(0.0, 0.0, 0.0)
+    # dz itself overflows to inf: a zero signed like the moment
+    for moment in (MU_B, -MU_B):
+        bz = axial_bz(z_dipole(moment, z0=-1.7e308), 1.7e308)
+        assert bz == 0.0 and math.copysign(1.0, bz) == math.copysign(1.0, moment)
 
 
 @pytest.mark.parametrize("dist", [1e101, 5.6e102])

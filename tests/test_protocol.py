@@ -334,9 +334,10 @@ def test_prepare_probe_examples():
         assert float(signs @ probabilities) == 0.0
 
 
-@pytest.mark.parametrize("fidelity", [-0.01, 1.01, 2.0])
+@pytest.mark.parametrize("fidelity", [-0.01, 1.01, 2.0, 1.5, -0.1, math.nan])
 def test_prepare_probe_fidelity_range(fidelity):
-    with pytest.raises(ConfigurationError):
+    # the probe's contrast is the fidelity, and ProbeState states its [0, 1] bound
+    with pytest.raises(ConfigurationError, match=r"contrast must be in \[0, 1\]"):
         prepare_probe(BELL, (Vec3(0, 0, 0), Vec3(0, 0, 1e-6)), fidelity)
 
 
