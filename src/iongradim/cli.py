@@ -4,8 +4,12 @@ Config files are UTF-8 text, one `key = value` assignment per line, with
 `#` starting a comment. Keys are lowercase identifiers; values are integers,
 floats, bare strings, or on/off booleans. Unknown keys, duplicate keys, and
 out-of-range values are hard errors (a silently ignored typo in a physics
-config produces wrong science). All quantities are base SI with the unit in
-the key name; frequencies are given in Hz and converted to rad/s internally.
+config produces wrong science), each named with its key and line, and every
+problem of a file is reported at once. A key that fills a library field
+(`shots` among them) takes that field's range, the errors.Bound its dataclass
+declares, so the file is held to the same range the library checks. All
+quantities are base SI with the unit in the key name; frequencies are given
+in Hz and converted to rad/s internally.
 
 Outputs are CSV tables (one file per table, scientific notation with 16
 significant digits, `#` provenance header line) plus a provenance file
@@ -25,7 +29,7 @@ import math
 import os
 import re
 import sys
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 from itertools import chain, islice
 from pathlib import Path
 
@@ -33,8 +37,8 @@ import numpy as np
 
 from . import __version__, _format
 from .constants import Vec3, constants
-from .crystal import MAX_IONS, TrapConfig, equilibrium_positions, spacing
-from .errors import (ConfigurationError, FieldSingularityError, InfeasibleError,
+from .crystal import TrapConfig, equilibrium_positions, spacing
+from .errors import (Bound, ConfigurationError, FieldSingularityError, InfeasibleError,
                      SolverError)
 from .estimation import (ExperimentPlan, NoiseModel, expected_parity, parity_estimate,
                          simulate_shots)
@@ -66,62 +70,66 @@ class FieldSpec:
     kind: str = "float"             # int | float | bool | str
     required: bool = False
     default: object = None
-    minimum: float | None = None
-    maximum: float | None = None
-    exclusive_minimum: bool = False
+    bound: Bound | None = None      # the range of a number, where it has one
     choices: tuple[str, ...] | None = None
     to: str | None = None           # the ScenarioConfig field a scenario key fills
 
 
-_SCENARIO_DEFAULTS = {f.name: f.default for f in fields(ScenarioConfig)}
+def _of(cls, name: str, **kw) -> FieldSpec:
+    """The spec of a key that fills the library field cls.<name>: that field's
+    bound, its default if it has one, and kind int for an integer bound."""
+    [f] = [f for f in fields(cls) if f.name == name]
+    bound = f.metadata.get("bound")
+    return FieldSpec(**{"kind": "int" if bound and bound.integer else "float",
+                        "default": None if f.default is MISSING else f.default,
+                        "bound": bound, **kw})
 
 
 def _fills(to: str, **kw) -> FieldSpec:
-    """The spec of a scenario key that fills ScenarioConfig.<to>, with that field's default."""
-    return FieldSpec(default=_SCENARIO_DEFAULTS[to], to=to, **kw)
+    """The spec of a scenario key that fills ScenarioConfig.<to>."""
+    return _of(ScenarioConfig, to, to=to, **kw)
 
 
 _COMMON_FIELDS = {
-    "seed": FieldSpec("int", default=0, minimum=0, maximum=2 ** 64 - 1),
+    "seed": _of(ExperimentPlan, "rng_seed"),
     "output_format": FieldSpec("str", default="csv", choices=("csv", "text")),
 }
-_G_FACTOR = FieldSpec(default=constants().ca40_g_factor, minimum=0, exclusive_minimum=True)
-_CONTRAST = FieldSpec(default=1.0, minimum=0, maximum=1)
-_FIELD_NOISE = dict.fromkeys(("gradient_rms_t_per_m", "common_mode_rms_t"),
-                             FieldSpec(default=0.0, minimum=0))
+_G_FACTOR = _of(ZeemanConfig, "g_factor", default=constants().ca40_g_factor)
+_CONTRAST = _of(NoiseModel, "contrast")   # also the probe's: both hold protocol.CONTRAST
+_FIELD_NOISE = {"gradient_rms_t_per_m": _of(NoiseModel, "gradient_rms"),
+                "common_mode_rms_t": _of(NoiseModel, "common_mode_rms")}
+_SAMPLES = FieldSpec("int", default=101, bound=Bound(2, 100000, integer=True))   # table rows
 
 _SCENARIO_FIELDS = {
     "scenario": FieldSpec("str", required=True, choices=SCENARIO_KINDS),
-    "axial_frequency_hz": FieldSpec(default=10e6, minimum=0, exclusive_minimum=True),
-    "ion_mass_kg": FieldSpec(default=DEFAULT_ION_MASS_KG, minimum=0, exclusive_minimum=True),
-    "shots": FieldSpec("int", default=10, minimum=1),
-    "interaction_time_s": FieldSpec(default=5.0, minimum=0),
-    "bias_phase_rad": FieldSpec(default=math.pi / 2),
+    "axial_frequency_hz": _of(TrapConfig, "axial_frequency", default=10e6),
+    "ion_mass_kg": _of(TrapConfig, "ion_mass", default=DEFAULT_ION_MASS_KG),
+    "shots": _of(ExperimentPlan, "shots", default=10),
+    "interaction_time_s": _of(ExperimentPlan, "interaction_time", default=5.0),
+    "bias_phase_rad": _of(ExperimentPlan, "bias_phase", default=math.pi / 2),
     "g_factor": _G_FACTOR,
-    "preparation_fidelity": _fills("preparation_fidelity", minimum=0, maximum=1),
+    "preparation_fidelity": _fills("preparation_fidelity"),
     "readout_contrast": _CONTRAST,
     **_FIELD_NOISE,
-    "target_snr": _fills("target_snr", minimum=0, exclusive_minimum=True),
-    "overhead_s_per_shot": _fills("overhead_per_shot", minimum=0),
+    "target_snr": _fills("target_snr"),
+    "overhead_s_per_shot": _fills("overhead_per_shot"),
     "paper_values": _fills("paper_values", kind="bool"),
-    "source_moment_j_per_t": _fills("source_moment", minimum=0),
-    "moment_before_j_per_t": _fills("moment_before", minimum=0),
-    "moment_after_j_per_t": _fills("moment_after", minimum=0),
-    "well_separation_m": _fills("well_separation", minimum=0, exclusive_minimum=True),
-    "probe_spacing_m": _fills("probe_spacing", minimum=0, exclusive_minimum=True),
-    "atom_moment_j_per_t": _fills("atom_moment", minimum=0, exclusive_minimum=True),
-    "delta_n": _fills("delta_n", kind="int", minimum=0),
-    "n_ions": _fills("n_ions", kind="int", minimum=1, maximum=MAX_IONS),
+    "source_moment_j_per_t": _fills("source_moment"),
+    "moment_before_j_per_t": _fills("moment_before"),
+    "moment_after_j_per_t": _fills("moment_after"),
+    "well_separation_m": _fills("well_separation"),
+    "probe_spacing_m": _fills("probe_spacing"),
+    "atom_moment_j_per_t": _fills("atom_moment"),
+    "delta_n": _fills("delta_n"),
+    "n_ions": _fills("n_ions"),
 }
 
 COMMAND_SCHEMAS: dict[str, dict[str, FieldSpec]] = {
     "crystal": {
         **_COMMON_FIELDS,
-        "n_ions": FieldSpec("int", required=True, minimum=1, maximum=MAX_IONS),
-        "axial_frequency_hz": FieldSpec(required=True, minimum=0, exclusive_minimum=True),
-        "ion_mass_kg": FieldSpec(required=True, minimum=0, exclusive_minimum=True),
-        "ion_charge_c": FieldSpec(default=constants().elementary_charge,
-                                  minimum=0, exclusive_minimum=True),
+        **{key: replace(_SCENARIO_FIELDS[key], required=True, default=None)
+           for key in ("n_ions", "axial_frequency_hz", "ion_mass_kg")},
+        "ion_charge_c": _of(TrapConfig, "ion_charge"),
     },
     "field": {
         **_COMMON_FIELDS,
@@ -129,7 +137,7 @@ COMMAND_SCHEMAS: dict[str, dict[str, FieldSpec]] = {
         "source_z_m": FieldSpec(default=0.0),
         "z_start_m": FieldSpec(required=True),
         "z_stop_m": FieldSpec(required=True),
-        "n_points": FieldSpec("int", default=101, minimum=2, maximum=100000),
+        "n_points": _SAMPLES,
         "pair_z1_m": FieldSpec(),
         "pair_z2_m": FieldSpec(),
     },
@@ -138,19 +146,19 @@ COMMAND_SCHEMAS: dict[str, dict[str, FieldSpec]] = {
         "delta_b_t": FieldSpec(required=True),
         "g_factor": _G_FACTOR,
         "contrast": _CONTRAST,
-        "duration_s": FieldSpec(required=True, minimum=0),
-        "n_steps": FieldSpec("int", default=101, minimum=2, maximum=100000),
+        "duration_s": FieldSpec(required=True, bound=Bound(0)),
+        "n_steps": _SAMPLES,
     },
     "montecarlo": {
         **_COMMON_FIELDS,
-        "shots": FieldSpec("int", required=True, minimum=1),
-        "interaction_time_s": FieldSpec(required=True, minimum=0),
+        **{key: replace(_SCENARIO_FIELDS[key], required=True, default=None)
+           for key in ("shots", "interaction_time_s")},
         "delta_b_t": FieldSpec(required=True),
-        "bias_phase_rad": FieldSpec(default=0.0),
+        "bias_phase_rad": _of(ExperimentPlan, "bias_phase"),
         "g_factor": _G_FACTOR,
         "contrast": _CONTRAST,
         **_FIELD_NOISE,
-        "probe_spacing_m": FieldSpec(default=1.03e-6, minimum=0, exclusive_minimum=True),
+        "probe_spacing_m": FieldSpec(default=1.03e-6, bound=Bound(0, exclusive_minimum=True)),
     },
     "scenario": {**_COMMON_FIELDS, **_SCENARIO_FIELDS},
 }
@@ -208,13 +216,9 @@ def _parse_value(raw: str, spec: FieldSpec, key: str, line_no: int) -> object:
     if spec.choices is not None and value not in spec.choices:
         raise ConfigFileError(
             f"{where}: must be one of {', '.join(spec.choices)}; got {raw!r}")
-    if spec.minimum is not None and isinstance(value, (int, float)):
-        if spec.exclusive_minimum and value <= spec.minimum:
-            raise ConfigFileError(f"{where}: must be > {spec.minimum}, got {raw}")
-        if not spec.exclusive_minimum and value < spec.minimum:
-            raise ConfigFileError(f"{where}: must be >= {spec.minimum}, got {raw}")
-    if spec.maximum is not None and isinstance(value, (int, float)) and value > spec.maximum:
-        raise ConfigFileError(f"{where}: must be <= {spec.maximum}, got {raw}")
+    broken = spec.bound and spec.bound.broken(value)
+    if broken:
+        raise ConfigFileError(f"{where}: must be {broken}, got {raw}")
     return value
 
 
@@ -693,8 +697,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         run = parse_config(text)
         if args.seed is not None:
-            spec = _COMMON_FIELDS["seed"]
-            if not (spec.minimum <= args.seed <= spec.maximum):
+            if _COMMON_FIELDS["seed"].bound.broken(args.seed):
                 raise ConfigurationError("--seed must fit in 64 bits")
             run = replace(run, seed=args.seed)
         if args.format is not None:

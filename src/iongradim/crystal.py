@@ -25,11 +25,12 @@ from functools import lru_cache
 import numpy as np
 
 from .constants import constants
-from .errors import ConfigurationError, SolverError
+from .errors import Bound, ConfigurationError, SolverError, bounded, check_fields
 
 log = logging.getLogger(__name__)
 
-MAX_IONS = 30
+N_IONS = Bound(1, 30, integer=True)   # the chain lengths equilibrium_positions solves
+_POSITIVE = Bound(0, exclusive_minimum=True)   # each TrapConfig parameter
 _NEWTON_CAP = 200          # iteration cap before SolverError
 _RESIDUAL_TOL = 1e-12      # max dimensionless net force per ion
 
@@ -43,17 +44,11 @@ class TrapConfig:
     every site; mass-dependent spacing corrections are out of scope.
     """
 
-    axial_frequency: float              # rad/s
-    ion_mass: float                     # kg
-    ion_charge: float = constants().elementary_charge  # C
+    axial_frequency: float = bounded(_POSITIVE)                           # rad/s
+    ion_mass: float = bounded(_POSITIVE)                                  # kg
+    ion_charge: float = bounded(_POSITIVE, constants().elementary_charge)  # C
 
-    def __post_init__(self):
-        if not (self.axial_frequency > 0):
-            raise ConfigurationError(f"axial_frequency must be > 0, got {self.axial_frequency}")
-        if not (self.ion_mass > 0):
-            raise ConfigurationError(f"ion_mass must be > 0, got {self.ion_mass}")
-        if not (self.ion_charge > 0):
-            raise ConfigurationError(f"ion_charge must be > 0, got {self.ion_charge}")
+    __post_init__ = check_fields
 
 
 @dataclass(frozen=True)
@@ -106,14 +101,13 @@ def equilibrium_positions(n_ions: int, trap: TrapConfig) -> CrystalGeometry:
     count per process (_unit_chain) and scaled by the trap's length_scale.
     Raises SolverError when that solve fails; a failed solve is not kept.
     """
-    if not isinstance(n_ions, int) or not (1 <= n_ions <= MAX_IONS):
-        raise ConfigurationError(f"n_ions must be an integer in [1, {MAX_IONS}], got {n_ions!r}")
+    N_IONS.check("n_ions", n_ions)
     ell = length_scale(trap)
     return CrystalGeometry(positions=tuple(float(z) for z in _unit_chain(n_ions) * ell),
                            length_scale=ell)
 
 
-@lru_cache(maxsize=MAX_IONS)
+@lru_cache(maxsize=N_IONS.maximum)
 def _unit_chain(n_ions: int) -> np.ndarray:
     """Dimensionless equilibrium of n_ions, center of mass at 0; read-only, shared by calls.
 

@@ -60,8 +60,8 @@ from typing import Sequence
 import numpy as np
 
 from . import rng
-from .errors import ConfigurationError, InfeasibleError
-from .protocol import (ProbeState, ZeemanConfig, accumulated_phase, outcome_parities,
+from .errors import Bound, ConfigurationError, InfeasibleError, bounded, check_fields
+from .protocol import (CONTRAST, ProbeState, ZeemanConfig, accumulated_phase, outcome_parities,
                        phase_rate)
 
 # Counter slots per shot: 2,3 gradient gaussian (drawn only when
@@ -100,42 +100,32 @@ _SCREEN_BASE = 1 / 8
 _PASS_COST = 1 / 32
 _RADIUS_COST = 1 / 8
 
+_RMS = Bound(0)            # a field noise rms: NoiseModel's, and dephasing_contrast's gradient_rms
+_TIME = Bound(0)           # s: an interaction time, ExperimentPlan's or dephasing_contrast's
+TARGET_SNR = Bound(0, exclusive_minimum=True)   # required_shots' target
+
 
 @dataclass(frozen=True)
 class NoiseModel:
     """Per-shot field noise amplitudes and readout contrast."""
 
-    common_mode_rms: float = 0.0   # T, uniform over the crystal; cancelled, never drawn
-    gradient_rms: float = 0.0     # T/m, differential
-    contrast: float = 1.0          # readout contrast multiplier
+    common_mode_rms: float = bounded(_RMS, 0.0)   # T, uniform over the crystal; never drawn
+    gradient_rms: float = bounded(_RMS, 0.0)      # T/m, differential
+    contrast: float = bounded(CONTRAST, 1.0)      # readout contrast multiplier
 
-    def __post_init__(self):
-        if not all(0 <= v < math.inf for v in (self.common_mode_rms, self.gradient_rms)):
-            raise ConfigurationError("noise rms values must be finite and >= 0")
-        if not (0.0 <= self.contrast <= 1.0):
-            raise ConfigurationError(f"contrast must be in [0, 1], got {self.contrast}")
+    __post_init__ = check_fields
 
 
 @dataclass(frozen=True)
 class ExperimentPlan:
     """Shot budget, interaction time, analysis bias phase, and RNG seed."""
 
-    shots: int
-    interaction_time: float        # s
-    bias_phase: float = 0.0        # rad
-    rng_seed: int = 0
+    shots: int = bounded(Bound(1, _SHOT_LIMIT, integer=True))
+    interaction_time: float = bounded(_TIME)               # s
+    bias_phase: float = bounded(Bound(), 0.0)              # rad
+    rng_seed: int = bounded(Bound(0, 2 ** 64 - 1, integer=True), 0)
 
-    def __post_init__(self):
-        if not isinstance(self.shots, int) or not 1 <= self.shots <= _SHOT_LIMIT:
-            raise ConfigurationError(
-                f"shots must be an integer from 1 to 2**61 = {_SHOT_LIMIT}, got {self.shots!r}: "
-                f"each shot takes {_SLOTS_PER_SHOT} slots of a 64-bit RNG counter")
-        if not (0 <= self.interaction_time < math.inf):
-            raise ConfigurationError("interaction_time must be finite and >= 0")
-        if not math.isfinite(self.bias_phase):
-            raise ConfigurationError("bias_phase must be finite")
-        if not (0 <= self.rng_seed < 2 ** 64):
-            raise ConfigurationError("rng_seed must fit in 64 bits")
+    __post_init__ = check_fields
 
 
 @dataclass(frozen=True)
@@ -687,8 +677,7 @@ def required_shots(target_snr: float, parity_swing: float) -> int:
     that meets the target, searched from 1 by doubling; infeasible when no
     count that fits a float does.
     """
-    if not (0 < target_snr < math.inf):
-        raise ConfigurationError(f"target_snr must be finite and > 0, got {target_snr}")
+    TARGET_SNR.check("target_snr", target_snr)
     if parity_swing <= 0:
         raise InfeasibleError("parity swing is zero: no shot count reaches the target SNR")
     if not parity_swing <= 2:
@@ -709,8 +698,8 @@ def dephasing_contrast(gradient_rms: float, probe: ProbeState, zeeman: ZeemanCon
     the rms, the coupling or the duration is zero, even where the product of
     the other factors overflows a float.
     """
-    if not (0 <= gradient_rms < math.inf and 0 <= duration < math.inf):
-        raise ConfigurationError("gradient_rms and duration must be finite and >= 0")
+    _RMS.check("gradient_rms", gradient_rms)
+    _TIME.check("duration", duration)
     gamma, coupling = zeeman.gyromagnetic_ratio, abs(probe.gradient_coupling)
     if 0.0 in (gamma, gradient_rms, coupling, duration):
         return 1.0

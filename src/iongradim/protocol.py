@@ -34,7 +34,7 @@ from typing import Sequence
 import numpy as np
 
 from .constants import Vec3, constants
-from .errors import ConfigurationError
+from .errors import Bound, ConfigurationError, bounded, check_fields
 
 BELL = "bell"
 GHZ = "ghz"
@@ -50,16 +50,16 @@ PAIR_WEIGHTS = ((-0.5, 0.5), (0.5, -0.5))
 
 _TRAJECTORY_POINTS = 101   # default sampling of a parity trajectory
 
+CONTRAST = Bound(0, 1)   # a fringe contrast: the probe's, and the readout's (NoiseModel)
+
 
 @dataclass(frozen=True)
 class ZeemanConfig:
     """Linear Zeeman coupling: the Lande g-factor of the probe transition."""
 
-    g_factor: float
+    g_factor: float = bounded(Bound(0, exclusive_minimum=True))
 
-    def __post_init__(self):
-        if not (self.g_factor > 0):
-            raise ConfigurationError(f"g_factor must be > 0, got {self.g_factor}")
+    __post_init__ = check_fields
 
     @property
     def gyromagnetic_ratio(self) -> float:
@@ -75,7 +75,7 @@ class ProbeState:
     kind: str                                   # BELL or GHZ
     ion_positions: tuple[Vec3, ...]             # probe ions only, excluding the sensed spin
     branch_weights: tuple[tuple[float, ...], tuple[float, ...]]  # m values per branch, per ion
-    contrast: float = 1.0
+    contrast: float = bounded(CONTRAST, 1.0)
 
     def __post_init__(self):
         n = len(self.ion_positions)
@@ -96,8 +96,7 @@ class ProbeState:
                     "branch weights must sum to zero (decoherence-free condition)")
         if any(w1 != -w2 for w1, w2 in zip(b1, b2)):
             raise ConfigurationError("branches must be spin complements of each other")
-        if not (0.0 <= self.contrast <= 1.0):
-            raise ConfigurationError(f"contrast must be in [0, 1], got {self.contrast}")
+        check_fields(self)
 
     @property
     def n_ions(self) -> int:

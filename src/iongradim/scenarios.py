@@ -25,13 +25,13 @@ from typing import NamedTuple
 import numpy as np
 
 from .constants import Vec3, constants
-from .crystal import TrapConfig, equilibrium_positions, spacing
-from .errors import ConfigurationError, InfeasibleError
-from .estimation import (ExperimentPlan, NoiseModel, analytic_snr, effective_contrast,
+from .crystal import N_IONS, TrapConfig, equilibrium_positions, spacing
+from .errors import Bound, ConfigurationError, InfeasibleError, bounded, check_fields
+from .estimation import (TARGET_SNR, ExperimentPlan, NoiseModel, analytic_snr, effective_contrast,
                          required_shots, spin_discrimination_snr, swing_threshold)
 from .magnetostatics import (DipoleSource, axial_bz, compensation_gradient,
                              differential_field, total_differential_field)
-from .protocol import (BELL, GHZ, PAIR_WEIGHTS, ZeemanConfig, accumulated_phase,
+from .protocol import (BELL, CONTRAST, GHZ, PAIR_WEIGHTS, ZeemanConfig, accumulated_phase,
                        parity_trajectory, phase_rate, pi_time, prepare_probe)
 
 THREE_ION_SPIN = "three_ion_spin"
@@ -52,6 +52,8 @@ REFERENCE_TOTAL_TIME_S = 60.0          # quoted total measurement time bound
 
 _MAX_SCAN_DELTA_N = 10_000
 _SENSED_ION = 2   # the spin the probes sense: the positive end of 3 ions, the middle of 5
+_MOMENT = Bound(0)                           # J/T
+_LENGTH = Bound(0, exclusive_minimum=True)   # m
 
 
 @dataclass(frozen=True)
@@ -64,61 +66,41 @@ class ScenarioConfig:
     noise: NoiseModel
     plan: ExperimentPlan
     paper_values: bool = False
-    preparation_fidelity: float = 0.99
-    target_snr: float = 2.0
-    overhead_per_shot: float = 1.0       # s of cooling/readout per shot
-    source_moment: float | None = None   # J/T; default |electron moment| (_chain_layout)
+    preparation_fidelity: float = bounded(CONTRAST, 0.99)   # the prepared probe's contrast
+    target_snr: float = bounded(TARGET_SNR, 2.0)
+    overhead_per_shot: float = bounded(Bound(0), 1.0)      # s of cooling/readout per shot
+    # a moment of None is unset; source_moment then defaults to |electron moment| (_chain_layout)
+    source_moment: float | None = bounded(_MOMENT, None)
     # molecular_state_change:
-    moment_before: float | None = None   # J/T
-    moment_after: float | None = None    # J/T
+    moment_before: float | None = bounded(_MOMENT, None)
+    moment_after: float | None = bounded(_MOMENT, None)
     # double_well, by default the published geometry (configs/double_well.cfg):
-    well_separation: float = 4.4e-6      # m
-    probe_spacing: float = 3.5e-6        # m
-    atom_moment: float | None = None     # J/T per excess atom
-    delta_n: int = 1                     # atom-number imbalance
+    well_separation: float = bounded(_LENGTH, 4.4e-6)
+    probe_spacing: float = bounded(_LENGTH, 3.5e-6)
+    atom_moment: float | None = bounded(Bound(0, exclusive_minimum=True), None)   # J/T per atom
+    delta_n: int = bounded(Bound(0, integer=True), 1)   # atom-number imbalance
     # ghz_chain:
-    n_ions: int | None = None
+    n_ions: int | None = bounded(N_IONS, None)
 
     def __post_init__(self):
         if self.kind not in SCENARIO_KINDS:
             raise ConfigurationError(f"unknown scenario kind {self.kind!r}")
-        if not (0.0 <= self.preparation_fidelity <= 1.0):
-            raise ConfigurationError("preparation_fidelity must be in [0, 1]")
-        if not (0 < self.target_snr < math.inf):
-            raise ConfigurationError("target_snr must be finite and > 0")
-        if not (0 <= self.overhead_per_shot < math.inf):
-            raise ConfigurationError("overhead_per_shot must be finite and >= 0")
-        for name in ("source_moment", "moment_before", "moment_after",
-                     "well_separation", "probe_spacing", "atom_moment"):
-            value = getattr(self, name)
-            # a moment may be None (unset, or defaulted at run time); a length may not
-            if not (0 <= value < math.inf if value is not None else "moment" in name):
-                raise ConfigurationError(f"{name} must be finite and >= 0, got {value}")
-        if self.atom_moment == 0:
-            raise ConfigurationError("atom_moment must be > 0")
-        if self.kind == MOLECULAR_STATE_CHANGE:
-            if self.moment_before is None or self.moment_after is None:
-                raise ConfigurationError(
-                    "molecular_state_change needs moment_before and moment_after")
+        check_fields(self)
+        if self.kind == MOLECULAR_STATE_CHANGE and None in (self.moment_before, self.moment_after):
+            raise ConfigurationError("molecular_state_change needs moment_before and moment_after")
         if self.kind == DOUBLE_WELL:
-            if self.well_separation <= 0 or self.probe_spacing <= 0:
-                raise ConfigurationError("double-well geometry must be positive")
             if self.probe_spacing >= self.well_separation:
                 raise ConfigurationError(
                     "probe pair must fit inside the double well "
                     f"(spacing {self.probe_spacing} >= separation {self.well_separation})")
-            if not isinstance(self.delta_n, int) or self.delta_n < 0:
-                raise ConfigurationError("delta_n must be an integer >= 0")
             try:   # the runner scales the atom moment and the paper-values field by it
                 float(self.delta_n)
             except OverflowError:
                 raise ConfigurationError(
                     "delta_n overflows a float: it must be at most about 1.8e308") from None
-        if self.kind == GHZ_CHAIN:
-            n = 5 if self.n_ions is None else self.n_ions
-            if n != 5:
-                raise ConfigurationError(
-                    f"ghz_chain is defined for a 5-ion crystal (4 probes + central spin), got {n}")
+        if self.kind == GHZ_CHAIN and self.n_ions not in (None, 5):
+            raise ConfigurationError(f"ghz_chain is defined for a 5-ion crystal "
+                                     f"(4 probes + central spin), got {self.n_ions}")
 
     @property
     def mode(self) -> str:

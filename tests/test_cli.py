@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import errno
 import functools
 import io
@@ -10,7 +11,6 @@ import stat
 import tempfile
 import tracemalloc
 import warnings
-from dataclasses import replace
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
@@ -25,8 +25,9 @@ from iongradim.cli import (ConfigFileError, ResultBundle, RunConfig, Table, _csv
                            _preamble, config_hash, emit, execute, format_number, main,
                            normalized_config, parse_config)
 from iongradim.constants import constants
-from iongradim.errors import ConfigurationError
+from iongradim.errors import Bound, ConfigurationError
 from iongradim.protocol import ZeemanConfig, accumulated_phase, phase_rate
+from test_scenarios import _bound_edges
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
@@ -112,17 +113,43 @@ def test_multiple_errors_reported_together():
     assert "n_ions" in message and "axial_frequency_hz" in message and "bogus" in message
 
 
+_BOUNDED_KEYS = [(command, key) for command, schema in sorted(cli.COMMAND_SCHEMAS.items())
+                 for key, spec in schema.items() if spec.bound is not None]
+
+
+@pytest.mark.parametrize("command, key", _BOUNDED_KEYS, ids=map("/".join, _BOUNDED_KEYS))
+def test_each_key_holds_its_bound_at_its_edges(command, key):
+    # the finite edges of the library's own edge test, read as config text
+    spec = cli.COMMAND_SCHEMAS[command][key]
+    bound = spec.bound
+    for value, accepted in _bound_edges(bound):
+        if (spec.kind == "int") != isinstance(value, int) or not -math.inf < value < math.inf:
+            continue   # the file's own checks refuse these first
+        text = repr(value)
+        if accepted:
+            assert cli._parse_value(text, spec, key, 7) == value, text
+            continue
+        if bound.maximum is not None and value > bound.maximum:
+            rule = f"<= {bound.maximum}"
+        else:
+            rule = f"{'>' if bound.exclusive_minimum else '>='} {bound.minimum}"
+        with pytest.raises(ConfigFileError) as raised:
+            cli._parse_value(text, spec, key, 7)
+        assert str(raised.value) == f"line 7: {key}: must be {rule}, got {text}"
+
+
 def _spec_values(spec):
-    """Values of one schema key within its FieldSpec bounds and choices."""
+    """Values of one schema key within its FieldSpec bound and choices."""
     if spec.choices is not None:
         return st.sampled_from(spec.choices)
     if spec.kind == "bool":
         return st.booleans()
+    bound = spec.bound or Bound()
     if spec.kind == "int":   # no int key has an exclusive minimum
-        return st.integers(min_value=spec.minimum, max_value=spec.maximum)
+        return st.integers(min_value=bound.minimum, max_value=bound.maximum)
     assert spec.kind == "float", spec
-    return st.floats(min_value=spec.minimum, max_value=spec.maximum,
-                     exclude_min=spec.exclusive_minimum, allow_nan=False, allow_infinity=False)
+    return st.floats(min_value=bound.minimum, max_value=bound.maximum,
+                     exclude_min=bound.exclusive_minimum, allow_nan=False, allow_infinity=False)
 
 
 def _config_text(value):
@@ -139,16 +166,22 @@ def _config_file(command, values):
 def _config_values(command):
     values = st.fixed_dictionaries({key: _spec_values(spec)
                                     for key, spec in cli.COMMAND_SCHEMAS[command].items()})
+    if command == "crystal":
+        return values.filter(_trap_frequency_fits)
     return values.map(_accepted_scenario) if command == "scenario" else values
 
 
 def _accepted_scenario(values):
     """The drawn scenario values, moved to where ScenarioConfig accepts them."""
     spacing, separation = sorted((values["probe_spacing_m"], values["well_separation_m"]))
-    assume(spacing < separation)
+    assume(spacing < separation and _trap_frequency_fits(values))
     return {**values, "probe_spacing_m": spacing, "well_separation_m": separation,
-            "shots": min(values["shots"], estimation._SHOT_LIMIT),
             "n_ions": 5 if values["scenario"] == "ghz_chain" else values["n_ions"]}
+
+
+def _trap_frequency_fits(values):
+    """Whether the trap frequency in rad/s fits a float, as TrapConfig requires."""
+    return 2.0 * math.pi * values["axial_frequency_hz"] < math.inf
 
 
 # Where cli._execute_scenario puts each key it reads for the kind, cli._trap and
@@ -177,6 +210,17 @@ def _call_args(run, name):
     return caught.value.args
 
 
+def _field_bound(owner, name):
+    """The Bound that owner's dataclass declares for its field name; None if none."""
+    [f] = [f for f in dataclasses.fields(owner) if f.name == name]
+    return f.metadata.get("bound")
+
+
+def _assert_spec_holds_the_field_bound(schema, key, owner, name):
+    # the schema reads the library's bound object rather than restating it
+    assert schema[key].bound is _field_bound(owner, name), key
+
+
 def _assert_scenario_keys_reach_their_fields(run, values):
     [config] = _call_args(run, "run_scenario")
     mapped = {key: spec.to for key, spec in cli._SCENARIO_FIELDS.items() if spec.to}
@@ -185,7 +229,10 @@ def _assert_scenario_keys_reach_their_fields(run, values):
     assert set(paths) == {*cli._SCENARIO_FIELDS, "seed"}
     for key, path in paths.items():
         expected = 2.0 * math.pi * values[key] if key == "axial_frequency_hz" else values[key]
-        assert functools.reduce(getattr, path.split("."), config) == expected, key
+        *parents, name = path.split(".")
+        owner = functools.reduce(getattr, parents, config)
+        assert getattr(owner, name) == expected, key
+        _assert_spec_holds_the_field_bound(cli.COMMAND_SCHEMAS["scenario"], key, owner, name)
 
 
 @given(st.sampled_from(sorted(cli.COMMAND_SCHEMAS)).flatmap(
@@ -205,23 +252,40 @@ def test_round_trip_normalization(drawn):
         _assert_scenario_keys_reach_their_fields(run, values)
     if command == "montecarlo":
         _assert_montecarlo_keys_reach_their_fields(run, values)
+    if command == "crystal":
+        _assert_crystal_keys_reach_their_fields(run, values)
 
 
 def _assert_montecarlo_keys_reach_their_fields(run, values):
-    shots = min(values["shots"], estimation._SHOT_LIMIT)   # past it ExperimentPlan refuses
-    run = replace(run, parameters={**run.parameters, "shots": shots})
     plan, probe, zeeman, fields, noise = _call_args(run, "simulate_shots")
-    reached = {"seed": plan.rng_seed, "shots": plan.shots,
-               "interaction_time_s": plan.interaction_time, "bias_phase_rad": plan.bias_phase,
-               "g_factor": zeeman.g_factor, "contrast": noise.contrast,
-               "gradient_rms_t_per_m": noise.gradient_rms,
-               "common_mode_rms_t": noise.common_mode_rms,
-               "probe_spacing_m": probe.ion_positions[1].z, "delta_b_t": fields[1]}
-    assert set(reached) == set(values) - {"output_format"}
-    for key, value in reached.items():
-        assert value == (shots if key == "shots" else values[key]), key
+    # (object, field) each key fills; the last two fill no library field
+    reached = {"seed": (plan, "rng_seed"), "shots": (plan, "shots"),
+               "interaction_time_s": (plan, "interaction_time"),
+               "bias_phase_rad": (plan, "bias_phase"), "g_factor": (zeeman, "g_factor"),
+               "contrast": (noise, "contrast"), "gradient_rms_t_per_m": (noise, "gradient_rms"),
+               "common_mode_rms_t": (noise, "common_mode_rms")}
+    assert set(reached) == set(values) - {"output_format", "probe_spacing_m", "delta_b_t"}
+    for key, (owner, name) in reached.items():
+        assert getattr(owner, name) == values[key], key
+        _assert_spec_holds_the_field_bound(cli.COMMAND_SCHEMAS["montecarlo"], key, owner, name)
+    assert (probe.ion_positions[1].z, fields[1]) == (values["probe_spacing_m"],
+                                                     values["delta_b_t"])
     # the readout contrast is not the pair's: it is prepared with fidelity 1
     assert (probe.ion_positions[0].z, fields[0], probe.contrast) == (0.0, 0.0, 1.0)
+
+
+def _assert_crystal_keys_reach_their_fields(run, values):
+    n_ions, trap = _call_args(run, "equilibrium_positions")
+    schema = cli.COMMAND_SCHEMAS["crystal"]
+    reached = {"axial_frequency_hz": "axial_frequency", "ion_mass_kg": "ion_mass",
+               "ion_charge_c": "ion_charge"}
+    assert set(reached) == set(values) - {"output_format", "seed", "n_ions"}
+    for key, name in reached.items():
+        expected = 2.0 * math.pi * values[key] if key == "axial_frequency_hz" else values[key]
+        assert getattr(trap, name) == expected, key
+        _assert_spec_holds_the_field_bound(schema, key, trap, name)
+    # equilibrium_positions checks n_ions against the one bound the schema reads
+    assert n_ions == values["n_ions"] and schema["n_ions"].bound is crystal.N_IONS
 
 
 # ---------------------------------------------------------------------------
@@ -808,7 +872,7 @@ def _scenario_values(spec):
         else spec.default
     if spec.kind != "float" or typical == 0:
         return values
-    high = typical * 10 if spec.maximum is None else min(typical * 10, spec.maximum)
+    high = typical * 10 if spec.bound.maximum is None else min(typical * 10, spec.bound.maximum)
     return st.one_of(values, st.floats(typical / 10, high))
 
 
@@ -890,15 +954,16 @@ def test_every_drawn_config_ends_cleanly(drawn, ending, latin1):
 
 
 def test_unallocatable_shot_count_is_a_config_error(tmp_path, capsys):
-    # past 2^61 shots the 64-bit RNG counters wrap: rejected before any shot runs
+    # past 2^61 shots the 64-bit RNG counters wrap: rejected before any shot
+    # runs, with its key and line, and beside the file's other problems
     shots = 2 ** 62
     cfg = _write_cfg(tmp_path, f"command = montecarlo\nshots = {shots}\n"
-                               "interaction_time_s = 0.01\ndelta_b_t = 1e-12\n")
+                               "interaction_time_s = -1\ndelta_b_t = 1e-12\n")
     out = tmp_path / "out"
     assert main(["--config", str(cfg), "--out", str(out)]) == 1
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("config error: "), err
-    assert str(shots) in err[0] and str(2 ** 61) in err[0]
+    assert capsys.readouterr().err.splitlines() == [
+        f"config error: line 2: shots: must be <= {2 ** 61}, got {shots}",
+        "line 3: interaction_time_s: must be >= 0, got -1"]
     assert not out.exists()
 
 

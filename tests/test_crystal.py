@@ -92,6 +92,10 @@ def test_length_scale_mass_power_law():
     dict(axial_frequency=0.0, ion_mass=CA40_MASS),
     dict(axial_frequency=1e7, ion_mass=0.0),
     dict(axial_frequency=1e7, ion_mass=CA40_MASS, ion_charge=-1e-19),
+    # inf is refused when the trap is made, not first by length_scale
+    dict(axial_frequency=math.inf, ion_mass=CA40_MASS),
+    dict(axial_frequency=1e7, ion_mass=math.inf),
+    dict(axial_frequency=1e7, ion_mass=CA40_MASS, ion_charge=math.inf),
 ])
 def test_invalid_trap_config(kwargs):
     with pytest.raises(ConfigurationError):

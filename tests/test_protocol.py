@@ -378,3 +378,5 @@ def test_zeeman_config_validation():
         ZeemanConfig(g_factor=0.0)
     with pytest.raises(ConfigurationError):
         ZeemanConfig(g_factor=-2.0)
+    with pytest.raises(ConfigurationError, match="g_factor must be finite and > 0, got inf"):
+        ZeemanConfig(g_factor=math.inf)

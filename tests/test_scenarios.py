@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import sys
 from typing import NamedTuple
 
 import numpy as np
@@ -8,13 +9,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from iongradim import estimation, scenarios
+from iongradim import crystal, estimation, scenarios
 from iongradim.constants import Vec3, constants
-from iongradim.crystal import TrapConfig
-from iongradim.errors import ConfigurationError
-from iongradim.estimation import (ExperimentPlan, NoiseModel, analytic_snr, expected_parity,
-                                  required_shots, simulate_shots, spin_discrimination_snr,
-                                  swing_threshold)
+from iongradim.crystal import TrapConfig, equilibrium_positions
+from iongradim.errors import ConfigurationError, InfeasibleError
+from iongradim.estimation import (ExperimentPlan, NoiseModel, analytic_snr,
+                                  dephasing_contrast, expected_parity, required_shots,
+                                  simulate_shots, spin_discrimination_snr, swing_threshold)
 from iongradim.magnetostatics import DipoleSource, axial_bz
 from iongradim.protocol import (BELL, GHZ, PAIR_WEIGHTS, ZeemanConfig, accumulated_phase,
                                 phase_rate, prepare_probe)
@@ -414,34 +415,92 @@ def test_mode_is_labeled(make):
     assert any(f"mode={report.mode}" in note for note in report.annotations)
 
 
-@pytest.mark.parametrize("name, value", [
-    ("source_moment", math.inf), ("source_moment", math.nan), ("source_moment", -1e-24),
-    ("moment_before", math.nan), ("moment_after", math.inf), ("moment_after", -1e-24),
-    ("well_separation", math.inf), ("probe_spacing", math.nan),
-    ("atom_moment", math.nan), ("atom_moment", 0.0), ("atom_moment", -1e-24),
-    ("overhead_per_shot", math.nan), ("overhead_per_shot", math.inf),
-    ("target_snr", math.inf),
-])
-def test_config_rejects_non_finite_or_negative_inputs(name, value):
-    with pytest.raises(ConfigurationError, match=name):
-        dataclasses.replace(dw_config(), **{name: value})
+def _bound_edges(bound):
+    """(value, accepted) at each end of bound, beside nan and +-inf, which no bound takes."""
+    def step(value, direction):
+        return value + direction if bound.integer else math.nextafter(value, direction * math.inf)
+    edges = [(math.nan, False), (math.inf, False), (-math.inf, False)]
+    if bound.minimum is None:
+        edges.append((-sys.float_info.max, True))
+    else:
+        edges += [(bound.minimum, not bound.exclusive_minimum), (step(bound.minimum, -1), False),
+                  (step(bound.minimum, 1), True)]
+    if bound.maximum is None:   # an int of any size is finite
+        edges.append((2 ** 1024, True) if bound.integer else (sys.float_info.max, True))
+    else:
+        edges += [(bound.maximum, True), (step(bound.maximum, 1), False)]
+    if bound.integer:
+        edges.append((bound.minimum + 0.5, False))
+    return edges
+
+
+def _replacing(instance, name):
+    return lambda value: dataclasses.replace(instance, **{name: value})
+
+
+_PAIR = prepare_probe(BELL, (Vec3(0, 0, 0.0), Vec3(0, 0, 1.03e-6)), 1.0)
+# every bound a library dataclass declares, each with a way to set one value
+# in a valid instance (a three_ion_spin ScenarioConfig, whose kind reads no
+# well geometry or n_ions), and the functions that check a value against one
+_DECLARED_BOUNDS = [
+    (f"{type(instance).__name__}.{f.name}", f.name, f.metadata["bound"],
+     _replacing(instance, f.name))
+    for instance in (base_config(THREE_ION_SPIN).trap, ZeemanConfig(g_factor=2.002), _PAIR,
+                     NoiseModel(), base_config(THREE_ION_SPIN).plan, base_config(THREE_ION_SPIN))
+    for f in dataclasses.fields(instance) if "bound" in f.metadata
+] + [
+    ("equilibrium_positions.n_ions", "n_ions", crystal.N_IONS,
+     lambda n: equilibrium_positions(n, base_config(THREE_ION_SPIN).trap)),
+    ("required_shots.target_snr", "target_snr", estimation.TARGET_SNR,
+     lambda snr: required_shots(snr, 1.0)),
+    ("dephasing_contrast.gradient_rms", "gradient_rms", estimation._RMS,
+     lambda rms: dephasing_contrast(rms, _PAIR, ZeemanConfig(g_factor=2.002), 1.0)),
+    ("dephasing_contrast.duration", "duration", estimation._TIME,
+     lambda t: dephasing_contrast(1e-9, _PAIR, ZeemanConfig(g_factor=2.002), t)),
+]
+
+
+@pytest.mark.parametrize("name, bound, make", [case[1:] for case in _DECLARED_BOUNDS],
+                         ids=[case[0] for case in _DECLARED_BOUNDS])
+def test_each_declared_bound_holds_at_its_edges(name, bound, make):
+    # inclusive ends are taken and exclusive ones refused, one step inside
+    # and outside each end too; a refusal names the field, its range and the value
+    for value, accepted in _bound_edges(bound):
+        if accepted:
+            try:
+                make(value)
+            except InfeasibleError:   # a target no shot count reaches is still in range
+                pass
+            continue
+        with pytest.raises(ConfigurationError) as raised:
+            make(value)
+        assert str(raised.value) == f"{name} must be {bound}, got {value}"
 
 
 @pytest.mark.parametrize("make, message", [
     (lambda: base_config("triple_well"), "unknown scenario kind 'triple_well'"),
     (lambda: base_config(THREE_ION_SPIN, preparation_fidelity=1.01),
-     "preparation_fidelity must be in [0, 1]"),
+     "preparation_fidelity must be in [0, 1], got 1.01"),
     (lambda: base_config(THREE_ION_SPIN, preparation_fidelity=-0.01),
-     "preparation_fidelity must be in [0, 1]"),
+     "preparation_fidelity must be in [0, 1], got -0.01"),
     (lambda: base_config(MOLECULAR_STATE_CHANGE, moment_before=MU_E),
      "molecular_state_change needs moment_before and moment_after"),
-    (lambda: dw_config(well_separation=None), "well_separation must be finite and >= 0, got None"),
-    (lambda: dw_config(probe_spacing=None), "probe_spacing must be finite and >= 0, got None"),
-    (lambda: dw_config(well_separation=0.0), "double-well geometry must be positive"),
-    (lambda: dw_config(probe_spacing=0.0), "double-well geometry must be positive"),
-    (lambda: dw_config(delta_n=-1), "delta_n must be an integer >= 0"),
-    (lambda: dw_config(delta_n=1.5), "delta_n must be an integer >= 0"),
-    (lambda: dw_config(delta_n=None), "delta_n must be an integer >= 0"),
+    (lambda: dw_config(well_separation=None), "well_separation must be finite and > 0, got None"),
+    (lambda: dw_config(probe_spacing=None), "probe_spacing must be finite and > 0, got None"),
+    (lambda: dw_config(well_separation=0.0), "well_separation must be finite and > 0, got 0.0"),
+    (lambda: dw_config(probe_spacing=0.0), "probe_spacing must be finite and > 0, got 0.0"),
+    (lambda: dw_config(delta_n=-1), "delta_n must be an integer >= 0, got -1"),
+    (lambda: dw_config(delta_n=1.5), "delta_n must be an integer >= 0, got 1.5"),
+    (lambda: dw_config(delta_n=None), "delta_n must be an integer >= 0, got None"),
+    (lambda: dw_config(probe_spacing=4.4e-6),
+     "probe pair must fit inside the double well (spacing 4.4e-06 >= separation 4.4e-06)"),
+    # every kind holds each field to its range, not only the kind that reads it
+    (lambda: base_config(THREE_ION_SPIN, well_separation=0.0),
+     "well_separation must be finite and > 0, got 0.0"),
+    (lambda: base_config(GHZ_CHAIN, delta_n=-1), "delta_n must be an integer >= 0, got -1"),
+    (lambda: base_config(THREE_ION_SPIN, n_ions=31), "n_ions must be an integer in [1, 30], got 31"),
+    (lambda: base_config(GHZ_CHAIN, n_ions=4),
+     "ghz_chain is defined for a 5-ion crystal (4 probes + central spin), got 4"),
 ])
 def test_scenario_config_names_each_rejected_field(make, message):
     with pytest.raises(ConfigurationError) as raised:
