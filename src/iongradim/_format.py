@@ -57,10 +57,13 @@ def _digit_tables():
 POWERS, SIGN_LEAD, DOT3, FOUR, EXPONENT = _digit_tables()
 
 
-def e15_words(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def e15_words(values: np.ndarray, out: np.ndarray | None = None,
+              ) -> tuple[np.ndarray, np.ndarray]:
     """'{:.15e}' of each float64 as six uint32 words of ASCII, and where it is not proven.
 
-    Returns (words, fallback): words[i] holds the bytes of
+    Returns (words, fallback): words is out, an (n, 6) uint32 array that may
+    be a view of columns of a wider one (a table's cell buffer), or a new
+    one without out. words[i] holds the bytes of
     '{:.15e}'.format(values[i]) laid out as in _digit_tables, with NUL in the
     two lead bytes and in the sign byte of a nonnegative value, wherever
     fallback[i] is False. Where fallback[i] is True the words are not the
@@ -96,7 +99,7 @@ def e15_words(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     below 10^17 are cast to integers.
     """
     n = values.size
-    words = np.empty((n, 6), np.uint32)
+    words = np.empty((n, 6), np.uint32) if out is None else out
     fallback = np.empty(n, bool)
     for start in range(0, n, CHUNK_CELLS):
         part = slice(start, start + CHUNK_CELLS)
@@ -109,20 +112,22 @@ def _e15_chunk(x: np.ndarray, words: np.ndarray) -> np.ndarray:
     magnitude = np.abs(x)
     zero = magnitude == 0.0
     regular = (magnitude >= SMALLEST) & (magnitude < PAST_LARGEST)
-    # others get k = 0 and y = 0: a zero's text, and no cast of nan or inf
-    magnitude[~regular] = 1.0
+    irregular = ~regular
+    # these get k = 0 and y = 0: a zero's text, and no cast of nan or inf
+    magnitude[irregular] = 1.0
     k = np.floor(np.log10(magnitude)).astype(np.intp)
-    magnitude[~regular] = 0.0
+    k += K_OFFSET                       # from here k is the tables' index of the exponent
+    magnitude[irregular] = 0.0
     wide = magnitude.astype(np.longdouble)
-    del magnitude
-    y = POWERS[k + K_OFFSET]
+    del magnitude, irregular
+    y = POWERS[k]
     y *= wide
     digits = np.rint(y)
     whole = digits.astype(np.int64)     # exact: 0 or below 10^17
     move = (whole >= 10 ** 16).astype(np.intp) - ((whole < 10 ** 15) & regular)
-    if move.any():
+    if np.count_nonzero(move):
         k += move
-        y = POWERS[k + K_OFFSET]
+        y = POWERS[k]
         y *= wide
         np.rint(y, out=digits)
         whole = digits.astype(np.int64)
@@ -143,5 +148,6 @@ def _e15_chunk(x: np.ndarray, words: np.ndarray) -> np.ndarray:
     mid = low // 10 ** 4
     words[:, 3] = FOUR[mid]
     words[:, 4] = FOUR[low - mid * 10 ** 4]
-    words[:, 5] = EXPONENT[k + K_OFFSET]
-    return ~(proven | zero)
+    words[:, 5] = EXPONENT[k]
+    proven |= zero
+    return np.logical_not(proven, out=proven)

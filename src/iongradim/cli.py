@@ -31,7 +31,6 @@ import re
 import sys
 from dataclasses import MISSING, dataclass, field, fields, replace
 from itertools import chain, islice
-from pathlib import Path
 
 import numpy as np
 
@@ -187,38 +186,49 @@ class ResultBundle:
     annotations: tuple[str, ...] = field(default_factory=tuple)
 
 
+# Per command, built once from its schema: the keys it requires, and the
+# default of each other key (None where it has none).
+_REQUIRED = {command: tuple(key for key, spec in schema.items() if spec.required)
+             for command, schema in COMMAND_SCHEMAS.items()}
+_DEFAULTS = {command: {key: spec.default for key, spec in schema.items() if not spec.required}
+             for command, schema in COMMAND_SCHEMAS.items()}
+
+
+def _bad_value(key: str, line_no: int, problem: str) -> ConfigFileError:
+    return ConfigFileError(f"line {line_no}: {key}: {problem}")
+
+
 def _parse_value(raw: str, spec: FieldSpec, key: str, line_no: int) -> object:
-    where = f"line {line_no}: {key}"
     if spec.kind == "int":
         if not _INT_RE.match(raw):
-            raise ConfigFileError(f"{where}: expected an integer, got {raw!r}")
+            raise _bad_value(key, line_no, f"expected an integer, got {raw!r}")
         try:
             value = int(raw)
         except ValueError:   # more digits than Python converts from a string
-            raise ConfigFileError(f"{where}: an integer of {len(raw.lstrip('+-'))} digits "
-                                  "is too long to convert") from None
+            raise _bad_value(key, line_no, f"an integer of {len(raw.lstrip('+-'))} digits "
+                                           "is too long to convert") from None
     elif spec.kind == "float":
         try:
             value = float(raw)
         except ValueError:
-            raise ConfigFileError(f"{where}: expected a number, got {raw!r}") from None
+            raise _bad_value(key, line_no, f"expected a number, got {raw!r}") from None
         if not math.isfinite(value):
-            raise ConfigFileError(f"{where}: value must be finite, got {raw!r}")
+            raise _bad_value(key, line_no, f"value must be finite, got {raw!r}")
     elif spec.kind == "bool":
         lowered = raw.lower()
         if lowered in ("on", "true"):
             return True
         if lowered in ("off", "false"):
             return False
-        raise ConfigFileError(f"{where}: expected on/off, got {raw!r}")
+        raise _bad_value(key, line_no, f"expected on/off, got {raw!r}")
     else:
         value = raw
     if spec.choices is not None and value not in spec.choices:
-        raise ConfigFileError(
-            f"{where}: must be one of {', '.join(spec.choices)}; got {raw!r}")
+        raise _bad_value(key, line_no,
+                         f"must be one of {', '.join(spec.choices)}; got {raw!r}")
     broken = spec.bound and spec.bound.broken(value)
     if broken:
-        raise ConfigFileError(f"{where}: must be {broken}, got {raw}")
+        raise _bad_value(key, line_no, f"must be {broken}, got {raw}")
     return value
 
 
@@ -227,13 +237,13 @@ def parse_config(text: str) -> RunConfig:
     assignments: dict[str, tuple[str, int]] = {}
     errors: list[str] = []
     for line_no, raw_line in enumerate(text.splitlines(), start=1):
-        line = raw_line.split("#", 1)[0].strip()
+        line = raw_line.partition("#")[0].strip()
         if not line:
             continue
-        if "=" not in line:
+        key, equals, value = line.partition("=")
+        if not equals:
             errors.append(f"line {line_no}: expected 'key = value', got {raw_line.strip()!r}")
             continue
-        key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
         if not _KEY_RE.match(key):
             errors.append(f"line {line_no}: invalid key {key!r}")
@@ -259,22 +269,18 @@ def parse_config(text: str) -> RunConfig:
             f"expected one of {', '.join(sorted(COMMAND_SCHEMAS))}")
     schema = COMMAND_SCHEMAS[command]
 
-    parameters: dict = {}
+    parameters = dict(_DEFAULTS[command])
     for key, (raw, line_no) in assignments.items():
-        if key not in schema:
+        spec = schema.get(key)
+        if spec is None:
             errors.append(f"line {line_no}: unknown key {key!r} for command {command!r}")
             continue
         try:
-            parameters[key] = _parse_value(raw, schema[key], key, line_no)
+            parameters[key] = _parse_value(raw, spec, key, line_no)
         except ConfigFileError as exc:
             errors.append(str(exc))
-    for key, spec in schema.items():
-        if key in parameters or key in assignments:   # set, though perhaps to a bad value
-            continue
-        if spec.required:
-            errors.append(f"missing required key {key!r} for command {command!r}")
-        else:
-            parameters[key] = spec.default
+    errors += [f"missing required key {key!r} for command {command!r}"
+               for key in _REQUIRED[command] if key not in assignments]
     if errors:
         raise ConfigFileError("\n".join(errors))
 
@@ -399,8 +405,9 @@ def _execute_montecarlo(params: dict, seed: int) -> tuple[tuple[Table, ...], tup
                      ((result.parity_estimate, result.std_error, result.snr,
                        true_parity, result.shots_used),))
     counts = outcomes.pattern_counts
-    count_rows = tuple((int(v), int(counts[v])) for v in np.flatnonzero(counts))
-    counts_table = Table("outcome_counts", ("outcome_index", "count"), count_rows)
+    drawn = np.flatnonzero(counts)
+    counts_table = Table("outcome_counts", ("outcome_index", "count"),
+                         tuple(zip(drawn.tolist(), counts[drawn].tolist())))
     return (estimate, counts_table), ()
 
 
@@ -504,11 +511,12 @@ def _row_lines(rows, sep: str, lead: str) -> list[str]:
 # ---------------------------------------------------------------------------
 # all-float tables: the float cell text for a whole array at once (_format.e15_words)
 
-# Each bundle pays about 50 us of numpy calls in the array kernel, and a cell
+# Each bundle pays about 35 us of numpy calls in the array kernel, and a cell
 # then a fraction of its '%' cost: on one 2- or 3-column table (2-vCPU Xeon)
-# the kernel overtakes _row_lines at about 72 cells and is 1.3-1.6x faster from
-# 96 to 120. A seed-0 sweep pass has about 17 array tables from 72 to 127
-# cells, too few for a lower bound to gain a measurable share of the pass.
+# the kernel overtakes _row_lines at about 50 cells and is 1.3-1.4x faster at
+# 72 and 1.6-1.7x at 96. A seed-0 sweep pass has 24 array tables (2,108
+# cells) from 48 to 127 cells, too few for a lower bound to gain a
+# measurable share of the pass.
 _KERNEL_MIN_CELLS = 128
 
 
@@ -517,34 +525,41 @@ def _word(text: str) -> np.uint32:
     return np.frombuffer(text.encode("ascii").ljust(4, b"\0"), np.uint32)[0]
 
 
+# (sep, lead) of each output format -> the words that come before a kernel
+# cell: the table's first cell, the first cell of each later line, any other
+_CELL_WORDS = {(sep, lead): (_word(lead), _word("\n" + lead), _word(sep))
+               for sep, lead in ((",", ""), ("  ", "  "))}
+
+
 def _table_lines(tables, sep: str, lead: str) -> list[list[str]]:
     """For each table, its rows' lines, each lead + sep.join(map(_csv_cell, row)),
-    "\\n"-joined into one string; no string for a table without rows. sep and
-    lead hold at most 2 characters.
+    "\\n"-joined into one string; no string for a table without rows. (sep,
+    lead) is an output format's, a key of _CELL_WORDS.
 
     Array tables of at least _KERNEL_MIN_CELLS cells are formatted by one
-    _format.e15_words call for the whole bundle, and each cell the kernel
-    did not prove by its _SPECS text over its own 24 bytes, which every
-    float's text fits (the longest has 23 characters). Each cell then
-    takes 7 words: one holding what comes before it (the line's lead, a
-    newline and the lead, or the separator) and its 6 words of text; NULs
-    pad. A table's NULs are stripped and its text decoded as one string.
-    Every other table, and every table where _format.LONG_DOUBLE_OK is
-    false, goes through _row_lines, and only those do.
+    _format.e15_words call for the whole bundle, which writes each cell's 6
+    words of text into a buffer of 7 words per cell, after a word holding
+    what comes before the cell (the line's lead, a newline and the lead, or
+    the separator); NULs pad. A cell the kernel did not prove is written
+    there as its _SPECS text, which its 24 bytes fit (the longest has 23
+    characters). A table's NULs are stripped and its text decoded as one
+    string. Every other table, and every table where
+    _format.LONG_DOUBLE_OK is false, goes through _row_lines, and only those do.
     """
     out = [None] * len(tables)
     picked = [(i, t.rows.size, t.rows.shape[1]) for i, t in enumerate(tables)
               if isinstance(t.rows, np.ndarray) and t.rows.size >= _KERNEL_MIN_CELLS]
     if picked and _format.LONG_DOUBLE_OK:
-        values = np.concatenate([tables[i].rows.ravel() for i, _, _ in picked])
-        words, fallback = _format.e15_words(values)
-        redo = np.flatnonzero(fallback)
-        texts = np.array(list(map(_SPECS[float].__mod__, values[redo].tolist())), "S24")
-        words[redo] = texts.view(np.uint32).reshape(-1, 6)
+        first, line_start, between = _CELL_WORDS[sep, lead]
+        values = (tables[picked[0][0]].rows.ravel() if len(picked) == 1 else
+                  np.concatenate([tables[i].rows.ravel() for i, _, _ in picked]))
         cells = np.empty((values.size, 7), np.uint32)
-        cells[:, 0] = _word(sep)
-        cells[:, 1:] = words
-        first, line_start = _word(lead), _word("\n" + lead)
+        cells[:, 0] = between
+        _, fallback = _format.e15_words(values, cells[:, 1:])
+        redo = fallback.nonzero()[0]
+        if redo.size:
+            texts = np.array(list(map(_SPECS[float].__mod__, values[redo].tolist())), "S24")
+            cells[redo, 1:] = texts.view(np.uint32).reshape(-1, 6)
         start = 0
         for i, size, width in picked:
             table = cells[start:start + size]
@@ -566,7 +581,7 @@ def _preamble(bundle: ResultBundle) -> list[str]:
     return lines
 
 
-def _write(path: Path, lines: list[str]) -> None:
+def _write(path: str, lines: list[str]) -> None:
     """Write the lines, each ending in "\\n", to path as UTF-8.
 
     The file is written over in place and then, if it was longer, cut to
@@ -576,7 +591,7 @@ def _write(path: Path, lines: list[str]) -> None:
     rewrites every file. A new file, or one rewritten at its old size,
     already has the new length and is not truncated at all.
     """
-    data = ("\n".join(lines) + "\n").encode("utf-8")
+    data = "\n".join([*lines, ""]).encode("utf-8")
     fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
     try:
         view = memoryview(data)
@@ -588,18 +603,18 @@ def _write(path: Path, lines: list[str]) -> None:
         os.close(fd)
 
 
-def emit(bundle: ResultBundle, output_format: str, out_dir: str | Path) -> list[Path]:
-    """Write the bundle; returns the written paths. Byte-stable for fixed inputs.
+def emit(bundle: ResultBundle, output_format: str, out_dir: str | os.PathLike) -> list[str]:
+    """Write the bundle; returns the written paths, each out_dir joined with
+    its file name (os.path.join). Byte-stable for fixed inputs.
 
     A file that already exists is overwritten in place and left holding
     exactly the new bytes. No write is atomic: an interrupted one can leave
     new bytes followed by the file's old ones.
     """
-    out = Path(out_dir)
-    # one stat of out_dir as given: a Path's text would be built first, and
-    # mkdir on an existing directory raises and catches
-    if not os.path.isdir(out_dir):
-        out.mkdir(parents=True, exist_ok=True)
+    directory = os.path.join(out_dir, "")   # ends in a separator; "" for the working directory
+    # one stat: makedirs on an existing directory raises and catches
+    if directory and not os.path.isdir(directory):
+        os.makedirs(directory, exist_ok=True)
     if output_format == "csv":
         files = [(f"{table.name}.csv", [bundle.header, ",".join(table.columns), *rows])
                  for table, rows in zip(bundle.tables, _table_lines(bundle.tables, ",", ""))]
@@ -615,9 +630,11 @@ def emit(bundle: ResultBundle, output_format: str, out_dir: str | Path) -> list[
         files = [("report.txt", lines)]
     else:
         raise ConfigurationError(f"unknown output format {output_format!r}")
-    written = [out / name for name, _ in files]
-    for path, (_, lines) in zip(written, files):
+    written = []
+    for name, lines in files:
+        path = directory + name
         _write(path, lines)
+        written.append(path)
     return written
 
 
@@ -720,8 +737,7 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"runtime error: cannot write output: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
-    for path in written:
-        print(path)
+    print("\n".join(written))
     return EXIT_OK
 
 

@@ -70,6 +70,8 @@ from .protocol import (CONTRAST, ProbeState, ZeemanConfig, accumulated_phase, ou
 # is never drawn; moving the other draws into them would change the outcomes
 # of every seed.
 _SLOTS_PER_SHOT = 8
+_GAUSSIAN_SLOTS = np.array([[2], [3]], dtype=np.uint64)   # rng.gaussian's two streams
+_GAUSSIAN_BELOW_OUTCOME = np.uint64(4) - _GAUSSIAN_SLOTS   # how far below slot 4 they lie
 _SHOT_LIMIT = 2 ** 64 // _SLOTS_PER_SHOT   # beyond it the 64-bit counters wrap and repeat
 _BLOCK = 2 ** 15   # shots per block: a float64 per-shot temporary is 256 KB
 _OUTPUT_BYTES_PER_SHOT = 24   # parity, outcome index and phase, 8 bytes each
@@ -168,7 +170,8 @@ class _Run:
         """
         plan, n = self.plan, self.n_class
         window = self._window()   # 0 for a noise-free run: nothing to flag, no near test
-        screen = window == 0 or (math.isfinite(window)
+        # _screen_saving is below 1, so no run of at most _SCREEN_SETUP shots screens
+        screen = window == 0 or (math.isfinite(window) and plan.shots > _SCREEN_SETUP
                                  and self._screen_saving(window) * plan.shots > _SCREEN_SETUP)
         if screen:
             p0 = self._p_even(accumulated_phase(self.base_rate, plan.interaction_time))
@@ -185,7 +188,7 @@ class _Run:
             k = min(_BLOCK, plan.shots - lo)
             b = rng.uniform_bits(plan.rng_seed, counter[:k], bits[:k])
             if not screen:
-                counts += self._own_slots(b, counter[:k], *floats[:, :k], *masks[:, :k])
+                counts += self._own_slots(b, counter[:k], floats[:, :k], *masks[:, :k])
             else:
                 counts += _rank_counts(b, thresholds)
                 if window != 0:
@@ -234,7 +237,7 @@ class _Run:
         moved = np.take(flagged, keep, out=bits[:i], mode="clip")
         ranks = _rank_counts(moved, thresholds)   # before _own_slots spends moved
         counter = np.take(counter, keep, out=gathered[1, :i], mode="clip")
-        return self._own_slots(moved, counter, *floats[:, :i], *masks[:, :i]) - ranks
+        return self._own_slots(moved, counter, floats[:, :i], *masks[:, :i]) - ranks
 
     def _own_halves(self, counter: np.ndarray, work: np.ndarray, out: np.ndarray) -> np.ndarray:
         """Each shot's own half-width, in whole outcome-integer units, from its radius; in out.
@@ -248,7 +251,8 @@ class _Run:
         A half above 2^53 is cut to 2^53, which already holds every integer.
         """
         np.subtract(counter, np.uint64(2), out=work.view(np.uint64))
-        half = self._window(rng._radius(self.plan.rng_seed, work.view(np.uint64), work))
+        half = self._window(rng._radius(rng.uniform(self.plan.rng_seed, work.view(np.uint64),
+                                                    work)))
         half *= 2.0 ** 53
         np.minimum(half, 2.0 ** 53, out=half)
         np.ceil(half, out=half)
@@ -263,7 +267,7 @@ class _Run:
         not finite is a ConfigurationError.
         """
         shot = np.arange(lo, hi, dtype=np.uint64) * np.uint64(_SLOTS_PER_SHOT)
-        phase = (self._noisy_phases(shot + np.uint64(2), shot + np.uint64(3))
+        phase = (self._noisy_phases(shot + _GAUSSIAN_SLOTS)
                  if self.noise.gradient_rms > 0
                  else accumulated_phase(self.base_rate, self.plan.interaction_time))
         p_even = self._p_even(phase)
@@ -310,15 +314,14 @@ class _Run:
         window += _P_MARGIN
         return window
 
-    def _noisy_phases(self, counter_a: np.ndarray, counter_b: np.ndarray,
-                      out: np.ndarray | None = None, work: np.ndarray | None = None,
-                      ) -> np.ndarray:
-        """Per-shot phases from the gradient Gaussian on two counter slots (see rng.gaussian).
+    def _noisy_phases(self, counters: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Per-shot phases from the gradient Gaussian on the (2, n) counters of its two
+        slots (see rng.gaussian, which writes into out).
 
         A phase that is not finite is a ConfigurationError.
         """
         plan, probe = self.plan, self.probe
-        phase = rng.gaussian(plan.rng_seed, counter_a, counter_b, out, work)
+        phase = rng.gaussian(plan.rng_seed, counters, out)
         with np.errstate(over="ignore", invalid="ignore"):   # checked just below
             # (base + gyro * (rms * g) * coupling) * t, one step at a time in
             # place, in the order that keeps every bit
@@ -340,18 +343,18 @@ class _Run:
         p *= 0.5
         return p
 
-    def _own_slots(self, bits: np.ndarray, counter: np.ndarray, p: np.ndarray,
-                   work: np.ndarray, even: np.ndarray, odd: np.ndarray) -> np.ndarray:
+    def _own_slots(self, bits: np.ndarray, counter: np.ndarray, floats: np.ndarray,
+                   even: np.ndarray, odd: np.ndarray) -> np.ndarray:
         """Shots per slot at their own phase, for outcome integers and their slot-4 counters.
 
-        bits is spent; p and work are float64 and even and odd bool buffers of its length.
+        bits is spent; floats is a (2, n) float64 and even and odd are bool
+        buffers of its length n.
         """
-        # each counter of the gradient Gaussian (slots 2 and 3) is written where its draw lands
-        np.subtract(counter, np.uint64(2), out=p.view(np.uint64))
-        np.subtract(counter, np.uint64(1), out=work.view(np.uint64))
-        self._p_even(self._noisy_phases(p.view(np.uint64), work.view(np.uint64), p, work), out=p)
-        slot = _slots_in_place(rng.bits_to_uniform(bits, bits.view(np.float64)), p, self.n_class,
-                               work, even, odd)
+        # the counters of the gradient Gaussian (slots 2 and 3) are written where its draws land
+        np.subtract(counter, _GAUSSIAN_BELOW_OUTCOME, out=floats.view(np.uint64))
+        p = self._noisy_phases(floats.view(np.uint64), floats)
+        slot = _slots_in_place(rng.bits_to_uniform(bits, bits.view(np.float64)),
+                               self._p_even(p, out=p), self.n_class, floats[1], even, odd)
         return np.bincount(slot, minlength=2 * self.n_class)
 
 

@@ -48,7 +48,7 @@ _GHZ4_PATTERN = (0.5, -0.5, -0.5, 0.5)   # up, down, (sensed ion), down, up
 # default order, which only flips the sign of the phase.
 PAIR_WEIGHTS = ((-0.5, 0.5), (0.5, -0.5))
 
-_TRAJECTORY_POINTS = 101   # default sampling of a parity trajectory
+TRAJECTORY_POINTS = 101   # default sampling of a parity trajectory
 
 CONTRAST = Bound(0, 1)   # a fringe contrast: the probe's, and the readout's (NoiseModel)
 
@@ -203,7 +203,7 @@ def outcome_probabilities(probe: ProbeState, bias_phase: float = 0.0) -> np.ndar
 
 
 def parity_trajectory(rate: float, contrast: float, t_max: float,
-                      n_points: int = _TRAJECTORY_POINTS) -> np.ndarray:
+                      n_points: int = TRAJECTORY_POINTS) -> np.ndarray:
     """Rows (t, rate * t, contrast * cos(rate * t)) at n_points even times from 0 to t_max.
 
     A read-only (n_points, 3) float64 array, its columns in the order of the

@@ -17,20 +17,23 @@ Counter 0 with seed 0 therefore reproduces the first output of the
 canonical sequentially-seeded SplitMix64 stream, 0xE220A8397B1DCDAF, which
 the test suite pins. Uniforms map the top 53 bits b to (b + 1) * 2^-53 in
 (0, 1], a map that is exact and strictly increasing in b; Gaussians use the
-Box-Muller transform on two counters, and the radius of the first, which
-bounds the draw's magnitude, can be drawn alone. Every draw can be written
-into a caller's buffer (out=), so a caller that reuses its buffers
-allocates nothing per draw; the bits are the same either way.
+Box-Muller transform on two counter streams, drawn in one pass, and the
+radius of the first, which bounds the draw's magnitude, can be drawn alone.
+Every draw can be written into a caller's buffer (out=), so a caller that
+reuses its buffers allocates nothing per draw; the bits are the same either
+way.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-GOLDEN = np.uint64(0x9E3779B97F4A7C15)
-_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
-_MIX2 = np.uint64(0x94D049BB133111EB)
 _U64_MASK = (1 << 64) - 1
+_GOLDEN, _MIX1_INT, _MIX2_INT = 0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB
+GOLDEN = np.uint64(_GOLDEN)
+_MIX1 = np.uint64(_MIX1_INT)
+_MIX2 = np.uint64(_MIX2_INT)
+_SHIFT30, _SHIFT27, _SHIFT31 = np.uint64(30), np.uint64(27), np.uint64(31)
 _UNIFORM_SHIFT = np.uint64(64 - 53)   # a uniform keeps the top 53 bits
 
 
@@ -45,12 +48,12 @@ def splitmix64(seed: int, counter, out: np.ndarray | None = None) -> np.ndarray:
     n = np.asarray(counter, dtype=np.uint64)
     # state(n) = n * golden + (seed + golden), the same sum mod 2^64
     z = np.multiply(n, GOLDEN, out=np.empty_like(n) if out is None else out)
-    z += np.uint64((seed + int(GOLDEN)) & _U64_MASK)
-    z ^= z >> np.uint64(30)
+    z += np.uint64((seed + _GOLDEN) & _U64_MASK)
+    z ^= z >> _SHIFT30
     z *= _MIX1
-    z ^= z >> np.uint64(27)
+    z ^= z >> _SHIFT27
     z *= _MIX2
-    z ^= z >> np.uint64(31)
+    z ^= z >> _SHIFT31
     return _returned(z, out)
 
 
@@ -87,36 +90,37 @@ def uniform(seed: int, counter, out: np.ndarray | None = None) -> np.ndarray:
     return _returned(u, out)
 
 
-def gaussian(seed: int, counter_a, counter_b, out: np.ndarray | None = None,
-             work: np.ndarray | None = None) -> np.ndarray:
-    """Standard normal draw(s) via Box-Muller from two counter streams.
+def gaussian(seed: int, counters, out: np.ndarray | None = None) -> np.ndarray:
+    """Standard normal draw(s) via Box-Muller from two counter streams, in one pass.
 
-    out receives the draws and work holds the second stream's uniforms:
-    float64 arrays of the counters' shape, each of which may share the
-    memory of its own counter.
+    counters is a uint64 array of shape (2, *shape): row 0 holds the first
+    stream's counters, whose uniforms give the radius (_radius), and row 1
+    the second's, whose uniforms give the angle. Both rows go through one
+    splitmix64 pass. out, a float64 array of the counters' shape, may share
+    their memory; it ends holding the draws in row 0 and the cosines in
+    row 1. Returns the draws, of the given shape: out[0] when out is given.
     """
-    shape = np.shape(counter_a)
-    g = _radius(seed, counter_a, np.empty(shape) if out is None else out)
-    u2 = uniform(seed, counter_b, np.empty(shape) if work is None else work)
+    u = uniform(seed, counters, np.empty(np.shape(counters)) if out is None else out)
+    g, angle = u[:1], u[1:]   # rows kept as arrays, so that a scalar stream is too
+    _radius(g)
     # radius * cos(2 pi u2), in place
-    u2 *= 2.0 * np.pi
-    np.cos(u2, out=u2)
-    g *= u2
-    return _returned(g, out)
+    angle *= 2.0 * np.pi
+    np.cos(angle, out=angle)
+    g *= angle
+    return _returned(u[0], out)
 
 
-def _radius(seed: int, counter, out: np.ndarray) -> np.ndarray:
-    """The Box-Muller radius sqrt(-2 log u1) of gaussian's first stream, in place in out.
+def _radius(u: np.ndarray) -> np.ndarray:
+    """The Box-Muller radius sqrt(-2 log u) of gaussian's first stream, in place in u.
 
-    gaussian multiplies this very float by a cosine, so |gaussian| <= radius
-    holds exactly for each draw: |cos| <= 1 and rounding is monotone. out, a
-    float64 array of the counter's shape, may share the counter's memory.
+    u holds that stream's uniforms. gaussian multiplies this very float by a
+    cosine, so |gaussian| <= radius holds exactly for each draw: |cos| <= 1
+    and rounding is monotone.
     """
-    r = uniform(seed, counter, out)
-    np.log(r, out=r)
-    r *= -2.0
-    np.sqrt(r, out=r)
-    return r
+    np.log(u, out=u)
+    u *= -2.0
+    np.sqrt(u, out=u)
+    return u
 
 
 def _returned(draws: np.ndarray, out: np.ndarray | None) -> np.ndarray:
@@ -125,5 +129,12 @@ def _returned(draws: np.ndarray, out: np.ndarray | None) -> np.ndarray:
 
 
 def derive_seed(seed: int, index: int) -> int:
-    """Independent sub-seed for arm/trial `index` of a master seed."""
-    return int(splitmix64(seed, np.uint64(index)))
+    """Independent sub-seed for arm/trial `index` of a master seed.
+
+    splitmix64(seed, index) for one counter index in [0, 2^64), in Python
+    integers: the same value as int(splitmix64(seed, np.uint64(index))).
+    """
+    z = (seed + (index + 1) * _GOLDEN) & _U64_MASK
+    z = ((z ^ (z >> 30)) * _MIX1_INT) & _U64_MASK
+    z = ((z ^ (z >> 27)) * _MIX2_INT) & _U64_MASK
+    return z ^ (z >> 31)

@@ -352,8 +352,9 @@ def test_montecarlo_deterministic_bundle():
 def test_csv_numbers_reparse_to_12_significant_digits(tmp_path):
     bundle = execute(parse_config(CRYSTAL_CFG))
     paths = emit(bundle, "csv", tmp_path)
-    positions = next(p for p in paths if p.name == "positions.csv")
-    lines = positions.read_text().splitlines()
+    assert paths == [os.path.join(tmp_path, name) for name in
+                     ("positions.csv", "spacings.csv", "summary.csv", "provenance.txt")]
+    lines = Path(paths[0]).read_text().splitlines()
     assert lines[0].startswith("#") and "seed=0" in lines[0] and "config_sha256=" in lines[0]
     assert lines[1] == "ion_index,z_m"
     geometry = execute(parse_config(CRYSTAL_CFG)).tables[0]
@@ -493,11 +494,12 @@ def test_emit_matches_per_cell_formatting(tmp_path, monkeypatch, min_cells):
     for route in ("kernel", "fallback"):
         calls = []
         monkeypatch.setattr(_format, "LONG_DOUBLE_OK", route == "kernel")
-        monkeypatch.setattr(_format, "e15_words",
-                            lambda values: calls.append(values.size) or real_kernel(values))
+        monkeypatch.setattr(_format, "e15_words", lambda values, out=None: (
+            calls.append(values.size) or real_kernel(values, out)))
         for output_format in ("csv", "text"):
             out = tmp_path / route / output_format
-            written = {p.name: p.read_bytes() for p in emit(bundle, output_format, out)}
+            written = {os.path.basename(p): Path(p).read_bytes()
+                       for p in emit(bundle, output_format, out)}
             expected = _reference_emit(bundle, output_format)
             assert {name: written[name] for name in expected} == expected, route
         assert calls == ([kernel_cells] * 2 if route == "kernel" and kernel_cells else []), route
@@ -642,6 +644,37 @@ def _write_cfg(tmp_path, text, name="run.cfg"):
     path = tmp_path / name
     path.write_text(text, encoding="utf-8")
     return path
+
+
+def test_main_prints_each_written_path(tmp_path, capsys):
+    cfg = _write_cfg(tmp_path, CRYSTAL_CFG)
+    out = str(tmp_path / "out")
+    assert main(["--config", str(cfg), "--out", out]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        os.path.join(out, name)
+        for name in ("positions.csv", "spacings.csv", "summary.csv", "provenance.txt")]
+
+
+def test_double_well_trap_keys_move_no_table(tmp_path):
+    # a double_well run reads no trap: axial_frequency_hz and ion_mass_kg are
+    # validated and echoed, so they enter the config hash, and move no table
+    base = "command = scenario\nscenario = double_well\nseed = 3\ndelta_n = 2\nshots = 50\n"
+    files = {}
+    for name, trap in (("default", ""),
+                       ("other", "axial_frequency_hz = 3.5e5\nion_mass_kg = 1.2e-25\n")):
+        out = tmp_path / name
+        cfg = _write_cfg(tmp_path, base + trap, f"{name}.cfg")
+        assert main(["--config", str(cfg), "--out", str(out)]) == 0
+        files[name] = {p.name: p.read_text(encoding="utf-8").splitlines()
+                       for p in out.iterdir()}
+    default, other = files["default"], files["other"]
+    assert sorted(default) == sorted(other) and len(default) == 5
+    for name, lines in default.items():
+        if name == "provenance.txt":
+            assert "axial_frequency_hz = 350000.0" in other[name]
+            assert lines != other[name]
+        else:   # the header line carries the config hash; every table line is the same
+            assert lines[0] != other[name][0] and lines[1:] == other[name][1:]
 
 
 def test_provenance_hash_recomputable(tmp_path):

@@ -134,7 +134,7 @@ def test_shots_depend_only_on_seed_and_index():
 def _unblocked_reference(plan, probe, zeeman, fields, noise):
     """All shots in one pass; counter slots 2 and 3 feed the gradient, slot 4 the outcome."""
     slot = np.arange(plan.shots, dtype=np.uint64) * np.uint64(8)
-    gradient = rng.gaussian(plan.rng_seed, slot + np.uint64(2), slot + np.uint64(3))
+    gradient = rng.gaussian(plan.rng_seed, np.stack([slot + np.uint64(2), slot + np.uint64(3)]))
     draw = rng.uniform(plan.rng_seed, slot + np.uint64(4))
     gradient = gradient * noise.gradient_rms
     shot_rate = (phase_rate(probe, zeeman, fields)
@@ -532,8 +532,8 @@ def test_gaussian_is_bounded_by_its_own_radius(monkeypatch):
         return bits
 
     monkeypatch.setattr(rng, "uniform_bits", with_extremes)
-    g = rng.gaussian(17, slot + np.uint64(2), slot + np.uint64(3))
-    radius = rng._radius(17, slot + np.uint64(2), np.empty(shots))
+    g = rng.gaussian(17, np.stack([slot + np.uint64(2), slot + np.uint64(3)]))
+    radius = rng._radius(rng.uniform(17, slot + np.uint64(2)))
     angle = rng.uniform(17, slot + np.uint64(3))
     # the radius is the very float gaussian multiplies by the cosine, bit for bit
     assert np.array_equal(g, radius * np.cos(angle * (2.0 * np.pi)))
@@ -550,9 +550,9 @@ def test_screened_run_draws_few_gaussians(monkeypatch):
     drawn = []
     gaussian = rng.gaussian
 
-    def counted(seed, counter_a, *args):
-        drawn.append(np.size(counter_a))
-        return gaussian(seed, counter_a, *args)
+    def counted(seed, counters, *args):
+        drawn.append(np.size(counters) // 2)   # a row of counters per stream
+        return gaussian(seed, counters, *args)
 
     monkeypatch.setattr(rng, "gaussian", counted)
     shots = 2 * _BLOCK + 5

@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 import iongradim
-from test_bench_targets import _load_tracing
+from test_bench_targets import _load
 
 # bench/tracing.py wraps cli.dipole_field, so cli imports it without using it;
 # test_each_kept_import_is_a_traced_site holds each entry to such a site
@@ -46,7 +46,7 @@ def test_every_import_is_used():
 def test_each_kept_import_is_a_traced_site():
     # once the benchmark stops wrapping a kept import where it is looked up,
     # the import has no reason left and must go
-    sites = {site for *_, target_sites in _load_tracing()._TARGETS for site in target_sites}
+    sites = {site for *_, target_sites in _load("tracing")._TARGETS for site in target_sites}
     assert _UNUSED_IMPORTS_KEPT <= sites
 
 

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from iongradim import rng
 
@@ -41,7 +43,7 @@ def test_uniform_in_half_open_unit_interval():
 def test_gaussian_moments():
     n = 200000
     idx = np.arange(n, dtype=np.uint64)
-    g = rng.gaussian(31, 2 * idx, 2 * idx + np.uint64(1))
+    g = rng.gaussian(31, np.stack([2 * idx, 2 * idx + np.uint64(1)]))
     assert abs(g.mean()) < 0.01
     assert abs(g.std() - 1.0) < 0.01
     assert np.all(np.isfinite(g))
@@ -91,13 +93,14 @@ def test_draws_into_buffers_equal_allocating_draws(size):
     assert np.array_equal(bits, rng.splitmix64(seed, shot))
     assert rng.uniform(seed, shot + np.uint64(4), out=a) is a
     assert np.array_equal(a, rng.uniform(seed, shot + np.uint64(4)))
-    want = rng.gaussian(seed, shot + np.uint64(2), shot + np.uint64(3))
-    assert rng.gaussian(seed, shot + np.uint64(2), shot + np.uint64(3), out=a, work=b) is a
-    assert np.array_equal(a, want)
-    # each counter may sit in the memory its draw is written to
-    np.add(shot, np.uint64(2), out=a.view(np.uint64))
-    np.add(shot, np.uint64(3), out=b.view(np.uint64))
-    assert np.array_equal(rng.gaussian(seed, a.view(np.uint64), b.view(np.uint64), a, b), want)
+    want = rng.gaussian(seed, np.stack([shot + np.uint64(2), shot + np.uint64(3)]))
+    pair = np.empty((2, BLOCK))[:, :size]   # a short block is a prefix of each row
+    assert np.shares_memory(rng.gaussian(seed, np.stack([shot + np.uint64(2),
+                                                         shot + np.uint64(3)]), out=pair), pair)
+    assert np.array_equal(pair[0], want)
+    # the counters may sit in the memory their draws are written to
+    np.add(shot, np.array([[2], [3]], dtype=np.uint64), out=pair.view(np.uint64))
+    assert np.array_equal(rng.gaussian(seed, pair.view(np.uint64), pair), want)
     np.add(shot, np.uint64(4), out=bits)
     assert np.array_equal(rng.uniform_bits(seed, bits, out=bits),
                           rng.splitmix64(seed, shot + np.uint64(4)) >> np.uint64(11))
@@ -127,7 +130,47 @@ def test_scalar_counters_give_scalars():
     assert type(rng.splitmix64(0, 0)) is np.uint64
     assert type(rng.uniform_bits(0, 0)) is np.uint64
     assert type(rng.uniform(3, 5)) is np.float64
-    assert type(rng.gaussian(3, 5, 6)) is np.float64
+    assert type(rng.gaussian(3, (5, 6))) is np.float64
     assert rng.uniform(3, 5) == rng.uniform(3, np.arange(6, dtype=np.uint64))[5]
-    assert rng.gaussian(3, 5, 6) == rng.gaussian(3, np.array([5], dtype=np.uint64),
-                                                 np.array([6], dtype=np.uint64))[0]
+    assert rng.gaussian(3, (5, 6)) == rng.gaussian(3, np.array([[5], [6]], dtype=np.uint64))[0]
+
+
+# ---------------------------------------------------------------------------
+# derive_seed in Python integers, and both Gaussian streams in one pass
+
+_U64 = st.integers(0, MASK)
+
+
+@given(seed=_U64, index=_U64)
+@example(seed=0, index=0)
+@example(seed=2 ** 63, index=2 ** 63)
+@example(seed=MASK, index=MASK)
+@example(seed=MASK, index=0)
+@example(seed=0, index=MASK)
+def test_derive_seed_is_the_splitmix64_output(seed, index):
+    assert rng.derive_seed(seed, index) == int(rng.splitmix64(seed, np.uint64(index)))
+
+
+def test_derive_seed_pins_the_canonical_first_output():
+    assert rng.derive_seed(0, 0) == 0xE220A8397B1DCDAF
+    assert type(rng.derive_seed(0, 0)) is int
+
+
+def _per_stream_gaussian(seed, a, b):
+    """Box-Muller stream by stream: the radius from a's uniforms, the angle from b's."""
+    radius = np.sqrt(np.log(rng.uniform(seed, a)) * -2.0)
+    return radius * np.cos(rng.uniform(seed, b) * (2.0 * np.pi))
+
+
+@given(seed=_U64, pairs=st.lists(st.tuples(_U64, _U64), min_size=1, max_size=50),
+       spare=st.integers(0, 5))
+@example(seed=0, pairs=[(0, 1), (MASK, 2 ** 63)], spare=0)
+def test_gaussian_is_the_per_stream_draw(seed, pairs, spare):
+    a, b = (np.array(column, dtype=np.uint64) for column in zip(*pairs))
+    want = _per_stream_gaussian(seed, a, b).view(np.int64).tolist()
+    assert rng.gaussian(seed, np.stack([a, b])).view(np.int64).tolist() == want
+    # into the rows of a wider buffer that holds the counters themselves
+    buffer = np.empty((2, len(pairs) + spare))[:, :len(pairs)]
+    buffer.view(np.uint64)[:] = [a, b]
+    draws = rng.gaussian(seed, buffer.view(np.uint64), buffer)
+    assert np.shares_memory(draws, buffer[0]) and draws.view(np.int64).tolist() == want
