@@ -1,23 +1,27 @@
 """Command-line entry point: strict config files in, deterministic tables out.
 
-Config files are UTF-8 text, one `key = value` assignment per line, with
-`#` starting a comment. Keys are lowercase identifiers; values are integers,
-floats, bare strings, or on/off booleans. Unknown keys, duplicate keys, and
-out-of-range values are hard errors (a silently ignored typo in a physics
-config produces wrong science), each named with its key and line, and every
-problem of a file is reported at once. A key that fills a library field
-(`shots` among them) takes that field's range, the errors.Bound its dataclass
-declares, so the file is held to the same range the library checks. All
-quantities are base SI with the unit in the key name; frequencies are given
-in Hz and converted to rad/s internally.
+Config files are UTF-8 text, one `key = value` assignment per line (a line
+ends at \\n, \\r\\n or \\r only), with `#` starting a comment. Keys are
+lowercase identifiers; values are integers, floats, bare strings, or on/off
+booleans. Unknown keys, duplicate keys, and out-of-range values are hard
+errors (a silently ignored typo in a physics config produces wrong
+science), each named with its key and line, and every problem of a file is
+reported at once. A key that fills a library field (`shots` among them)
+takes that field's range, the errors.Bound its dataclass declares, so the
+file is held to the same range the library checks. All quantities are base
+SI with the unit in the key name; frequencies are given in Hz and converted
+to rad/s internally.
 
-Outputs are CSV tables (one file per table, scientific notation with 16
-significant digits, `#` provenance header line) plus a provenance file
-carrying the seed, the config hash, and the normalized config echo from
-which the hash can be recomputed. On one machine, identical config and seed
-produce byte-identical files; across machines an output that solves a crystal
-can differ in its last digits with the BLAS kernel (see README). Exit codes:
-0 success, 1 config or usage error, 2 runtime or solver error.
+Outputs come in one of two formats, chosen by `output_format`. `csv` writes
+CSV tables (one file per table, scientific notation with 16 significant
+digits, `#` provenance header line) plus a provenance file carrying the
+seed, the config hash, and the normalized config echo from which the hash
+can be recomputed. `text` writes a single `report.txt` with the same header
+line, each table under its `[name]` line with the same numbers, and the
+config echo. On one machine, identical config and seed produce
+byte-identical files; across machines an output that solves a crystal can
+differ in its last digits with the BLAS kernel (see README). Exit codes: 0
+success, 1 config or usage error, 2 runtime or solver error.
 """
 
 from __future__ import annotations
@@ -236,7 +240,10 @@ def parse_config(text: str) -> RunConfig:
     """Parse and validate config text; raises ConfigFileError listing every problem."""
     assignments: dict[str, tuple[str, int]] = {}
     errors: list[str] = []
-    for line_no, raw_line in enumerate(text.splitlines(), start=1):
+    # only \n, \r\n and \r end a line; str.splitlines would also break a
+    # comment or value at \v, \f, \x1c-\x1e, \x85, U+2028 and U+2029
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    for line_no, raw_line in enumerate(lines, start=1):
         line = raw_line.partition("#")[0].strip()
         if not line:
             continue
@@ -684,8 +691,8 @@ def _configure_logging() -> None:
 
 
 def _read_config(path: str) -> str:
-    """The config file's text, decoded as UTF-8 (parse_config's splitlines
-    takes \\r\\n and \\r). Read to its end, so a pipe is read whole too; a
+    """The config file's text, decoded as UTF-8 (parse_config takes \\n,
+    \\r\\n and \\r line ends). Read to its end, so a pipe is read whole too; a
     failed read raises an OSError that names the path, as open's does."""
     fd = os.open(path, os.O_RDONLY)
     try:

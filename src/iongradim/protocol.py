@@ -202,23 +202,31 @@ def outcome_probabilities(probe: ProbeState, bias_phase: float = 0.0) -> np.ndar
     return (1.0 + signs * fringe) / float(2 ** probe.n_ions)
 
 
-def parity_trajectory(rate: float, contrast: float, t_max: float,
+def parity_trajectory(rate: float | Sequence[float], contrast: float, t_max: float,
                       n_points: int = TRAJECTORY_POINTS) -> np.ndarray:
     """Rows (t, rate * t, contrast * cos(rate * t)) at n_points even times from 0 to t_max.
 
-    A read-only (n_points, 3) float64 array, its columns in the order of the
-    trajectory table: time (s), phase (rad), parity. The times grow in
-    magnitude and end exactly at t_max, and a float product rounds
-    monotonically, so the last phase is the largest: one guard on it covers
-    every point, before any is computed. np.cos gives math.cos's bits on
-    these phases, under every SIMD dispatch measured.
+    One rate gives a read-only (n_points, 3) float64 array, its columns in
+    the order of the trajectory table: time (s), phase (rad), parity. A
+    sequence of k rates gives a read-only (k, n_points, 3) array whose [i]
+    is that table for rate i, every rate on the one time grid. The times
+    grow in magnitude and end exactly at t_max, and a float product rounds
+    monotonically, so each rate's last phase is its largest: one guard on
+    it per rate, in order and before any phase is computed, covers every
+    point. np.cos gives math.cos's bits on these phases, under every SIMD
+    dispatch measured.
     """
     # Of linspace's products i * step only the last, (n_points - 1) * step, can
     # round past the largest float; linspace then sets that point to t_max.
     with np.errstate(over="ignore"):
         times = np.linspace(0.0, t_max, n_points)
-    accumulated_phase(rate, float(times[-1]) if times.size else 0.0)
-    phases = rate * times
-    rows = np.column_stack((times, phases, contrast * np.cos(phases)))
+    t_last = float(times[-1]) if times.size else 0.0
+    for each in np.ravel(rate).tolist():
+        accumulated_phase(each, t_last)
+    phases = np.multiply.outer(rate, times)
+    rows = np.empty(phases.shape + (3,))
+    rows[..., 0] = times
+    rows[..., 1] = phases
+    rows[..., 2] = contrast * np.cos(phases)
     rows.flags.writeable = False
     return rows

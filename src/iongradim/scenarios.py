@@ -31,8 +31,8 @@ from .estimation import (TARGET_SNR, ExperimentPlan, NoiseModel, analytic_snr, e
                          required_shots, spin_discrimination_snr, swing_threshold)
 from .magnetostatics import (DipoleSource, axial_bz, compensation_gradient,
                              differential_field, total_differential_field)
-from .protocol import (BELL, CONTRAST, GHZ, PAIR_WEIGHTS, TRAJECTORY_POINTS, ZeemanConfig,
-                       accumulated_phase, phase_rate, pi_time, prepare_probe)
+from .protocol import (BELL, CONTRAST, GHZ, PAIR_WEIGHTS, ZeemanConfig, accumulated_phase,
+                       parity_trajectory, phase_rate, pi_time, prepare_probe)
 
 THREE_ION_SPIN = "three_ion_spin"
 MOLECULAR_STATE_CHANGE = "molecular_state_change"
@@ -121,7 +121,7 @@ class ScenarioReport:
     geometry: dict[str, float]
     field_table: tuple[FieldRow, ...]
     delta_b: float
-    trajectories: tuple[tuple[str, np.ndarray], ...]   # (label, parity_trajectory rows)
+    trajectories: tuple[tuple[str, np.ndarray], ...]   # (label, [i] of parity_trajectory(rates))
     estimation: dict[str, float]
     annotations: tuple[str, ...] = field(default_factory=tuple)
 
@@ -162,29 +162,8 @@ def _bell_pair(config: ScenarioConfig, probes: tuple[Vec3, Vec3],
 
 
 def _trajectories(rates: dict[str, float], contrast: float, t_max: float):
-    """One labelled parity trajectory per phase rate, each from 0 to t_max.
-
-    Each is parity_trajectory(rate, contrast, t_max) bit for bit, made for
-    every rate at once: one time grid, every rate's overflow guard before
-    any phase is computed, and the rows written into one read-only (k, n, 3)
-    array whose [i] is the (n, 3) table of rate i.
-    """
-    # as in parity_trajectory: only linspace's last product can overflow, and
-    # linspace sets that point to t_max
-    with np.errstate(over="ignore"):
-        times = np.linspace(0.0, t_max, TRAJECTORY_POINTS)
-    t_last = float(times[-1])
-    for rate in rates.values():
-        accumulated_phase(rate, t_last)
-    phases = np.multiply.outer(list(rates.values()), times)
-    rows = np.empty(phases.shape + (3,))
-    rows[:, :, 0] = times
-    rows[:, :, 1] = phases
-    parity = np.cos(phases, out=phases)
-    parity *= contrast
-    rows[:, :, 2] = parity
-    rows.flags.writeable = False
-    return tuple(zip(rates, rows))
+    """One labelled parity trajectory per phase rate, each from 0 to t_max."""
+    return tuple(zip(rates, parity_trajectory(list(rates.values()), contrast, t_max)))
 
 
 def _delta_b(config: ScenarioConfig, probes: tuple[Vec3, Vec3], source_z: float,

@@ -81,6 +81,19 @@ def test_syntax_error_carries_line_number():
         parse_config("command = crystal\nwhat is this\nn_ions = 3\n")
 
 
+@pytest.mark.parametrize("separator", ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028",
+                                       "\u2029"])
+def test_only_line_feeds_and_returns_end_a_config_line(separator):
+    # str.splitlines also breaks at each of these; after a `#` the rest of the
+    # line stays a comment, and a line's number is the one an editor shows
+    cfg = (CRYSTAL_CFG.replace("10 MHz", f"10 MHz, old setting:{separator}seed = 9")
+           .replace("10e6", f"10e6  # was 4e6{separator}seed = 9"))
+    run = parse_config(cfg)
+    assert run.seed == 0 and run.parameters["axial_frequency_hz"] == 10e6
+    with pytest.raises(ConfigFileError, match="^line 6: expected 'key = value'"):
+        parse_config(cfg + "what is this\n")
+
+
 def test_missing_required_key():
     with pytest.raises(ConfigFileError, match="n_ions"):
         parse_config("command = crystal\naxial_frequency_hz = 10e6\n"

@@ -3,7 +3,7 @@ import types
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from iongradim.constants import Vec3, constants
@@ -237,7 +237,9 @@ def test_accumulated_phase_overflow_is_a_config_error():
 def _trajectory_by_point(rate, contrast, t_max, n_points):
     """Reference: guard every point's phase on its own."""
     records = []
-    for t in np.linspace(0.0, t_max, n_points).tolist():
+    with np.errstate(over="ignore"):   # as parity_trajectory's grid
+        times = np.linspace(0.0, t_max, n_points)
+    for t in times.tolist():
         phase = accumulated_phase(rate, t)
         records.append((t, phase, contrast * math.cos(phase)))
     return records
@@ -261,21 +263,44 @@ def test_trajectory_equals_the_per_point_reference():
 _FINITE = st.floats(allow_nan=False, allow_infinity=False)
 
 
-@given(rate=st.floats(-1e6, 1e6) | _FINITE, contrast=st.floats(0.0, 1.0),
-       t_max=st.floats(0.0, 1e3) | st.floats(-1e300, 1e300), n_points=st.integers(0, 300))
-def test_trajectory_columns_are_the_per_point_values(rate, contrast, t_max, n_points):
-    # each column bit for bit: t, rate * t and contrast * math.cos(rate * t)
-    try:
-        expected = _trajectory_by_point(rate, contrast, t_max, n_points)
-    except ConfigurationError:
-        with pytest.raises(ConfigurationError, match="overflows a float"):
-            parity_trajectory(rate, contrast, t_max, n_points)
+_LARGEST = 1.7976931348623157e308
+
+
+@given(rates=st.lists(st.floats(-1e6, 1e6) | _FINITE, min_size=1, max_size=3),
+       contrast=st.floats(0.0, 1.0),
+       t_max=st.floats(0.0, 1e3) | _FINITE | st.sampled_from([0.0, _LARGEST]),
+       n_points=st.integers(0, 300))
+@example(rates=[0.0, 1.0, -1.0], contrast=1.0, t_max=_LARGEST, n_points=101)
+@example(rates=[2.5, 1e300, 1e308], contrast=0.5, t_max=1e10, n_points=101)
+@example(rates=[1.7, -3.0], contrast=0.99, t_max=0.0, n_points=101)
+def test_trajectory_columns_are_the_per_point_values(rates, contrast, t_max, n_points):
+    # each rate alone gives a read-only (n, 3) table and the rates together a
+    # read-only (k, n, 3) stack of those tables; each column bit for bit: t,
+    # rate * t and contrast * math.cos(rate * t). Together, an overflow raises
+    # what the first overflowing rate raises alone.
+    tables, errors = [], []
+    for rate in rates:
+        try:
+            expected = _trajectory_by_point(rate, contrast, t_max, n_points)
+        except ConfigurationError:
+            with pytest.raises(ConfigurationError, match="overflows a float") as raised:
+                parity_trajectory(rate, contrast, t_max, n_points)
+            errors.append(str(raised.value))
+            continue
+        rows = parity_trajectory(rate, contrast, t_max, n_points)
+        assert rows.dtype == np.float64 and rows.shape == (n_points, 3)
+        assert not rows.flags.writeable and rows.flags.c_contiguous
+        tables.append(np.array(expected, np.float64).reshape(n_points, 3))
+        assert rows.view(np.int64).tolist() == tables[-1].view(np.int64).tolist()
+    if errors:
+        with pytest.raises(ConfigurationError) as raised:
+            parity_trajectory(rates, contrast, t_max, n_points)
+        assert str(raised.value) == errors[0]
         return
-    rows = parity_trajectory(rate, contrast, t_max, n_points)
-    assert rows.dtype == np.float64 and rows.shape == (n_points, 3)
-    assert not rows.flags.writeable
-    expected = np.array(expected, np.float64).reshape(n_points, 3)
-    assert rows.view(np.int64).tolist() == expected.view(np.int64).tolist()
+    stack = parity_trajectory(rates, contrast, t_max, n_points)
+    assert stack.dtype == np.float64 and stack.shape == (len(rates), n_points, 3)
+    assert not stack.flags.writeable and stack.flags.c_contiguous
+    assert stack.view(np.int64).tolist() == np.array(tables).view(np.int64).tolist()
 
 
 def test_phase_reversal():

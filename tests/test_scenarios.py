@@ -6,7 +6,7 @@ from typing import NamedTuple
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import given
 from hypothesis import strategies as st
 
 from iongradim import crystal, estimation, scenarios
@@ -410,35 +410,6 @@ def test_trajectory_consistent_with_field_table(make):
 
 def _bits(rows):
     return np.asarray(rows).view(np.int64).tolist()
-
-
-_LARGEST = 1.7976931348623157e308
-
-
-@given(rates=st.lists(st.floats(-1e6, 1e6) | st.floats(allow_nan=False, allow_infinity=False),
-                      min_size=1, max_size=3),
-       contrast=st.floats(0.0, 1.0),
-       t_max=st.floats(0.0, 1e3) | st.floats(0.0, _LARGEST) | st.sampled_from([0.0, _LARGEST]))
-@example(rates=[0.0, 1.0, -1.0], contrast=1.0, t_max=_LARGEST)
-@example(rates=[2.5, 1e300, 1e308], contrast=0.5, t_max=1e10)
-@example(rates=[1.7, -3.0], contrast=0.99, t_max=0.0)
-def test_trajectories_are_parity_trajectories(rates, contrast, t_max):
-    # every rate's rows bit for bit, read-only, in the rates' order; an
-    # overflow raises the message parity_trajectory raises first
-    labelled = {f"rate_{i}": rate for i, rate in enumerate(rates)}
-    try:
-        expected = [parity_trajectory(rate, contrast, t_max) for rate in rates]
-    except ConfigurationError as exc:
-        with pytest.raises(ConfigurationError) as raised:
-            scenarios._trajectories(labelled, contrast, t_max)
-        assert str(raised.value) == str(exc)
-        return
-    trajectories = scenarios._trajectories(labelled, contrast, t_max)
-    assert [label for label, _ in trajectories] == list(labelled)
-    for (_, rows), want in zip(trajectories, expected):
-        assert rows.shape == want.shape and rows.dtype == want.dtype
-        assert not rows.flags.writeable and rows.flags.c_contiguous
-        assert _bits(rows) == _bits(want)
 
 
 @pytest.mark.parametrize("make", ALL_CONFIGS)
