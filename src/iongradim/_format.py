@@ -71,10 +71,10 @@ def e15_words(values: np.ndarray, out: np.ndarray | None = None,
 
     For finite nonzero |x| with decimal exponent k (10^k <= |x| < 10^(k+1)),
     the 16 digits are N = round(|x| * 10^(15-k)), half to even; N = 10^16
-    means the digits 1000000000000000 at exponent k+1. The kernel estimates
-    k = floor(log10 |x|), computes y = |x| * P in long double, P the power
-    from _digit_tables, and moves k by one if round(y) falls outside
-    [10^15, 10^16). log10 is only an estimate: every k it gives is checked.
+    means the digits 1000000000000000 at exponent k+1. The kernel takes
+    k = floor(log10 |x|) and computes y = |x| * P once in long double, P the
+    power from _digit_tables. log10 is only an estimate: where it misjudges
+    k, round(y) lies outside (10^15, 10^16) and the cell falls back.
 
     Error bound. With p >= 64 significant bits, u = 2^-p <= 2^-64 and P =
     10^(15-k) (1 + e1), |e1| <= u (strtold rounds correctly); |x| is exact
@@ -91,9 +91,9 @@ def e15_words(values: np.ndarray, out: np.ndarray | None = None,
     tie; every exact tie does.
 
     Falls back: |x| outside [1e-99, 1e100) (3-digit exponents, subnormals),
-    nan and +-inf, N not strictly inside (10^15, 10^16) after the one move
-    of k (among them values that round into the next decade and exact
-    powers of ten), and fractional parts of y within delta of 1/2. Zeros are
+    nan and +-inf, N not strictly inside (10^15, 10^16) (a k that log10
+    misjudged, values that round into the next decade and exact powers of
+    ten), and fractional parts of y within delta of 1/2. Zeros are
     written here, signed by the sign bit. No step raises a floating-point
     warning: log10 only sees finite positive values, and only 0 and values
     below 10^17 are cast to integers.
@@ -111,27 +111,17 @@ def _e15_chunk(x: np.ndarray, words: np.ndarray) -> np.ndarray:
     """e15_words for one chunk: fills words, returns the fallback mask."""
     magnitude = np.abs(x)
     zero = magnitude == 0.0
-    regular = (magnitude >= SMALLEST) & (magnitude < PAST_LARGEST)
-    irregular = ~regular
+    irregular = ~((magnitude >= SMALLEST) & (magnitude < PAST_LARGEST))
     # these get k = 0 and y = 0: a zero's text, and no cast of nan or inf
     magnitude[irregular] = 1.0
     k = np.floor(np.log10(magnitude)).astype(np.intp)
     k += K_OFFSET                       # from here k is the tables' index of the exponent
     magnitude[irregular] = 0.0
-    wide = magnitude.astype(np.longdouble)
-    del magnitude, irregular
     y = POWERS[k]
-    y *= wide
+    y *= magnitude                      # each magnitude cast exactly, one rounding
+    del magnitude, irregular
     digits = np.rint(y)
     whole = digits.astype(np.int64)     # exact: 0 or below 10^17
-    move = (whole >= 10 ** 16).astype(np.intp) - ((whole < 10 ** 15) & regular)
-    if np.count_nonzero(move):
-        k += move
-        y = POWERS[k]
-        y *= wide
-        np.rint(y, out=digits)
-        whole = digits.astype(np.int64)
-    del wide, move
     # y - digits is exact: the two are within one half of each other
     y -= digits
     del digits

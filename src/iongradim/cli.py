@@ -691,9 +691,10 @@ def _configure_logging() -> None:
 
 
 def _read_config(path: str) -> str:
-    """The config file's text, decoded as UTF-8 (parse_config takes \\n,
-    \\r\\n and \\r line ends). Read to its end, so a pipe is read whole too; a
-    failed read raises an OSError that names the path, as open's does."""
+    """The config file's text, decoded as UTF-8 without a leading byte-order
+    mark (parse_config takes \\n, \\r\\n and \\r line ends). Read to its end,
+    so a pipe is read whole too; a failed read raises an OSError that names
+    the path, as open's does."""
     fd = os.open(path, os.O_RDONLY)
     try:
         chunks = []
@@ -704,7 +705,7 @@ def _read_config(path: str) -> str:
         raise
     finally:
         os.close(fd)
-    return b"".join(chunks).decode("utf-8")
+    return b"".join(chunks).decode("utf-8-sig")
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -7,6 +7,7 @@ import json
 import math
 import os
 import random
+import shutil
 import stat
 import tempfile
 import tracemalloc
@@ -585,7 +586,13 @@ def _edge_grid():
         power = float(f"1e{k}")
         grid += [power, np.nextafter(power, 0.0), np.nextafter(power, math.inf),
                  float(f"9.9999999999999996e{k - 1}"), float(f"9.99999999999999949e{k - 1}"),
-                 float(f"9.99999999999999e{k - 1}")]   # log10 rounds up to k: k moves down
+                 float(f"9.99999999999999e{k - 1}")]   # log10 rounds up to k
+    for k in range(-99, 100):   # the cells whose exponent log10 can misjudge
+        power = float(f"1e{k}")
+        below = above = power
+        for _ in range(16):
+            below, above = math.nextafter(below, 0.0), math.nextafter(above, math.inf)
+            grid += [below, above]
     grid += _ties() + [9999999999999999.0, 999999999999999.94, 5e-324, 2.225073858507201e-308,
                        2.2250738585072014e-308, 1.7976931348623157e308, 0.0, math.nan,
                        math.inf, 1e100, 9.999999999999999e99, 1e-100, 1.234e-300, 4.5e250]
@@ -602,8 +609,8 @@ def test_kernel_matches_str_format_on_an_edge_grid():
         digits = Fraction(tie) * 10 ** (15 - math.floor(math.log10(tie)))
         assert digits.denominator == 2
     assert _kernel_texts([0.0, -0.0]) == ["0.000000000000000e+00", "-0.000000000000000e+00"]
-    # proven only after the move of k: log10 gives 15, and the digits at 15 fall below 10^15
-    assert _kernel_texts([999999999999999.0]) == ["9.999999999999990e+14"]
+    # log10 gives 15, and the digits at 15 fall below 10^15: the cell falls back
+    assert _kernel_texts([999999999999999.0]) == [None]
     # every cell the grid proves has a 2-digit exponent; most in-range cells are proven
     assert all(text is None or len(text.split("e")[1]) == 3 for text in texts)
     in_range = np.random.default_rng(5).uniform(-99.0, 99.0, 20_000)
@@ -666,6 +673,26 @@ def test_main_prints_each_written_path(tmp_path, capsys):
     assert capsys.readouterr().out.splitlines() == [
         os.path.join(out, name)
         for name in ("positions.csv", "spacings.csv", "summary.csv", "provenance.txt")]
+
+
+def test_config_with_a_byte_order_mark_runs_as_without(tmp_path, capsys):
+    # some editors save UTF-8 with a leading U+FEFF; the mark is no part of the
+    # config, so the paths, the bytes and the config hash are those without it
+    out = tmp_path / "out"
+    runs = []
+    for mark in (b"", "\ufeff".encode("utf-8")):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(mark + CRYSTAL_CFG.encode("utf-8"))
+        assert main(["--config", str(cfg), "--out", str(out)]) == 0
+        printed = capsys.readouterr().out.splitlines()
+        runs.append((printed, {path: Path(path).read_bytes() for path in printed}))
+        shutil.rmtree(out)
+    assert runs[0] == runs[1]
+    # only a leading mark is stripped: a second one is part of the first key
+    cfg.write_text("\ufeff\ufeffcommand = crystal\n", encoding="utf-8")
+    assert main(["--config", str(cfg), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines()[0] == (
+        "config error: line 1: invalid key '\\ufeffcommand'")
 
 
 def test_double_well_trap_keys_move_no_table(tmp_path):
@@ -786,12 +813,6 @@ OVERFLOWING_CONFIGS = {
                             "interaction_time_s = 1e30\n"),
     "ghz_chain_long_time": ("command = scenario\nscenario = ghz_chain\n"
                             "source_moment_j_per_t = 1e270\ninteraction_time_s = 1e30\n"),
-    # an imbalance past the float range, which scales the atom moment or the
-    # published single-atom field
-    "double_well_delta_n": ("command = scenario\nscenario = double_well\n"
-                            f"delta_n = {10 ** 400}\n"),
-    "double_well_delta_n_paper_values": ("command = scenario\nscenario = double_well\n"
-                                         f"delta_n = {10 ** 400}\npaper_values = on\n"),
 }
 
 
@@ -823,16 +844,26 @@ def test_noise_free_shots_overflow_as_the_accumulated_phase(tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("name, keys", [
-    ("field_span", ("z_start_m", "z_stop_m")),
-    ("double_well_delta_n", ("delta_n",)),
-    ("double_well_delta_n_paper_values", ("delta_n",)),
-])
-def test_overflow_error_names_its_keys(tmp_path, capsys, name, keys):
-    cfg = _write_cfg(tmp_path, OVERFLOWING_CONFIGS[name])
+def test_overflow_error_names_its_keys(tmp_path, capsys):
+    cfg = _write_cfg(tmp_path, OVERFLOWING_CONFIGS["field_span"])
     assert main(["--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
     [line] = capsys.readouterr().err.splitlines()
-    assert all(key in line for key in keys), line
+    assert all(key in line for key in ("z_start_m", "z_stop_m")), line
+
+
+@pytest.mark.parametrize("scenario, extra", [("double_well", ""),
+                                             ("double_well", "paper_values = on\n"),
+                                             ("three_ion_spin", "")])
+def test_imbalance_past_the_float_range_is_refused_at_its_line(tmp_path, capsys,
+                                                               scenario, extra):
+    # the runner scales the atom moment or the published single-atom field by
+    # delta_n, so every kind holds it to the float range when the file is read
+    text = f"command = scenario\nscenario = {scenario}\ndelta_n = {10 ** 400}\n{extra}"
+    out = tmp_path / "out"
+    assert main(["--config", str(_write_cfg(tmp_path, text)), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"config error: line 3: delta_n: must be <= 1.7976931348623157e+308, got {10 ** 400}"]
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("text", [

@@ -448,8 +448,9 @@ def _bound_edges(bound):
                   (step(bound.minimum, 1), True)]
     if bound.maximum is None:   # an int of any size is finite
         edges.append((2 ** 1024, True) if bound.integer else (sys.float_info.max, True))
-    else:
-        edges += [(bound.maximum, True), (step(bound.maximum, 1), False)]
+    else:   # an integer range may end at a large float, whose + 1 would round back to it
+        top = int(bound.maximum) if bound.integer else bound.maximum
+        edges += [(top, True), (step(top, 1), False)]
     if bound.integer:
         edges.append((bound.minimum + 0.5, False))
     return edges
@@ -510,15 +511,19 @@ def test_each_declared_bound_holds_at_its_edges(name, bound, make):
     (lambda: dw_config(probe_spacing=None), "probe_spacing must be finite and > 0, got None"),
     (lambda: dw_config(well_separation=0.0), "well_separation must be finite and > 0, got 0.0"),
     (lambda: dw_config(probe_spacing=0.0), "probe_spacing must be finite and > 0, got 0.0"),
-    (lambda: dw_config(delta_n=-1), "delta_n must be an integer >= 0, got -1"),
-    (lambda: dw_config(delta_n=1.5), "delta_n must be an integer >= 0, got 1.5"),
-    (lambda: dw_config(delta_n=None), "delta_n must be an integer >= 0, got None"),
+    (lambda: dw_config(delta_n=-1),
+     "delta_n must be an integer in [0, 1.7976931348623157e+308], got -1"),
+    (lambda: dw_config(delta_n=1.5),
+     "delta_n must be an integer in [0, 1.7976931348623157e+308], got 1.5"),
+    (lambda: dw_config(delta_n=None),
+     "delta_n must be an integer in [0, 1.7976931348623157e+308], got None"),
     (lambda: dw_config(probe_spacing=4.4e-6),
      "probe pair must fit inside the double well (spacing 4.4e-06 >= separation 4.4e-06)"),
     # every kind holds each field to its range, not only the kind that reads it
     (lambda: base_config(THREE_ION_SPIN, well_separation=0.0),
      "well_separation must be finite and > 0, got 0.0"),
-    (lambda: base_config(GHZ_CHAIN, delta_n=-1), "delta_n must be an integer >= 0, got -1"),
+    (lambda: base_config(GHZ_CHAIN, delta_n=-1),
+     "delta_n must be an integer in [0, 1.7976931348623157e+308], got -1"),
     (lambda: base_config(THREE_ION_SPIN, n_ions=31), "n_ions must be an integer in [1, 30], got 31"),
     (lambda: base_config(GHZ_CHAIN, n_ions=4),
      "ghz_chain is defined for a 5-ion crystal (4 probes + central spin), got 4"),
