@@ -51,9 +51,6 @@ class Vec3:
     y: float
     z: float
 
-    def __add__(self, other: "Vec3") -> "Vec3":
-        return Vec3(self.x + other.x, self.y + other.y, self.z + other.z)
-
     def __sub__(self, other: "Vec3") -> "Vec3":
         return Vec3(self.x - other.x, self.y - other.y, self.z - other.z)
 

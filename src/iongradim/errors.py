@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import MISSING, dataclass, field, fields
 from functools import cache
 
@@ -73,28 +72,17 @@ def bounded(bound: Bound, default=MISSING):
 
 
 @cache
-def _field_tests(cls) -> tuple[tuple, ...]:
-    """(name, types, low, high, strict, bound, may be None) of each bounded
-    field of cls, read once per class.
-
-    A number of one of types with low <= value <= high (low < value where
-    strict) lies in bound's range: low and high are its ends, or the largest
-    finite floats where it has none, so nan and +-inf never pass. check_fields
-    sends every other value to bound.check, which decides it.
-    """
-    return tuple((f.name, int if bound.integer else (int, float),
-                  -sys.float_info.max if bound.minimum is None else bound.minimum,
-                  sys.float_info.max if bound.maximum is None else bound.maximum,
-                  bound.exclusive_minimum, bound, f.default is None)
+def _field_bounds(cls) -> tuple[tuple[str, Bound, bool], ...]:
+    """(name, bound, may be None) of each bounded field of cls, in field order, read
+    once per class; may be None is true where the field's default is None."""
+    return tuple((f.name, bound, f.default is None)
                  for f in fields(cls) if (bound := f.metadata.get("bound")) is not None)
 
 
 def check_fields(obj) -> None:
-    """Check each bounded field of the dataclass obj, in field order."""
-    for name, types, low, high, strict, bound, may_be_none in _field_tests(type(obj)):
+    """Check each bounded field of the dataclass obj, in field order: bound.check
+    decides every value but an allowed None, so each range has one rule."""
+    for name, bound, may_be_none in _field_bounds(type(obj)):
         value = getattr(obj, name)
-        if value is None and may_be_none:
-            continue
-        if not (isinstance(value, types) and (low < value if strict else low <= value)
-                and value <= high):
+        if value is not None or not may_be_none:
             bound.check(name, value)

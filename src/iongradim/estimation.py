@@ -174,7 +174,7 @@ class _Run:
         screen = window == 0 or (math.isfinite(window) and plan.shots > _SCREEN_SETUP
                                  and self._screen_saving(window) * plan.shots > _SCREEN_SETUP)
         if screen:
-            p0 = self._p_even(accumulated_phase(self.base_rate, plan.interaction_time))
+            p0 = self._p_even(_noise_free_phase(self.base_rate, plan))
             thresholds = np.array(_thresholds(p0, n), dtype=np.uint64)
             half = min(math.ceil(window * 2.0 ** 53), 2 ** 53)   # 2^53 already holds every integer
         m = min(plan.shots, _BLOCK)
@@ -264,12 +264,12 @@ class _Run:
 
         The phase returned is one float for every shot of a noise-free run
         and an array otherwise; slot indexes self.patterns. A phase that is
-        not finite is a ConfigurationError.
+        not finite, or overflows with the bias added, is a ConfigurationError.
         """
         shot = np.arange(lo, hi, dtype=np.uint64) * np.uint64(_SLOTS_PER_SHOT)
         phase = (self._noisy_phases(shot + _GAUSSIAN_SLOTS)
                  if self.noise.gradient_rms > 0
-                 else accumulated_phase(self.base_rate, self.plan.interaction_time))
+                 else _noise_free_phase(self.base_rate, self.plan))
         p_even = self._p_even(phase)
         draw = rng.uniform(self.plan.rng_seed, shot + np.uint64(4))
         return phase, draw < p_even, _slots(draw, p_even, self.n_class)
@@ -318,7 +318,8 @@ class _Run:
         """Per-shot phases from the gradient Gaussian on the (2, n) counters of its two
         slots (see rng.gaussian, which writes into out).
 
-        A phase that is not finite is a ConfigurationError.
+        A phase whose largest magnitude plus |bias| is not finite is a
+        ConfigurationError, so that phase + bias is finite for every shot.
         """
         plan, probe = self.plan, self.probe
         phase = rng.gaussian(plan.rng_seed, counters, out)
@@ -330,9 +331,12 @@ class _Run:
             phase *= probe.gradient_coupling
             phase += self.base_rate
             phase *= plan.interaction_time
-        if not np.isfinite(phase).all():
-            raise ConfigurationError("a per-shot phase overflows a float: the field, gradient "
-                                     "noise or interaction time is too large")
+        # the largest |phase|: nan when a phase is, and 0 for no shots
+        largest = float(max(-phase.min(initial=0.0), phase.max(initial=0.0)))
+        if not largest + abs(plan.bias_phase) < math.inf:
+            raise ConfigurationError(
+                "a per-shot phase overflows a float, alone or with the bias phase added: the "
+                "field, gradient noise, interaction time or bias phase is too large")
         return phase
 
     def _p_even(self, phase, out: np.ndarray | None = None):
@@ -558,7 +562,8 @@ def simulate_shots(plan: ExperimentPlan, probe: ProbeState, zeeman: ZeemanConfig
                    field_at_ions: Sequence[float], noise: NoiseModel) -> ShotOutcomes:
     """Run plan.shots independent shots, draw one spin pattern per shot and tally them.
 
-    A per-shot phase that is not finite is a ConfigurationError.
+    A per-shot phase that is not finite, or overflows with the bias phase
+    added, is a ConfigurationError.
     """
     run = _Run(plan, probe, zeeman, phase_rate(probe, zeeman, field_at_ions), noise,
                _slot_patterns(probe.n_ions))
@@ -615,7 +620,21 @@ def expected_parity(plan: ExperimentPlan, probe: ProbeState, zeeman: ZeemanConfi
     """
     rate = phase_rate(probe, zeeman, fields)
     return effective_contrast(probe, noise) * math.cos(
-        accumulated_phase(rate, plan.interaction_time) + plan.bias_phase)
+        _noise_free_phase(rate, plan) + plan.bias_phase)
+
+
+def _noise_free_phase(rate: float, plan: ExperimentPlan) -> float:
+    """accumulated_phase(rate, plan.interaction_time), checked once with the bias phase.
+
+    A phase whose magnitude plus |bias| is not finite is a ConfigurationError
+    naming both, so that phase + bias, and its cosine, are finite.
+    """
+    phase = accumulated_phase(rate, plan.interaction_time)
+    if not abs(phase) + abs(plan.bias_phase) < math.inf:
+        raise ConfigurationError(
+            f"the accumulated phase {phase} rad plus the bias phase {plan.bias_phase} rad "
+            "overflows a float: the field, interaction time or bias phase is too large")
+    return phase
 
 
 def spin_discrimination_snr(plan: ExperimentPlan, probe: ProbeState, zeeman: ZeemanConfig,

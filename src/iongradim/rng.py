@@ -15,13 +15,14 @@ where mix is the standard SplitMix64 finalizer
 
 Counter 0 with seed 0 therefore reproduces the first output of the
 canonical sequentially-seeded SplitMix64 stream, 0xE220A8397B1DCDAF, which
-the test suite pins. Uniforms map the top 53 bits b to (b + 1) * 2^-53 in
-(0, 1], a map that is exact and strictly increasing in b; Gaussians use the
-Box-Muller transform on two counter streams, drawn in one pass, and the
-radius of the first, which bounds the draw's magnitude, can be drawn alone.
-Every draw can be written into a caller's buffer (out=), so a caller that
-reuses its buffers allocates nothing per draw; the bits are the same either
-way.
+the test suite pins. splitmix64 is the sequence's one implementation: the
+uniforms, the Gaussians and derive_seed's sub-seeds all come from it.
+Uniforms map the top 53 bits b to (b + 1) * 2^-53 in (0, 1], a map that is
+exact and strictly increasing in b; Gaussians use the Box-Muller transform
+on two counter streams, drawn in one pass, and the radius of the first,
+which bounds the draw's magnitude, can be drawn alone. Every draw can be
+written into a caller's buffer (out=), so a caller that reuses its buffers
+allocates nothing per draw; the bits are the same either way.
 """
 
 from __future__ import annotations
@@ -29,10 +30,10 @@ from __future__ import annotations
 import numpy as np
 
 _U64_MASK = (1 << 64) - 1
-_GOLDEN, _MIX1_INT, _MIX2_INT = 0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB
+_GOLDEN = 0x9E3779B97F4A7C15
 GOLDEN = np.uint64(_GOLDEN)
-_MIX1 = np.uint64(_MIX1_INT)
-_MIX2 = np.uint64(_MIX2_INT)
+_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
+_MIX2 = np.uint64(0x94D049BB133111EB)
 _SHIFT30, _SHIFT27, _SHIFT31 = np.uint64(30), np.uint64(27), np.uint64(31)
 _UNIFORM_SHIFT = np.uint64(64 - 53)   # a uniform keeps the top 53 bits
 
@@ -129,12 +130,6 @@ def _returned(draws: np.ndarray, out: np.ndarray | None) -> np.ndarray:
 
 
 def derive_seed(seed: int, index: int) -> int:
-    """Independent sub-seed for arm/trial `index` of a master seed.
-
-    splitmix64(seed, index) for one counter index in [0, 2^64), in Python
-    integers: the same value as int(splitmix64(seed, np.uint64(index))).
-    """
-    z = (seed + (index + 1) * _GOLDEN) & _U64_MASK
-    z = ((z ^ (z >> 30)) * _MIX1_INT) & _U64_MASK
-    z = ((z ^ (z >> 27)) * _MIX2_INT) & _U64_MASK
-    return z ^ (z >> 31)
+    """Independent sub-seed for arm/trial index of a master seed: the
+    splitmix64 output of counter index, as a Python int."""
+    return int(splitmix64(seed, np.uint64(index)))

@@ -53,6 +53,7 @@ REFERENCE_TOTAL_TIME_S = 60.0          # quoted total measurement time bound
 
 _MAX_SCAN_DELTA_N = 10_000
 _SENSED_ION = 2   # the spin the probes sense: the positive end of 3 ions, the middle of 5
+_ELECTRON_MOMENT = abs(constants().electron_magnetic_moment)   # J/T, the default source moment
 _MOMENT = Bound(0)                           # J/T
 _LENGTH = Bound(0, exclusive_minimum=True)   # m
 
@@ -70,7 +71,7 @@ class ScenarioConfig:
     preparation_fidelity: float = bounded(CONTRAST, 0.99)   # the prepared probe's contrast
     target_snr: float = bounded(TARGET_SNR, 2.0)
     overhead_per_shot: float = bounded(Bound(0), 1.0)      # s of cooling/readout per shot
-    # a moment of None is unset; source_moment then defaults to |electron moment| (_chain_layout)
+    # a moment of None is unset; source_moment then defaults to |electron moment| (_ELECTRON_MOMENT)
     source_moment: float | None = bounded(_MOMENT, None)
     # molecular_state_change:
     moment_before: float | None = bounded(_MOMENT, None)
@@ -132,8 +133,7 @@ def _chain_layout(config: ScenarioConfig, n_ions: int):
     geometry = equilibrium_positions(n_ions, config.trap)
     z = geometry.positions
     probes = tuple(Vec3(0.0, 0.0, z[i]) for i in range(n_ions) if i != _SENSED_ION)
-    moment = (abs(constants().electron_magnetic_moment) if config.source_moment is None
-              else config.source_moment)
+    moment = _ELECTRON_MOMENT if config.source_moment is None else config.source_moment
     return geometry, probes, DipoleSource(Vec3(0.0, 0.0, z[_SENSED_ION]), Vec3(0.0, 0.0, moment))
 
 
@@ -273,11 +273,10 @@ def run_molecular_state_change(config: ScenarioConfig) -> ScenarioReport:
     """
     _expect_kind(config, MOLECULAR_STATE_CHANGE)
     geometry, probes, source = _chain_layout(config, 3)
-    mu_e = abs(constants().electron_magnetic_moment)
     moments = {"moment_before": config.moment_before, "moment_after": config.moment_after}
     # paper values: the published three-ion field, scaled linearly with the moment
     deltas = {label: _delta_b(config, probes, source.position.z, moment,
-                              REFERENCE_DELTA_B_T * moment / mu_e)
+                              REFERENCE_DELTA_B_T * moment / _ELECTRON_MOMENT)
               for label, moment in moments.items()}
     _, contrast, rates, field_rows = _bell_pair(
         config, probes, {label: (0.0, delta) for label, delta in deltas.items()})

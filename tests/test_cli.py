@@ -813,6 +813,12 @@ OVERFLOWING_CONFIGS = {
                             "interaction_time_s = 1e30\n"),
     "ghz_chain_long_time": ("command = scenario\nscenario = ghz_chain\n"
                             "source_moment_j_per_t = 1e270\ninteraction_time_s = 1e30\n"),
+    # a finite phase that overflows once the bias phase is added
+    "montecarlo_bias_phase": ("command = montecarlo\nshots = 1000\ninteraction_time_s = 1.0\n"
+                              "delta_b_t = 1e297\nbias_phase_rad = 1.7e308\n"),
+    "montecarlo_noisy_bias_phase": ("command = montecarlo\nshots = 1000\n"
+                                    "interaction_time_s = 1.0\ndelta_b_t = 1e297\n"
+                                    "bias_phase_rad = 1.7e308\ngradient_rms_t_per_m = 1e-3\n"),
 }
 
 

@@ -569,6 +569,25 @@ def test_screened_run_draws_few_gaussians(monkeypatch):
             simulate_shots(plan(shots=10, t=t), probe, ZEE, fields, NoiseModel(gradient_rms=rms))
 
 
+@pytest.mark.parametrize("gradient_rms", [0.0, 1e-3], ids=["noise-free", "per-shot"])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_phase_plus_bias_past_the_float_range_is_a_config_error(gradient_rms, sign):
+    # each phase is finite, but phase + bias is not: a config error that
+    # names the bias phase, on both routes and in the analytic model, rather
+    # than a nan probability
+    t, bias = 1.0, sign * 1.7e308
+    fields = fields_for_phase(sign * 1.5e308, t)
+    noise = NoiseModel(gradient_rms=gradient_rms)
+    for shots in (1000, 2 * _BLOCK + 5):
+        with pytest.raises(ConfigurationError, match="bias phase"):
+            simulate_shots(plan(shots, t, bias), pair_probe(), ZEE, fields, noise)
+    with pytest.raises(ConfigurationError, match="bias phase"):
+        expected_parity(plan(10, t, bias), pair_probe(), ZEE, fields, noise)
+    # a smaller bias fits, and the run goes ahead
+    simulate_shots(plan(1000, t, sign * 1.5e307), pair_probe(), ZEE, fields, noise)
+    expected_parity(plan(10, t, sign * 1.5e307), pair_probe(), ZEE, fields, noise)
+
+
 def test_field_count_mismatch():
     with pytest.raises(ConfigurationError):
         simulate_shots(plan(shots=10), pair_probe(), ZEE, (0.0,), NoiseModel())

@@ -355,7 +355,7 @@ vectors = st.builds(Vec3, moments, moments, moments)
        offset=st.builds(Vec3, offsets, offsets, offsets))
 def test_flipped_source_negates_every_dipole_field_component(position, moment, offset):
     src = DipoleSource(position, moment)
-    point = position + offset
+    point = Vec3(position.x + offset.x, position.y + offset.y, position.z + offset.z)
     assert _negated(lambda: astuple(dipole_field(src, point)),
                     lambda: astuple(dipole_field(src.flipped(), point)))
 

@@ -136,7 +136,7 @@ def test_scalar_counters_give_scalars():
 
 
 # ---------------------------------------------------------------------------
-# derive_seed in Python integers, and both Gaussian streams in one pass
+# derive_seed as the splitmix64 output, and both Gaussian streams in one pass
 
 _U64 = st.integers(0, MASK)
 
