@@ -648,12 +648,24 @@ def emit(bundle: ResultBundle, output_format: str, out_dir: str | os.PathLike) -
 # ---------------------------------------------------------------------------
 # entry point
 
+def _int_arg(text: str) -> int:
+    """An integer option's type: a config file's integer syntax (_INT_RE), so
+    `1_0` and non-ASCII digits are refused as a config's `seed` refuses them;
+    the usage error keeps argparse's `invalid int value` wording."""
+    try:
+        if _INT_RE.fullmatch(text):
+            return int(text)
+    except ValueError:   # more digits than Python converts from a string
+        pass
+    raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="iongradim",
         description="Entangled-ion magnetic gradient sensing simulator.")
     parser.add_argument("--config", required=True, help="path to the run config file")
-    parser.add_argument("--seed", type=int, default=None,
+    parser.add_argument("--seed", type=_int_arg, default=None,
                         help="override the config seed (64-bit unsigned)")
     parser.add_argument("--out", default=".", help="output directory")
     parser.add_argument("--format", choices=_COMMON_FIELDS["output_format"].choices,
@@ -665,6 +677,55 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 _PARSER = _build_parser()   # argparse keeps no state between parse_args calls
+
+
+def _reader_table(parser: argparse.ArgumentParser):
+    """What _read_args reads of parser, from its actions: each option string
+    of a single-value store action (never a flag, append or count action)
+    to that action, the attributes argparse gives the actions an argv does
+    not name (a str default passes its action's type, as argparse converts
+    it), and the required actions."""
+    options = {option: action for action in parser._actions
+               if type(action) is argparse._StoreAction and action.nargs is None
+               for option in action.option_strings}
+    defaults = {action.dest: action.type(action.default)
+                if isinstance(action.default, str) and action.type else action.default
+                for action in parser._actions
+                if argparse.SUPPRESS not in (action.dest, action.default)}
+    return options, defaults, frozenset(a for a in parser._actions if a.required)
+
+
+_READER = _reader_table(_PARSER)
+
+
+def _read_args(argv: list[str] | None) -> argparse.Namespace:
+    """_PARSER.parse_args(argv), read without argparse when argv is whole
+    `--option value` pairs: each option exactly one of _READER's, each value
+    a str not starting with '-' that passes its option's type and choices,
+    and every required option present (a repeated option keeps its last
+    value, as in argparse). Any other argv (--help, an abbreviation,
+    `--opt=value`, `--`, a value starting with '-', a bad value or a missing
+    option) goes to argparse, so every usage, help and error text and every
+    exit code is argparse's."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    options, defaults, required = _READER
+    values, seen = {}, set()
+    for option, text in zip(argv[::2], argv[1::2]):
+        action = options.get(option) if isinstance(option, str) else None
+        if action is None or not isinstance(text, str) or text.startswith("-"):
+            break
+        try:
+            value = (action.type or str)(text)
+        except (argparse.ArgumentTypeError, TypeError, ValueError):
+            break
+        if action.choices is not None and value not in action.choices:
+            break
+        values[action.dest] = value
+        seen.add(action)
+    else:
+        if len(argv) % 2 == 0 and required <= seen:
+            return argparse.Namespace(**{**defaults, **values})
+    return _PARSER.parse_args(argv)
 
 
 class _StderrHandler(logging.StreamHandler):
@@ -711,7 +772,7 @@ def _read_config(path: str) -> str:
 def main(argv: list[str] | None = None) -> int:
     _configure_logging()
     try:
-        args = _PARSER.parse_args(argv)
+        args = _read_args(argv)
     except SystemExit as exc:   # argparse has printed the help or the usage error
         return EXIT_OK if exc.code == 0 else EXIT_CONFIG
     try:

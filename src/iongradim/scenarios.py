@@ -406,8 +406,25 @@ def _min_detectable_delta_n(rate_unit: float, t: float, contrast: float, shots: 
     exactly 2 meets the target as analytic_snr decides for 2.0. k runs in
     chunks that grow x4 (1-3, 4-15, 16-63, ...), so an early hit stays cheap
     and a full scan takes a few numpy passes.
+
+    A scan that no k can hit returns inf before the chunks, proved empty
+    from its last phase alone. The phase's magnitude never falls as k
+    grows: 0.5 k is exact and rounding each product is monotone. So with X
+    the magnitude of the last phase and C = 2 contrast <= 2, every swing is
+    fl(C |sin_np x_k|), where |sin_np x| <= |x| (1 + 2^-45) + 2^-1060 for
+    any np.sin within 128 ulps of sin, zero and subnormal phases included;
+    a swing is then at most C X (1 + 2^-45)(1 + 2^-53) + 2^-1058. The bound
+    fl(fl(fl(C X) (1 + 2^-40)) + 2^-1000), each step losing at most a
+    relative 2^-53 or an absolute 2^-1074, is at least
+    C X (1 + 2^-40 - 2^-50) + 2^-1001, which exceeds that. A bound below
+    both the threshold and 2 therefore leaves every swing below them, so
+    no k can hit; an inf or nan bound proves nothing, and the scan runs.
     """
     threshold = swing_threshold(shots, target_snr)
+    last_phase = ((0.5 * _MAX_SCAN_DELTA_N) * rate_unit) * t
+    bound = (2.0 * contrast) * abs(last_phase) * (1.0 + 2.0 ** -40) + 2.0 ** -1000
+    if bound < min(threshold, 2.0):
+        return math.inf
     full_swing_meets = analytic_snr(shots, 2.0) >= target_snr
     lo = 1
     while lo <= _MAX_SCAN_DELTA_N:

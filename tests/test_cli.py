@@ -1096,6 +1096,98 @@ def test_usage_exit_codes(tmp_path, capsys, args, code):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("text", ["1_0", "\u0663", " 5", "5\n", "0x10", "1" * 5000])
+def test_seed_flag_takes_the_config_integer_syntax(tmp_path, capsys, text):
+    if text.strip() == text:   # a config value has no outer whitespace
+        with pytest.raises(ConfigFileError, match="expected an integer|too long"):
+            parse_config(CRYSTAL_CFG + f"seed = {text}\n")
+    out = tmp_path / "out"
+    assert main(["--config", str(_write_cfg(tmp_path, CRYSTAL_CFG)), "--out", str(out),
+                 "--seed", text]) == 1
+    assert capsys.readouterr().err.splitlines()[-1] == \
+        f"iongradim: error: argument --seed: invalid int value: {text!r}"
+    assert not out.exists()
+
+
+def _parse_outcome(parse, argv):
+    """What parse(argv) returns, or its exit code; with what it printed."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = parse(argv)
+        except SystemExit as exc:
+            result = ("exit", exc.code)
+    return result, out.getvalue(), err.getvalue()
+
+
+_ODD_OPTIONS = ["--conf", "--config=x", "-h", "--help", "--", "-", "-5", ""]
+_VALUES = ["", "run.cfg", "out dir", "csv", "text", "xml", "on", "off", "7", "+7", "007",
+           "-5", "1_0", "\u0663", "abc", str(2 ** 64), "-", "--", "--out", "a=b"]
+
+
+@st.composite
+def _argvs(draw):
+    """Argvs of whole and broken `--option value` pairs, with and without --config."""
+    table = cli._READER[0]
+    options = st.sampled_from(sorted(table) + _ODD_OPTIONS)
+    fitting = st.sampled_from(sorted(table)).flatmap(lambda option: st.tuples(
+        st.just(option), st.sampled_from(table[option].choices or ["7", "run.cfg", "out dir"])))
+    any_pair = st.tuples(options, st.sampled_from(_VALUES))
+    head = draw(st.sampled_from([[], ["--config", "run.cfg"]]))
+    pairs = draw(st.one_of(st.lists(fitting, max_size=5),
+                           st.lists(st.one_of(fitting, any_pair), max_size=5)))
+    tail = draw(st.one_of(st.just([]), st.lists(st.one_of(options, st.sampled_from(_VALUES)),
+                                                 max_size=1)))
+    return head + [token for pair in pairs for token in pair] + tail
+
+
+@given(_argvs())
+@example(["--config", "a", "--config", "b", "--seed", "1", "--seed", "+2"])
+def test_read_args_equals_argparse(argv):
+    # the same Namespace, or the same exit code with the same help or usage text
+    assert _parse_outcome(cli._read_args, argv) == _parse_outcome(cli._PARSER.parse_args, argv)
+
+
+@pytest.mark.parametrize("flags", [
+    [], ["--seed", "7"], ["--format", "text"], ["--paper-values", "on"],
+    ["--seed", "7", "--format", "csv", "--paper-values", "off"],
+])
+def test_plain_argv_never_reaches_argparse(tmp_path, capsys, monkeypatch, flags):
+    # the benchmark's argv shape: --config P --out D, with or without the overrides
+    argv = ["--config", str(_write_cfg(tmp_path, CRYSTAL_CFG)), "--out", str(tmp_path / "out"),
+            *flags]
+    expected = cli._PARSER.parse_args(argv)
+
+    def refuse(argv=None):
+        raise AssertionError(f"argparse parsed {argv}")
+
+    monkeypatch.setattr(cli._PARSER, "parse_args", refuse)
+    assert cli._read_args(argv) == expected
+    assert main(argv) == 0
+    assert capsys.readouterr().out
+
+
+def test_read_args_leaves_flags_append_and_count_to_argparse(monkeypatch):
+    parser = cli._build_parser()
+    parser.add_argument("--dry-run", action="store_true")
+    parser.add_argument("--tag", action="append")
+    parser.add_argument("--pair", nargs=2)
+    parser.add_argument("-v", action="count")
+    monkeypatch.setattr(cli, "_PARSER", parser)
+    monkeypatch.setattr(cli, "_READER", cli._reader_table(parser))
+    assert set(cli._READER[0]) == {"--config", "--seed", "--out", "--format", "--paper-values"}
+    real, parsed = parser.parse_args, []
+    monkeypatch.setattr(parser, "parse_args", lambda argv: parsed.append(argv) or real(argv))
+    plain = ["--config", "run.cfg", "--seed", "3"]
+    assert cli._read_args(plain) == real(plain)   # dry_run False, tag, pair and v None
+    assert parsed == []
+    for extra in (["--dry-run"], ["--dry-run", "x"], ["--tag", "a"], ["--pair", "a", "b"],
+                  ["-v"], ["-v", "-v"]):
+        argv = plain + extra
+        assert _parse_outcome(cli._read_args, argv) == _parse_outcome(real, argv)
+        assert parsed[-1] == argv
+
+
 def test_solver_failure_exits_2_with_one_line(tmp_path, capsys, monkeypatch, uncached_chain):
     monkeypatch.setattr(crystal, "_NEWTON_CAP", 1)
     out = tmp_path / "out"

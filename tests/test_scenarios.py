@@ -6,7 +6,7 @@ from typing import NamedTuple
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from iongradim import crystal, estimation, scenarios
@@ -326,6 +326,57 @@ def test_double_well_scan_at_a_full_swing_of_two(shots, target, expected):
     assert report.estimation["phase_rate_rad_per_s"] == rate_unit
     found = report.estimation["min_detectable_delta_n"]
     assert found == expected == scan_by_snr(config, rate_unit)
+
+
+def full_scan(rate_unit, t, contrast, shots, target_snr):
+    """The scan without its empty-scan bound: every k's swing, then the first hit."""
+    k = np.arange(1, _MAX_SCAN_DELTA_N + 1, dtype=float)
+    swing = scenarios._parity_swing(contrast, ((0.5 * k) * rate_unit) * t)
+    hit = np.where(swing < 2.0, swing >= swing_threshold(shots, target_snr),
+                   analytic_snr(shots, 2.0) >= target_snr)
+    return float(hit.argmax() + 1) if hit.any() else math.inf
+
+
+@st.composite
+def scan_inputs(draw):
+    """Scans of every phase size, zero and subnormal phases among them, with
+    targets drawn or put at and just above the largest swing of the scan."""
+    rate_unit = draw(st.sampled_from([1.0, -1.0])) * draw(st.floats(1e-3, 1e6))
+    t = draw(st.one_of(st.sampled_from([0.0, 5e-324, 1e-315, 1e-300, 1e-20]),
+                       st.floats(1e-12, 10.0)))
+    contrast = draw(st.one_of(st.just(1.0), st.floats(1e-6, 1.0)))
+    shots = draw(st.integers(1, 10 ** 6))
+    k = np.arange(1, _MAX_SCAN_DELTA_N + 1, dtype=float)
+    largest = float(scenarios._parity_swing(contrast, ((0.5 * k) * rate_unit) * t).max())
+    above = draw(st.sampled_from([None, 1.0, 1.0 + 2.0 ** -52, 1.0 + 2.0 ** -41,
+                                  1.0 + 2.0 ** -39, 1.0 + 2.0 ** -20]))
+    if above is None or largest == 0.0:
+        target = draw(st.floats(1e-3, 1e3))
+    else:
+        target = analytic_snr(shots, largest * above)
+    assume(target > 0.0)
+    return rate_unit, t, contrast, shots, target
+
+
+@given(scan_inputs())
+def test_min_detectable_equals_the_full_scan(inputs):
+    assert scenarios._min_detectable_delta_n(*inputs) == full_scan(*inputs)
+
+
+@pytest.mark.parametrize("paper_values, t", [(True, 0.0), (False, 1e-8)])
+def test_an_empty_scan_computes_no_sine(monkeypatch, paper_values, t):
+    # the sweep's empty scans: idle runs (t = 0) and phases far below the threshold
+    config = dw_config(delta_n=1, paper_values=paper_values, t=t)
+    rate_unit = run_double_well(config).estimation["phase_rate_rad_per_s"]
+    contrast = config.preparation_fidelity * config.noise.contrast
+    inputs = (rate_unit, t, contrast, config.plan.shots, config.target_snr)
+    assert full_scan(*inputs) == math.inf
+
+    def no_sine(contrast, phase):
+        raise AssertionError("the bound should have proved the scan empty")
+
+    monkeypatch.setattr(scenarios, "_parity_swing", no_sine)
+    assert scenarios._min_detectable_delta_n(*inputs) == math.inf
 
 
 @pytest.mark.parametrize("atom_moment", [math.inf, 1e300])
