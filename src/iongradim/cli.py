@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import logging
 import math
 import os
 import re
@@ -51,8 +50,6 @@ from .magnetostatics import (DipoleSource, axial_bz, axial_field_table,  # noqa:
 from .protocol import (BELL, PAIR_WEIGHTS, ZeemanConfig, parity_trajectory, phase_rate,
                        pi_time, prepare_probe)
 from .scenarios import SCENARIO_KINDS, ScenarioConfig, run_scenario
-
-log = logging.getLogger(__name__)
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -448,7 +445,6 @@ def execute(run: RunConfig) -> ResultBundle:
     if run.command not in _EXECUTORS:
         raise ConfigurationError(f"unknown command {run.command!r}")
     echo = normalized_config(run)
-    log.info("executing command %r (seed %d)", run.command, run.seed)
     tables, annotations = _EXECUTORS[run.command](run.parameters, run.seed)
     header = (f"# iongradim {__version__} command={run.command} seed={run.seed} "
               f"config_sha256={config_hash(echo)}")
@@ -728,29 +724,6 @@ def _read_args(argv: list[str] | None) -> argparse.Namespace:
     return _PARSER.parse_args(argv)
 
 
-class _StderrHandler(logging.StreamHandler):
-    """A StreamHandler that writes each record to whatever sys.stderr is then,
-    so a caller that redirects stderr per main call gets each call's lines."""
-
-    def __init__(self):
-        logging.Handler.__init__(self)   # StreamHandler's would fix the stream now
-
-    @property
-    def stream(self):
-        return sys.stderr
-
-
-def _configure_logging() -> None:
-    if logging.root.handlers:   # a caller's handler, or the one an earlier call added
-        return
-    level_name = os.environ.get("IONGRADIM_LOG", "WARNING").upper()
-    level = getattr(logging, level_name, None)
-    if not isinstance(level, int):
-        level = logging.WARNING
-    logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s",
-                        handlers=[_StderrHandler()])
-
-
 def _read_config(path: str) -> str:
     """The config file's text, decoded as UTF-8 without a leading byte-order
     mark (parse_config takes \\n, \\r\\n and \\r line ends). Read to its end,
@@ -770,7 +743,6 @@ def _read_config(path: str) -> str:
 
 
 def main(argv: list[str] | None = None) -> int:
-    _configure_logging()
     try:
         args = _read_args(argv)
     except SystemExit as exc:   # argparse has printed the help or the usage error
@@ -793,7 +765,8 @@ def main(argv: list[str] | None = None) -> int:
                 run = replace(run, parameters={**run.parameters,
                                                "paper_values": args.paper_values == "on"})
             else:
-                log.warning("--paper-values only applies to scenario runs; ignored")
+                print("WARNING iongradim.cli: --paper-values only applies to scenario runs; "
+                      "ignored", file=sys.stderr)
         bundle = execute(run)
     except (ConfigurationError, FieldSingularityError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

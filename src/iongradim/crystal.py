@@ -17,7 +17,6 @@ frequently quoted adjacent spacing d12 = 1.077 * l.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -26,8 +25,6 @@ import numpy as np
 
 from .constants import constants
 from .errors import Bound, ConfigurationError, SolverError, bounded, check_fields
-
-log = logging.getLogger(__name__)
 
 N_IONS = Bound(1, 30, integer=True)   # the chain lengths equilibrium_positions solves
 _POSITIVE = Bound(0, exclusive_minimum=True)   # each TrapConfig parameter
@@ -123,7 +120,7 @@ def _unit_chain(n_ions: int) -> np.ndarray:
     u = (np.arange(n_ions) - (n_ions - 1) / 2.0) * (2.0 / n_ions ** (1.0 / 3.0))
     forces = _net_forces(u)
     residual = float(np.abs(forces).max())
-    for iteration in range(_NEWTON_CAP):
+    for _ in range(_NEWTON_CAP):
         if residual < _RESIDUAL_TOL:
             break
         step = np.linalg.solve(_jacobian(u), forces)
@@ -141,8 +138,6 @@ def _unit_chain(n_ions: int) -> np.ndarray:
         u, forces, residual = trial, trial_forces, trial_residual
     else:
         raise SolverError(f"equilibrium solve for {n_ions} ions did not converge", residual)
-    log.debug("equilibrium n=%d converged: residual %.2e after %d iterations",
-              n_ions, residual, iteration)
 
     u = u - u.mean()   # pin the center of mass; equilibrium has sum(u) = 0 exactly
     u.flags.writeable = False

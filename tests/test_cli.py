@@ -4,6 +4,7 @@ import errno
 import functools
 import io
 import json
+import logging
 import math
 import os
 import random
@@ -1226,24 +1227,40 @@ def test_seed_flag_past_64_bits_is_a_config_error(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_paper_values_flag_on_a_crystal_run_is_ignored_with_a_warning(tmp_path, fresh_python):
+_WARNING = "WARNING iongradim.cli: --paper-values only applies to scenario runs; ignored"
+
+
+@pytest.mark.parametrize("launch", [
+    "import sys; from iongradim.cli import main; sys.exit(main(sys.argv[1:]))",
+    # the call `python -m iongradim.cli` makes: the module runs as __main__
+    "import runpy; runpy.run_module('iongradim.cli', run_name='__main__', alter_sys=True)",
+], ids=["main", "module"])
+def test_paper_values_flag_on_a_crystal_run_is_ignored_with_a_warning(tmp_path, fresh_python,
+                                                                      launch):
     cfg = str(CONFIG_DIR / "crystal_three_ion.cfg")
     assert main(["--config", cfg, "--out", str(tmp_path / "plain")]) == 0
-    # in a fresh interpreter, so that the warning reaches stderr through main's own logging setup
-    result = fresh_python("import sys; from iongradim.cli import main; sys.exit(main(sys.argv[1:]))",
-                          "--config", cfg, "--out", str(tmp_path / "flag"), "--paper-values", "on")
+    result = fresh_python(launch, "--config", cfg, "--out", str(tmp_path / "flag"),
+                          "--paper-values", "on")
     assert result.returncode == 0, result.stderr
-    assert result.stderr.splitlines() == [
-        "WARNING iongradim.cli: --paper-values only applies to scenario runs; ignored"]
+    assert result.stderr.splitlines() == [_WARNING]
     plain = sorted(p.name for p in (tmp_path / "plain").iterdir())
     assert plain == sorted(p.name for p in (tmp_path / "flag").iterdir())
     for name in plain:
         assert (tmp_path / "flag" / name).read_bytes() == (tmp_path / "plain" / name).read_bytes()
 
 
+def test_the_warning_reaches_stderr_past_a_configured_root_logger(tmp_path, capsys, caplog):
+    # pytest's log capture has given the root logger its handlers
+    assert logging.root.handlers
+    assert main(["--config", str(CONFIG_DIR / "crystal_three_ion.cfg"), "--out", str(tmp_path),
+                 "--paper-values", "on"]) == 0
+    assert capsys.readouterr().err.splitlines() == [_WARNING]
+    assert caplog.records == []
+
+
 # Runs main once per JSON argument list, after a logging setup of its own if
-# asked, and prints the exit codes, then the root logger's handlers, level and
-# format.
+# asked, and prints the exit codes, then the root logger's handlers with their
+# formats, and its level.
 _MAIN_AND_LOG_STATE = """\
 import json, logging, sys
 from iongradim.cli import main
@@ -1251,40 +1268,23 @@ if sys.argv[1] == "configured":
     logging.basicConfig(level=logging.ERROR, format="%(message)s")
 print([main(argv) for argv in json.loads(sys.argv[2])])
 root = logging.root
-print([type(h).__name__ for h in root.handlers], logging.getLevelName(root.level),
-      root.handlers[0].formatter._fmt)
+print([(type(h).__name__, h.formatter._fmt) for h in root.handlers],
+      logging.getLevelName(root.level))
 """
 
 
-@pytest.mark.parametrize("level, shown", [
-    ("debug", ["WARNING iongradim.cli: --paper-values only applies to scenario runs; ignored",
-               "INFO iongradim.cli: executing command 'crystal' (seed 0)",
-               "DEBUG iongradim.crystal: equilibrium n=3 converged: residual "]),
-    ("loud", ["WARNING iongradim.cli: --paper-values only applies to scenario runs; ignored"]),
-])
-def test_iongradim_log_sets_the_level_in_a_fresh_interpreter(tmp_path, fresh_python,
-                                                             monkeypatch, level, shown):
-    # an unknown level name ("loud") falls back to WARNING
-    monkeypatch.setenv("IONGRADIM_LOG", level)
-    run = ["--config", str(CONFIG_DIR / "crystal_three_ion.cfg"), "--out", str(tmp_path),
-           "--paper-values", "on"]
-    result = fresh_python(_MAIN_AND_LOG_STATE, "fresh", json.dumps([run]))
-    assert result.returncode == 0, result.stderr
-    err = result.stderr.splitlines()
-    assert len(err) == len(shown) and all(map(str.startswith, err, shown)), err
-    assert result.stdout.splitlines()[-2:] == [   # after the written paths
-        "[0]", f"['_StderrHandler'] {'DEBUG' if level == 'debug' else 'WARNING'} "
-               "%(levelname)s %(name)s: %(message)s"]
-
-
-def test_main_leaves_a_configured_root_logger_as_it_is(tmp_path, fresh_python, monkeypatch):
-    monkeypatch.setenv("IONGRADIM_LOG", "debug")
+@pytest.mark.parametrize("setup, state", [
+    ("configured", "[('StreamHandler', '%(message)s')] ERROR"),
+    ("fresh", "[] WARNING"),
+], ids=["configured", "fresh"])
+def test_main_leaves_the_root_logger_as_it_is(tmp_path, fresh_python, setup, state):
     cfg = str(CONFIG_DIR / "crystal_three_ion.cfg")
-    runs = [["--config", cfg, "--out", str(tmp_path / "out")]] * 2
-    result = fresh_python(_MAIN_AND_LOG_STATE, "configured", json.dumps(runs))
+    runs = [["--config", cfg, "--out", str(tmp_path / "out")],
+            ["--config", cfg, "--out", str(tmp_path / "out"), "--paper-values", "on"]]
+    result = fresh_python(_MAIN_AND_LOG_STATE, setup, json.dumps(runs))
     assert result.returncode == 0, result.stderr
-    assert result.stdout.splitlines()[-2:] == ["[0, 0]", "['StreamHandler'] ERROR %(message)s"]
-    assert result.stderr == ""
+    assert result.stdout.splitlines()[-2:] == ["[0, 0]", state]
+    assert result.stderr.splitlines() == [_WARNING]
 
 
 _TWO_CAPTURES = """\
@@ -1298,15 +1298,13 @@ print(json.dumps([capture.getvalue() for capture in captures]))
 """
 
 
-def test_each_call_logs_to_the_stderr_it_runs_under(tmp_path, fresh_python, monkeypatch):
+def test_each_call_logs_to_the_stderr_it_runs_under(tmp_path, fresh_python):
     # an in-process caller that redirects stderr per call, as bench/run.py
-    # does, gets each call's log lines in that call's capture
-    monkeypatch.delenv("IONGRADIM_LOG", raising=False)
+    # does, gets each call's warning in that call's capture
     result = fresh_python(_TWO_CAPTURES, str(CONFIG_DIR / "crystal_three_ion.cfg"),
                           str(tmp_path / "out"))
     assert result.returncode == 0 and result.stderr == "", result.stderr
-    assert json.loads(result.stdout) == [
-        "", "WARNING iongradim.cli: --paper-values only applies to scenario runs; ignored\n"]
+    assert json.loads(result.stdout) == ["", _WARNING + "\n"]
 
 
 def test_seed_flag_overrides_config(tmp_path):

@@ -12,6 +12,7 @@ from iongradim import cli, estimation, scenarios
 from iongradim.constants import Vec3, constants
 from iongradim.estimation import ExperimentPlan, NoiseModel, dephasing_contrast, simulate_shots
 from iongradim.protocol import BELL, GHZ, ZeemanConfig, prepare_probe
+from test_cli import _WARNING
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -204,3 +205,8 @@ def test_flags_sentence_names_the_parser_options():
     for flag, argument in flags.items():   # a|b lists the flag's choices
         if "|" in argument:
             assert tuple(argument.split("|")) == tuple(options[flag].choices), flag
+
+
+def test_stderr_sentence_quotes_the_warning():
+    # tests/test_cli.py pins main's stderr to this text
+    assert re.findall(r"On stderr it writes .*?: `([^`]*)`", _prose()) == [_WARNING]
