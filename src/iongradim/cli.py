@@ -47,8 +47,8 @@ from .estimation import (ExperimentPlan, NoiseModel, expected_parity, parity_est
 # dipole_field is unused here, but bench/tracing.py wraps it at this site
 from .magnetostatics import (DipoleSource, axial_bz, axial_field_table,  # noqa: F401
                              compensation_gradient, dipole_field)
-from .protocol import (BELL, PAIR_WEIGHTS, ZeemanConfig, parity_trajectory, phase_rate,
-                       pi_time, prepare_probe)
+from .protocol import (BELL, PAIR_WEIGHTS, TRAJECTORY_COLUMNS, ZeemanConfig,
+                       parity_trajectory, phase_rate, pi_time, prepare_probe)
 from .scenarios import SCENARIO_KINDS, ScenarioConfig, run_scenario
 
 EXIT_OK = 0
@@ -56,7 +56,7 @@ EXIT_CONFIG = 1
 EXIT_RUNTIME = 2
 
 _KEY_RE = re.compile(r"^[a-z][a-z0-9_]*$")
-_INT_RE = re.compile(r"^[+-]?[0-9]+$")
+_INT_RE = re.compile(r"[+-]?[0-9]+")
 
 DEFAULT_ION_MASS_KG = 40.0 * constants().atomic_mass_unit   # Ca-40
 
@@ -195,41 +195,38 @@ _DEFAULTS = {command: {key: spec.default for key, spec in schema.items() if not 
              for command, schema in COMMAND_SCHEMAS.items()}
 
 
-def _bad_value(key: str, line_no: int, problem: str) -> ConfigFileError:
-    return ConfigFileError(f"line {line_no}: {key}: {problem}")
-
-
-def _parse_value(raw: str, spec: FieldSpec, key: str, line_no: int) -> object:
+def _parse_value(raw: str, spec: FieldSpec) -> object:
+    """The value of raw, a config value or an override flag's text, read by
+    spec; a ValueError that says what is wrong with it."""
     if spec.kind == "int":
-        if not _INT_RE.match(raw):
-            raise _bad_value(key, line_no, f"expected an integer, got {raw!r}")
+        if not _INT_RE.fullmatch(raw):
+            raise ValueError(f"expected an integer, got {raw!r}")
         try:
             value = int(raw)
         except ValueError:   # more digits than Python converts from a string
-            raise _bad_value(key, line_no, f"an integer of {len(raw.lstrip('+-'))} digits "
-                                           "is too long to convert") from None
+            raise ValueError(f"an integer of {len(raw.lstrip('+-'))} digits "
+                             "is too long to convert") from None
     elif spec.kind == "float":
         try:
             value = float(raw)
         except ValueError:
-            raise _bad_value(key, line_no, f"expected a number, got {raw!r}") from None
+            raise ValueError(f"expected a number, got {raw!r}") from None
         if not math.isfinite(value):
-            raise _bad_value(key, line_no, f"value must be finite, got {raw!r}")
+            raise ValueError(f"value must be finite, got {raw!r}")
     elif spec.kind == "bool":
         lowered = raw.lower()
         if lowered in ("on", "true"):
             return True
         if lowered in ("off", "false"):
             return False
-        raise _bad_value(key, line_no, f"expected on/off, got {raw!r}")
+        raise ValueError(f"expected on/off, got {raw!r}")
     else:
         value = raw
     if spec.choices is not None and value not in spec.choices:
-        raise _bad_value(key, line_no,
-                         f"must be one of {', '.join(spec.choices)}; got {raw!r}")
+        raise ValueError(f"must be one of {', '.join(spec.choices)}; got {raw!r}")
     broken = spec.bound and spec.bound.broken(value)
     if broken:
-        raise _bad_value(key, line_no, f"must be {broken}, got {raw}")
+        raise ValueError(f"must be {broken}, got {raw}")
     return value
 
 
@@ -280,9 +277,9 @@ def parse_config(text: str) -> RunConfig:
             errors.append(f"line {line_no}: unknown key {key!r} for command {command!r}")
             continue
         try:
-            parameters[key] = _parse_value(raw, spec, key, line_no)
-        except ConfigFileError as exc:
-            errors.append(str(exc))
+            parameters[key] = _parse_value(raw, spec)
+        except ValueError as exc:
+            errors.append(f"line {line_no}: {key}: {exc}")
     errors += [f"missing required key {key!r} for command {command!r}"
                for key in _REQUIRED[command] if key not in assignments]
     if errors:
@@ -321,9 +318,6 @@ def config_hash(echo: str) -> str:
 
 # ---------------------------------------------------------------------------
 # command execution
-
-_TRAJECTORY_COLUMNS = ("time_s", "phase_rad", "parity")
-
 
 def _trap(params: dict, **charge) -> TrapConfig:
     """The trap of axial_frequency_hz, converted from Hz to rad/s, and ion_mass_kg."""
@@ -392,7 +386,7 @@ def _execute_protocol(params: dict, seed: int) -> tuple[tuple[Table, ...], tuple
     rate = phase_rate(probe, zeeman, (0.0, params["delta_b_t"]))
     rows = parity_trajectory(rate, probe.contrast, params["duration_s"], params["n_steps"])
     t_pi = pi_time(rate)
-    tables = (Table("parity_trajectory", _TRAJECTORY_COLUMNS, rows),
+    tables = (Table("parity_trajectory", TRAJECTORY_COLUMNS, rows),
               Table("summary", ("phase_rate_rad_per_s", "t_pi_s"), ((rate, t_pi),)))
     return tables, (f"time to a pi phase rotation: {t_pi:.4f} s",)
 
@@ -426,7 +420,7 @@ def _execute_scenario(params: dict, seed: int) -> tuple[tuple[Table, ...], tuple
         Table("estimation", ("quantity", "value"), tuple(report.estimation.items())),
     ]
     for label, rows in report.trajectories:
-        tables.append(Table(f"parity_trajectory_{label}", _TRAJECTORY_COLUMNS, rows))
+        tables.append(Table(f"parity_trajectory_{label}", TRAJECTORY_COLUMNS, rows))
     return tuple(tables), report.annotations
 
 
@@ -644,16 +638,11 @@ def emit(bundle: ResultBundle, output_format: str, out_dir: str | os.PathLike) -
 # ---------------------------------------------------------------------------
 # entry point
 
-def _int_arg(text: str) -> int:
-    """An integer option's type: a config file's integer syntax (_INT_RE), so
-    `1_0` and non-ASCII digits are refused as a config's `seed` refuses them;
-    the usage error keeps argparse's `invalid int value` wording."""
-    try:
-        if _INT_RE.fullmatch(text):
-            return int(text)
-    except ValueError:   # more digits than Python converts from a string
-        pass
-    raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+# Each override flag -> the config key it overrides and that key's spec, by
+# which main reads the flag's text as parse_config reads the key's value.
+_FLAGS = {"--seed": ("seed", _COMMON_FIELDS["seed"]),
+          "--format": ("output_format", _COMMON_FIELDS["output_format"]),
+          "--paper-values": ("paper_values", _SCENARIO_FIELDS["paper_values"])}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -661,14 +650,9 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="iongradim",
         description="Entangled-ion magnetic gradient sensing simulator.")
     parser.add_argument("--config", required=True, help="path to the run config file")
-    parser.add_argument("--seed", type=_int_arg, default=None,
-                        help="override the config seed (64-bit unsigned)")
     parser.add_argument("--out", default=".", help="output directory")
-    parser.add_argument("--format", choices=_COMMON_FIELDS["output_format"].choices,
-                        help="override the config output format")
-    parser.add_argument("--paper-values", choices=("on", "off"), default=None,
-                        help="scenario runs: use published reference values "
-                             "instead of computed fields")
+    for option, (key, _) in _FLAGS.items():
+        parser.add_argument(option, dest=key, help=f"override the config key {key}")
     return parser
 
 
@@ -679,14 +663,11 @@ def _reader_table(parser: argparse.ArgumentParser):
     """What _read_args reads of parser, from its actions: each option string
     of a single-value store action (never a flag, append or count action)
     to that action, the attributes argparse gives the actions an argv does
-    not name (a str default passes its action's type, as argparse converts
-    it), and the required actions."""
+    not name, and the required actions."""
     options = {option: action for action in parser._actions
                if type(action) is argparse._StoreAction and action.nargs is None
                for option in action.option_strings}
-    defaults = {action.dest: action.type(action.default)
-                if isinstance(action.default, str) and action.type else action.default
-                for action in parser._actions
+    defaults = {action.dest: action.default for action in parser._actions
                 if argparse.SUPPRESS not in (action.dest, action.default)}
     return options, defaults, frozenset(a for a in parser._actions if a.required)
 
@@ -697,12 +678,11 @@ _READER = _reader_table(_PARSER)
 def _read_args(argv: list[str] | None) -> argparse.Namespace:
     """_PARSER.parse_args(argv), read without argparse when argv is whole
     `--option value` pairs: each option exactly one of _READER's, each value
-    a str not starting with '-' that passes its option's type and choices,
-    and every required option present (a repeated option keeps its last
-    value, as in argparse). Any other argv (--help, an abbreviation,
-    `--opt=value`, `--`, a value starting with '-', a bad value or a missing
-    option) goes to argparse, so every usage, help and error text and every
-    exit code is argparse's."""
+    a str not starting with '-', and every required option present (a
+    repeated option keeps its last value, as in argparse). Any other argv
+    (--help, an abbreviation, `--opt=value`, `--`, a value starting with
+    '-' or a missing option) goes to argparse, so every usage, help and
+    error text and every exit code is argparse's."""
     argv = sys.argv[1:] if argv is None else list(argv)
     options, defaults, required = _READER
     values, seen = {}, set()
@@ -710,18 +690,26 @@ def _read_args(argv: list[str] | None) -> argparse.Namespace:
         action = options.get(option) if isinstance(option, str) else None
         if action is None or not isinstance(text, str) or text.startswith("-"):
             break
-        try:
-            value = (action.type or str)(text)
-        except (argparse.ArgumentTypeError, TypeError, ValueError):
-            break
-        if action.choices is not None and value not in action.choices:
-            break
-        values[action.dest] = value
+        values[action.dest] = text
         seen.add(action)
     else:
         if len(argv) % 2 == 0 and required <= seen:
             return argparse.Namespace(**{**defaults, **values})
     return _PARSER.parse_args(argv)
+
+
+def _read_flags(args: argparse.Namespace) -> dict:
+    """Each override flag given in args, as its config key -> the value its
+    key's spec reads; a value the spec refuses is a usage error."""
+    overrides = {}
+    for option, (key, spec) in _FLAGS.items():
+        text = getattr(args, key)
+        if text is not None:
+            try:
+                overrides[key] = _parse_value(text, spec)
+            except ValueError as exc:
+                _PARSER.error(f"argument {option}: {exc}")
+    return overrides
 
 
 def _read_config(path: str) -> str:
@@ -745,6 +733,7 @@ def _read_config(path: str) -> str:
 def main(argv: list[str] | None = None) -> int:
     try:
         args = _read_args(argv)
+        overrides = _read_flags(args)
     except SystemExit as exc:   # argparse has printed the help or the usage error
         return EXIT_OK if exc.code == 0 else EXIT_CONFIG
     try:
@@ -754,19 +743,15 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_CONFIG
     try:
         run = parse_config(text)
-        if args.seed is not None:
-            if _COMMON_FIELDS["seed"].bound.broken(args.seed):
-                raise ConfigurationError("--seed must fit in 64 bits")
-            run = replace(run, seed=args.seed)
-        if args.format is not None:
-            run = replace(run, output_format=args.format)
-        if args.paper_values is not None:
-            if run.command == "scenario":
-                run = replace(run, parameters={**run.parameters,
-                                               "paper_values": args.paper_values == "on"})
-            else:
-                print("WARNING iongradim.cli: --paper-values only applies to scenario runs; "
-                      "ignored", file=sys.stderr)
+        if overrides:
+            paper_values = overrides.pop("paper_values", None)
+            if paper_values is not None:
+                if run.command == "scenario":
+                    overrides["parameters"] = {**run.parameters, "paper_values": paper_values}
+                else:
+                    print("WARNING iongradim.cli: --paper-values only applies to scenario runs; "
+                          "ignored", file=sys.stderr)
+            run = replace(run, **overrides)
         bundle = execute(run)
     except (ConfigurationError, FieldSingularityError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -49,6 +49,7 @@ _GHZ4_PATTERN = (0.5, -0.5, -0.5, 0.5)   # up, down, (sensed ion), down, up
 PAIR_WEIGHTS = ((-0.5, 0.5), (0.5, -0.5))
 
 TRAJECTORY_POINTS = 101   # default sampling of a parity trajectory
+TRAJECTORY_COLUMNS = ("time_s", "phase_rad", "parity")   # a trajectory table's columns
 
 CONTRAST = Bound(0, 1)   # a fringe contrast: the probe's, and the readout's (NoiseModel)
 
@@ -206,8 +207,8 @@ def parity_trajectory(rate: float | Sequence[float], contrast: float, t_max: flo
                       n_points: int = TRAJECTORY_POINTS) -> np.ndarray:
     """Rows (t, rate * t, contrast * cos(rate * t)) at n_points even times from 0 to t_max.
 
-    One rate gives a read-only (n_points, 3) float64 array, its columns in
-    the order of the trajectory table: time (s), phase (rad), parity. A
+    One rate gives a read-only (n_points, 3) float64 array, its columns
+    those of TRAJECTORY_COLUMNS: time (s), phase (rad), parity. A
     sequence of k rates gives a read-only (k, n_points, 3) array whose [i]
     is that table for rate i, every rate on the one time grid. The times
     grow in magnitude and end exactly at t_max, and a float product rounds

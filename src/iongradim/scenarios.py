@@ -351,8 +351,6 @@ def run_double_well(config: ScenarioConfig) -> ScenarioReport:
 
     rate_unit = phase_rate(probe, config.zeeman, (0.0, _delta_b(
         config, probes, half_sep, atom_moment, REFERENCE_DW_DELTA_B_T)))
-    # The scan's phase grows with k: its last step must fit a float, so no step overflows.
-    accumulated_phase(0.5 * _MAX_SCAN_DELTA_N * rate_unit, t)
     min_detectable = _min_detectable_delta_n(rate_unit, t, contrast, config.plan.shots,
                                              config.target_snr)
 
@@ -407,10 +405,12 @@ def _min_detectable_delta_n(rate_unit: float, t: float, contrast: float, shots: 
     chunks that grow x4 (1-3, 4-15, 16-63, ...), so an early hit stays cheap
     and a full scan takes a few numpy passes.
 
-    A scan that no k can hit returns inf before the chunks, proved empty
-    from its last phase alone. The phase's magnitude never falls as k
-    grows: 0.5 k is exact and rounding each product is monotone. So with X
-    the magnitude of the last phase and C = 2 contrast <= 2, every swing is
+    A last phase past the largest float is a ConfigurationError
+    (accumulated_phase), so no phase of the scan overflows. A scan that no
+    k can hit returns inf before the chunks, proved empty from its last
+    phase alone. The phase's magnitude never falls as k grows: 0.5 k is
+    exact and rounding each product is monotone. So with X the magnitude
+    of the last phase and C = 2 contrast <= 2, every swing is
     fl(C |sin_np x_k|), where |sin_np x| <= |x| (1 + 2^-45) + 2^-1060 for
     any np.sin within 128 ulps of sin, zero and subnormal phases included;
     a swing is then at most C X (1 + 2^-45)(1 + 2^-53) + 2^-1058. The bound
@@ -420,8 +420,8 @@ def _min_detectable_delta_n(rate_unit: float, t: float, contrast: float, shots: 
     both the threshold and 2 therefore leaves every swing below them, so
     no k can hit; an inf or nan bound proves nothing, and the scan runs.
     """
+    last_phase = accumulated_phase((0.5 * _MAX_SCAN_DELTA_N) * rate_unit, t)
     threshold = swing_threshold(shots, target_snr)
-    last_phase = ((0.5 * _MAX_SCAN_DELTA_N) * rate_unit) * t
     bound = (2.0 * contrast) * abs(last_phase) * (1.0 + 2.0 ** -40) + 2.0 ** -1000
     if bound < min(threshold, 2.0):
         return math.inf

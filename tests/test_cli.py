@@ -142,15 +142,15 @@ def test_each_key_holds_its_bound_at_its_edges(command, key):
             continue   # the file's own checks refuse these first
         text = repr(value)
         if accepted:
-            assert cli._parse_value(text, spec, key, 7) == value, text
+            assert cli._parse_value(text, spec) == value, text
             continue
         if bound.maximum is not None and value > bound.maximum:
             rule = f"<= {bound.maximum}"
         else:
             rule = f"{'>' if bound.exclusive_minimum else '>='} {bound.minimum}"
-        with pytest.raises(ConfigFileError) as raised:
-            cli._parse_value(text, spec, key, 7)
-        assert str(raised.value) == f"line 7: {key}: must be {rule}, got {text}"
+        with pytest.raises(ValueError) as raised:
+            cli._parse_value(text, spec)
+        assert str(raised.value) == f"must be {rule}, got {text}"
 
 
 def _spec_values(spec):
@@ -1097,17 +1097,67 @@ def test_usage_exit_codes(tmp_path, capsys, args, code):
     assert not out.exists()
 
 
+def _config_problem(key, text):
+    """The problem a scenario config's line `key = text` reports, without its
+    line and key; None when the line is accepted."""
+    try:
+        parse_config(f"command = scenario\nscenario = three_ion_spin\n{key} = {text}\n")
+    except ConfigFileError as exc:
+        prefix = f"line 3: {key}: "
+        assert str(exc).startswith(prefix), str(exc)
+        return str(exc).removeprefix(prefix)
+    return None
+
+
+def _usage_error(argv, capsys):
+    """main(argv)'s exit code and the last stderr line, after the usage message."""
+    code = main(argv)
+    err = capsys.readouterr().err.splitlines()
+    assert err[0].startswith("usage: iongradim"), err
+    return code, err[-1]
+
+
 @pytest.mark.parametrize("text", ["1_0", "\u0663", " 5", "5\n", "0x10", "1" * 5000])
 def test_seed_flag_takes_the_config_integer_syntax(tmp_path, capsys, text):
-    if text.strip() == text:   # a config value has no outer whitespace
-        with pytest.raises(ConfigFileError, match="expected an integer|too long"):
-            parse_config(CRYSTAL_CFG + f"seed = {text}\n")
+    # a config value has no outer whitespace; as a flag, " 5" and "5\n" are refused
+    problem = (_config_problem("seed", text) if text.strip() == text
+               else f"expected an integer, got {text!r}")
+    assert problem.startswith(("expected an integer", "an integer of 5000 digits"))
     out = tmp_path / "out"
-    assert main(["--config", str(_write_cfg(tmp_path, CRYSTAL_CFG)), "--out", str(out),
-                 "--seed", text]) == 1
-    assert capsys.readouterr().err.splitlines()[-1] == \
-        f"iongradim: error: argument --seed: invalid int value: {text!r}"
+    argv = ["--config", str(_write_cfg(tmp_path, CRYSTAL_CFG)), "--out", str(out), "--seed", text]
+    assert _usage_error(argv, capsys) == (1, f"iongradim: error: argument --seed: {problem}")
     assert not out.exists()
+
+
+_FLAG_VALUES = [("--seed", "seed", text) for text in ("abc", "-1", "1_0", str(2 ** 64), "+7")] + \
+    [("--format", "output_format", text) for text in ("xml", "TEXT")] + \
+    [("--paper-values", "paper_values", text) for text in ("true", "FALSE", "maybe")]
+
+
+@pytest.mark.parametrize("option, key, text", _FLAG_VALUES)
+def test_each_flag_takes_what_its_config_key_takes(tmp_path, capsys, option, key, text):
+    cfg = _write_cfg(tmp_path, SCENARIO_CFG)
+    out = tmp_path / "out"
+    argv = ["--config", str(cfg), "--out", str(out), option, text]
+    problem = _config_problem(key, text)
+    if problem is None:
+        assert main(argv) == 0
+        assert capsys.readouterr().err == ""
+    else:
+        assert _usage_error(argv, capsys) == (1, f"iongradim: error: argument {option}: {problem}")
+        assert not out.exists()
+
+
+def test_paper_values_flag_true_writes_the_bytes_of_on(tmp_path):
+    cfg = _write_cfg(tmp_path, SCENARIO_CFG.replace("paper_values = on", "paper_values = off"))
+    outs = {value: tmp_path / value for value in ("on", "true")}
+    for value, out in outs.items():
+        assert main(["--config", str(cfg), "--out", str(out), "--paper-values", value]) == 0
+    names = sorted(p.name for p in outs["on"].iterdir())
+    assert names == sorted(p.name for p in outs["true"].iterdir())
+    for name in names:
+        assert (outs["true"] / name).read_bytes() == (outs["on"] / name).read_bytes()
+    assert "mode=paper-values" in (outs["on"] / "provenance.txt").read_text()
 
 
 def _parse_outcome(parse, argv):
@@ -1126,13 +1176,17 @@ _VALUES = ["", "run.cfg", "out dir", "csv", "text", "xml", "on", "off", "7", "+7
            "-5", "1_0", "\u0663", "abc", str(2 ** 64), "-", "--", "--out", "a=b"]
 
 
+# The values each option takes in whole pairs, beside the default ones
+_FITTING = {"--format": ["csv", "text"], "--paper-values": ["on", "off"]}
+
+
 @st.composite
 def _argvs(draw):
     """Argvs of whole and broken `--option value` pairs, with and without --config."""
     table = cli._READER[0]
     options = st.sampled_from(sorted(table) + _ODD_OPTIONS)
     fitting = st.sampled_from(sorted(table)).flatmap(lambda option: st.tuples(
-        st.just(option), st.sampled_from(table[option].choices or ["7", "run.cfg", "out dir"])))
+        st.just(option), st.sampled_from(_FITTING.get(option, ["7", "run.cfg", "out dir"]))))
     any_pair = st.tuples(options, st.sampled_from(_VALUES))
     head = draw(st.sampled_from([[], ["--config", "run.cfg"]]))
     pairs = draw(st.one_of(st.lists(fitting, max_size=5),
@@ -1219,11 +1273,12 @@ def test_stalled_newton_exits_2_with_one_line(tmp_path, capsys, monkeypatch, unc
     assert not out.exists()
 
 
-def test_seed_flag_past_64_bits_is_a_config_error(tmp_path, capsys):
+def test_seed_flag_past_64_bits_is_a_usage_error(tmp_path, capsys):
     out = tmp_path / "out"
-    assert main(["--config", str(_write_cfg(tmp_path, CRYSTAL_CFG)), "--out", str(out),
-                 "--seed", str(2 ** 64)]) == 1
-    assert capsys.readouterr().err.splitlines() == ["config error: --seed must fit in 64 bits"]
+    argv = ["--config", str(_write_cfg(tmp_path, CRYSTAL_CFG)), "--out", str(out),
+            "--seed", str(2 ** 64)]
+    assert _usage_error(argv, capsys) == (
+        1, f"iongradim: error: argument --seed: must be <= {2 ** 64 - 1}, got {2 ** 64}")
     assert not out.exists()
 
 

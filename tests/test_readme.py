@@ -200,11 +200,22 @@ def test_command_table_keys_are_schema_keys():
 def test_flags_sentence_names_the_parser_options():
     sentence = re.search(r"Flags: (.*?)\.\s", _prose()).group(1)
     flags = dict(re.findall(r"`(--[a-z-]+) ?([^`]*)`", sentence))
-    options = {action.option_strings[-1]: action for action in cli._PARSER._actions}
-    assert set(flags) == set(options) - {"--help"}
-    for flag, argument in flags.items():   # a|b lists the flag's choices
+    options = {action.option_strings[-1] for action in cli._PARSER._actions}
+    assert set(flags) == options - {"--help"}
+    for flag, argument in flags.items():   # a|b lists values the flag's config key takes
         if "|" in argument:
-            assert tuple(argument.split("|")) == tuple(options[flag].choices), flag
+            spec = cli._FLAGS[flag][1]
+            values = tuple(argument.split("|"))
+            for value in values:
+                cli._parse_value(value, spec)   # a ValueError if the key refuses it
+            assert values == (spec.choices or values), flag
+
+
+def test_flags_sentence_quotes_a_refused_seed(capsys):
+    [quoted] = re.findall(r"reported in the config's own words: `([^`]*)`", _prose())
+    config = str(README.parent / "configs" / "crystal_three_ion.cfg")
+    assert cli.main(["--config", config, "--seed", "-1"]) == 1
+    assert capsys.readouterr().err.splitlines()[-1] == quoted
 
 
 def test_stderr_sentence_quotes_the_warning():
