@@ -2,15 +2,21 @@
 
 Config files are UTF-8 text, one `key = value` assignment per line (a line
 ends at \\n, \\r\\n or \\r only), with `#` starting a comment. Keys are
-lowercase identifiers; values are integers, floats, bare strings, or on/off
-booleans. Unknown keys, duplicate keys, and out-of-range values are hard
-errors (a silently ignored typo in a physics config produces wrong
-science), each named with its key and line, and every problem of a file is
-reported at once. A key that fills a library field (`shots` among them)
-takes that field's range, the errors.Bound its dataclass declares, so the
-file is held to the same range the library checks. All quantities are base
-SI with the unit in the key name; frequencies are given in Hz and converted
-to rad/s internally.
+lowercase identifiers; values are integers, floats, bare strings, or
+booleans (on, off, true or false, in any case). Unknown keys, duplicate
+keys, and out-of-range values are hard errors (a silently ignored typo in a
+physics config produces wrong science), each named with its key and line,
+and every problem of a file is reported at once. So is a scenario key that
+the file's kind does not read (scenarios.READS): each kind takes only its
+own keys, besides seed, output_format, scenario and the two field-noise
+keys. Those two describe the environment, not the experiment, so every kind
+takes them: common_mode_rms_t moves no output, since the probe cancels a
+uniform field exactly, and gradient_rms_t_per_m dephases the shots that
+three_ion_spin draws, while the analytic kinds do not model it yet. A key
+that fills a library field (`shots` among them) takes that field's range,
+the errors.Bound its dataclass declares, so the file is held to the same
+range the library checks. All quantities are base SI with the unit in the
+key name; frequencies are given in Hz and converted to rad/s internally.
 
 Outputs come in one of two formats, chosen by `output_format`. `csv` writes
 CSV tables (one file per table, scientific notation with 16 significant
@@ -49,7 +55,7 @@ from .magnetostatics import (DipoleSource, axial_bz, axial_field_table,  # noqa:
                              compensation_gradient, dipole_field)
 from .protocol import (BELL, PAIR_WEIGHTS, TRAJECTORY_COLUMNS, ZeemanConfig,
                        parity_trajectory, phase_rate, pi_time, prepare_probe)
-from .scenarios import SCENARIO_KINDS, ScenarioConfig, run_scenario
+from .scenarios import READS, SCENARIO_KINDS, ScenarioConfig, run_scenario
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -72,7 +78,9 @@ class FieldSpec:
     default: object = None
     bound: Bound | None = None      # the range of a number, where it has one
     choices: tuple[str, ...] | None = None
-    to: str | None = None           # the ScenarioConfig field a scenario key fills
+    # the ScenarioConfig field a scenario key fills; a dotted one is a field of the
+    # sub-config that _trap or _shot_inputs builds
+    to: str | None = None
 
 
 def _of(cls, name: str, **kw) -> FieldSpec:
@@ -94,22 +102,28 @@ _COMMON_FIELDS = {
     "seed": _of(ExperimentPlan, "rng_seed"),
     "output_format": FieldSpec("str", default="csv", choices=("csv", "text")),
 }
-_G_FACTOR = _of(ZeemanConfig, "g_factor", default=constants().ca40_g_factor)
+_G_FACTOR = _of(ZeemanConfig, "g_factor", default=constants().ca40_g_factor,
+               to="zeeman.g_factor")
 _CONTRAST = _of(NoiseModel, "contrast")   # also the probe's: both hold protocol.CONTRAST
-_FIELD_NOISE = {"gradient_rms_t_per_m": _of(NoiseModel, "gradient_rms"),
-                "common_mode_rms_t": _of(NoiseModel, "common_mode_rms")}
+# The field noise of the environment, which every scenario kind accepts
+_FIELD_NOISE = {"gradient_rms_t_per_m": _of(NoiseModel, "gradient_rms", to="noise.gradient_rms"),
+                "common_mode_rms_t": _of(NoiseModel, "common_mode_rms",
+                                         to="noise.common_mode_rms")}
 _SAMPLES = FieldSpec("int", default=101, bound=Bound(2, 100000, integer=True))   # table rows
 
 _SCENARIO_FIELDS = {
     "scenario": FieldSpec("str", required=True, choices=SCENARIO_KINDS),
-    "axial_frequency_hz": _of(TrapConfig, "axial_frequency", default=10e6),
-    "ion_mass_kg": _of(TrapConfig, "ion_mass", default=DEFAULT_ION_MASS_KG),
-    "shots": _of(ExperimentPlan, "shots", default=10),
-    "interaction_time_s": _of(ExperimentPlan, "interaction_time", default=5.0),
-    "bias_phase_rad": _of(ExperimentPlan, "bias_phase", default=math.pi / 2),
+    "axial_frequency_hz": _of(TrapConfig, "axial_frequency", default=10e6,
+                              to="trap.axial_frequency"),
+    "ion_mass_kg": _of(TrapConfig, "ion_mass", default=DEFAULT_ION_MASS_KG, to="trap.ion_mass"),
+    "shots": _of(ExperimentPlan, "shots", default=10, to="plan.shots"),
+    "interaction_time_s": _of(ExperimentPlan, "interaction_time", default=5.0,
+                              to="plan.interaction_time"),
+    "bias_phase_rad": _of(ExperimentPlan, "bias_phase", default=math.pi / 2,
+                          to="plan.bias_phase"),
     "g_factor": _G_FACTOR,
     "preparation_fidelity": _fills("preparation_fidelity"),
-    "readout_contrast": _CONTRAST,
+    "readout_contrast": replace(_CONTRAST, to="noise.contrast"),
     **_FIELD_NOISE,
     "target_snr": _fills("target_snr"),
     "overhead_s_per_shot": _fills("overhead_per_shot"),
@@ -162,6 +176,19 @@ COMMAND_SCHEMAS: dict[str, dict[str, FieldSpec]] = {
     },
     "scenario": {**_COMMON_FIELDS, **_SCENARIO_FIELDS},
 }
+
+
+def _kind_schema(kind: str) -> dict[str, FieldSpec]:
+    """The scenario schema of one kind: the keys that fill a field its runner
+    reads (a bare sub-config name reads each of its fields), and the keys
+    every kind accepts: seed, output_format, scenario and the field noise."""
+    read = {*READS[kind].optional, *READS[kind].required}
+    return {key: spec for key, spec in COMMAND_SCHEMAS["scenario"].items()
+            if key in _COMMON_FIELDS or key == "scenario" or key in _FIELD_NOISE
+            or spec.to in read or spec.to.partition(".")[0] in read}
+
+
+SCENARIO_SCHEMAS = {kind: _kind_schema(kind) for kind in SCENARIO_KINDS}
 
 
 @dataclass(frozen=True)
@@ -219,7 +246,7 @@ def _parse_value(raw: str, spec: FieldSpec) -> object:
             return True
         if lowered in ("off", "false"):
             return False
-        raise ValueError(f"expected on/off, got {raw!r}")
+        raise ValueError(f"expected on, off, true or false, got {raw!r}")
     else:
         value = raw
     if spec.choices is not None and value not in spec.choices:
@@ -269,12 +296,17 @@ def parse_config(text: str) -> RunConfig:
             f"line {command_line}: unknown command {command!r}; "
             f"expected one of {', '.join(sorted(COMMAND_SCHEMAS))}")
     schema = COMMAND_SCHEMAS[command]
+    # a scenario file of a known kind may set only its kind's keys
+    kind = assignments.get("scenario", ("",))[0] if command == "scenario" else ""
+    accepted = SCENARIO_SCHEMAS.get(kind, schema)
 
     parameters = dict(_DEFAULTS[command])
     for key, (raw, line_no) in assignments.items():
-        spec = schema.get(key)
+        spec = accepted.get(key)
         if spec is None:
-            errors.append(f"line {line_no}: unknown key {key!r} for command {command!r}")
+            errors.append(f"line {line_no}: key {key!r} is not read by scenario {kind!r}"
+                          if key in schema else
+                          f"line {line_no}: unknown key {key!r} for command {command!r}")
             continue
         try:
             parameters[key] = _parse_value(raw, spec)
@@ -300,7 +332,12 @@ def _format_config_value(value: object) -> str:
 
 
 def normalized_config(run: RunConfig) -> str:
-    """Canonical config echo: parses back to an identical RunConfig."""
+    """Canonical config echo: each key of the command at its value or default.
+
+    It parses back to an identical RunConfig, except that a scenario's echo
+    also lists the keys its kind does not read, at their defaults, which a
+    config file of that kind may not set; without those lines it parses back.
+    """
     lines = [f"command = {run.command}",
              f"seed = {run.seed}",
              f"output_format = {run.output_format}"]
@@ -412,7 +449,8 @@ def _execute_montecarlo(params: dict, seed: int) -> tuple[tuple[Table, ...], tup
 def _execute_scenario(params: dict, seed: int) -> tuple[tuple[Table, ...], tuple[str, ...]]:
     config = ScenarioConfig(
         params["scenario"], _trap(params), *_shot_inputs(params, seed, "readout_contrast"),
-        **{spec.to: params[key] for key, spec in _SCENARIO_FIELDS.items() if spec.to})
+        **{spec.to: params[key] for key, spec in _SCENARIO_FIELDS.items()
+           if spec.to and "." not in spec.to})
     report = run_scenario(config)
     tables = [
         Table("geometry", ("quantity", "value"), tuple(report.geometry.items())),

@@ -89,8 +89,9 @@ class ScenarioConfig:
         if self.kind not in SCENARIO_KINDS:
             raise ConfigurationError(f"unknown scenario kind {self.kind!r}")
         check_fields(self)
-        if self.kind == MOLECULAR_STATE_CHANGE and None in (self.moment_before, self.moment_after):
-            raise ConfigurationError("molecular_state_change needs moment_before and moment_after")
+        required = READS[self.kind].required
+        if any(getattr(self, name) is None for name in required):
+            raise ConfigurationError(f"{self.kind} needs {' and '.join(required)}")
         if self.kind == DOUBLE_WELL:
             if self.probe_spacing >= self.well_separation:
                 raise ConfigurationError(
@@ -495,11 +496,35 @@ def run_ghz_chain(config: ScenarioConfig) -> ScenarioReport:
     )
 
 
+class Reads(NamedTuple):
+    """The ScenarioConfig fields a kind's runner reads: those it may leave at
+    their defaults, and those a config of the kind must set. A dotted name is
+    one field of a sub-config; a bare sub-config name is all of its fields."""
+
+    optional: tuple[str, ...]
+    required: tuple[str, ...] = ()
+
+
 _RUNNERS = {
     THREE_ION_SPIN: run_three_ion_spin,
     MOLECULAR_STATE_CHANGE: run_molecular_state_change,
     DOUBLE_WELL: run_double_well,
     GHZ_CHAIN: run_ghz_chain,
+}
+# What each runner reads. No kind reads noise.common_mode_rms: the probe
+# cancels a uniform field exactly. ghz_chain reads n_ions only to check it is 5.
+READS = {
+    THREE_ION_SPIN: Reads(("trap", "zeeman", "noise.contrast", "noise.gradient_rms", "plan",
+                           "paper_values", "preparation_fidelity", "overhead_per_shot",
+                           "source_moment")),
+    MOLECULAR_STATE_CHANGE: Reads(("trap", "zeeman", "noise.contrast", "plan.interaction_time",
+                                   "paper_values", "preparation_fidelity", "target_snr",
+                                   "overhead_per_shot"), ("moment_before", "moment_after")),
+    DOUBLE_WELL: Reads(("zeeman", "noise.contrast", "plan.shots", "plan.interaction_time",
+                        "paper_values", "preparation_fidelity", "target_snr", "well_separation",
+                        "probe_spacing", "atom_moment", "delta_n")),
+    GHZ_CHAIN: Reads(("trap", "zeeman", "noise.contrast", "plan.interaction_time", "paper_values",
+                      "preparation_fidelity", "source_moment", "n_ions")),
 }
 SCENARIO_KINDS = tuple(_RUNNERS)
 

@@ -22,7 +22,7 @@ import pytest
 from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
-from iongradim import _format, cli, crystal, estimation
+from iongradim import _format, cli, crystal, estimation, scenarios
 from iongradim.cli import (ConfigFileError, ResultBundle, RunConfig, Table, _csv_cell,
                            _preamble, config_hash, emit, execute, format_number, main,
                            normalized_config, parse_config)
@@ -178,36 +178,37 @@ def _config_file(command, values):
         f"{key} = {_config_text(value)}\n" for key, value in values.items())
 
 
+def _schema_values(schema):
+    return st.fixed_dictionaries({key: _spec_values(spec) for key, spec in schema.items()})
+
+
 def _config_values(command):
-    values = st.fixed_dictionaries({key: _spec_values(spec)
-                                    for key, spec in cli.COMMAND_SCHEMAS[command].items()})
-    if command == "crystal":
-        return values.filter(_trap_frequency_fits)
-    return values.map(_accepted_scenario) if command == "scenario" else values
+    if command == "scenario":   # a kind, and every key that kind accepts
+        return st.sampled_from(cli.SCENARIO_KINDS).flatmap(
+            lambda kind: _schema_values(cli.SCENARIO_SCHEMAS[kind]).map(
+                lambda values: {**values, "scenario": kind})).map(_accepted_scenario)
+    values = _schema_values(cli.COMMAND_SCHEMAS[command])
+    return values.filter(_trap_frequency_fits) if command == "crystal" else values
 
 
 def _accepted_scenario(values):
     """The drawn scenario values, moved to where ScenarioConfig accepts them."""
-    spacing, separation = sorted((values["probe_spacing_m"], values["well_separation_m"]))
-    assume(spacing < separation and _trap_frequency_fits(values))
-    return {**values, "probe_spacing_m": spacing, "well_separation_m": separation,
-            "n_ions": 5 if values["scenario"] == "ghz_chain" else values["n_ions"]}
+    assume(_trap_frequency_fits(values))
+    if values["scenario"] == "double_well":
+        spacing, separation = sorted((values["probe_spacing_m"], values["well_separation_m"]))
+        assume(spacing < separation)
+        values = {**values, "probe_spacing_m": spacing, "well_separation_m": separation}
+    return {**values, "n_ions": 5} if "n_ions" in values else values   # ghz_chain's one value
 
 
 def _trap_frequency_fits(values):
     """Whether the trap frequency in rad/s fits a float, as TrapConfig requires."""
-    return 2.0 * math.pi * values["axial_frequency_hz"] < math.inf
+    return 2.0 * math.pi * values.get("axial_frequency_hz", 0.0) < math.inf
 
 
-# Where cli._execute_scenario puts each key it reads for the kind, cli._trap and
-# cli._shot_inputs; every other key names its field in its FieldSpec's `to`.
-_BUILT_SCENARIO_KEYS = {
-    "seed": "plan.rng_seed", "scenario": "kind", "axial_frequency_hz": "trap.axial_frequency",
-    "ion_mass_kg": "trap.ion_mass", "g_factor": "zeeman.g_factor",
-    "readout_contrast": "noise.contrast", "gradient_rms_t_per_m": "noise.gradient_rms",
-    "common_mode_rms_t": "noise.common_mode_rms", "shots": "plan.shots",
-    "interaction_time_s": "plan.interaction_time", "bias_phase_rad": "plan.bias_phase",
-}
+# The two scenario keys without a FieldSpec `to`, which cli._execute_scenario
+# puts in place itself; every other key names its field in its `to`.
+_BUILT_SCENARIO_KEYS = {"seed": "plan.rng_seed", "scenario": "kind"}
 
 
 class _Captured(Exception):
@@ -237,11 +238,13 @@ def _assert_spec_holds_the_field_bound(schema, key, owner, name):
 
 
 def _assert_scenario_keys_reach_their_fields(run, values):
+    # each key the drawn kind accepts, all of them drawn, reaches its field
     [config] = _call_args(run, "run_scenario")
-    mapped = {key: spec.to for key, spec in cli._SCENARIO_FIELDS.items() if spec.to}
+    schema = cli.SCENARIO_SCHEMAS[values["scenario"]]
+    mapped = {key: spec.to for key, spec in schema.items() if spec.to}
     assert not set(_BUILT_SCENARIO_KEYS) & set(mapped)
     paths = {**_BUILT_SCENARIO_KEYS, **mapped}
-    assert set(paths) == {*cli._SCENARIO_FIELDS, "seed"}
+    assert set(paths) == set(schema) - {"output_format"} == set(values) - {"output_format"}
     for key, path in paths.items():
         expected = 2.0 * math.pi * values[key] if key == "axial_frequency_hz" else values[key]
         *parents, name = path.split(".")
@@ -253,13 +256,24 @@ def _assert_scenario_keys_reach_their_fields(run, values):
 @given(st.sampled_from(sorted(cli.COMMAND_SCHEMAS)).flatmap(
     lambda command: st.tuples(st.just(command), _config_values(command))))
 def test_round_trip_normalization(drawn):
-    # every schema key set, each within its bounds and choices; a scenario
-    # config that ScenarioConfig accepts, whose every key reaches its field
+    # every schema key set (for a scenario, every key its kind accepts), each
+    # within its bounds and choices; a scenario config that ScenarioConfig
+    # accepts, whose every key reaches its field, and whose other keys keep
+    # their defaults. A scenario echo lists those at their defaults too, and
+    # parses back once the lines the file of its kind may not set are dropped
     command, values = drawn
     run = parse_config(_config_file(command, values))
-    assert {**run.parameters, "seed": run.seed, "output_format": run.output_format} == values
+    assert ({**run.parameters, "seed": run.seed, "output_format": run.output_format}
+            == {**cli._DEFAULTS[command], **values})
     echo = normalized_config(run)
-    again = parse_config(echo)
+    if command == "scenario":
+        with pytest.raises(ConfigFileError, match="is not read by scenario"):
+            parse_config(echo)
+        settable = {"command", *cli.SCENARIO_SCHEMAS[values["scenario"]]}
+        again = parse_config("".join(line for line in echo.splitlines(keepends=True)
+                                     if line.partition(" = ")[0] in settable))
+    else:
+        again = parse_config(echo)
     assert again == run
     assert normalized_config(again) == echo
     assert config_hash(echo) == config_hash(normalized_config(again))
@@ -696,26 +710,74 @@ def test_config_with_a_byte_order_mark_runs_as_without(tmp_path, capsys):
         "config error: line 1: invalid key '\\ufeffcommand'")
 
 
-def test_double_well_trap_keys_move_no_table(tmp_path):
+def test_double_well_refuses_the_trap_keys(tmp_path, capsys):
     # a double_well run reads no trap: axial_frequency_hz and ion_mass_kg are
-    # validated and echoed, so they enter the config hash, and move no table
-    base = "command = scenario\nscenario = double_well\nseed = 3\ndelta_n = 2\nshots = 50\n"
-    files = {}
-    for name, trap in (("default", ""),
-                       ("other", "axial_frequency_hz = 3.5e5\nion_mass_kg = 1.2e-25\n")):
-        out = tmp_path / name
-        cfg = _write_cfg(tmp_path, base + trap, f"{name}.cfg")
-        assert main(["--config", str(cfg), "--out", str(out)]) == 0
-        files[name] = {p.name: p.read_text(encoding="utf-8").splitlines()
-                       for p in out.iterdir()}
-    default, other = files["default"], files["other"]
-    assert sorted(default) == sorted(other) and len(default) == 5
-    for name, lines in default.items():
-        if name == "provenance.txt":
-            assert "axial_frequency_hz = 350000.0" in other[name]
-            assert lines != other[name]
-        else:   # the header line carries the config hash; every table line is the same
-            assert lines[0] != other[name][0] and lines[1:] == other[name][1:]
+    # refused, each with its line, beside the file's other problems
+    text = ("command = scenario\nscenario = double_well\nseed = 3\ndelta_n = 2\nshots = 0\n"
+            "axial_frequency_hz = 3.5e5\nion_mass_kg = 1.2e-25\nbogus = 1\n")
+    out = tmp_path / "out"
+    assert main(["--config", str(_write_cfg(tmp_path, text)), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "config error: line 5: shots: must be >= 1, got 0",
+        "line 6: key 'axial_frequency_hz' is not read by scenario 'double_well'",
+        "line 7: key 'ion_mass_kg' is not read by scenario 'double_well'",
+        "line 8: unknown key 'bogus' for command 'scenario'"]
+    assert not out.exists()
+    # without them the run ends, and its echo keeps the trap defaults
+    run = parse_config(text.split("shots")[0])
+    assert "axial_frequency_hz = 10000000.0" in normalized_config(run)
+
+
+# A second value of each scenario key, within its range and away from its
+# default; the molecular base config sets the two moments it requires.
+_SECOND_VALUES = {
+    "axial_frequency_hz": 2e6, "ion_mass_kg": 1.5e-25, "shots": 37, "interaction_time_s": 1.3,
+    "bias_phase_rad": 0.4, "g_factor": 1.1, "preparation_fidelity": 0.8,
+    "readout_contrast": 0.7, "gradient_rms_t_per_m": 1e-6, "common_mode_rms_t": 1e-9,
+    "target_snr": 4.0, "overhead_s_per_shot": 0.25, "paper_values": True,
+    "source_moment_j_per_t": 2e-23, "moment_before_j_per_t": 5e-24,
+    "moment_after_j_per_t": 3e-24, "well_separation_m": 6e-6, "probe_spacing_m": 2e-6,
+    "atom_moment_j_per_t": 2e-23, "delta_n": 3, "n_ions": 4,
+}
+_KIND_BASES = {kind: {"scenario": kind, "seed": 2} for kind in cli.SCENARIO_KINDS}
+_KIND_BASES["molecular_state_change"].update(moment_before_j_per_t=9.28e-24,
+                                             moment_after_j_per_t=4.6e-24)
+_KIND_KEY_PAIRS = [(kind, key) for kind in cli.SCENARIO_KINDS for key in _SECOND_VALUES]
+
+
+def _kind_reads(kind, key):
+    """Whether kind's runner reads the field the scenario key fills (scenarios.READS)."""
+    reads = scenarios.READS[kind]
+    to = cli._SCENARIO_FIELDS[key].to
+    return bool({to, to.partition(".")[0]} & {*reads.optional, *reads.required})
+
+
+def _outputs(run):
+    """The lines of each table, and the annotations, of executing run."""
+    bundle = execute(run)
+    return cli._table_lines(bundle.tables, ",", ""), bundle.annotations
+
+
+@pytest.mark.parametrize("kind, key", _KIND_KEY_PAIRS, ids=map("/".join, _KIND_KEY_PAIRS))
+def test_each_scenario_key_is_read_or_refused(kind, key):
+    # a kind accepts the keys whose fields its runner reads, and the field
+    # noise; it refuses any other key with its line. Set past the parser, a
+    # key moves some table or annotation byte exactly when the runner reads it
+    base, value = _KIND_BASES[kind], _SECOND_VALUES[key]
+    code, err, _ = _run_main(_config_file("scenario", {**base, key: value}).encode())
+    reads = _kind_reads(kind, key)
+    accepted = reads or key in cli._FIELD_NOISE
+    assert (key in cli.SCENARIO_SCHEMAS[kind]) == accepted
+    if (kind, key) == ("ghz_chain", "n_ions"):   # read only to check that it is 5
+        assert (code, err) == (1, ["config error: ghz_chain is defined for a 5-ion crystal "
+                                   "(4 probes + central spin), got 4"])
+        return
+    line = len(base) + 2   # after `command` and the base's keys
+    assert (code, err) == ((0, []) if accepted else (1, [
+        f"config error: line {line}: key {key!r} is not read by scenario {kind!r}"]))
+    run = parse_config(_config_file("scenario", base))
+    moved = dataclasses.replace(run, parameters={**run.parameters, key: value})
+    assert (_outputs(moved) != _outputs(run)) == reads
 
 
 def test_provenance_hash_recomputable(tmp_path):
@@ -864,12 +926,15 @@ def test_overflow_error_names_its_keys(tmp_path, capsys):
 def test_imbalance_past_the_float_range_is_refused_at_its_line(tmp_path, capsys,
                                                                scenario, extra):
     # the runner scales the atom moment or the published single-atom field by
-    # delta_n, so every kind holds it to the float range when the file is read
+    # delta_n, so double_well holds it to the float range when the file is
+    # read; a kind that does not read it refuses it as such
     text = f"command = scenario\nscenario = {scenario}\ndelta_n = {10 ** 400}\n{extra}"
     out = tmp_path / "out"
     assert main(["--config", str(_write_cfg(tmp_path, text)), "--out", str(out)]) == 1
-    assert capsys.readouterr().err.splitlines() == [
-        f"config error: line 3: delta_n: must be <= 1.7976931348623157e+308, got {10 ** 400}"]
+    problem = (f"delta_n: must be <= 1.7976931348623157e+308, got {10 ** 400}"
+               if scenario == "double_well" else "key 'delta_n' is not read by scenario "
+               f"'{scenario}'")
+    assert capsys.readouterr().err.splitlines() == [f"config error: line 3: {problem}"]
     assert not out.exists()
 
 
@@ -936,15 +1001,9 @@ def test_pair_within_a_nanometre_of_the_source_has_the_one_guard_message(tmp_pat
 # linear in it, by design.
 _CLI_SHOT_CAP = 10_000
 
-# The scenario keys that only some kinds read. A scenario draw sets those of
-# its own kind and may set any key that every kind reads.
-_KIND_KEYS = {
-    "three_ion_spin": ("source_moment_j_per_t",),
-    "molecular_state_change": ("moment_before_j_per_t", "moment_after_j_per_t"),
-    "double_well": ("well_separation_m", "probe_spacing_m", "atom_moment_j_per_t", "delta_n"),
-    "ghz_chain": ("source_moment_j_per_t",),
-}
-_KIND_ONLY_KEYS = {"scenario", "n_ions", *(key for keys in _KIND_KEYS.values() for key in keys)}
+# The scenario keys every kind accepts. A scenario draw sets each other key of
+# its own kind and may set any of these.
+_EVERY_KIND_KEYS = set.intersection(*map(set, cli.SCENARIO_SCHEMAS.values()))
 
 
 def _scenario_values(spec):
@@ -962,16 +1021,18 @@ def _scenario_values(spec):
 
 def _cli_values(command, kind=None):
     """A config of the command, each key within its FieldSpec bounds and choices:
-    every required key and any of the others; for a scenario, every key of its
-    kind and any of the keys every kind reads."""
-    schema = cli.COMMAND_SCHEMAS[command]
+    every required key and any of the others; for a scenario, every key its
+    kind accepts that not every kind does, and any of the keys every kind
+    accepts."""
     if kind is None:
+        schema = cli.COMMAND_SCHEMAS[command]
         required = [key for key, spec in schema.items() if spec.required]
         optional = [key for key, spec in schema.items() if not spec.required]
         values = _spec_values
     else:
-        required = _KIND_KEYS[kind]
-        optional = [key for key in schema if key not in _KIND_ONLY_KEYS]
+        schema = cli.SCENARIO_SCHEMAS[kind]
+        required = [key for key in schema if key not in _EVERY_KIND_KEYS]
+        optional = [key for key in schema if key in _EVERY_KIND_KEYS and key != "scenario"]
         values = _scenario_values
     drawn = st.fixed_dictionaries({key: values(schema[key]) for key in required},
                                   optional={key: values(schema[key]) for key in optional})
@@ -981,6 +1042,8 @@ def _cli_values(command, kind=None):
             values = {"scenario": kind, **values}
         if "shots" in values:
             values = {**values, "shots": min(values["shots"], _CLI_SHOT_CAP)}
+        if "n_ions" in values:   # ghz_chain, which is defined for 5 ions alone
+            values = {**values, "n_ions": 5}
         if kind == "double_well":   # the probe pair fits inside the wells
             spacing, separation = sorted((values["probe_spacing_m"], values["well_separation_m"]))
             values = {**values, "probe_spacing_m": spacing, "well_separation_m": separation}
@@ -990,7 +1053,7 @@ def _cli_values(command, kind=None):
 
 # Each command, and the scenario command once per kind
 _CLI_TARGETS = [(command, None) for command in sorted(cli.COMMAND_SCHEMAS) if command != "scenario"]
-_CLI_TARGETS += [("scenario", kind) for kind in sorted(_KIND_KEYS)]
+_CLI_TARGETS += [("scenario", kind) for kind in sorted(cli.SCENARIO_KINDS)]
 
 
 def _run_main(data):
@@ -1146,6 +1209,20 @@ def test_each_flag_takes_what_its_config_key_takes(tmp_path, capsys, option, key
     else:
         assert _usage_error(argv, capsys) == (1, f"iongradim: error: argument {option}: {problem}")
         assert not out.exists()
+
+
+def test_a_bool_value_is_refused_with_the_four_words_it_may_be(tmp_path, capsys):
+    problem = "expected on, off, true or false, got 'maybe'"
+    cfg = _write_cfg(tmp_path, SCENARIO_CFG.replace("paper_values = on", "paper_values = maybe"))
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"config error: line 4: paper_values: {problem}"]
+    argv = ["--config", str(_write_cfg(tmp_path, SCENARIO_CFG)), "--out", str(out),
+            "--paper-values", "maybe"]
+    assert _usage_error(argv, capsys) == (
+        1, f"iongradim: error: argument --paper-values: {problem}")
+    assert not out.exists()
 
 
 def test_paper_values_flag_true_writes_the_bytes_of_on(tmp_path):

@@ -7,6 +7,7 @@ import re
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from iongradim import cli, estimation, scenarios
 from iongradim.constants import Vec3, constants
@@ -195,6 +196,34 @@ def test_command_table_keys_are_schema_keys():
         assert listed and set(listed) <= set(cli.COMMAND_SCHEMAS[command]), command
     kinds = re.findall(r"`(\w+)`", re.search(r"\((.*?)\)", rows["scenario"]).group(1))
     assert tuple(kinds) == scenarios.SCENARIO_KINDS
+
+
+def test_kind_table_keys_are_the_keys_each_kind_accepts():
+    text = README.read_text(encoding="utf-8")
+    table = text.split("Each scenario kind accepts only the keys it reads:", 1)[1].split("\n\n")[1]
+    rows = {kind.strip(" `"): keys for kind, keys in
+            (line.split("|")[1:3] for line in table.splitlines() if line.startswith("| `"))}
+    assert tuple(rows) == scenarios.SCENARIO_KINDS
+    [noise] = re.findall(r"Every kind also accepts the two field-noise keys, `(\w+)` and `(\w+)`",
+                         _prose())
+    assert set(noise) == set(cli._FIELD_NOISE)
+    for kind, row in rows.items():
+        keys = re.findall(r"`(\w+)`", row)
+        assert len(set(keys)) == len(keys), kind
+        assert {*keys, *noise, "scenario", "seed", "output_format"} == set(
+            cli.SCENARIO_SCHEMAS[kind]), kind
+        required = re.findall(r"`(\w+)`", row.partition("required")[2])
+        assert {cli._SCENARIO_FIELDS[key].to for key in required} == set(
+            scenarios.READS[kind].required), kind
+
+
+def test_refusal_sentence_quotes_the_parser():
+    [(line, quoted)] = re.findall(r"set on line (\d), the first is reported as `([^`]*)`", _prose())
+    text = "command = scenario\nscenario = double_well\nseed = 3\n"
+    assert int(line) == text.count("\n") + 1
+    with pytest.raises(cli.ConfigFileError) as raised:
+        cli.parse_config(text + "axial_frequency_hz = 1e6\nion_mass_kg = 1e-25\n")
+    assert str(raised.value).splitlines()[0] == quoted
 
 
 def test_flags_sentence_names_the_parser_options():

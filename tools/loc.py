@@ -3,20 +3,26 @@
 A code line holds at least one token that is not a comment and not part of
 a module, class or function docstring; a docstring line is a line that such
 a docstring spans. Blank and comment-only lines count in the total alone.
-The last line gives the number of names in the package's __all__.
+Then come the number of names in the package's __all__ and the number of
+keys a config file may set: per command, besides command, seed and
+output_format, and for a scenario per kind, besides scenario too, with
+the sum of those (kind, key) pairs.
 
 Run from the repository root: python3 tools/loc.py
-Standard library only.
+The line counts use the standard library only; the key counts import the
+package (and so numpy) from src/.
 """
 
 from __future__ import annotations
 
 import ast
 import io
+import sys
 import tokenize
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "iongradim"
+_EVERY_CONFIG = {"seed", "output_format"}   # keys every command takes, besides `command`
 _SKIPPED = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT,
             tokenize.ENDMARKER}
 
@@ -55,6 +61,21 @@ def main() -> None:
     names = next(len(node.value.elts) for node in init.body if isinstance(node, ast.Assign)
                  and any(getattr(t, "id", None) == "__all__" for t in node.targets))
     print(f"__all__ names: {names}")
+    print(f"{'settable keys':<36}{'keys':>8}")
+    for name, keys in settable_keys().items():
+        print(f"{name:<36}{keys:>8}")
+
+
+def settable_keys() -> dict[str, int]:
+    """The number of keys a config may set, by command and, for scenario, by
+    kind, and the sum of the scenario's (kind, key) pairs."""
+    sys.path.insert(0, str(PACKAGE.parent))
+    from iongradim import cli
+    counts = {command: len(schema.keys() - _EVERY_CONFIG)
+              for command, schema in cli.COMMAND_SCHEMAS.items() if command != "scenario"}
+    kinds = {f"scenario {kind}": len(schema.keys() - _EVERY_CONFIG - {"scenario"})
+             for kind, schema in cli.SCENARIO_SCHEMAS.items()}
+    return {**counts, **kinds, "scenario (kind, key) pairs": sum(kinds.values())}
 
 
 if __name__ == "__main__":
