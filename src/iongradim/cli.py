@@ -18,6 +18,12 @@ the errors.Bound its dataclass declares, so the file is held to the same
 range the library checks. All quantities are base SI with the unit in the
 key name; frequencies are given in Hz and converted to rad/s internally.
 
+The override flags --seed, --format and --paper-values (_FLAGS) are one
+more assignment each of their key, which parse_config reads after the
+file's lines by the same schema and value rule. A refused flag is reported
+beside the file's problems, as `argument --flag` where a line is `line N`;
+where the file and the flag both give a valid value, the flag's wins.
+
 Outputs come in one of two formats, chosen by `output_format`. `csv` writes
 CSV tables (one file per table, scientific notation with 16 significant
 digits, `#` provenance header line) plus a provenance file carrying the
@@ -27,7 +33,8 @@ line, each table under its `[name]` line with the same numbers, and the
 config echo. On one machine, identical config and seed produce
 byte-identical files; across machines an output that solves a crystal can
 differ in its last digits with the BLAS kernel (see README). Exit codes: 0
-success, 1 config or usage error, 2 runtime or solver error.
+success, 1 config or usage error, 2 runtime or solver error. A run that
+succeeds writes nothing to stderr.
 """
 
 from __future__ import annotations
@@ -257,8 +264,20 @@ def _parse_value(raw: str, spec: FieldSpec) -> object:
     return value
 
 
-def parse_config(text: str) -> RunConfig:
-    """Parse and validate config text; raises ConfigFileError listing every problem."""
+# Each override flag -> the config key it assigns
+_FLAGS = {"--seed": "seed", "--format": "output_format", "--paper-values": "paper_values"}
+
+
+def _place(at: int | str) -> str:
+    """Where a key was assigned, as an error names it: `line N` of the file
+    for an int at, `argument --flag` for an override flag at."""
+    return f"line {at}" if isinstance(at, int) else f"argument {at}"
+
+
+def parse_config(text: str, flags: dict[str, str] | None = None) -> RunConfig:
+    """Parse and validate config text, then each given override flag (option
+    -> its text) as one more assignment of its key, which wins over the
+    file's; raises ConfigFileError listing every problem of both."""
     assignments: dict[str, tuple[str, int]] = {}
     errors: list[str] = []
     # only \n, \r\n and \r end a line; str.splitlines would also break a
@@ -301,17 +320,20 @@ def parse_config(text: str) -> RunConfig:
     accepted = SCENARIO_SCHEMAS.get(kind, schema)
 
     parameters = dict(_DEFAULTS[command])
-    for key, (raw, line_no) in assignments.items():
+    given = assignments.items()
+    if flags:   # after the file's lines, so a flag's value wins
+        given = [*given, *[(_FLAGS[option], (raw, option)) for option, raw in flags.items()]]
+    for key, (raw, at) in given:
         spec = accepted.get(key)
         if spec is None:
-            errors.append(f"line {line_no}: key {key!r} is not read by scenario {kind!r}"
+            errors.append(f"{_place(at)}: key {key!r} is not read by scenario {kind!r}"
                           if key in schema else
-                          f"line {line_no}: unknown key {key!r} for command {command!r}")
+                          f"{_place(at)}: unknown key {key!r} for command {command!r}")
             continue
         try:
             parameters[key] = _parse_value(raw, spec)
         except ValueError as exc:
-            errors.append(f"line {line_no}: {key}: {exc}")
+            errors.append(f"{_place(at)}: {key}: {exc}")
     errors += [f"missing required key {key!r} for command {command!r}"
                for key in _REQUIRED[command] if key not in assignments]
     if errors:
@@ -676,20 +698,13 @@ def emit(bundle: ResultBundle, output_format: str, out_dir: str | os.PathLike) -
 # ---------------------------------------------------------------------------
 # entry point
 
-# Each override flag -> the config key it overrides and that key's spec, by
-# which main reads the flag's text as parse_config reads the key's value.
-_FLAGS = {"--seed": ("seed", _COMMON_FIELDS["seed"]),
-          "--format": ("output_format", _COMMON_FIELDS["output_format"]),
-          "--paper-values": ("paper_values", _SCENARIO_FIELDS["paper_values"])}
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="iongradim",
         description="Entangled-ion magnetic gradient sensing simulator.")
     parser.add_argument("--config", required=True, help="path to the run config file")
     parser.add_argument("--out", default=".", help="output directory")
-    for option, (key, _) in _FLAGS.items():
+    for option, key in _FLAGS.items():
         parser.add_argument(option, dest=key, help=f"override the config key {key}")
     return parser
 
@@ -736,20 +751,6 @@ def _read_args(argv: list[str] | None) -> argparse.Namespace:
     return _PARSER.parse_args(argv)
 
 
-def _read_flags(args: argparse.Namespace) -> dict:
-    """Each override flag given in args, as its config key -> the value its
-    key's spec reads; a value the spec refuses is a usage error."""
-    overrides = {}
-    for option, (key, spec) in _FLAGS.items():
-        text = getattr(args, key)
-        if text is not None:
-            try:
-                overrides[key] = _parse_value(text, spec)
-            except ValueError as exc:
-                _PARSER.error(f"argument {option}: {exc}")
-    return overrides
-
-
 def _read_config(path: str) -> str:
     """The config file's text, decoded as UTF-8 without a leading byte-order
     mark (parse_config takes \\n, \\r\\n and \\r line ends). Read to its end,
@@ -771,7 +772,6 @@ def _read_config(path: str) -> str:
 def main(argv: list[str] | None = None) -> int:
     try:
         args = _read_args(argv)
-        overrides = _read_flags(args)
     except SystemExit as exc:   # argparse has printed the help or the usage error
         return EXIT_OK if exc.code == 0 else EXIT_CONFIG
     try:
@@ -779,17 +779,10 @@ def main(argv: list[str] | None = None) -> int:
     except (OSError, UnicodeDecodeError) as exc:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    values = vars(args)
+    flags = {option: values[key] for option, key in _FLAGS.items() if values[key] is not None}
     try:
-        run = parse_config(text)
-        if overrides:
-            paper_values = overrides.pop("paper_values", None)
-            if paper_values is not None:
-                if run.command == "scenario":
-                    overrides["parameters"] = {**run.parameters, "paper_values": paper_values}
-                else:
-                    print("WARNING iongradim.cli: --paper-values only applies to scenario runs; "
-                          "ignored", file=sys.stderr)
-            run = replace(run, **overrides)
+        run = parse_config(text, flags)
         bundle = execute(run)
     except (ConfigurationError, FieldSingularityError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -70,8 +70,9 @@ from .protocol import (CONTRAST, ProbeState, ZeemanConfig, accumulated_phase, ou
 # is never drawn; moving the other draws into them would change the outcomes
 # of every seed.
 _SLOTS_PER_SHOT = 8
+_OUTCOME_SLOT = np.uint64(4)   # the outcome draw's slot
 _GAUSSIAN_SLOTS = np.array([[2], [3]], dtype=np.uint64)   # rng.gaussian's two streams
-_GAUSSIAN_BELOW_OUTCOME = np.uint64(4) - _GAUSSIAN_SLOTS   # how far below slot 4 they lie
+_GAUSSIAN_BELOW_OUTCOME = _OUTCOME_SLOT - _GAUSSIAN_SLOTS   # how far below the outcome's they lie
 _SHOT_LIMIT = 2 ** 64 // _SLOTS_PER_SHOT   # beyond it the 64-bit counters wrap and repeat
 _BLOCK = 2 ** 15   # shots per block: a float64 per-shot temporary is 256 KB
 _OUTPUT_BYTES_PER_SHOT = 24   # parity, outcome index and phase, 8 bytes each
@@ -178,7 +179,7 @@ class _Run:
             thresholds = np.array(_thresholds(p0, n), dtype=np.uint64)
             half = min(math.ceil(window * 2.0 ** 53), 2 ** 53)   # 2^53 already holds every integer
         m = min(plan.shots, _BLOCK)
-        counter = np.arange(4, _SLOTS_PER_SHOT * m, _SLOTS_PER_SHOT, dtype=np.uint64)
+        counter = np.arange(_OUTCOME_SLOT, _SLOTS_PER_SHOT * m, _SLOTS_PER_SHOT, dtype=np.uint64)
         bits = np.empty(m, dtype=np.uint64)
         if window != 0:   # nan too, which maps; a noise-free run maps no shot
             floats, masks = np.empty((2, m)), np.empty((2, m), dtype=bool)
@@ -250,7 +251,7 @@ class _Run:
         pattern only where its integer is within h of a threshold (_near).
         A half above 2^53 is cut to 2^53, which already holds every integer.
         """
-        np.subtract(counter, np.uint64(2), out=work.view(np.uint64))
+        np.subtract(counter, _GAUSSIAN_BELOW_OUTCOME[0, 0], out=work.view(np.uint64))
         half = self._window(rng._radius(rng.uniform(self.plan.rng_seed, work.view(np.uint64),
                                                     work)))
         half *= 2.0 ** 53
@@ -271,7 +272,7 @@ class _Run:
                  if self.noise.gradient_rms > 0
                  else _noise_free_phase(self.base_rate, self.plan))
         p_even = self._p_even(phase)
-        draw = rng.uniform(self.plan.rng_seed, shot + np.uint64(4))
+        draw = rng.uniform(self.plan.rng_seed, shot + _OUTCOME_SLOT)
         return phase, draw < p_even, _slots(draw, p_even, self.n_class)
 
     def _window(self, radius=_GAUSSIAN_MAX):

@@ -191,18 +191,6 @@ def outcome_parities(n_ions: int) -> np.ndarray:
     return np.where(ones % 2 == 0, 1, -1).astype(np.int64)
 
 
-def outcome_probabilities(probe: ProbeState, bias_phase: float = 0.0) -> np.ndarray:
-    """Measurement distribution over the 2^N spin patterns after the analysis pulse.
-
-    The pulse is ideal; bias_phase is the total phase phi + beta, the
-    accumulated probe phase plus the pulse's adjustable phase. Probabilities
-    are nonnegative and sum to 1.
-    """
-    signs = outcome_parities(probe.n_ions)
-    fringe = probe.contrast * math.cos(bias_phase)
-    return (1.0 + signs * fringe) / float(2 ** probe.n_ions)
-
-
 def parity_trajectory(rate: float | Sequence[float], contrast: float, t_max: float,
                       n_points: int = TRAJECTORY_POINTS) -> np.ndarray:
     """Rows (t, rate * t, contrast * cos(rate * t)) at n_points even times from 0 to t_max.

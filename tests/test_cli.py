@@ -78,9 +78,14 @@ def test_unknown_key_rejected():
         parse_config(CRYSTAL_CFG + "n_irons = 4\n")
 
 
-def test_syntax_error_carries_line_number():
-    with pytest.raises(ConfigFileError, match="line 2"):
-        parse_config("command = crystal\nwhat is this\nn_ions = 3\n")
+@pytest.mark.parametrize("line, problem", [
+    ("what is this", "line 2: expected 'key = value', got 'what is this'"),
+    ("ion_charge_c =", "line 2: empty value for key 'ion_charge_c'"),
+])
+def test_syntax_error_carries_line_number(line, problem):
+    with pytest.raises(ConfigFileError) as raised:
+        parse_config(f"command = crystal\n{line}\nn_ions = 3\n")
+    assert str(raised.value) == problem
 
 
 @pytest.mark.parametrize("separator", ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028",
@@ -114,9 +119,16 @@ def test_unknown_command():
         execute(RunConfig("warp", {}, 0, "csv"))
 
 
-def test_int_field_rejects_float():
-    with pytest.raises(ConfigFileError, match="integer"):
-        parse_config(CRYSTAL_CFG.replace("n_ions = 3", "n_ions = 3.5"))
+@pytest.mark.parametrize("old, new, problem", [
+    ("n_ions = 3", "n_ions = 3.5", "line 3: n_ions: expected an integer, got '3.5'"),
+    # and a float key a word
+    ("ion_mass_kg", "ion_charge_c = fast\nion_mass_kg",
+     "line 5: ion_charge_c: expected a number, got 'fast'"),
+])
+def test_int_field_rejects_float(old, new, problem):
+    with pytest.raises(ConfigFileError) as raised:
+        parse_config(CRYSTAL_CFG.replace(old, new))
+    assert str(raised.value) == problem
 
 
 def test_multiple_errors_reported_together():
@@ -798,6 +810,9 @@ def test_text_format(tmp_path):
     assert code == 0
     report = (out / "report.txt").read_text()
     assert "[summary]" in report and "config echo:" in report
+    with pytest.raises(ConfigurationError) as raised:
+        emit(execute(parse_config(CRYSTAL_CFG)), "xml", out)
+    assert str(raised.value) == "unknown output format 'xml'"
 
 
 def test_exit_codes(tmp_path):
@@ -1146,8 +1161,6 @@ def test_montecarlo_memory_is_one_block(tmp_path):
 
 @pytest.mark.parametrize("args, code", [
     (["--config", "{cfg}", "--help"], 0),
-    (["--config", "{cfg}", "--format", "xml"], 1),
-    (["--config", "{cfg}", "--seed", "abc"], 1),
     ([], 1),   # no --config
 ])
 def test_usage_exit_codes(tmp_path, capsys, args, code):
@@ -1172,12 +1185,10 @@ def _config_problem(key, text):
     return None
 
 
-def _usage_error(argv, capsys):
-    """main(argv)'s exit code and the last stderr line, after the usage message."""
+def _refused(argv, capsys):
+    """main(argv)'s exit code and its stderr lines."""
     code = main(argv)
-    err = capsys.readouterr().err.splitlines()
-    assert err[0].startswith("usage: iongradim"), err
-    return code, err[-1]
+    return code, capsys.readouterr().err.splitlines()
 
 
 @pytest.mark.parametrize("text", ["1_0", "\u0663", " 5", "5\n", "0x10", "1" * 5000])
@@ -1188,7 +1199,7 @@ def test_seed_flag_takes_the_config_integer_syntax(tmp_path, capsys, text):
     assert problem.startswith(("expected an integer", "an integer of 5000 digits"))
     out = tmp_path / "out"
     argv = ["--config", str(_write_cfg(tmp_path, CRYSTAL_CFG)), "--out", str(out), "--seed", text]
-    assert _usage_error(argv, capsys) == (1, f"iongradim: error: argument --seed: {problem}")
+    assert _refused(argv, capsys) == (1, [f"config error: argument --seed: seed: {problem}"])
     assert not out.exists()
 
 
@@ -1207,7 +1218,7 @@ def test_each_flag_takes_what_its_config_key_takes(tmp_path, capsys, option, key
         assert main(argv) == 0
         assert capsys.readouterr().err == ""
     else:
-        assert _usage_error(argv, capsys) == (1, f"iongradim: error: argument {option}: {problem}")
+        assert _refused(argv, capsys) == (1, [f"config error: argument {option}: {key}: {problem}"])
         assert not out.exists()
 
 
@@ -1220,8 +1231,27 @@ def test_a_bool_value_is_refused_with_the_four_words_it_may_be(tmp_path, capsys)
         f"config error: line 4: paper_values: {problem}"]
     argv = ["--config", str(_write_cfg(tmp_path, SCENARIO_CFG)), "--out", str(out),
             "--paper-values", "maybe"]
-    assert _usage_error(argv, capsys) == (
-        1, f"iongradim: error: argument --paper-values: {problem}")
+    assert _refused(argv, capsys) == (
+        1, [f"config error: argument --paper-values: paper_values: {problem}"])
+    assert not out.exists()
+
+
+def test_a_flag_is_one_more_assignment_of_its_key(tmp_path, capsys):
+    # read after the file's lines: where both are valid the flag wins
+    run = parse_config(SCENARIO_CFG, {"--seed": "7", "--format": "text", "--paper-values": "off"})
+    assert (run.seed, run.output_format, run.parameters["paper_values"]) == (7, "text", False)
+    assert parse_config(SCENARIO_CFG, {}) == parse_config(SCENARIO_CFG)
+    # the file's own assignment is checked all the same, and a refused flag is
+    # listed after the file's problems
+    cfg = _write_cfg(tmp_path, SCENARIO_CFG.replace("seed = 42", "seed = -1"))
+    out = tmp_path / "out"
+    argv = ["--config", str(cfg), "--out", str(out)]
+    assert _refused([*argv, "--seed", "7"], capsys) == (
+        1, ["config error: line 5: seed: must be >= 0, got -1"])
+    assert _refused([*argv, "--format", "xml", "--seed", "-2"], capsys) == (1, [
+        "config error: line 5: seed: must be >= 0, got -1",
+        "argument --seed: seed: must be >= 0, got -2",
+        "argument --format: output_format: must be one of csv, text; got 'xml'"])
     assert not out.exists()
 
 
@@ -1285,8 +1315,9 @@ def test_read_args_equals_argparse(argv):
     ["--seed", "7", "--format", "csv", "--paper-values", "off"],
 ])
 def test_plain_argv_never_reaches_argparse(tmp_path, capsys, monkeypatch, flags):
-    # the benchmark's argv shape: --config P --out D, with or without the overrides
-    argv = ["--config", str(_write_cfg(tmp_path, CRYSTAL_CFG)), "--out", str(tmp_path / "out"),
+    # the benchmark's argv shape: --config P --out D, with or without the
+    # overrides, on a scenario config, which takes all three
+    argv = ["--config", str(_write_cfg(tmp_path, SCENARIO_CFG)), "--out", str(tmp_path / "out"),
             *flags]
     expected = cli._PARSER.parse_args(argv)
 
@@ -1350,16 +1381,16 @@ def test_stalled_newton_exits_2_with_one_line(tmp_path, capsys, monkeypatch, unc
     assert not out.exists()
 
 
-def test_seed_flag_past_64_bits_is_a_usage_error(tmp_path, capsys):
+def test_seed_flag_past_64_bits_is_a_config_error(tmp_path, capsys):
     out = tmp_path / "out"
     argv = ["--config", str(_write_cfg(tmp_path, CRYSTAL_CFG)), "--out", str(out),
             "--seed", str(2 ** 64)]
-    assert _usage_error(argv, capsys) == (
-        1, f"iongradim: error: argument --seed: must be <= {2 ** 64 - 1}, got {2 ** 64}")
+    assert _refused(argv, capsys) == (
+        1, [f"config error: argument --seed: seed: must be <= {2 ** 64 - 1}, got {2 ** 64}"])
     assert not out.exists()
 
 
-_WARNING = "WARNING iongradim.cli: --paper-values only applies to scenario runs; ignored"
+_REFUSED = "config error: argument --paper-values: unknown key 'paper_values' for command 'crystal'"
 
 
 @pytest.mark.parametrize("launch", [
@@ -1367,27 +1398,29 @@ _WARNING = "WARNING iongradim.cli: --paper-values only applies to scenario runs;
     # the call `python -m iongradim.cli` makes: the module runs as __main__
     "import runpy; runpy.run_module('iongradim.cli', run_name='__main__', alter_sys=True)",
 ], ids=["main", "module"])
-def test_paper_values_flag_on_a_crystal_run_is_ignored_with_a_warning(tmp_path, fresh_python,
-                                                                      launch):
-    cfg = str(CONFIG_DIR / "crystal_three_ion.cfg")
-    assert main(["--config", cfg, "--out", str(tmp_path / "plain")]) == 0
-    result = fresh_python(launch, "--config", cfg, "--out", str(tmp_path / "flag"),
-                          "--paper-values", "on")
-    assert result.returncode == 0, result.stderr
-    assert result.stderr.splitlines() == [_WARNING]
-    plain = sorted(p.name for p in (tmp_path / "plain").iterdir())
-    assert plain == sorted(p.name for p in (tmp_path / "flag").iterdir())
-    for name in plain:
-        assert (tmp_path / "flag" / name).read_bytes() == (tmp_path / "plain" / name).read_bytes()
+def test_paper_values_flag_on_a_crystal_run_is_refused_like_its_key(tmp_path, fresh_python,
+                                                                     launch):
+    cfg = CONFIG_DIR / "crystal_three_ion.cfg"
+    out = tmp_path / "flag"
+    result = fresh_python(launch, "--config", str(cfg), "--out", str(out), "--paper-values", "on")
+    assert (result.returncode, result.stdout, result.stderr.splitlines()) == (1, "", [_REFUSED])
+    assert not out.exists()
+    text = cfg.read_text(encoding="utf-8")
+    with pytest.raises(ConfigFileError) as raised:
+        parse_config(text + "paper_values = on\n")
+    line = text.count("\n") + 1
+    assert str(raised.value) == f"line {line}: unknown key 'paper_values' for command 'crystal'"
 
 
-def test_the_warning_reaches_stderr_past_a_configured_root_logger(tmp_path, capsys, caplog):
+def test_a_refusal_reaches_stderr_past_a_configured_root_logger(tmp_path, capsys, caplog):
     # pytest's log capture has given the root logger its handlers
     assert logging.root.handlers
-    assert main(["--config", str(CONFIG_DIR / "crystal_three_ion.cfg"), "--out", str(tmp_path),
-                 "--paper-values", "on"]) == 0
-    assert capsys.readouterr().err.splitlines() == [_WARNING]
+    out = tmp_path / "out"
+    assert main(["--config", str(CONFIG_DIR / "crystal_three_ion.cfg"), "--out", str(out),
+                 "--paper-values", "on"]) == 1
+    assert capsys.readouterr().err.splitlines() == [_REFUSED]
     assert caplog.records == []
+    assert not out.exists()
 
 
 # Runs main once per JSON argument list, after a logging setup of its own if
@@ -1415,28 +1448,28 @@ def test_main_leaves_the_root_logger_as_it_is(tmp_path, fresh_python, setup, sta
             ["--config", cfg, "--out", str(tmp_path / "out"), "--paper-values", "on"]]
     result = fresh_python(_MAIN_AND_LOG_STATE, setup, json.dumps(runs))
     assert result.returncode == 0, result.stderr
-    assert result.stdout.splitlines()[-2:] == ["[0, 0]", state]
-    assert result.stderr.splitlines() == [_WARNING]
+    assert result.stdout.splitlines()[-2:] == ["[0, 1]", state]
+    assert result.stderr.splitlines() == [_REFUSED]
 
 
 _TWO_CAPTURES = """\
 import contextlib, io, json, sys
 from iongradim.cli import main
-captures = [io.StringIO(), io.StringIO()]
+captures, codes = [io.StringIO(), io.StringIO()], []
 for capture, flags in zip(captures, ([], ["--paper-values", "on"])):
     with contextlib.redirect_stderr(capture), contextlib.redirect_stdout(io.StringIO()):
-        assert main(["--config", sys.argv[1], "--out", sys.argv[2], *flags]) == 0
-print(json.dumps([capture.getvalue() for capture in captures]))
+        codes.append(main(["--config", sys.argv[1], "--out", sys.argv[2], *flags]))
+print(json.dumps([codes, [capture.getvalue() for capture in captures]]))
 """
 
 
 def test_each_call_logs_to_the_stderr_it_runs_under(tmp_path, fresh_python):
     # an in-process caller that redirects stderr per call, as bench/run.py
-    # does, gets each call's warning in that call's capture
+    # does, gets each call's refusal in that call's capture
     result = fresh_python(_TWO_CAPTURES, str(CONFIG_DIR / "crystal_three_ion.cfg"),
                           str(tmp_path / "out"))
     assert result.returncode == 0 and result.stderr == "", result.stderr
-    assert json.loads(result.stdout) == ["", _WARNING + "\n"]
+    assert json.loads(result.stdout) == [[0, 1], ["", _REFUSED + "\n"]]
 
 
 def test_seed_flag_overrides_config(tmp_path):
@@ -1458,17 +1491,6 @@ def test_paper_values_flag_overrides(tmp_path):
     provenance = (out / "provenance.txt").read_text()
     assert "paper_values = on" in provenance
     assert "mode=paper-values" in provenance
-
-
-def test_paper_values_flag_leaves_the_parsed_config_as_it_is(tmp_path, monkeypatch):
-    # the flag makes a new RunConfig, as --seed and --format do, instead of
-    # writing into the parameters of the frozen one that parse_config returned
-    parsed = []
-    parse = cli.parse_config
-    monkeypatch.setattr(cli, "parse_config", lambda text: parsed.append(parse(text)) or parsed[-1])
-    cfg = _write_cfg(tmp_path, SCENARIO_CFG)
-    assert main(["--config", str(cfg), "--out", str(tmp_path / "pv"), "--paper-values", "off"]) == 0
-    assert parsed[0].parameters["paper_values"] is True
 
 
 # ---------------------------------------------------------------------------

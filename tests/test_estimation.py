@@ -16,8 +16,8 @@ from iongradim.estimation import (_BLOCK, _GAUSSIAN_MAX, _MAX_SHOTS, _TWO_BITS,
                                   analytic_snr, dephasing_contrast, expected_parity,
                                   parity_estimate, required_shots, simulate_shots,
                                   spin_discrimination_snr, swing_threshold)
-from iongradim.protocol import (BELL, GHZ, ZeemanConfig, outcome_parities,
-                                outcome_probabilities, phase_rate, prepare_probe)
+from iongradim.protocol import BELL, GHZ, ZeemanConfig, outcome_parities, phase_rate, prepare_probe
+from test_protocol import outcome_probabilities
 
 C = constants()
 ZEE = ZeemanConfig(g_factor=2.002)

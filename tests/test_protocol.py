@@ -10,8 +10,7 @@ from iongradim.constants import Vec3, constants
 from iongradim.errors import ConfigurationError
 from iongradim.magnetostatics import axial_bz, DipoleSource
 from iongradim.protocol import (BELL, GHZ, ProbeState, ZeemanConfig, accumulated_phase,
-                                outcome_parities, outcome_probabilities, parity_trajectory,
-                                phase_rate, prepare_probe)
+                                outcome_parities, parity_trajectory, phase_rate, prepare_probe)
 
 C = constants()
 ZEE = ZeemanConfig(g_factor=2.002)
@@ -23,6 +22,20 @@ def bell_probe(contrast=1.0, spacing=1.03e-6) -> ProbeState:
 
 def ghz4_probe(positions, contrast=1.0) -> ProbeState:
     return prepare_probe(GHZ, positions, contrast)
+
+
+def outcome_probabilities(probe: ProbeState, bias_phase: float = 0.0) -> np.ndarray:
+    """Measurement distribution over the 2^N spin patterns after the analysis pulse.
+
+    The closed form of the Born-rule distribution, the reference that the
+    Monte Carlo's pattern counts are checked against. The pulse is ideal;
+    bias_phase is the total phase phi + beta, the accumulated probe phase
+    plus the pulse's adjustable phase. Probabilities are nonnegative and
+    sum to 1.
+    """
+    signs = outcome_parities(probe.n_ions)
+    fringe = probe.contrast * math.cos(bias_phase)
+    return (1.0 + signs * fringe) / float(2 ** probe.n_ions)
 
 
 # ---------------------------------------------------------------------------

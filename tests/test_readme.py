@@ -13,7 +13,6 @@ from iongradim import cli, estimation, scenarios
 from iongradim.constants import Vec3, constants
 from iongradim.estimation import ExperimentPlan, NoiseModel, dephasing_contrast, simulate_shots
 from iongradim.protocol import BELL, GHZ, ZeemanConfig, prepare_probe
-from test_cli import _WARNING
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -233,20 +232,26 @@ def test_flags_sentence_names_the_parser_options():
     assert set(flags) == options - {"--help"}
     for flag, argument in flags.items():   # a|b lists values the flag's config key takes
         if "|" in argument:
-            spec = cli._FLAGS[flag][1]
+            spec = cli.COMMAND_SCHEMAS["scenario"][cli._FLAGS[flag]]
             values = tuple(argument.split("|"))
             for value in values:
                 cli._parse_value(value, spec)   # a ValueError if the key refuses it
             assert values == (spec.choices or values), flag
 
 
-def test_flags_sentence_quotes_a_refused_seed(capsys):
-    [quoted] = re.findall(r"reported in the config's own words: `([^`]*)`", _prose())
+def test_flags_sentence_quotes_a_refused_seed(tmp_path, capsys):
+    [quoted] = re.findall(r"A refused flag is a `config error:` line, .*? such as `([^`]*)`",
+                          _prose())
     config = str(README.parent / "configs" / "crystal_three_ion.cfg")
-    assert cli.main(["--config", config, "--seed", "-1"]) == 1
-    assert capsys.readouterr().err.splitlines()[-1] == quoted
+    assert cli.main(["--config", config, "--out", str(tmp_path / "out"), "--seed", "-1"]) == 1
+    assert capsys.readouterr().err.splitlines() == [quoted]
+    assert not (tmp_path / "out").exists()
 
 
-def test_stderr_sentence_quotes_the_warning():
-    # tests/test_cli.py pins main's stderr to this text
-    assert re.findall(r"On stderr it writes .*?: `([^`]*)`", _prose()) == [_WARNING]
+@pytest.mark.parametrize("config", sorted((README.parent / "configs").glob("*.cfg")),
+                         ids=lambda path: path.name)
+def test_stderr_sentence_holds_for_each_config(tmp_path, capsys, config):
+    assert re.search(r"A run that succeeds prints .*?, and writes nothing to stderr\.", _prose())
+    assert cli.main(["--config", str(config), "--out", str(tmp_path)]) == 0
+    captured = capsys.readouterr()
+    assert captured.out and captured.err == ""
