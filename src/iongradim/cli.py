@@ -668,10 +668,6 @@ def emit(bundle: ResultBundle, output_format: str, out_dir: str | os.PathLike) -
     exactly the new bytes. No write is atomic: an interrupted one can leave
     new bytes followed by the file's old ones.
     """
-    directory = os.path.join(out_dir, "")   # ends in a separator; "" for the working directory
-    # one stat: makedirs on an existing directory raises and catches
-    if directory and not os.path.isdir(directory):
-        os.makedirs(directory, exist_ok=True)
     if output_format == "csv":
         files = [(f"{table.name}.csv", [bundle.header, ",".join(table.columns), *rows])
                  for table, rows in zip(bundle.tables, _table_lines(bundle.tables, ",", ""))]
@@ -687,6 +683,10 @@ def emit(bundle: ResultBundle, output_format: str, out_dir: str | os.PathLike) -
         files = [("report.txt", lines)]
     else:
         raise ConfigurationError(f"unknown output format {output_format!r}")
+    directory = os.path.join(out_dir, "")   # ends in a separator; "" for the working directory
+    # one stat: makedirs on an existing directory raises and catches
+    if directory and not os.path.isdir(directory):
+        os.makedirs(directory, exist_ok=True)
     written = []
     for name, lines in files:
         path = directory + name

@@ -21,8 +21,12 @@ counts of the per-shot mapping bit for bit. A spin pattern's slot is its
 rank, its place in the order in which the mapping hands out the patterns as
 the integer grows: the even patterns first, then the odd. A run that maps
 sends every shot to one kernel, which draws the shot's gradient Gaussian
-and maps it to its slot in buffers reused from block to block; it needs no
-bound and checks every per-shot phase. A run that screens counts the
+and maps it to its slot in buffers reused from block to block. A block of
+at least _PRE_PASS_MIN_SHOTS shots first takes each shot's even probability
+from a polynomial cosine, within a proven bound delta of the exact one
+(_Run._pre_pass_window); only the shots whose draw lies within delta of a
+slot boundary go on to the exact float64 path, which shorter blocks, and
+runs whose bound is not finite, take whole. A run that screens counts the
 integers against the exact integers at which the ranks begin at the
 noise-free even probability p0 (the rank never falls as the integer grows,
 so the run finds each threshold once). Without gradient noise every shot
@@ -87,6 +91,18 @@ _GAUSSIAN_MAX = math.sqrt(-2.0 * math.log(2.0 ** -53)) * (1.0 + 2.0 ** -40)
 _PHASE_ROUNDING = 2.0 ** -49
 _P_MARGIN = 2.0 ** -40   # e_p: cos, the steps of p and of _slots each round by a few 2^-53
 _MEAN_RADIUS = math.sqrt(math.pi / 2)   # mean Box-Muller radius: the cost model's typical shot
+# cos(2 pi t) for |t| <= 1/2 as a polynomial P in s = t^2, lowest power first:
+# the least-maximum-error (Remez) fit of degree 5, whose error alternates
+# between +-7.7843e-7 at 7 points, s = 0 and s = 1/4 among them
+_COS_TURNS = (0.9999992215726826, -19.73898251652437, 64.9287266225543, -85.27239704808575,
+              58.794038890267494, -21.076782404934566)
+_COS_ERROR = 7.8e-7   # e_P: bounds |P(t^2) - cos(2 pi t)| for |t| <= 1/2, P's rounding included
+_ANGLE_ERROR = _COS_ERROR + 2.0 ** -40   # e_a: also the rounding of 2 pi u2 and libm's cos
+_REDUCTION_ROUNDING = 2.0 ** -51   # e_r = this * size: the rounding of the phase in turns
+_INV_TWO_PI = 1 / (2 * math.pi)
+# The pre-pass (_own_slots) has about 20 more numpy calls per block than the
+# exact path; on a 2-vCPU Xeon a Bell block breaks even at 1,150-1,400 shots
+_PRE_PASS_MIN_SHOTS = 1280
 # What the screen costs, in units of mapping one shot: _SCREEN_SETUP per
 # run; per shot, _SCREEN_BASE for its outcome draw and _PASS_COST for the
 # count pass and the near test (_near) of each rank boundary; per shot the
@@ -182,7 +198,7 @@ class _Run:
         counter = np.arange(_OUTCOME_SLOT, _SLOTS_PER_SHOT * m, _SLOTS_PER_SHOT, dtype=np.uint64)
         bits = np.empty(m, dtype=np.uint64)
         if window != 0:   # nan too, which maps; a noise-free run maps no shot
-            floats, masks = np.empty((2, m)), np.empty((2, m), dtype=bool)
+            floats, masks = np.empty((3, m)), np.empty((2, m), dtype=bool)
             gathered = np.empty((2, m), dtype=np.uint64) if screen else None
         counts = np.zeros(2 * n, dtype=np.int64)
         for lo in range(0, plan.shots, _BLOCK):
@@ -288,7 +304,7 @@ class _Run:
            |cos| <= 1. For a shot's own Box-Muller radius (rng._radius),
            rng.gaussian returns that very float times a cosine, and
            |r cos| <= r rounds to at most r, since rounding is monotone.
-        2. The steps of _noisy_phases multiply g by rms, gamma and the
+        2. The steps of _gradient_phases multiply g by rms, gamma and the
            coupling. The same steps here, on radius and |coupling|, are
            each at least the matching per-shot step in magnitude, again by
            monotone rounding; times t, that is the spread.
@@ -301,19 +317,51 @@ class _Run:
         """
         if self.noise.gradient_rms == 0:
             return 0.0
-        plan, rms, gamma = self.plan, self.noise.gradient_rms, self.zeeman.gyromagnetic_ratio
-        coupling = abs(self.probe.gradient_coupling)
-        rate = _GAUSSIAN_MAX * rms * gamma * coupling
-        size = (rate + abs(self.base_rate)) * plan.interaction_time + abs(plan.bias_phase)
         window = radius   # the steps of rate and spread at radius; in place for an array
-        window *= rms
-        window *= gamma
-        window *= coupling
-        window *= plan.interaction_time
-        window += _PHASE_ROUNDING * size
+        window *= self.noise.gradient_rms
+        window *= self.zeeman.gyromagnetic_ratio
+        window *= abs(self.probe.gradient_coupling)
+        window *= self.plan.interaction_time
+        window += _PHASE_ROUNDING * self._size()
         window *= 0.5 * self.contrast
         window += _P_MARGIN
         return window
+
+    def _size(self) -> float:
+        """A bound on |phase| + |bias| of every shot: the phase steps at R, bias added."""
+        plan = self.plan
+        rate = (_GAUSSIAN_MAX * self.noise.gradient_rms * self.zeeman.gyromagnetic_ratio
+                * abs(self.probe.gradient_coupling))
+        return (rate + abs(self.base_rate)) * plan.interaction_time + abs(plan.bias_phase)
+
+    def _pre_pass_window(self) -> float:
+        """Bound delta, in draw units, on |p~ - p| of every shot: the pre-pass's even
+        probability p~ (_cheap_slots) against the exact path's p.
+
+        Like _window, it holds step by step, with c the exact path's cosine
+        of the Box-Muller angle and c~ = P(t^2) the pre-pass's:
+
+        1. |c~ - c| <= e_a = e_P + 2^-40. t = u2 - rint(u2) is exact and
+           cos(2 pi t) = cos(2 pi u2); 2^-40 covers the rounding of 2 pi u2,
+           which moves the angle by at most 2^-50, and the few ulps of cos.
+        2. Both Gaussians are the same radius r <= R times c and c~, so they
+           differ by at most R e_a. The same phase steps (_gradient_phases)
+           and the bias take them to x and x~, which differ by at most the
+           spread at radius R e_a plus e_phi: 14 rounded steps (the two
+           products r c and 6 steps on each side), each within 2^-53 size
+           (1 + e_P), since |c~| <= 1 + e_P, and 14 (1 + e_P) < 16.
+        3. The pre-pass reduces x~ to turns, y = x~ _INV_TWO_PI, and then
+           t = y - rint(y) exactly. The constant errs by at most 2^-52 of
+           1 / (2 pi) and the product rounds once, so |2 pi y - x~| <=
+           3 2^-53 |x~| < e_r.
+        4. So |P(t^2) - cos x| <= e_P + e_r + |x~ - x|, and p~ = 1/2 + K/2 P
+           gives |p~ - p| <= _window(R e_a) + K/2 (e_P + e_r), up to the
+           rounding of p~, of the slot position and of the near test, which
+           a second e_p covers.
+        """
+        return (self._window(_GAUSSIAN_MAX * _ANGLE_ERROR)
+                + 0.5 * self.contrast * (_COS_ERROR + _REDUCTION_ROUNDING * self._size())
+                + _P_MARGIN)
 
     def _noisy_phases(self, counters: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Per-shot phases from the gradient Gaussian on the (2, n) counters of its two
@@ -322,16 +370,9 @@ class _Run:
         A phase whose largest magnitude plus |bias| is not finite is a
         ConfigurationError, so that phase + bias is finite for every shot.
         """
-        plan, probe = self.plan, self.probe
-        phase = rng.gaussian(plan.rng_seed, counters, out)
+        plan = self.plan
         with np.errstate(over="ignore", invalid="ignore"):   # checked just below
-            # (base + gyro * (rms * g) * coupling) * t, one step at a time in
-            # place, in the order that keeps every bit
-            phase *= self.noise.gradient_rms
-            phase *= self.zeeman.gyromagnetic_ratio
-            phase *= probe.gradient_coupling
-            phase += self.base_rate
-            phase *= plan.interaction_time
+            phase = self._gradient_phases(rng.gaussian(plan.rng_seed, counters, out))
         # the largest |phase|: nan when a phase is, and 0 for no shots
         largest = float(max(-phase.min(initial=0.0), phase.max(initial=0.0)))
         if not largest + abs(plan.bias_phase) < math.inf:
@@ -339,6 +380,18 @@ class _Run:
                 "a per-shot phase overflows a float, alone or with the bias phase added: the "
                 "field, gradient noise, interaction time or bias phase is too large")
         return phase
+
+    def _gradient_phases(self, g: np.ndarray) -> np.ndarray:
+        """The per-shot phases (base + gyro * (rms * g) * coupling) * t of Gaussians g, in g.
+
+        One step at a time in place, in the order that keeps every bit.
+        """
+        g *= self.noise.gradient_rms
+        g *= self.zeeman.gyromagnetic_ratio
+        g *= self.probe.gradient_coupling
+        g += self.base_rate
+        g *= self.plan.interaction_time
+        return g
 
     def _p_even(self, phase, out: np.ndarray | None = None):
         """Even-parity probability 0.5 (1 + C cos(phase + bias)); in place in out when given."""
@@ -352,15 +405,109 @@ class _Run:
                    even: np.ndarray, odd: np.ndarray) -> np.ndarray:
         """Shots per slot at their own phase, for outcome integers and their slot-4 counters.
 
-        bits is spent; floats is a (2, n) float64 and even and odd are bool
-        buffers of its length n.
+        bits is spent; floats is a (3, n) float64 and even and odd are bool
+        buffers of its length n. From _PRE_PASS_MIN_SHOTS shots on, and when
+        _window is finite, so that no phase can overflow, a pre-pass
+        (_cheap_slots) maps every shot at an even probability p~ from a
+        polynomial cosine, within delta (_pre_pass_window) of the exact
+        path's p. No slot boundary moves further than p does, so only a
+        shot whose draw lies within delta of a boundary at p~ can take
+        another slot at p: those shots, which the pre-pass flags, take the
+        exact path (_exact_slots), and the others keep their slot at p~.
+        Either way the counts are those of the per-shot mapping.
         """
+        delta = self._pre_pass_window() if len(bits) >= _PRE_PASS_MIN_SHOTS else math.inf
+        if not math.isfinite(delta):   # it is finite exactly when _window() is
+            return self._exact_slots(bits, counter, floats, even, odd)
+        u = floats[:2]
+        np.subtract(counter, _GAUSSIAN_BELOW_OUTCOME, out=u.view(np.uint64))
+        slot, flagged = self._cheap_slots(rng.uniform(self.plan.rng_seed, u.view(np.uint64), u),
+                                          rng.bits_to_uniform(bits, bits.view(np.float64)),
+                                          delta, floats[2], odd)
+        counts = np.bincount(slot, minlength=2 * self.n_class)
+        idx = np.flatnonzero(flagged)
+        if len(idx):
+            counts -= np.bincount(slot[idx], minlength=2 * self.n_class)
+            counter = np.take(counter, idx)
+            j = len(idx)
+            counts += self._exact_slots(rng.uniform_bits(self.plan.rng_seed, counter, bits[:j]),
+                                        counter, floats[:, :j], even[:j], odd[:j])
+        return counts
+
+    def _exact_slots(self, bits: np.ndarray, counter: np.ndarray, floats: np.ndarray,
+                     even: np.ndarray, odd: np.ndarray) -> np.ndarray:
+        """_own_slots through the per-shot mapping's own steps: rng.gaussian, the phase and
+        its overflow check, _p_even and _slots_in_place, in the same buffers."""
         # the counters of the gradient Gaussian (slots 2 and 3) are written where its draws land
-        np.subtract(counter, _GAUSSIAN_BELOW_OUTCOME, out=floats.view(np.uint64))
-        p = self._noisy_phases(floats.view(np.uint64), floats)
+        u = floats[:2]
+        np.subtract(counter, _GAUSSIAN_BELOW_OUTCOME, out=u.view(np.uint64))
+        p = self._noisy_phases(u.view(np.uint64), u)
         slot = _slots_in_place(rng.bits_to_uniform(bits, bits.view(np.float64)),
-                               self._p_even(p, out=p), self.n_class, floats[1], even, odd)
+                               self._p_even(p, out=p), self.n_class, u[1], even, odd)
         return np.bincount(slot, minlength=2 * self.n_class)
+
+    def _cheap_slots(self, u: np.ndarray, draw: np.ndarray, delta: float, work: np.ndarray,
+                     flagged: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(slot, flagged) of each shot at its pre-pass even probability p~.
+
+        u holds the shots' (2, n) Gaussian uniforms and draw their outcome
+        uniforms; both are spent. work is a float64 and flagged a bool
+        buffer of length n. The slot is an int64 view of work, and flagged
+        marks each shot whose draw may lie within delta of a slot boundary.
+        Each cosine is _cos_turns, in + and * only. The slot position
+        F = n + n (draw - p~) / w, w the width of the draw's class (p~ even,
+        1 - p~ odd), has the class's boundaries at the integers, and the
+        draw lies |F - rint(F)| w / n from the nearest; a shot is flagged
+        unless that is above delta, so a nan flags too, and the slot, F
+        truncated and capped at 2n - 1, counts only for the others. p~ may
+        lie up to K e_P / 2 outside [0, 1]: one class is then empty, and F
+        still places every draw in the other.
+        """
+        n = self.n_class
+        radius = rng._radius(u[0])
+        radius *= _cos_turns(u[1], work)   # the Gaussian
+        x = self._gradient_phases(radius)
+        x += self.plan.bias_phase
+        x *= _INV_TWO_PI
+        h = _cos_turns(x, work)   # p~ = 1/2 + h, never rounded
+        h *= 0.5 * self.contrast
+        position = draw
+        position -= 0.5   # exact: the draws are multiples of 2^-53 in (0, 1]
+        position -= h     # draw - p~, of the sign of the exact difference
+        # the class width: p~ = 1/2 + h below p~, 1 - p~ = 1/2 - h from it on
+        width = np.copysign(0.5, position, out=u[1])
+        width -= h
+        np.abs(width, out=width)
+        position /= width
+        position *= n
+        position += n
+        slot = work.view(np.int64)
+        np.copyto(slot, position, casting="unsafe")   # truncates; a nan's slot is flagged
+        np.minimum(slot.view(np.uint64), 2 * n - 1, out=slot.view(np.uint64))
+        gap = np.rint(position, out=h)
+        gap -= position
+        np.abs(gap, out=gap)
+        gap *= width
+        np.greater(gap, n * delta, out=flagged)
+        np.logical_not(flagged, out=flagged)
+        return slot, flagged
+
+
+def _cos_turns(u: np.ndarray, work: np.ndarray) -> np.ndarray:
+    """cos(2 pi u) to within _COS_ERROR, in place in u; work is a float64 buffer of its shape.
+
+    t = u - rint(u) is exact and has the same cosine; P(t^2) is taken in
+    Horner form, so the result depends on no libm and no SIMD dispatch.
+    """
+    np.rint(u, out=work)
+    u -= work
+    square = np.multiply(u, u, out=work)
+    np.multiply(square, _COS_TURNS[-1], out=u)
+    for c in _COS_TURNS[-2:0:-1]:
+        u += c
+        u *= square
+    u += _COS_TURNS[0]
+    return u
 
 
 def _slots(draw: np.ndarray, p_even, n_class: int) -> np.ndarray:

@@ -815,6 +815,14 @@ def test_text_format(tmp_path):
     assert str(raised.value) == "unknown output format 'xml'"
 
 
+def test_unknown_format_is_refused_before_the_output_directory_is_made(tmp_path):
+    out = tmp_path / "new" / "out"
+    with pytest.raises(ConfigurationError) as raised:
+        emit(execute(parse_config(CRYSTAL_CFG)), "xml", out)
+    assert str(raised.value) == "unknown output format 'xml'"
+    assert not (tmp_path / "new").exists()
+
+
 def test_exit_codes(tmp_path):
     assert main(["--config", str(tmp_path / "missing.cfg")]) == 1
     bad = _write_cfg(tmp_path, "command = crystal\nn_ions = 0\n"

@@ -466,6 +466,131 @@ def test_screen_grid_needs_each_shots_own_window(monkeypatch, shrink):
     assert _some_grid_case_misses()
 
 
+# ---------------------------------------------------------------------------
+# the mapped kernel's pre-pass: a polynomial cosine, within a proven bound
+
+COS_GRID = np.linspace(0.0, 0.5, 2 ** 19 + 1)   # t in [0, 1/2], spacing h = 2^-20
+
+
+def _cos_turns_errors(t):
+    """_cos_turns(t) - math.cos(2 pi t); the reference errs by at most 2^-51."""
+    cheap = estimation._cos_turns(t.copy(), np.empty_like(t))
+    return cheap - np.array(list(map(math.cos, (2.0 * math.pi * t).tolist())))
+
+
+def test_cos_turns_is_within_its_bound():
+    # |P(t^2) - cos(2 pi t)| on a grid of spacing h bounds it between grid
+    # points up to h^2/8 times the largest |e''| of the error e in real
+    # arithmetic; P's float rounding is Horner's, gamma_11 sum |c_k| s^k (1 + k)
+    # with the rounding of s = t^2, and counts twice (grid and elsewhere)
+    coefficients = estimation._COS_TURNS
+    h = COS_GRID[1]
+    e2 = (2 * math.pi) ** 2 + sum(abs(c) * 2 * k * (2 * k - 1) * 0.5 ** (2 * k - 2)
+                                  for k, c in enumerate(coefficients) if k)
+    gamma = 11 * 2.0 ** -53 / (1 - 11 * 2.0 ** -53)
+    rounding = gamma * sum(abs(c) * 0.25 ** k * (1 + k) for k, c in enumerate(coefficients))
+    on_grid = float(np.max(np.abs(_cos_turns_errors(COS_GRID))))
+    bound = on_grid + 2.0 ** -51 + 2 * rounding + h * h / 8 * e2
+    assert bound <= estimation._COS_ERROR, bound
+    assert on_grid > 0.99 * estimation._COS_ERROR   # tight, so that half of it is too little
+    # the fit's extremal points: t = 0 and |t| = 1/2 err most, and the reduction
+    # t = u - rint(u) is exact at its edges, rint rounding half to even
+    edges = [0.0, 0.5, -0.5, math.nextafter(0.5, 1.0), math.nextafter(0.5, 0.0), 1.0,
+             math.nextafter(1.0, 0.0), 2.0 ** -53, 1e6 + 0.5, -1e6 - 0.25, 2.0 ** 52 - 0.5]
+    reduced = np.array([u - round(u) for u in edges])
+    assert np.all(np.abs(reduced) <= 0.5)
+    cheap = estimation._cos_turns(np.array(edges), np.empty(len(edges)))
+    assert np.array_equal(cheap, estimation._cos_turns(reduced, np.empty(len(edges))))
+    assert np.all(np.abs(_cos_turns_errors(reduced)) <= estimation._COS_ERROR)
+    assert abs(cheap[1] + 1.0) > 0.99 * estimation._COS_ERROR
+
+
+def _angle_extremes():
+    """The angle uniforms u2 in (0, 1] at which the polynomial errs most, one per local peak."""
+    grid = COS_GRID[::64]
+    err = np.abs(_cos_turns_errors(grid))
+    padded = np.concatenate(([-1.0], err, [-1.0]))
+    peaks = np.flatnonzero((err >= padded[:-2]) & (err >= padded[2:]))
+    return [float(grid[i]) or 1.0 for i in peaks]   # t = 0 is u2 = 1
+
+
+def _pre_pass_misses(scale):
+    """Pre-pass slots that differ from the exact slot among the shots it does not flag,
+    with delta times scale, over constructed worst cases.
+
+    Each Bell case has spread 1 rad, the largest radius (u1 = 2^-53), an
+    angle where the polynomial errs most, and a bias that puts the exact
+    phase at +-pi/2, where the phase's polynomial errs about as much and the
+    angle's error moves p fastest; 401 draws cross p = 1/2.
+    """
+    misses, n = 0, 401
+    for u2 in _angle_extremes():
+        radius = rng._radius(np.array([2.0 ** -53]))
+        angle = np.array([u2]) * (2.0 * np.pi)
+        for side in (1.0, -1.0):
+            _, probe, zeeman, fields, noise = _screen_case(2, 1.0, 0.0, 0.0, 1)
+            run = simulate_shots(plan(shots=1, t=SCREEN_TIME), probe, zeeman, fields, noise)._run
+            phase = run._gradient_phases(radius * np.cos(angle))   # as rng.gaussian takes it
+            bias = side * math.pi / 2 - phase[0]
+            run = replace(run, plan=plan(shots=1, t=SCREEN_TIME, bias=bias))
+            p = run._p_even(phase)
+            delta = run._pre_pass_window()
+            step = math.ceil(2 * delta * 2.0 ** 53 / (n // 2))
+            bits = 2 ** 52 + step * np.arange(-(n // 2), n // 2 + 1)
+            draw = (bits + 1) * 2.0 ** -53
+            u = np.array([[2.0 ** -53] * n, [u2] * n])
+            slot, flagged = run._cheap_slots(u, draw.copy(), scale * delta, np.empty(n),
+                                             np.empty(n, dtype=bool))
+            misses += int(np.count_nonzero((slot != _slots(draw, p, run.n_class))[~flagged]))
+    return misses
+
+
+def test_pre_pass_keeps_the_exact_slot_of_every_shot_it_does_not_flag():
+    assert _pre_pass_misses(1.0) == 0
+    # the extreme draws: 2^-53 lies within delta of 0, and 1.0 on the top
+    # boundary, where the slot position reaches 2n; both are flagged, and
+    # the slot stays below 2n
+    run = simulate_shots(*_screen_case(2, 1.0, 0.9, 0.0, 1))._run
+    u = np.array([[0.5, 0.5], [0.25, 0.75]])
+    slot, flagged = run._cheap_slots(u, np.array([2.0 ** -53, 1.0]), run._pre_pass_window(),
+                                     np.empty(2), np.empty(2, dtype=bool))
+    assert flagged.all() and slot.tolist() == [0, 3]
+
+
+@pytest.mark.parametrize("scale", [0.5, 0.0], ids=["half", "zero"])
+def test_pre_pass_needs_its_whole_bound(scale):
+    # halved or zero, delta lets a worst-case shot keep a slot from the wrong side of p
+    assert _pre_pass_misses(scale) > 0
+
+
+def test_pre_pass_runs_only_on_full_blocks_with_a_finite_window(monkeypatch):
+    # mapped blocks of at least _PRE_PASS_MIN_SHOTS shots take the pre-pass;
+    # a shorter block, and every block of a run whose window is not finite,
+    # take the exact path, and an overflowing phase is still a config error
+    sizes = []
+    cheap_slots = estimation._Run._cheap_slots
+
+    def counted(run, u, *args):
+        sizes.append(u.shape[1])
+        return cheap_slots(run, u, *args)
+
+    monkeypatch.setattr(estimation, "_SCREEN_SETUP", MAP)
+    monkeypatch.setattr(estimation._Run, "_cheap_slots", counted)
+    least = estimation._PRE_PASS_MIN_SHOTS
+    for shots, taken in ((_BLOCK + 17, [_BLOCK]), (2 * _BLOCK + least, [_BLOCK, _BLOCK, least]),
+                         (least, [least]), (least - 1, [])):
+        sizes.clear()
+        _, got, want = _tally_and_reference((2, 0.3, 0.9, 0.0, shots))
+        assert sizes == taken and np.array_equal(got, want), shots
+    _, probe, _, fields, _ = _screen_case(2, 1e-3, 0.9, 0.0, 1)
+    sizes.clear()
+    for rms, t in ((1e300, 1.0), (1.0, 1e305), (1e300, 0.0)):
+        with pytest.raises(ConfigurationError, match="per-shot phase overflows"):
+            simulate_shots(plan(shots=_BLOCK, t=t), probe, ZEE, fields,
+                           NoiseModel(gradient_rms=rms))
+    assert sizes == []
+
+
 # sorted, as _thresholds gives them: 0, 2^53 (no draw reaches the rank) and a repeat
 NEAR_THRESHOLDS = [0, 1, 5, 2 ** 30, 2 ** 52 + 7, 2 ** 53 - 1, 2 ** 53, 2 ** 53]
 NEAR_HALVES = [0, 1, 2, 3, 2 ** 20, 2 ** 52, 2 ** 53]

@@ -612,3 +612,20 @@ def test_a_relative_libm_error_of_1e_3_moves_the_20k_shot_counts(tmp_path, monke
     case = ("montecarlo_noise_20k_shots", "csv")
     moved = _libm_digests(tmp_path, monkeypatch, lambda x: x * (1.0 + relative), [case])
     assert moved[case]["outcome_counts.csv"] != GOLDEN[case]["outcome_counts.csv"]
+
+
+def test_the_20k_shot_case_maps_its_shots_through_the_pre_pass(tmp_path, monkeypatch):
+    # so the libm tests above, and the baseline dispatch test, cover the
+    # mapped kernel's polynomial pre-pass and its exact fallback
+    blocks = []
+    cheap_slots = estimation._Run._cheap_slots
+
+    def counted(run, *args):
+        slot, flagged = cheap_slots(run, *args)
+        blocks.append((len(slot), int(np.count_nonzero(flagged))))
+        return slot, flagged
+
+    monkeypatch.setattr(estimation._Run, "_cheap_slots", counted)
+    case = ("montecarlo_noise_20k_shots", "csv")
+    assert _digests(tmp_path, *case) == GOLDEN[case]
+    assert blocks == [(20000, 1)]   # one shot lies near a slot boundary and takes the exact path

@@ -163,6 +163,32 @@ def test_screen_figures():
         assert text in prose, text
 
 
+def test_pre_pass_figures():
+    # delta as README writes it, from the terms it names, against the code's
+    run = _screen_run(2, 0.5, 0.8)
+    spread = (run.noise.gradient_rms * run.zeeman.gyromagnetic_ratio
+              * abs(run.probe.gradient_coupling) * run.plan.interaction_time)
+    size = run._size()
+    e_a = estimation._COS_ERROR + 2.0 ** -40
+    delta = (run.contrast / 2 * (estimation._GAUSSIAN_MAX * e_a * spread + estimation._COS_ERROR
+                                 + estimation._PHASE_ROUNDING * size
+                                 + estimation._REDUCTION_ROUNDING * size)
+             + 2 * estimation._P_MARGIN)
+    assert estimation._ANGLE_ERROR == e_a
+    assert run._pre_pass_window() == pytest.approx(delta, rel=1e-12)
+    least = f"{estimation._PRE_PASS_MIN_SHOTS:,}"
+    e_p = f"{estimation._COS_ERROR:.1e}".replace("e-0", "e-")
+    prose = _prose()
+    for text in (
+            f"The mapping kernel's pre-pass runs on every block of at least {least} shots,",
+            f"polynomial of degree {len(estimation._COS_TURNS) - 1} in t^2,",
+            f"it lies within e_P = {e_p} of cos(2 pi t).",
+            "|p~ - p| <= K/2 (R e_a s + e_P + e_phi + e_r) + 2 e_p = delta",
+            "where e_a = e_P + 2^-40 bounds the error of the angle's cosine",
+            f"A block below {least} shots, and every block of a run whose bound is not finite,"):
+        assert text in prose, text
+
+
 def test_figures_of_the_code_constants():
     shot_bits = estimation._SHOT_LIMIT.bit_length() - 1
     assert estimation._SHOT_LIMIT == 2 ** shot_bits
