@@ -60,9 +60,10 @@ class Bound:
         return None if self.maximum is None or value <= self.maximum else f"<= {self.maximum}"
 
     def check(self, name: str, value) -> None:
-        """Raise a ConfigurationError naming name when value is not in range."""
-        if not (isinstance(value, int if self.integer else (int, float))
-                and -math.inf < value < math.inf) or self.broken(value):
+        """Raise a ConfigurationError naming name when value is not in range; a bool
+        is not a number here, though Python makes it an int."""
+        if (isinstance(value, bool) or not isinstance(value, int if self.integer else (int, float))
+                or not -math.inf < value < math.inf or self.broken(value)):
             raise ConfigurationError(f"{name} must be {self}, got {value}")
 
 

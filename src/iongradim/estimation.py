@@ -104,20 +104,19 @@ _INV_TWO_PI = 1 / (2 * math.pi)
 # exact path; on a 2-vCPU Xeon a Bell block breaks even at 1,150-1,400 shots
 _PRE_PASS_MIN_SHOTS = 1280
 # What the screen costs, in units of mapping one shot: _SCREEN_SETUP per
-# run; per shot, _SCREEN_BASE for its outcome draw and _PASS_COST for the
-# count pass and the near test (_near) of each rank boundary; per shot the
-# near test flags, _RADIUS_COST for its radius and own half plus _PASS_COST
-# per boundary for its own near test; and 1 per shot its own half keeps, a
-# share taken at _MEAN_RADIUS. A run screens only when that costs less than
-# mapping every shot. Fitted on a 2-vCPU Xeon: with every shot of a Bell
-# pair flagged, the measured break-even kept share is 0.54-0.67 (the model
-# says 0.56); 4 ions measured 0.69-0.94 of mapping up to a flagged share
-# of 0.87, where the model stops screening at 0.55; 6 ions never screen.
-# The setup puts the break-even between 2,500 and 4,000 shots for a Bell pair.
+# run, and per shot a = _SCREEN_BASE + _PASS_COST per rank boundary for its
+# count pass and near test (_near); a shot the near test flags costs another
+# a / 2 for its radius and own near test, and a shot its own half keeps
+# costs one mapped shot plus a, a share taken at _MEAN_RADIUS. A run screens
+# only when that costs less than mapping every shot. At K = 1 it breaks
+# even, with tools/routes.py's timings in brackets, for a Bell pair at
+# 3,575 shots (4,000-6,000) and a spread of 0.067 rad (0.045 at the middle
+# of the fringe, 0.09 at its top), and for a 4-ion GHZ state at 10,348
+# shots (above 12,000) and 0.0023 rad (0.0015 and 0.004); 6 ions never
+# screen.
 _SCREEN_SETUP = 2048
-_SCREEN_BASE = 1 / 8
+_SCREEN_BASE = 1 / 3
 _PASS_COST = 1 / 32
-_RADIUS_COST = 1 / 8
 
 _RMS = Bound(0)            # a field noise rms: NoiseModel's, and dephasing_contrast's gradient_rms
 _TIME = Bound(0)           # s: an interaction time, ExperimentPlan's or dephasing_contrast's
@@ -227,8 +226,8 @@ class _Run:
         boundaries = 2 * self.n_class - 1
         flagged = min(2 * boundaries * window, 1.0)
         kept = min(2 * boundaries * self._window(_MEAN_RADIUS), 1.0)
-        return (1 - _SCREEN_BASE - boundaries * _PASS_COST
-                - flagged * (_RADIUS_COST + boundaries * _PASS_COST) - kept)
+        unit = _SCREEN_BASE + boundaries * _PASS_COST
+        return 1 - unit * (1 + flagged / 2) - kept * (1 + unit)
 
     def _moved_counts(self, bits: np.ndarray, idx: np.ndarray, first: np.uint64,
                       thresholds: np.ndarray, floats: np.ndarray, masks: np.ndarray,

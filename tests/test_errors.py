@@ -7,7 +7,7 @@ import sys
 import pytest
 
 from iongradim.constants import Vec3
-from iongradim.crystal import TrapConfig
+from iongradim.crystal import N_IONS, TrapConfig, equilibrium_positions
 from iongradim.errors import ConfigurationError
 from iongradim.estimation import ExperimentPlan, NoiseModel
 from iongradim.protocol import BELL, ZeemanConfig, prepare_probe
@@ -61,3 +61,21 @@ def test_each_bounded_field_decides_as_its_bound(instance, f, value):
 
 def test_the_grid_holds_every_bounded_field():
     assert len({(type(instance), f.name) for instance, f, _ in (c.values for c in CASES)}) == 23
+
+
+BOOL_CASES = [pytest.param(instance, f, value, id=f"{type(instance).__name__}.{f.name}={value}")
+              for instance in VALID for f in dataclasses.fields(instance)
+              if "bound" in f.metadata for value in (True, False)]
+
+
+@pytest.mark.parametrize("instance, f, value", BOOL_CASES)
+def test_each_bounded_field_refuses_a_bool(instance, f, value):
+    # Python makes a bool an int, but no bounded field takes one as a number
+    message = f"{f.name} must be {f.metadata['bound']}, got {value}"
+    assert _refusal(lambda: dataclasses.replace(instance, **{f.name: value})) == message
+
+
+@pytest.mark.parametrize("value", [True, False])
+def test_equilibrium_positions_refuses_a_bool_ion_count(value):
+    assert _refusal(lambda: equilibrium_positions(value, TRAP)) == (
+        f"n_ions must be {N_IONS}, got {value}")

@@ -18,6 +18,7 @@ from iongradim.estimation import (_BLOCK, _GAUSSIAN_MAX, _MAX_SHOTS, _TWO_BITS,
                                   spin_discrimination_snr, swing_threshold)
 from iongradim.protocol import BELL, GHZ, ZeemanConfig, outcome_parities, phase_rate, prepare_probe
 from test_protocol import outcome_probabilities
+from test_readme import _screen_run
 
 C = constants()
 ZEE = ZeemanConfig(g_factor=2.002)
@@ -464,6 +465,30 @@ def test_screen_grid_needs_each_shots_own_window(monkeypatch, shrink):
     monkeypatch.setattr(estimation, "_SCREEN_SETUP", SCREEN)
     monkeypatch.setattr(estimation._Run, "_own_halves", shrunk)
     assert _some_grid_case_misses()
+
+
+# (ions, spread s in rad, shots, route): each point lies well clear of the
+# screen/map break-even that tools/routes.py measures, at contrast K = 1
+ROUTE_POINTS = [(2, 0.03, 131_072, "screen"), (2, 0.1, 131_072, "map"),
+                (4, 5e-4, 131_072, "screen"), (4, 0.004, 131_072, "map"),
+                (4, 5e-4, 6_000, "map"), (4, 5e-4, 12_000, "map"),
+                (2, 1e-3, 2_500, "map"), (2, 1e-3, 8_000, "screen"),
+                (6, 1e-9, 131_072, "map"), (6, 5e-4, 131_072, "map")]
+
+
+@pytest.mark.parametrize("n_ions, spread, shots, route", ROUTE_POINTS, ids=str)
+def test_route_rule_follows_the_measured_break_evens(monkeypatch, n_ions, spread, shots, route):
+    # only the screen counts ranks at p0; 6 ions never screen
+    ranked = []
+
+    def rank_counts(*args):
+        ranked.append(1)
+        return _rank_counts(*args)
+
+    run = _screen_run(n_ions, spread)
+    monkeypatch.setattr(estimation, "_rank_counts", rank_counts)
+    counts = replace(run, plan=replace(run.plan, shots=shots)).slot_counts()
+    assert counts.sum() == shots and ("screen" if ranked else "map") == route
 
 
 # ---------------------------------------------------------------------------

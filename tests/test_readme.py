@@ -142,9 +142,9 @@ def test_screen_figures():
         return min(2 * (2 * run.n_class - 1) * run._window(estimation._MEAN_RADIUS), 1.0)
 
     bell, ghz = (estimation._SCREEN_SETUP / _saving(n, 1e-9) for n in (2, 4))
-    bell_k = {round(_crossover(2, k), 2) for k in (1.0, 0.5)}
-    ghz_k = {float(f"{_crossover(4, k):.1g}") for k in (1.0, 0.5)}
-    assert bell_k == {0.15} and ghz_k == {0.004}
+    crossovers = {n_ions: {float(f"{_crossover(n_ions, k):.2g}") for k in (1.0, 0.5)}
+                  for n_ions in (2, 4)}
+    assert crossovers == {2: {0.067}, 4: {0.0023}}
     for n_ions in (6, 8):   # no spread saves anything, not even none
         assert _screen_run(n_ions, 1e-9)._screen_saving(0.0) < 0
     for n_class in (2 ** k for k in range(6, 20)):   # nor with more ions: the cost grows
@@ -157,9 +157,9 @@ def test_screen_figures():
             f"{100 * share(1e-3):.1f} % at a spread of 1e-3 rad and "
             f"{100 * share(0.05):.0f} % at 0.05 rad (K = 1)",
             f"in runs of fewer than about {round(bell, -2):,.0f} shots "
-            f"({round(ghz, -2):,.0f} for a 4-ion GHZ state), above a spread of about 0.15/K rad "
-            "for a Bell pair or 0.004/K rad for a 4-ion GHZ state, and at any spread with 6 or "
-            "more ions."):
+            f"({round(ghz, -2):,.0f} for a 4-ion GHZ state), above a spread of about 0.067/K "
+            "rad for a Bell pair or 0.0023/K rad for a 4-ion GHZ state, and at any spread with 6 "
+            "or more ions."):
         assert text in prose, text
 
 
